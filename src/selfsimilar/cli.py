@@ -23,20 +23,18 @@ JSON reports are emitted with sorted keys and fixed separators, so the
 same config and seed give byte-identical output except the
 "wall_clock_s" entry.  CSV output has the fixed header ``check,key,value``
 with nested payload keys joined by dots and list indices as keys; it
-omits wall clock entirely.  SELFSIM_WORKERS sets the worker-thread
-count for the "all" command (default 1).
+omits wall clock entirely.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
-import os
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
@@ -98,9 +96,6 @@ def _check_rows(rows, errors):
 
 def _validate(data):
     errors = []
-    if not isinstance(data, dict):
-        raise ConfigError(["config must be a JSON object; required fields: "
-                           + ", ".join(_REQUIRED)])
     data = dict(data)
     if "lambda" in data:
         if "lam" in data:
@@ -173,17 +168,25 @@ def _validate(data):
     return ExperimentConfig(**data)
 
 
-def parse_config(text):
-    """Validated ExperimentConfig from JSON text; ConfigError lists
-    every problem found."""
+def _load_config(text):
+    """Config dict from JSON text; ConfigError if it is empty, invalid
+    or not an object."""
+    required = "; required fields: " + ", ".join(_REQUIRED)
     if not text.strip():
-        raise ConfigError(["empty config; required fields: "
-                           + ", ".join(_REQUIRED)])
+        raise ConfigError(["empty config" + required])
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([f"config is not valid JSON: {e}"]) from None
-    return _validate(data)
+    if not isinstance(data, dict):
+        raise ConfigError(["config must be a JSON object" + required])
+    return data
+
+
+def parse_config(text):
+    """Validated ExperimentConfig from JSON text; ConfigError lists
+    every problem found."""
+    return _validate(_load_config(text))
 
 
 def build_system(cfg):
@@ -235,22 +238,27 @@ def _entropy_target(sys_obj):
     return 2 * math.log(abs(sys_obj.eig_unstable))
 
 
+@functools.lru_cache(maxsize=1)
+def _fundamental(sys_obj, n_max):
+    """One capacity fit per system and horizon, which `capacity` and
+    `fundamental` both report."""
+    return _dim.check_fundamental(sys_obj, n_max=n_max)
+
+
 def _check_capacity(sys_obj, cfg):
-    fit = _dim.capacity(sys_obj)
-    er = _dim.entropy(sys_obj, n_max=cfg.n_max)
-    rhs = er.ent / math.log(sys_obj.lam)
+    rep = _fundamental(sys_obj, cfg.n_max)
+    fit = rep.capacity_fit
     tol = 0.02 if sys_obj.space_kind == "symbolic" else 0.10
-    gap = abs(fit.value - rhs) / rhs
     return {
-        "capacity": fit.value,
-        "ent_over_log_lam": rhs,
-        "rel_gap": gap,
+        "capacity": rep.capacity,
+        "ent_over_log_lam": rep.rhs,
+        "rel_gap": rep.rel_gap,
         "scales": list(fit.scales),
         "counts": list(fit.counts),
         "residual": fit.residual,
         "tolerance": tol,
         "method": fit.method,
-        "passed": gap <= tol,
+        "passed": rep.rel_gap <= tol,
     }
 
 
@@ -281,7 +289,7 @@ def _check_entropy(sys_obj, cfg):
 
 
 def _check_fundamental(sys_obj, cfg):
-    rep = _dim.check_fundamental(sys_obj, n_max=cfg.n_max)
+    rep = _fundamental(sys_obj, cfg.n_max)
     tol = 0.02 if sys_obj.space_kind == "symbolic" else 0.10
     return {
         "capacity": rep.capacity,
@@ -507,21 +515,11 @@ def run(config):
     else:
         names = [config.command]
     results = {}
-    workers = max(1, int(os.environ.get("SELFSIM_WORKERS", "1")))
-
-    def run_one(name):
+    for name in names:
         try:
-            return name, _CHECKS[name](sys_obj, config)
+            results[name] = _CHECKS[name](sys_obj, config)
         except Exception as e:  # wrapped so one failure cannot hide others
-            return name, {"error": f"{name}: {e}", "passed": False}
-
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = dict(pool.map(run_one, names))
-        results = {name: done[name] for name in names}
-    else:
-        for name in names:
-            results[name] = run_one(name)[1]
+            results[name] = {"error": f"{name}: {e}", "passed": False}
     return {
         "tool": "selfsim",
         "version": __version__,
@@ -600,36 +598,20 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    data = {}
-    if args.config:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as e:
-            print(f"config error: {e}", file=_sys.stderr)
-            return 2
-        try:
-            data = json.loads(text) if text.strip() else {}
-            if not text.strip():
-                raise ConfigError(["empty config; required fields: "
-                                   + ", ".join(_REQUIRED)])
-            if not isinstance(data, dict):
-                raise ConfigError(["config must be a JSON object"])
-        except json.JSONDecodeError as e:
-            print(f"config error: config is not valid JSON: {e}",
-                  file=_sys.stderr)
-            return 2
-        except ConfigError as e:
-            for msg in e.errors:
-                print(f"config error: {msg}", file=_sys.stderr)
-            return 2
-    for key in ("system", "lam", "seed", "samples", "scale", "depth",
-                "n_max", "out", "format"):
-        v = getattr(args, key)
-        if v is not None:
-            data[key] = v
-    data["command"] = args.command
     try:
+        data = {}
+        if args.config:
+            data = _load_config(Path(args.config).read_text())
+        for key in ("system", "lam", "seed", "samples", "scale", "depth",
+                    "n_max", "out", "format"):
+            v = getattr(args, key)
+            if v is not None:
+                data[key] = v
+        data["command"] = args.command
         cfg = _validate(data)
+    except OSError as e:
+        print(f"config error: {e}", file=_sys.stderr)
+        return 2
     except ConfigError as e:
         for msg in e.errors:
             print(f"config error: {msg}", file=_sys.stderr)

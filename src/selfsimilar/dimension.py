@@ -4,7 +4,10 @@ Symbolic systems get exact integer counts through window algebra, so
 the only error in a capacity or entropy fit is the finite-scale
 transient.  Toral systems get bracketed counts: a greedy cover from a
 dense grid gives an upper bound, a separated packing gives a lower
-bound, and fits use the geometric mean of the two.
+bound, and fits use the geometric mean of the two.  The toral metric is
+translation-invariant and the grid is regular, so the d_k ball around
+every grid point holds the same index offsets: one stencil per radius,
+from `ToralSystem.offset_norm`, serves the whole grid.
 
 Entropy follows the two-sided convention: covers refine under
 max_{|k| <= n} dist(f^k x, f^k y), which doubles the standard
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbolic import count_words, exact_cov, spectral_radius
+from .symbolic import _window_count, count_words, spectral_radius
 
 
 def _lsq(xs, ys):
@@ -75,63 +78,9 @@ class CoverReport:
                 "entries": [c.to_dict() for c in self.entries]}
 
 
-def _symbolic_cov(sys, eps, k):
-    """Sets of d_k-diameter < eps are cylinders; count the minimal window.
-
-    A window of radius w has d_k-diameter lam**(k-w), so the smallest
-    admissible w solves lam**(k-w) < eps.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if eps > sys.diameter * sys.lam ** k:
-        return 1
-    w = 0
-    while sys.lam ** (k - w) >= eps:
-        w += 1
-        if w > 100_000:
-            raise ArithmeticError("covering window did not close")
-    return count_words(sys.matrix, 2 * w + 1)
-
-
-def _toral_metric_batch(sys, dx, dy, k):
-    """Vector of d_k distances for wrapped offset arrays.
-
-    Valid for deciding comparisons at radii well below the injectivity
-    scale: the nine-translate minimum after wrapping equals the true
-    metric whenever the true value is small, and overestimates
-    otherwise, which preserves cover/packing decisions.
-    """
-    B = sys._B
-    mats = {0: ((1, 0), (0, 1))}
-    for i in range(1, k + 1):
-        (a, b), (c, d) = mats[i - 1]
-        (ma, mb), (mc, md) = sys.matrix
-        mats[i] = ((ma * a + mb * c, ma * b + mb * d),
-                   (mc * a + md * c, mc * b + md * d))
-        (a, b), (c, d) = mats[-(i - 1)] if i > 1 else mats[0]
-        (ia, ib), (ic, id_) = sys.inverse
-        mats[-i] = ((ia * a + ib * c, ia * b + ib * d),
-                    (ic * a + id_ * c, ic * b + id_ * d))
-    out = None
-    for i in range(-k, k + 1):
-        (a, b), (c, d) = mats[i]
-        vx = a * dx + b * dy
-        vy = c * dx + d * dy
-        vx -= np.round(vx)
-        vy -= np.round(vy)
-        best = None
-        for wx in (-1.0, 0.0, 1.0):
-            for wy in (-1.0, 0.0, 1.0):
-                s = B[0][0] * (vx + wx) + B[0][1] * (vy + wy)
-                u = B[1][0] * (vx + wx) + B[1][1] * (vy + wy)
-                r = np.maximum(np.abs(s) ** sys.e_s, np.abs(u) ** sys.e_u)
-                best = r if best is None else np.minimum(best, r)
-        out = best if out is None else np.maximum(out, best)
-    return out
-
-
 def _toral_grid(sys, density):
-    """Grid whose metric density is at most `density`; returns the bound."""
+    """Side n of the regular n x n grid whose metric density is at most
+    `density`, and that density."""
     beta_s = abs(sys._B[0][0]) + abs(sys._B[0][1])
     beta_u = abs(sys._B[1][0]) + abs(sys._B[1][1])
 
@@ -143,46 +92,19 @@ def _toral_grid(sys, density):
     n = max(2, math.ceil(1.0 / h))
     while density_of(1.0 / n) > density:
         n += 1
-    idx = (np.arange(n) + 0.5) / n
-    xs, ys = np.meshgrid(idx, idx, indexing="ij")
-    return xs.ravel(), ys.ravel(), density_of(1.0 / n)
+    return n, density_of(1.0 / n)
 
 
-def _bin_key_arrays(xs, ys, nb):
-    return (np.minimum((xs * nb).astype(int), nb - 1),
-            np.minimum((ys * nb).astype(int), nb - 1))
-
-
-class _NeighborIndex:
-    """3x3 wrapped bin lookup sized so a query radius spans one cell."""
-
-    def __init__(self, sys, xs, ys, radius, k):
-        ext_s = radius ** (1 / sys.e_s) * abs(sys.eig_unstable) ** (-k)
-        ext_u = radius ** (1 / sys.e_u) * abs(sys.eig_unstable) ** (-k)
-        vs, vu = sys.v_stable, sys.v_unstable
-        bx = ext_s * abs(vs[0]) + ext_u * abs(vu[0])
-        by = ext_s * abs(vs[1]) + ext_u * abs(vu[1])
-        self.nb = max(1, int(1.0 / max(bx, by, 1e-12)))
-        self.nb = min(self.nb, 4096)
-        self.xs, self.ys = xs, ys
-        bx_i, by_i = _bin_key_arrays(xs, ys, self.nb)
-        self.bins = {}
-        for i in range(len(xs)):
-            self.bins.setdefault((bx_i[i], by_i[i]), []).append(i)
-        self.bins = {key: np.array(v) for key, v in self.bins.items()}
-
-    def candidates(self, i):
-        nb = self.nb
-        bx = min(int(self.xs[i] * nb), nb - 1)
-        by = min(int(self.ys[i] * nb), nb - 1)
-        chunks = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                key = ((bx + ox) % nb, (by + oy) % nb)
-                got = self.bins.get(key)
-                if got is not None:
-                    chunks.append(got)
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=int)
+def _stencil(sys, n, radius, k):
+    """Index offsets (a, b) of the grid points in the closed d_k ball
+    of this radius around any grid point."""
+    hx, hy = sys.ball_half_widths(radius, k)
+    ax, ay = int(hx * n) + 1, int(hy * n) + 1
+    a, b = np.meshgrid(np.arange(-ax, ax + 1), np.arange(-ay, ay + 1),
+                       indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    inside = sys.offset_norm(a / n, b / n, k) <= radius
+    return a[inside], b[inside]
 
 
 def _toral_cov_bounds(sys, eps, k=0, density=None):
@@ -197,36 +119,29 @@ def _toral_cov_bounds(sys, eps, k=0, density=None):
         raise ValueError(
             "sample too sparse for this scale: need density <= eps/4"
         )
-    xs, ys, delta = _toral_grid(sys, density)
-    delta_k = delta * growth
+    n, delta = _toral_grid(sys, density)
 
-    r_cover = eps - delta_k
-    index = _NeighborIndex(sys, xs, ys, eps, k)
-    covered = np.zeros(len(xs), dtype=bool)
+    # greedy cover in raster order: each uncovered point opens a ball
+    sa, sb = _stencil(sys, n, eps - delta * growth, k)
+    covered = np.zeros((n, n), dtype=bool)
     upper = 0
-    for i in range(len(xs)):
-        if covered[i]:
-            continue
-        upper += 1
-        cand = index.candidates(i)
-        cand = cand[~covered[cand]]
-        d = _toral_metric_batch(sys, xs[cand] - xs[i], ys[cand] - ys[i], k)
-        covered[cand[d <= r_cover]] = True
-        covered[i] = True
+    for i in range(n):
+        rows = (i + sa) % n
+        for j in range(n):
+            if not covered[i, j]:
+                upper += 1
+                covered[rows, (j + sb) % n] = True
 
-    sep = 2 * eps
-    index2 = _NeighborIndex(sys, xs, ys, sep, k)
-    kept = np.zeros(len(xs), dtype=bool)
+    # packing in the same order: keep points 2 eps from every kept one
+    sa, sb = _stencil(sys, n, 2 * eps, k)
+    kept = np.zeros((n, n), dtype=bool)
     lower = 0
-    for i in range(len(xs)):
-        cand = index2.candidates(i)
-        cand = cand[kept[cand]]
-        if len(cand):
-            d = _toral_metric_batch(sys, xs[cand] - xs[i], ys[cand] - ys[i], k)
-            if bool(np.any(d <= sep)):
-                continue
-        kept[i] = True
-        lower += 1
+    for i in range(n):
+        rows = (i + sa) % n
+        for j in range(n):
+            if not kept[rows, (j + sb) % n].any():
+                kept[i, j] = True
+                lower += 1
     return CovCount(eps, lower, upper, False, "greedy-upper/packing-lower", k)
 
 
@@ -238,13 +153,7 @@ def cov_eps(sys, eps, k=0, density=None):
     sample grid would be too sparse to trust.
     """
     if hasattr(sys, "matrix") and sys.space_kind == "symbolic":
-        n = _symbolic_cov(sys, eps, k)
-        if k == 0 and eps <= sys.diameter:
-            check = exact_cov(sys, eps)
-            if check != n:
-                raise ArithmeticError(
-                    f"window algebra disagrees with exact_cov at eps={eps}"
-                )
+        n = _window_count(sys, eps, k)
         return CovCount(eps, n, n, True, "exact-symbolic", k)
     return _toral_cov_bounds(sys, eps, k, density)
 

@@ -597,21 +597,26 @@ def four_symbol(lam=2.0):
     return sft_new(TransitionMatrix.from_json(text), lam)
 
 
-def exact_cov(sys, eps):
-    """Minimal number of sets of diameter < eps covering the subshift.
+def _window_count(sys, eps, k=0):
+    """Minimal number of sets of d_k-diameter < eps covering the subshift.
 
-    Sets of diameter < lam**-m are exactly the subsets of central
-    (2m+1)-cylinders, and those cylinders partition the space, so the
-    count is the number of admissible words of length 2m+1 with
-    m = min{m >= 0 : lam**-m < eps}.
+    Sets of d_k-diameter < lam**(k-w) are exactly the subsets of central
+    (2w+1)-cylinders, and those cylinders partition the space, so the
+    count is the number of admissible words of length 2w+1 with
+    w = min{w >= 0 : lam**(k-w) < eps}.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if eps > sys.diameter:
+    if eps > sys.diameter * sys.lam ** k:
         return 1
-    m = 0
-    while sys.lam ** -m >= eps:
-        m += 1
-        if m > 10_000:
+    w = 0
+    while sys.lam ** (k - w) >= eps:
+        w += 1
+        if w - k > 10_000:
             raise ArithmeticError("eps too small for float exponents")
-    return count_words(sys.matrix, 2 * m + 1)
+    return count_words(sys.matrix, 2 * w + 1)
+
+
+def exact_cov(sys, eps):
+    """Minimal number of sets of diameter < eps covering the subshift."""
+    return _window_count(sys, eps)

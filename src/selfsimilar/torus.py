@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 _NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
@@ -22,6 +24,12 @@ class SUCoords:
 
     s: float
     u: float
+
+
+def _matmul(p, q):
+    (a, b), (c, d) = p
+    (e, f), (g, h) = q
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _eigen_2x2(m):
@@ -163,6 +171,53 @@ class ToralSystem:
 
     def dist(self, x, y):
         return self._dist_delta(y[0] - x[0], y[1] - x[1])
+
+    def offset_norm(self, dx, dy, k=0):
+        """d_k norm of offset arrays y - x (k=0: the metric itself).
+
+        The metric is translation-invariant, so on a regular grid the
+        d_k ball around every grid point holds the same index offsets:
+        one call over them serves the whole grid.  Each M**i (dx, dy) is
+        wrapped and minimised over the nine nearest translates on its
+        own; that is the true d_k well below the injectivity scale and
+        an overestimate otherwise, which keeps cover and packing
+        decisions sound.  Per pair, the scalar `dist` is faster.
+        """
+        B = self._B
+        mats = [((1, 0), (0, 1))]
+        fwd = bwd = mats[0]
+        for _ in range(k):
+            fwd, bwd = _matmul(self.matrix, fwd), _matmul(self.inverse, bwd)
+            mats += [fwd, bwd]
+        out = None
+        for (a, b), (c, d) in mats:
+            vx = a * dx + b * dy
+            vy = c * dx + d * dy
+            vx -= np.round(vx)
+            vy -= np.round(vy)
+            best = None
+            for wx in (-1.0, 0.0, 1.0):
+                for wy in (-1.0, 0.0, 1.0):
+                    s = B[0][0] * (vx + wx) + B[0][1] * (vy + wy)
+                    u = B[1][0] * (vx + wx) + B[1][1] * (vy + wy)
+                    r = np.maximum(np.abs(s) ** self.e_s,
+                                   np.abs(u) ** self.e_u)
+                    best = r if best is None else np.minimum(best, r)
+            out = best if out is None else np.maximum(out, best)
+        return out
+
+    def ball_half_widths(self, radius, k=0):
+        """Ambient (x, y) half-widths of the d_k ball of this radius.
+
+        The ball is an su box: the stable side binds at step -k and the
+        unstable side at step +k, each shrinking by mu**-k.
+        """
+        shrink = abs(self.eig_unstable) ** (-k)
+        ext_s = radius ** (1 / self.e_s) * shrink
+        ext_u = radius ** (1 / self.e_u) * shrink
+        vs, vu = self.v_stable, self.v_unstable
+        return (ext_s * abs(vs[0]) + ext_u * abs(vu[0]),
+                ext_s * abs(vs[1]) + ext_u * abs(vu[1]))
 
     def min_translate(self, x, y):
         """Offset y - x + w with the smallest metric norm."""

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -180,14 +181,28 @@ def test_reports_are_byte_deterministic(golden_all_report):
     assert strip_clock(first) == strip_clock(again)
 
 
-def test_worker_count_does_not_change_the_report(golden_all_report,
-                                                 monkeypatch):
-    monkeypatch.setenv("SELFSIM_WORKERS", "4")
-    cfg = parse_config(cfg_text(system="golden-mean", command="all",
-                                samples=300, depth=8))
-    threaded = cli.render_json(run(cfg))
-    assert strip_clock(threaded) == strip_clock(
-        cli.render_json(golden_all_report))
+def test_capacity_and_fundamental_share_one_fit(monkeypatch):
+    calls = []
+    fit_once = cli._dim.check_fundamental
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return fit_once(*args, **kw)
+
+    monkeypatch.setattr(cli._dim, "check_fundamental", counted)
+    cli._fundamental.cache_clear()
+    cfg = parse_config(cfg_text(system="full-2-shift", command="all"))
+    sys_obj = build_system(cfg)
+    cap = cli._check_capacity(sys_obj, cfg)
+    fun = cli._check_fundamental(sys_obj, cfg)
+    assert len(calls) == 1
+    assert cap["capacity"] == fun["capacity"]
+    assert cap["rel_gap"] == fun["rel_gap"]
+    assert cap["rel_gap"] == abs(cap["capacity"] - cap["ent_over_log_lam"]) \
+        / cap["ent_over_log_lam"]
+    # another system or horizon gets its own fit
+    cli._check_capacity(build_system(cfg), replace(cfg, n_max=10))
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------ rendering
@@ -259,6 +274,13 @@ def test_exit_two_on_config_problems(tmp_path, capsys):
     empty.write_text("")
     assert cli.main(["verify", "--config", str(empty)]) == 2
     assert "empty config" in capsys.readouterr().err
+
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert cli.main(["verify", "--config", str(listed)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config must be a JSON object; required fields: "
+        "system, command\n")
 
     assert cli.main(["verify", "--seed", "7"]) == 2
     assert "missing required field: system" in capsys.readouterr().err

@@ -8,6 +8,7 @@ the closed form because short words still feel the second eigenvalue, and
 the four-symbol table is reducible, which costs a few percent.
 """
 
+import itertools
 import math
 from random import Random
 
@@ -24,7 +25,7 @@ from selfsimilar.dimension import (
     local_entropy_homogeneity,
     local_unstable_entropy,
 )
-from selfsimilar.symbolic import count_words, full_shift
+from selfsimilar.symbolic import count_words, exact_cov, full_shift
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LOG2 = math.log(2.0)
@@ -52,6 +53,16 @@ def test_dynamical_covering_counts(full2):
         assert cov_eps(full2, full2.xi, k=k).lower == 2 ** (2 * k + 5)
 
 
+def test_symbolic_counts_are_minimal_window_word_counts(full2, golden, four):
+    # sets of diameter < eps are the central (2m+1)-cylinders with m the
+    # least integer such that lam**-m < eps
+    for s in (full2, golden, four):
+        for eps in default_scales(s):
+            m = next(m for m in itertools.count() if s.lam ** -m < eps)
+            n = count_words(s.matrix, 2 * m + 1)
+            assert cov_eps(s, eps).lower == exact_cov(s, eps) == n
+
+
 def test_toral_covering_brackets(cat):
     e = cov_eps(cat, 0.1)
     assert e.method == "greedy-upper/packing-lower"
@@ -62,6 +73,12 @@ def test_toral_covering_brackets(cat):
     assert finer.lower >= e.lower and finer.upper >= e.upper
     with pytest.raises(ValueError, match="sample too sparse"):
         cov_eps(cat, 0.01, density=0.01)
+    pinned = [(6, 54), (14, 96), (35, 205), (63, 384), (122, 782),
+              (266, 1585), (522, 3174), (1053, 6305)]
+    got = [cov_eps(cat, eps) for eps in default_scales(cat)]
+    assert [(c.lower, c.upper) for c in got] == pinned
+    e = cov_eps(cat, cat.xi, k=1)
+    assert (e.lower, e.upper) == (580, 3456)
 
 
 # ------------------------------------------------------------------- capacity

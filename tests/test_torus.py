@@ -9,8 +9,12 @@ anchor every expected value here.
 import math
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from selfsimilar.core import DynMode, dyn_metric
 from selfsimilar.torus import (
     CircleDoubling,
     EuclideanTorus,
@@ -136,6 +140,38 @@ def test_metric_is_translation_invariant_and_symmetric(cat):
         xt = ((x[0] + t[0]) % 1.0, (x[1] + t[1]) % 1.0)
         yt = ((y[0] + t[0]) % 1.0, (y[1] + t[1]) % 1.0)
         assert cat.dist(xt, yt) == pytest.approx(cat.dist(x, y), rel=1e-9)
+
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+step = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit, unit, step, step, st.integers(0, 2))
+def test_offset_norm_matches_the_scalar_metric(cat, x0, x1, fx, fy, k):
+    reach = cat.xi / cat.lam ** k
+    x = (x0, x1)
+    y = ((x0 + fx * reach) % 1.0, (x1 + fy * reach) % 1.0)
+    if k == 0:
+        ref = cat.dist(x, y)
+    else:
+        ref = dyn_metric(cat, x, y, DynMode("two_sided", k))
+    # points are stored to 1e-16, so keep d_k well above that
+    assume(cat.xi / 10 <= ref <= cat.xi)
+    got = cat.offset_norm(np.array([y[0] - x[0]]), np.array([y[1] - x[1]]),
+                          k)
+    assert got[0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_ball_half_widths_bound_the_ball(cat):
+    # every offset inside the d_1 ball lies inside the ambient half-widths
+    hx, hy = cat.ball_half_widths(cat.xi, k=1)
+    g = np.linspace(-0.1, 0.1, 401)
+    dx, dy = (a.ravel() for a in np.meshgrid(g, g))
+    inside = cat.offset_norm(dx, dy, 1) <= cat.xi
+    assert inside.sum() > 10
+    assert np.all(np.abs(dx[inside]) <= hx)
+    assert np.all(np.abs(dy[inside]) <= hy)
 
 
 def test_min_translate_reaches_across_the_seam(cat):

@@ -18,10 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .symbolic import _window_count, count_words, spectral_radius
+from .symbolic import (
+    _count_vectors,
+    _window_count,
+    _word_counts,
+    spectral_radius,
+)
 
 
 def _lsq(xs, ys):
@@ -248,12 +254,13 @@ def _slope_over_n(rows):
 
 def _symbolic_entropy(sys, n_max, n_min):
     # xi = 1/lam, so a d_n-ball of diameter < xi pins window n + 2
-    two = [(n, math.log(count_words(sys.matrix, 2 * n + 5)))
-           for n in range(n_min, n_max + 1)]
-    fwd = [(n, math.log(count_words(sys.matrix, n + 5)))
-           for n in range(n_min, n_max + 1)]
-    bwd = [(n, math.log(count_words(sys.matrix.transpose(), n + 5)))
-           for n in range(n_min, n_max + 1)]
+    if 2 * n_min + 5 < 0:
+        raise ValueError("length must be nonnegative")
+    words = _word_counts(sys.matrix, 2 * n_max + 5)
+    words_t = _word_counts(sys.matrix.transpose(), n_max + 5)
+    two = [(n, math.log(words[2 * n + 5])) for n in range(n_min, n_max + 1)]
+    fwd = [(n, math.log(words[n + 5])) for n in range(n_min, n_max + 1)]
+    bwd = [(n, math.log(words_t[n + 5])) for n in range(n_min, n_max + 1)]
     ent = _slope_over_n(two)
     ep = _slope_over_n(fwd)
     em = _slope_over_n(bwd)
@@ -439,13 +446,8 @@ def local_unstable_entropy(sys, x, n_max=16, n_min=3):
         raise ValueError("n_max too small for a slope")
     if sys.space_kind == "symbolic":
         state = x.at(0)
-        ones = [1] * sys.matrix.n
-        vec = ones
-        counts = []
-        for _ in range(n_max):
-            vec = [sum(row[j] * vec[j] for j in range(sys.matrix.n))
-                   for row in sys.matrix.rows]
-            counts.append(vec[state])
+        counts = [v[state]
+                  for v in islice(_count_vectors(sys.matrix), 1, n_max + 1)]
         rows = [(n, math.log(counts[n - 1])) for n in range(n_min, n_max + 1)]
         return LocalEntropy(_slope_over_n(rows), rows, "forward-word-counts")
     mu = abs(sys.eig_unstable)

@@ -19,13 +19,23 @@ paper's product display repeats the stable factor; the construction
 requires stable times unstable and that is what is implemented.
 Probabilities are normalized by the total mass of all boxes of the
 same depth, since no normalization convention is given.
+
+The Parry comparison holds every admissible depth-k word in one int8
+array and computes the box and Parry masses column-wise, in the same
+floating-point operation order as the scalar formulas, so its values
+are those of a per-word loop bit for bit; its rows are a lazy view
+over the columns.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .symbolic import iter_words, parry_measure, spectral_radius
+import numpy as np
+
+from .symbolic import _parry_data, _word_array, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,10 @@ class _SideDP:
             g0.append(0.0 if k is None else lam ** (-k * d))
         self.tables = [g0]
 
-    def g(self, state, depth):
+    def table(self, depth):
+        """g(s, depth) for every state s."""
+        if depth < 0:
+            raise ValueError("DP depth must be nonnegative")
         while len(self.tables) <= depth:
             prev = self.tables[-1]
             g0 = self.tables[0]
@@ -109,18 +122,15 @@ class _SideDP:
                 for s in range(self.matrix.n)
             ]
             self.tables.append(nxt)
-        return self.tables[depth][state]
+        return self.tables[depth]
+
+    def g(self, state, depth):
+        return self.table(depth)[state]
 
 
-_DP_CACHE = {}
-
-
+@lru_cache(maxsize=32)
 def _dp(matrix, lam, d):
-    key = (matrix, lam, d)
-    got = _DP_CACHE.get(key)
-    if got is None:
-        got = _DP_CACHE[key] = _SideDP(matrix, lam, d)
-    return got
+    return _SideDP(matrix, lam, d)
 
 
 @dataclass
@@ -441,12 +451,45 @@ def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,
 # -- Parry comparison --------------------------------------------------------
 
 
+_ROW_CHUNK = 4096
+
+
+def _row_tuples(words, dp, parry, gap):
+    return zip(map(tuple, words.tolist()), dp.tolist(), parry.tolist(),
+               gap.tolist())
+
+
+class _ParryRows(Sequence):
+    """Read-only rows (word, dp, parry, rel_gap) over the column arrays.
+
+    Rows are built on access, as tuples of Python ints and floats; a
+    slice gives a list.  Iteration converts one chunk at a time.
+    """
+
+    def __init__(self, words, dp, parry, gap):
+        self._cols = (words, dp, parry, gap)
+
+    def __len__(self):
+        return len(self._cols[1])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(_row_tuples(*(c[i] for c in self._cols)))
+        i = range(len(self))[i]
+        return next(_row_tuples(*(c[i:i + 1] for c in self._cols)))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _ROW_CHUNK):
+            yield from _row_tuples(*(c[lo:lo + _ROW_CHUNK]
+                                     for c in self._cols))
+
+
 @dataclass
 class ParryReport:
     depth: int
     max_rel_gap: float
     total_mass: float
-    rows: list = field(repr=False)
+    rows: _ParryRows = field(repr=False)
 
     def to_dict(self):
         return {
@@ -460,29 +503,42 @@ class ParryReport:
 
 
 def parry_compare(sys, depth, dp_depth=32):
-    """Normalized depth-k box masses against the Parry measure."""
+    """Normalized depth-k box masses against the Parry measure.
+
+    The admissible words of length 2 * depth + 1 are one int8 array,
+    and each quantity is computed column-wise in the operation order of
+    the per-word formulas, so every value is theirs bit for bit: the DP
+    mass is scale * g_s(w[0]) * g_u(w[-1]), the total is the builtin sum
+    in word order, and the Parry mass is pi[w[0]] times the steps
+    v[b] / (rho * v[a]) in word order.  The report's rows are a lazy
+    view over the columns.
+    """
     if sys.space_kind != "symbolic":
         raise ValueError("parry comparison is symbolic-only")
     if not sys.matrix.primitive:
         raise ValueError("parry comparison needs a mixing (primitive) SFT")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     d = intrinsic_exponent(sys)
-    dp_u = _dp(sys.matrix, sys.lam, d)
-    dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
+    g_u = np.array(_dp(sys.matrix, sys.lam, d).table(dp_depth))
+    g_s = np.array(_dp(sys.matrix.transpose(), sys.lam, d).table(dp_depth))
     scale = sys.lam ** (-2 * depth * d)
-    masses = []
-    words = list(iter_words(sys.matrix, 2 * depth + 1))
-    for w in words:
-        masses.append(scale * dp_s.g(w[0], dp_depth) * dp_u.g(w[-1], dp_depth))
-    total = sum(masses)
-    rows = []
-    worst = 0.0
-    for w, m in zip(words, masses):
-        p = parry_measure(sys.matrix, w)
-        gap = abs(m / total - p) / p
-        worst = max(worst, gap)
-        rows.append((w, m / total, p, gap))
-    return ParryReport(depth=depth, max_rel_gap=worst, total_mass=total,
-                       rows=rows)
+    words = _word_array(sys.matrix, 2 * depth + 1)
+    masses = scale * g_s[words[:, 0]] * g_u[words[:, -1]]
+    total = sum(masses.tolist())  # in word order; np.sum is pairwise
+    dp = masses / total
+
+    rho, v, pi = _parry_data(sys.matrix)
+    n = sys.matrix.n
+    step = np.array([[v[b] / (rho * v[a]) for b in range(n)]
+                     for a in range(n)])
+    parry = np.array(pi)[words[:, 0]]
+    for j in range(1, words.shape[1]):
+        parry *= step[words[:, j - 1], words[:, j]]
+    gap = np.abs(dp - parry) / parry
+    return ParryReport(depth=depth, max_rel_gap=float(gap.max()),
+                       total_mass=total,
+                       rows=_ParryRows(words, dp, parry, gap))
 
 
 # -- toral closed form -------------------------------------------------------

@@ -17,8 +17,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import lcm
 from random import Random
+
+import numpy as np
 
 INF = math.inf
 
@@ -280,16 +283,30 @@ class TransitionMatrix:
         return cls(tuple(rows))
 
 
+def _count_vectors(matrix):
+    """Exact integer vectors A**k @ 1 for k = 0, 1, 2, ...
+
+    Entry s of the k-th vector counts the admissible words of length
+    k + 1 that start at s.
+    """
+    succ = matrix.successors
+    v = [1] * matrix.n
+    while True:
+        yield v
+        v = [sum(v[j] for j in s) for s in succ]
+
+
+def _word_counts(matrix, max_length):
+    """Exact word counts for lengths 0..max_length, from one walk."""
+    walk = islice(_count_vectors(matrix), max_length)
+    return [1] + [sum(v) for v in walk]
+
+
 def count_words(matrix, length):
     """Number of admissible words of the given length (exact integer)."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        return 1
-    v = [1] * matrix.n
-    for _ in range(length - 1):
-        v = [sum(v[j] for j in matrix.successors[i]) for i in range(matrix.n)]
-    return sum(v)
+    return _word_counts(matrix, length)[length]
 
 
 def iter_words(matrix, length):
@@ -307,6 +324,30 @@ def iter_words(matrix, length):
 
     for s in range(matrix.n):
         yield from rec((s,))
+
+
+def _word_array(matrix, length):
+    """All admissible words of the given length as an (N, length) int8
+    array, rows in the lexicographic order of iter_words.
+
+    Grown one column at a time: each word is repeated once per
+    successor of its last symbol, and the successors, read row-major
+    from a padded table, form the new column.
+    """
+    if length == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    succ = matrix.successors
+    degree = np.array([len(s) for s in succ])
+    table = np.full((matrix.n, degree.max()), -1, dtype=np.int8)
+    for s, nxt in enumerate(succ):
+        table[s, :len(nxt)] = nxt
+    words = np.arange(matrix.n, dtype=np.int8)[:, None]
+    for _ in range(length - 1):
+        last = words[:, -1]
+        nxt = table[last]
+        words = np.column_stack((np.repeat(words, degree[last], axis=0),
+                                 nxt[nxt >= 0]))
+    return words
 
 
 def spectral_radius(matrix, tol=1e-12, max_iter=200_000):

@@ -156,6 +156,29 @@ def test_entropy_of_the_cat_map(cat):
     assert er.ent_plus == pytest.approx(er.ent_minus, rel=1e-12)
 
 
+def plain_count(rows, length, start=None):
+    """Admissible words of `length` (starting at `start`, if given) by
+    integer matrix-vector products over the 0/1 rows."""
+    n = len(rows)
+    vec = [1] * n
+    for _ in range(length - 1):
+        vec = [sum(row[j] * vec[j] for j in range(n)) for row in rows]
+    return sum(vec) if start is None else vec[start]
+
+
+def test_entropy_rows_are_logs_of_exact_counts(golden, four):
+    for sys in (golden, four):
+        rows = sys.matrix.rows
+        rows_t = sys.matrix.transpose().rows
+        er = entropy(sys, n_max=20, n_min=2)
+        assert [r["n"] for r in er.rows] == list(range(2, 21))
+        for r in er.rows:
+            n = r["n"]
+            assert r["two_sided"] == math.log(plain_count(rows, 2 * n + 5))
+            assert r["forward"] == math.log(plain_count(rows, n + 5))
+            assert r["backward"] == math.log(plain_count(rows_t, n + 5))
+
+
 def test_entropy_validation(full2, euclid):
     with pytest.raises(ValueError, match="n_max must be at least 4"):
         entropy(full2, n_max=3)
@@ -245,6 +268,17 @@ def test_local_entropy_on_the_golden_mean(golden):
         anchor = golden.point(golden.matrix.cycle_word(s))
         le = local_unstable_entropy(golden, anchor)
         assert le.estimate == pytest.approx(math.log(PHI), rel=1e-3)
+
+
+def test_local_entropy_rows_are_logs_of_exact_counts(golden, four):
+    for sys, anchor in ((golden, golden.constant(0)),
+                        (golden, golden.point((0, 1))),
+                        (four, four.point(four.matrix.cycle_word(2)))):
+        le = local_unstable_entropy(sys, anchor, n_max=24, n_min=3)
+        state = anchor.at(0)
+        assert le.rows == [
+            (n, math.log(plain_count(sys.matrix.rows, n + 1, state)))
+            for n in range(3, 25)]
 
 
 def test_local_entropy_on_the_cat_map(cat):

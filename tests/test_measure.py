@@ -17,6 +17,7 @@ from selfsimilar.measure import (
     Box,
     StableWindow,
     UnstableWindow,
+    _dp,
     box_measure,
     hausdorff_estimate,
     homogeneity_check,
@@ -25,7 +26,13 @@ from selfsimilar.measure import (
     scaling_check,
     toral_measure_summary,
 )
-from selfsimilar.symbolic import count_words, sft_new
+from selfsimilar.symbolic import (
+    count_words,
+    full_shift,
+    iter_words,
+    parry_measure,
+    sft_new,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -353,6 +360,8 @@ def test_homogeneity_validation(golden, four, cat):
         homogeneity_check(golden, [golden.constant(0)], delta=0.5)
     with pytest.raises(ValueError, match="primitive"):
         homogeneity_check(four, [four.point(four.matrix.cycle_word(0))])
+    with pytest.raises(ValueError, match="DP depth must be nonnegative"):
+        homogeneity_check(golden, [golden.constant(0)], depth=-1)
 
 
 # ---------------------------------------------------------- parry comparison
@@ -375,11 +384,87 @@ def test_box_masses_match_the_parry_measure(golden):
     assert len(rep.rows) == count_words(golden.matrix, 17)
 
 
-def test_parry_comparison_validation(four, cat):
+def parry_reference(sys, depth, dp_depth=32):
+    """Per-word scalar rows, total mass and worst gap of the comparison."""
+    d = intrinsic_exponent(sys)
+    dp_u = _dp(sys.matrix, sys.lam, d)
+    dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
+    scale = sys.lam ** (-2 * depth * d)
+    words = list(iter_words(sys.matrix, 2 * depth + 1))
+    masses = [scale * dp_s.g(w[0], dp_depth) * dp_u.g(w[-1], dp_depth)
+              for w in words]
+    total = sum(masses)
+    rows, worst = [], 0.0
+    for w, m in zip(words, masses):
+        p = parry_measure(sys.matrix, w)
+        gap = abs(m / total - p) / p
+        worst = max(worst, gap)
+        rows.append((w, m / total, p, gap))
+    return rows, total, worst
+
+
+def test_parry_comparison_equals_the_scalar_formulas(golden):
+    # bit for bit: == on every float, no tolerance
+    cases = [(golden, depth) for depth in range(7)] + [(full_shift(3), 3)]
+    for sys, depth in cases:
+        rep = parry_compare(sys, depth)
+        rows, total, worst = parry_reference(sys, depth)
+        assert list(rep.rows) == rows
+        assert rep.total_mass == total
+        assert rep.max_rel_gap == worst
+        assert type(rep.max_rel_gap) is float
+        word, dp_mass, parry_mass, gap = rep.rows[0]
+        assert all(type(s) is int for s in word)
+        assert all(type(v) is float for v in (dp_mass, parry_mass, gap))
+
+
+def test_parry_comparison_at_depth_6_on_the_full_3_shift():
+    rep = parry_compare(full_shift(3), 6)
+    assert len(rep.rows) == 3**13
+    assert rep.max_rel_gap <= 1e-9
+
+
+def test_parry_rows_are_a_read_only_sequence(golden):
+    rep = parry_compare(golden, 3)
+    rows, _, _ = parry_reference(golden, 3)
+    view = rep.rows
+    assert len(view) == len(rows) == 34
+    assert view[0] == rows[0]
+    assert view[-1] == rows[-1]
+    assert view[-34] == rows[0]
+    assert view[7:19:3] == rows[7:19:3]
+    assert view[::-1] == rows[::-1]
+    assert view[30:] == rows[30:]
+    assert view[40:] == []
+    for i in (34, -35):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[0] = rows[1]
+    assert list(reversed(view)) == rows[::-1]
+    assert rows[4] in view
+    assert rep.to_dict()["rows"] == [
+        {"word": list(w), "dp": a, "parry": b, "rel_gap": g}
+        for w, a, b, g in rows
+    ]
+
+
+def test_dp_cache_is_bounded(golden):
+    for i in range(100):
+        _dp(golden.matrix, golden.lam, 0.5 + i / 1000)
+    assert _dp.cache_info().currsize <= 32
+    assert _dp.cache_info().maxsize == 32
+
+
+def test_parry_comparison_validation(golden, four, cat):
     with pytest.raises(ValueError, match="symbolic-only"):
         parry_compare(cat, 2)
     with pytest.raises(ValueError, match="primitive"):
         parry_compare(four, 2)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        parry_compare(golden, -1)
+    with pytest.raises(ValueError, match="DP depth must be nonnegative"):
+        parry_compare(golden, 2, dp_depth=-1)
 
 
 # ------------------------------------------------------------- toral measure

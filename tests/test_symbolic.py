@@ -20,11 +20,14 @@ from hypothesis import strategies as st
 from selfsimilar.symbolic import (
     Cylinder,
     TransitionMatrix,
+    _count_vectors,
+    _word_array,
     agreement_level,
     bi_sequence,
     count_words,
     enumerate_unstable_children,
     exact_cov,
+    four_symbol,
     full_shift,
     golden_mean,
     iter_words,
@@ -303,6 +306,25 @@ def test_word_enumeration_matches_the_count(rows, length):
             if all(rows[a][b] for a, b in zip(w, w[1:]))
         ]
         assert words == brute
+
+
+def test_word_array_matches_the_enumeration():
+    for sys in (full_shift(2), full_shift(3), golden_mean(), four_symbol()):
+        for length in range(10):
+            arr = _word_array(sys.matrix, length)
+            assert arr.dtype.name == "int8"
+            assert arr.shape == (count_words(sys.matrix, length), length)
+            got = [tuple(w) for w in arr.tolist()]
+            assert got == list(iter_words(sys.matrix, length))
+
+
+def test_count_vectors_are_powers_of_the_matrix(golden, four):
+    for m in (golden.matrix, four.matrix, full_shift(3).matrix):
+        want = [1] * m.n
+        for k, got in zip(range(20), _count_vectors(m)):
+            assert got == want, k
+            assert all(type(c) is int for c in got)
+            want = [sum(row[j] * want[j] for j in range(m.n)) for row in m.rows]
 
 
 # ------------------------------------------------------------- Perron data

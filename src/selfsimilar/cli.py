@@ -228,14 +228,10 @@ def _check_verify(sys_obj, cfg):
 
 def _entropy_target(sys_obj):
     """2 h_top where it is known in closed form, else None."""
-    if sys_obj.space_kind == "symbolic":
-        try:
-            from .symbolic import spectral_radius
-            rho, _ = spectral_radius(sys_obj.matrix)
-            return 2 * math.log(rho)
-        except ValueError:
-            return None
-    return 2 * math.log(abs(sys_obj.eig_unstable))
+    try:
+        return 2 * _dim._log_growth(sys_obj)
+    except ValueError:  # not a primitive matrix
+        return None
 
 
 @functools.lru_cache(maxsize=1)
@@ -336,16 +332,6 @@ def _check_triangles(sys_obj, cfg):
     }
 
 
-def _flip_coordinate(sys_obj, x, i, rng):
-    m = sys_obj.matrix
-    prev_s, cur, nxt = x.at(i - 1), x.at(i), x.at(i + 1)
-    alts = [s for s in range(m.n)
-            if s != cur and m.rows[prev_s][s] and m.rows[s][nxt]]
-    if not alts:
-        return None
-    return x.with_value(i, rng.choice(alts))
-
-
 def _symbolic_holonomy_quads(sys_obj, count, seed):
     rng = Random(seed)
     # a flip at +j gives plaque distance lam**-(j-1), hence m = j - 2;
@@ -361,12 +347,12 @@ def _symbolic_holonomy_quads(sys_obj, count, seed):
         if attempts > 60 * count + 200:
             raise ArithmeticError("holonomy sampling stalled")
         x = sys_obj.random_point(rng, window=j_hi + 6)
-        q = _flip_coordinate(sys_obj, x, rng.randint(j_lo, j_hi), rng)
+        q = sys_obj._flip(x, rng.randint(j_lo, j_hi), rng)
         if q is None:
             continue
         # legs flipped at -j have distance lam**-(j-1); j >= 2 keeps
         # them at or below xi
-        pp = _flip_coordinate(sys_obj, x, -rng.randint(2, 5), rng)
+        pp = sys_obj._flip(x, -rng.randint(2, 5), rng)
         if pp is None:
             continue
         qq = sys_obj.triangle_vertex(pp, q)

@@ -305,7 +305,12 @@ class HolonomyReport:
     precondition_ok: bool
 
 
-def holonomy_deviation(sys, p, q, pp, qq, check_depth=5):
+# the precondition follows the plaque pair this many steps backward and
+# each leg this many steps forward; every step must stay within xi
+_HOLONOMY_DEPTH = 5
+
+
+def holonomy_deviation(sys, p, q, pp, qq):
     """Distortion of a stable-set holonomy between two unstable plaques.
 
     p, q lie on one unstable plaque; pp, qq are their projections along
@@ -321,7 +326,7 @@ def holonomy_deviation(sys, p, q, pp, qq, check_depth=5):
         raise ValueError("coincident plaque pair")
     pre_ok = True
     a, b = p, q
-    for _ in range(check_depth):
+    for _ in range(_HOLONOMY_DEPTH):
         a, b = sys.apply_inv(a), sys.apply_inv(b)
         if sys.dist(a, b) > sys.xi:
             pre_ok = False
@@ -330,7 +335,7 @@ def holonomy_deviation(sys, p, q, pp, qq, check_depth=5):
         if sys.dist(*leg) > sys.xi:
             pre_ok = False
         a, b = leg
-        for _ in range(check_depth):
+        for _ in range(_HOLONOMY_DEPTH):
             a, b = sys.apply(a), sys.apply(b)
             if sys.dist(a, b) > sys.xi:
                 pre_ok = False

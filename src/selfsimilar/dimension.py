@@ -22,12 +22,17 @@ from itertools import islice
 
 import numpy as np
 
-from .symbolic import (
-    _count_vectors,
-    _window_count,
-    _word_counts,
-    spectral_radius,
-)
+from .symbolic import _count_vectors, _parry_data, _window_count, _word_counts
+
+
+def _log_growth(sys):
+    """ent/2: log rho for a shift (primitive matrix only), log |mu_u| for
+    a toral automorphism."""
+    if sys.space_kind == "symbolic":
+        return math.log(_parry_data(sys.matrix)[0])
+    if not hasattr(sys, "eig_unstable"):
+        raise ValueError("growth rate needs a self-similar system")
+    return math.log(abs(sys.eig_unstable))
 
 
 def _lsq(xs, ys):
@@ -472,11 +477,7 @@ class LocalEntropySpread:
 def local_entropy_homogeneity(sys, xs, n_max=16):
     """Local unstable entropy across base points against ent/2."""
     ests = [local_unstable_entropy(sys, x, n_max).estimate for x in xs]
-    if sys.space_kind == "symbolic":
-        rho, _ = spectral_radius(sys.matrix)
-        ref = math.log(rho)
-    else:
-        ref = math.log(abs(sys.eig_unstable))
+    ref = _log_growth(sys)
     spread = (max(ests) - min(ests)) / ref
     gap = max(abs(e - ref) for e in ests) / ref
     return LocalEntropySpread(ests, spread, ref, gap)

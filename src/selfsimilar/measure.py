@@ -35,7 +35,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symbolic import _parry_data, _word_array, spectral_radius
+from .dimension import _log_growth, _lsq
+from .symbolic import _parry_data, _word_array
+
+
+def _edge_at(sys, scale):
+    """Edge of the window at `scale`: the least m with lam**-m <= scale,
+    less one."""
+    return math.ceil(math.log(1.0 / scale) / math.log(sys.lam) - 1e-12) - 1
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,7 @@ class UnstableWindow:
 
     @classmethod
     def at_scale(cls, sys, anchor, scale):
-        m = math.ceil(math.log(1.0 / scale) / math.log(sys.lam) - 1e-12)
-        return cls(anchor, m - 1)
+        return cls(anchor, _edge_at(sys, scale))
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,7 @@ class StableWindow:
 
     @classmethod
     def at_scale(cls, sys, anchor, scale):
-        m = math.ceil(math.log(1.0 / scale) / math.log(sys.lam) - 1e-12)
-        return cls(anchor, m - 1)
+        return cls(anchor, _edge_at(sys, scale))
 
 
 def _slack(matrix, state):
@@ -221,12 +226,7 @@ def hausdorff_estimate(sys, window, d, depth=12):
 
 def intrinsic_exponent(sys):
     """d = ent / (2 log lam), the product-measure exponent."""
-    if sys.space_kind == "symbolic":
-        rho, _ = spectral_radius(sys.matrix)
-        return math.log(rho) / math.log(sys.lam)
-    if not hasattr(sys, "eig_unstable"):
-        raise ValueError("intrinsic exponent needs a self-similar system")
-    return math.log(abs(sys.eig_unstable)) / math.log(sys.lam)
+    return _log_growth(sys) / math.log(sys.lam)
 
 
 # -- boxes -------------------------------------------------------------------
@@ -385,12 +385,8 @@ class HomogeneityReport:
         }
 
 
-def _edge_at(sys, scale):
-    return math.ceil(math.log(1.0 / scale) / math.log(sys.lam) - 1e-12) - 1
-
-
 def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,
-                      depth=12, flat_tol=1e-9):
+                      depth=12):
     """Ratios of product masses of the forward boxes C^n across points.
 
     C^n at scale del is the box with stable window at del and unstable
@@ -415,14 +411,15 @@ def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,
 
     def mass(x, scale_s, n):
         e_s = _edge_at(sys, scale_s)
-        e_u = _edge_at(sys, scale_s) + n
+        e_u = e_s + n
         v_s = lam ** (-e_s * d) * dp_s.g(x.at(-e_s), depth)
         v_u = lam ** (-e_u * d) * dp_u.g(x.at(e_u), depth)
         return v_s * v_u
 
+    ns = range(n_range[0], n_range[1] + 1)
     rows = []
     ratios = []
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         num = [mass(x, delta, n) for x in xs]
         den = [mass(x, eps, n) for x in xs]
         ratio = max(num) / min(den)
@@ -432,16 +429,10 @@ def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,
     c_obs = max(ratios)
     flat = max(ratios) / min(ratios)
     if len(ratios) > 1:
-        n0 = n_range[0]
-        xs_fit = list(range(n0, n0 + len(ratios)))
-        mx = sum(xs_fit) / len(xs_fit)
-        my = sum(math.log(r) for r in ratios) / len(ratios)
-        trend = sum((x - mx) * (math.log(r) - my)
-                    for x, r in zip(xs_fit, ratios))
-        trend /= sum((x - mx) ** 2 for x in xs_fit)
+        trend, _, _ = _lsq(ns, [math.log(r) for r in ratios])
     else:
         trend = 0.0
-    passed = flat <= 1.0 + flat_tol and math.isfinite(c_obs)
+    passed = flat <= 1.0 + 1e-9 and math.isfinite(c_obs)
     return HomogeneityReport(
         c_observed=c_obs, rows=rows, flat_ratio=flat, trend=trend,
         passed=passed, delta=delta, eps=eps, d=d, depth=depth,

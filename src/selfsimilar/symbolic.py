@@ -505,8 +505,6 @@ class ShiftSystem:
     def level(self, x, y):
         return agreement_level(x, y)
 
-    dist_level = level
-
     def dist(self, x, y):
         lev = agreement_level(x, y)
         if lev is INF:
@@ -595,20 +593,22 @@ class ShiftSystem:
         return out
 
     def _perturb_at_radius(self, x, r, rng):
-        A = self.matrix
         for side in rng.sample((1, -1), 2):
-            i = side * r
-            cur = x.at(i)
-            options = [
-                s
-                for s in range(A.n)
-                if s != cur
-                and A.rows[x.at(i - 1)][s]
-                and A.rows[s][x.at(i + 1)]
-            ]
-            if options:
-                return x.with_value(i, rng.choice(options))
+            y = self._flip(x, side * r, rng)
+            if y is not None:
+                return y
         return None
+
+    def _flip(self, x, i, rng):
+        """x with coordinate i changed to a random admissible other
+        symbol; None when no other symbol fits between its neighbours."""
+        rows = self.matrix.rows
+        prev_s, cur, nxt = x.at(i - 1), x.at(i), x.at(i + 1)
+        alts = [s for s in range(self.matrix.n)
+                if s != cur and rows[prev_s][s] and rows[s][nxt]]
+        if not alts:
+            return None
+        return x.with_value(i, rng.choice(alts))
 
 
 def sft_new(rows, lam=2.0):

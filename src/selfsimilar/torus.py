@@ -59,15 +59,19 @@ def _eigen_2x2(m):
 
 
 class ToralSystem:
-    """Anosov automorphism of the 2-torus under the self-similar metric."""
+    """Anosov automorphism of the 2-torus under the self-similar metric.
+
+    Construction computes the diameter over a 16 x 16 offset grid and
+    runs the one-step identity sweep of `_validate`; an xi too large
+    for the nine-translate reduction raises ArithmeticError there.
+    """
 
     space_kind = "toral"
     invertible = True
     has_bracket = True
     tol_default = 1e-9
 
-    def __init__(self, matrix, lam=None, xi=0.05, validate=True,
-                 validate_pairs=10_000):
+    def __init__(self, matrix, lam=None, xi=0.05):
         rows = tuple(tuple(int(v) for v in r) for r in matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("matrix must be 2x2")
@@ -114,8 +118,7 @@ class ToralSystem:
             )
         self.xi = float(xi)
         self.diameter = self._max_dist_bound()
-        if validate:
-            self._validate(validate_pairs)
+        self._validate()
 
     # -- coordinates ---------------------------------------------------
 
@@ -138,15 +141,10 @@ class ToralSystem:
         return max(abs(s) ** self.e_s, abs(u) ** self.e_u)
 
     def _max_dist_bound(self):
-        # coarse diameter: max of rho over a grid of fundamental-domain
-        # offsets, each reduced over the nine translates
-        best = 0.0
-        steps = 16
-        for i in range(steps):
-            for j in range(steps):
-                dx, dy = i / steps, j / steps
-                best = max(best, self._dist_delta(dx, dy))
-        return best
+        # coarse diameter: max of the metric over a 16 x 16 grid of
+        # fundamental-domain offsets
+        grid = np.arange(16) / 16
+        return float(self.offset_norm(*np.meshgrid(grid, grid)).max())
 
     # -- dynamics --------------------------------------------------------
 
@@ -161,6 +159,9 @@ class ToralSystem:
     # -- metric ----------------------------------------------------------
 
     def _dist_delta(self, dx, dy):
+        # nearest lattice representative first, as in offset_norm
+        dx -= round(dx)
+        dy -= round(dy)
         best = math.inf
         for wx, wy in _NINE:
             s, u = self._su(dx + wx, dy + wy)
@@ -284,18 +285,21 @@ class ToralSystem:
 
     # -- construction-time check ------------------------------------------
 
-    def _validate(self, pairs):
-        """Identity sweep at dist <= xi; fails loudly if xi is too greedy."""
-        per = max(pairs // 2, 1)
+    def _validate(self):
+        """Identity sweep at dist <= xi; fails loudly if xi is too greedy.
+
+        Checks 2 x 5000 sampled pairs, near xi and at xi/8.  The d_1
+        norm is max(d, d o f, d o f^-1), which equals lam * d exactly
+        when one step scales the pair by lam, so the sweep is one
+        `offset_norm` ratio over the pair offsets.
+        """
         worst = 0.0
         for scale, seed in ((self.xi * 0.999, 1), (self.xi / 8, 2)):
-            for x, y in self.sample_pairs(per, scale, seed):
-                d = self.dist(x, y)
-                grown = max(
-                    self.dist(self.apply(x), self.apply(y)),
-                    self.dist(self.apply_inv(x), self.apply_inv(y)),
-                )
-                worst = max(worst, abs(grown / (self.lam * d) - 1.0))
+            pairs = np.array(self.sample_pairs(5000, scale, seed))
+            dx, dy = (pairs[:, 1] - pairs[:, 0]).T
+            ratio = self.offset_norm(dx, dy, 1) / (
+                self.lam * self.offset_norm(dx, dy, 0))
+            worst = max(worst, float(np.abs(ratio - 1.0).max()))
         if worst > 1e-9:
             raise ArithmeticError(
                 f"xi={self.xi} fails the one-step identity (dev {worst:.3g}); "
@@ -303,14 +307,13 @@ class ToralSystem:
             )
 
 
-def toral_new(matrix, lam=None, xi=0.05, validate=True, validate_pairs=10_000):
+def toral_new(matrix, lam=None, xi=0.05):
     """Hyperbolic toral system; lam defaults to the supremal factor."""
-    return ToralSystem(matrix, lam, xi, validate, validate_pairs)
+    return ToralSystem(matrix, lam, xi)
 
 
-def cat_map(lam=None, validate=True, validate_pairs=10_000):
-    return toral_new(((2, 1), (1, 1)), lam, validate=validate,
-                     validate_pairs=validate_pairs)
+def cat_map(lam=None):
+    return toral_new(((2, 1), (1, 1)), lam)
 
 
 class EuclideanTorus:

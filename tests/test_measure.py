@@ -485,7 +485,7 @@ def test_toral_measure_summary(cat):
 def test_toral_measure_summary_off_the_adapted_rate():
     from selfsimilar.torus import cat_map
 
-    sys = cat_map(lam=1.8, validate_pairs=500)
+    sys = cat_map(lam=1.8)
     s = toral_measure_summary(sys)
     d = s["d"]
     assert d == pytest.approx(math.log(PHI**2) / math.log(1.8), rel=1e-12)

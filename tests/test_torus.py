@@ -54,7 +54,7 @@ def test_determinant_minus_one_automorphism():
 
 
 def test_lam_below_the_cap_rescales_the_exponents():
-    sys = cat_map(lam=1.8, validate_pairs=2000)
+    sys = cat_map(lam=1.8)
     assert sys.lam == 1.8
     assert sys.e_u == pytest.approx(math.log(1.8) / math.log(PHI**2), rel=1e-12)
     assert sys.e_s == pytest.approx(sys.e_u, rel=1e-12)
@@ -84,8 +84,6 @@ def test_oversized_xi_is_rejected():
     # reduction stays faithful: the construction sweep must catch it
     with pytest.raises(ArithmeticError, match="one-step identity"):
         ToralSystem(((2, 1), (1, 1)), xi=0.21)
-    sys = ToralSystem(((2, 1), (1, 1)), xi=0.21, validate=False)
-    assert sys.xi == 0.21
 
 
 # ----------------------------------------------------------- su coordinates
@@ -293,6 +291,6 @@ def test_circle_doubling_one_step_identity(doubling):
 
 
 def test_toral_new_matches_the_class():
-    sys = toral_new(((1, 1), (1, 0)), xi=0.04, validate_pairs=2000)
+    sys = toral_new(((1, 1), (1, 0)), xi=0.04)
     assert isinstance(sys, ToralSystem)
     assert sys.xi == 0.04

@@ -76,19 +76,6 @@ class CovCount:
         }
 
 
-@dataclass
-class CoverReport:
-    entries: list
-    method: str
-
-    def rows(self):
-        return [(c.eps, c.lower, c.upper) for c in self.entries]
-
-    def to_dict(self):
-        return {"method": self.method,
-                "entries": [c.to_dict() for c in self.entries]}
-
-
 def _toral_grid(sys, density):
     """Side n of the regular n x n grid whose metric density is at most
     `density`, and that density."""
@@ -118,19 +105,14 @@ def _stencil(sys, n, radius, k):
     return a[inside], b[inside]
 
 
-def _toral_cov_bounds(sys, eps, k=0, density=None):
+def _toral_cov_bounds(sys, eps, k=0):
     if eps <= 0:
         raise ValueError("eps must be positive")
     if eps > sys.diameter * sys.lam ** k:
         return CovCount(eps, 1, 1, False, "greedy-upper/packing-lower", k)
+    # grid density eps/4 in the d_k metric, i.e. eps/(4 lam**k) in d
     growth = sys.lam ** k
-    if density is None:
-        density = eps / (4 * growth)
-    if density * growth > eps / 4 * (1 + 1e-12):
-        raise ValueError(
-            "sample too sparse for this scale: need density <= eps/4"
-        )
-    n, delta = _toral_grid(sys, density)
+    n, delta = _toral_grid(sys, eps / (4 * growth))
 
     # greedy cover in raster order: each uncovered point opens a ball
     sa, sb = _stencil(sys, n, eps - delta * growth, k)
@@ -156,17 +138,17 @@ def _toral_cov_bounds(sys, eps, k=0, density=None):
     return CovCount(eps, lower, upper, False, "greedy-upper/packing-lower", k)
 
 
-def cov_eps(sys, eps, k=0, density=None):
+def cov_eps(sys, eps, k=0):
     """Covering number at scale eps of the d_k metric (k=0: plain dist).
 
     Symbolic systems return the exact minimum; toral systems return a
-    greedy upper bound and packing lower bound, refusing when the
-    sample grid would be too sparse to trust.
+    greedy upper bound and packing lower bound from a grid of metric
+    density eps/4.
     """
     if hasattr(sys, "matrix") and sys.space_kind == "symbolic":
         n = _window_count(sys, eps, k)
         return CovCount(eps, n, n, True, "exact-symbolic", k)
-    return _toral_cov_bounds(sys, eps, k, density)
+    return _toral_cov_bounds(sys, eps, k)
 
 
 # -- capacity --------------------------------------------------------------
@@ -201,12 +183,13 @@ def default_scales(sys):
     return [0.16 * 2.0 ** (-j / 2) for j in range(8)]
 
 
-def capacity(sys, scales=None, drop=2):
+def capacity(sys, scales=None):
     """Least-squares box-dimension fit over a geometric scale grid.
 
-    The `drop` largest scales are excluded as transient; the residual
-    of the surviving fit is reported, not hidden.
+    The two largest scales are excluded as transient; the residual of
+    the surviving fit is reported, not hidden.
     """
+    drop = 2
     if scales is None:
         scales = default_scales(sys)
     if len(scales) < 4:
@@ -257,15 +240,8 @@ def _slope_over_n(rows):
     return slope
 
 
-def _symbolic_entropy(sys, n_max, n_min):
-    # xi = 1/lam, so a d_n-ball of diameter < xi pins window n + 2
-    if 2 * n_min + 5 < 0:
-        raise ValueError("length must be nonnegative")
-    words = _word_counts(sys.matrix, 2 * n_max + 5)
-    words_t = _word_counts(sys.matrix.transpose(), n_max + 5)
-    two = [(n, math.log(words[2 * n + 5])) for n in range(n_min, n_max + 1)]
-    fwd = [(n, math.log(words[n + 5])) for n in range(n_min, n_max + 1)]
-    bwd = [(n, math.log(words_t[n + 5])) for n in range(n_min, n_max + 1)]
+def _entropy_report(two, fwd, bwd, method):
+    """EntropyReport from the (n, log count) rows of each side."""
     ent = _slope_over_n(two)
     ep = _slope_over_n(fwd)
     em = _slope_over_n(bwd)
@@ -275,12 +251,21 @@ def _symbolic_entropy(sys, n_max, n_min):
     ]
     return EntropyReport(
         ent=ent, ent_plus=ep, ent_minus=em, standard=ent / 2,
-        gap_two_sided=abs(ent - ep - em), rows=rows,
-        method="exact-symbolic",
+        gap_two_sided=abs(ent - ep - em), rows=rows, method=method,
     )
 
 
-def _toral_entropy(sys, n_max, n_min):
+def _symbolic_entropy(sys, ns):
+    # xi = 1/lam, so a d_n-ball of diameter < xi pins window n + 2
+    words = _word_counts(sys.matrix, 2 * ns[-1] + 5)
+    words_t = _word_counts(sys.matrix.transpose(), ns[-1] + 5)
+    two = [(n, math.log(words[2 * n + 5])) for n in ns]
+    fwd = [(n, math.log(words[n + 5])) for n in ns]
+    bwd = [(n, math.log(words_t[n + 5])) for n in ns]
+    return _entropy_report(two, fwd, bwd, "exact-symbolic")
+
+
+def _toral_entropy(sys, ns):
     """Bowen boxes in eigencoordinates: su rectangles with exact decay.
 
     A d_n-ball of radius xi is the su box with half-extents
@@ -302,33 +287,24 @@ def _toral_entropy(sys, n_max, n_min):
     base_s = sys.xi ** (1 / sys.e_s)
     base_u = sys.xi ** (1 / sys.e_u)
     two, fwd, bwd = [], [], []
-    for n in range(n_min, n_max + 1):
+    for n in ns:
         shrink = mu ** -n
         two.append((n, mean_log_count(base_s * shrink, base_u * shrink)))
         fwd.append((n, mean_log_count(base_s, base_u * shrink)))
         bwd.append((n, mean_log_count(base_s * shrink, base_u)))
-    ent = _slope_over_n(two)
-    ep = _slope_over_n(fwd)
-    em = _slope_over_n(bwd)
-    rows = [
-        {"n": n, "two_sided": t, "forward": f, "backward": b}
-        for (n, t), (_, f), (_, b) in zip(two, fwd, bwd)
-    ]
-    return EntropyReport(
-        ent=ent, ent_plus=ep, ent_minus=em, standard=ent / 2,
-        gap_two_sided=abs(ent - ep - em), rows=rows,
-        method="su-box-bounds",
-    )
+    return _entropy_report(two, fwd, bwd, "su-box-bounds")
 
 
-def entropy(sys, n_max=12, n_min=2):
+def entropy(sys, n_max=12):
+    """Two-sided entropy and its one-sided parts, fitted over n = 2..n_max."""
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
+    ns = range(2, n_max + 1)
     if sys.space_kind == "symbolic":
-        return _symbolic_entropy(sys, n_max, n_min)
+        return _symbolic_entropy(sys, ns)
     if not hasattr(sys, "eig_unstable"):
         raise ValueError("entropy needs a self-similar system")
-    return _toral_entropy(sys, n_max, n_min)
+    return _toral_entropy(sys, ns)
 
 
 # -- the fundamental equation ---------------------------------------------
@@ -445,20 +421,21 @@ class LocalEntropy:
                 "method": self.method}
 
 
-def local_unstable_entropy(sys, x, n_max=16, n_min=3):
-    """Growth rate of forward refinements of one local unstable set."""
-    if n_max < n_min + 2:
+def local_unstable_entropy(sys, x, n_max=16):
+    """Growth rate of forward refinements of one local unstable set,
+    fitted over n = 3..n_max."""
+    if n_max < 5:
         raise ValueError("n_max too small for a slope")
+    ns = range(3, n_max + 1)
     if sys.space_kind == "symbolic":
         state = x.at(0)
         counts = [v[state]
                   for v in islice(_count_vectors(sys.matrix), 1, n_max + 1)]
-        rows = [(n, math.log(counts[n - 1])) for n in range(n_min, n_max + 1)]
+        rows = [(n, math.log(counts[n - 1])) for n in ns]
         return LocalEntropy(_slope_over_n(rows), rows, "forward-word-counts")
     mu = abs(sys.eig_unstable)
     # arc of u-length L stretches to L * mu**n, cut into unit-L pieces
-    rows = [(n, math.log(math.ceil(mu ** n)))
-            for n in range(n_min, n_max + 1)]
+    rows = [(n, math.log(math.ceil(mu ** n))) for n in ns]
     return LocalEntropy(_slope_over_n(rows), rows, "unstable-arc-growth")
 
 

@@ -267,16 +267,6 @@ class BoxMeasure:
         }
 
 
-def _anchor_through(sys, word, start):
-    """Some admissible point whose [start, end] window equals `word`."""
-    left = sys.matrix.cycle_word(word[0])
-    tail = sys.matrix.cycle_word(word[-1])
-    if left is None or tail is None:
-        raise ValueError("box word has no bi-infinite extension")
-    right = tail[1:] + tail[:1]
-    return sys.point(left, word, right, start)
-
-
 def box_measure(sys, box, d=None, depth=12):
     """Product of the stable and unstable window measures of the box."""
     if not isinstance(box, Box):
@@ -295,20 +285,16 @@ def box_measure(sys, box, d=None, depth=12):
         return BoxMeasure(0.0, 0.0, 0.0, 0.0, d, depth, admissible=False)
     a = -box.start
     b = box.end
-    anchor = _anchor_through(sys, box.word, box.start)
+    anchor = sys.point_through(box.word, box.start)
     unstable = hausdorff_estimate(sys, UnstableWindow(anchor, b), d, depth)
     stable = hausdorff_estimate(sys, StableWindow(anchor, a), d, depth)
 
     # holonomy independence: recompute the unstable factor from a
-    # plaque with a different past whenever the matrix offers one
+    # plaque with a different past whenever the matrix offers one (the
+    # matrix is primitive here, so every state lies on a cycle)
     gap = 0.0
-    tail = sys.matrix.cycle_word(box.word[-1])
-    right = tail[1:] + tail[:1]  # phase: starts one step past word[-1]
     for t in sys.matrix.predecessors[box.word[0]]:
-        cyc = sys.matrix.cycle_word(t)
-        if cyc is None:
-            continue
-        shifted = sys.point(cyc, (t,) + box.word, right, box.start - 1)
+        shifted = sys.point_through((t,) + box.word, box.start - 1)
         other = hausdorff_estimate(sys, UnstableWindow(shifted, b), d, depth)
         gap = max(gap, abs(other.value - unstable.value))
     return BoxMeasure(
@@ -493,7 +479,7 @@ class ParryReport:
         }
 
 
-def parry_compare(sys, depth, dp_depth=32):
+def parry_compare(sys, depth):
     """Normalized depth-k box masses against the Parry measure.
 
     The admissible words of length 2 * depth + 1 are one int8 array,
@@ -511,6 +497,7 @@ def parry_compare(sys, depth, dp_depth=32):
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     d = intrinsic_exponent(sys)
+    dp_depth = 32
     g_u = np.array(_dp(sys.matrix, sys.lam, d).table(dp_depth))
     g_s = np.array(_dp(sys.matrix.transpose(), sys.lam, d).table(dp_depth))
     scale = sys.lam ** (-2 * depth * d)

@@ -74,19 +74,24 @@ class BiSequence:
         return tuple(self.at(i) for i in range(lo, hi + 1))
 
     def shift(self, k=1):
-        """The sequence b with b(n) = a(n+k)."""
-        return bi_sequence(self.left, self.mid, self.right, self.start - k)
+        """The sequence b with b(n) = a(n+k).
+
+        The canonical form is shift-covariant, so the shift only moves
+        the start; a globally periodic sequence keeps start 0 and
+        rotates its word instead.
+        """
+        if not self.mid and self.left == self.right:
+            r = k % len(self.right)
+            word = self.right[r:] + self.right[:r]
+            return BiSequence(word, (), word, 0)
+        return BiSequence(self.left, self.mid, self.right, self.start - k)
 
     def with_value(self, i, sym):
         """Functional single-coordinate update (no admissibility check)."""
         lo = min(i, self.start)
-        hi = max(i + 1, self.end)
-        p, q = len(self.left), len(self.right)
-        left = tuple(self.left[(r + lo - self.start) % p] for r in range(p))
-        right = tuple(self.right[(r + hi - self.end) % q] for r in range(q))
-        mid = list(self.window(lo, hi - 1))
+        mid = list(self.window(lo, max(i + 1, self.end) - 1))
         mid[i - lo] = sym
-        return bi_sequence(left, tuple(mid), right, lo)
+        return _splice(self, tuple(mid), self, lo)
 
 
 def bi_sequence(left, mid=(), right=None, start=0):
@@ -129,38 +134,35 @@ def bi_sequence(left, mid=(), right=None, start=0):
     return BiSequence(left, mid, right, start)
 
 
-def _first_mismatch_right(a, b):
-    """Smallest i >= 0 with a(i) != b(i), or None if the futures agree."""
-    horizon = max(a.end, b.end, 0)
-    stop = horizon + lcm(len(a.right), len(b.right))
-    for i in range(stop):
-        if a.at(i) != b.at(i):
-            return i
-    return None
+def _splice(past, mid, future, lo):
+    """Canonical sequence following `past` below lo, `mid` on
+    [lo, hi) and `future` from hi = lo + len(mid) on.
 
-
-def _first_mismatch_left(a, b):
-    """Smallest j >= 1 with a(-j) != b(-j), or None."""
-    horizon = max(-a.start, -b.start, 0) + 1
-    stop = horizon + lcm(len(a.left), len(b.left))
-    for j in range(1, stop):
-        if a.at(-j) != b.at(-j):
-            return j
-    return None
+    Needs lo <= past.start and hi >= future.end, so each tail is one
+    period of its source read next to the cut.
+    """
+    hi = lo + len(mid)
+    left = past.window(lo - len(past.left), lo - 1)
+    right = future.window(hi, hi + len(future.right) - 1)
+    return bi_sequence(left, mid, right, lo)
 
 
 def agreement_level(a, b):
     """Largest n with a(i) = b(i) for all |i| <= n.
 
     Returns -1 when the sequences disagree at coordinate 0 (the capped
-    regime) and math.inf when they are equal.
+    regime) and math.inf when they are equal.  One scan outwards from
+    0 over t and -t; each side stops at its periodic horizon, past
+    which agreement over one common period means agreement for ever.
     """
-    r = _first_mismatch_right(a, b)
-    j = _first_mismatch_left(a, b)
-    if r is None and j is None:
-        return INF
-    radius = min(v for v in (r, j) if v is not None)
-    return radius - 1
+    stop_r = max(a.end, b.end, 0) + lcm(len(a.right), len(b.right))
+    stop_l = max(-a.start, -b.start, 0) + 1 + lcm(len(a.left), len(b.left))
+    for t in range(max(stop_r, stop_l)):
+        if t < stop_r and a.at(t) != b.at(t):
+            return t - 1
+        if 0 < t < stop_l and a.at(-t) != b.at(-t):
+            return t - 1
+    return INF
 
 
 @dataclass(frozen=True)
@@ -350,18 +352,19 @@ def _word_array(matrix, length):
     return words
 
 
-def spectral_radius(matrix, tol=1e-12, max_iter=200_000):
+def spectral_radius(matrix):
     """Perron root and right eigenvector (sup-normalized) by power iteration.
 
     Requires a primitive matrix; convergence is declared when both the
-    eigenvalue estimate and the vector are stable to `tol` relative.
+    eigenvalue estimate and the vector are stable to 1e-12 relative.
     """
     if not matrix.primitive:
         raise ValueError("spectral data requires a primitive matrix")
     n = matrix.n
+    tol = 1e-12
     v = [1.0 / n] * n
     est = None
-    for _ in range(max_iter):
+    for _ in range(200_000):
         w = [sum(v[j] for j in matrix.successors[i]) for i in range(n)]
         s = sum(w)
         w = [x / s for x in w]
@@ -522,14 +525,8 @@ class ShiftSystem:
         if x.at(0) != y.at(0):
             raise ValueError("bracket needs agreement at coordinate 0")
         lo = min(y.start, 0)
-        hi = max(x.end, 1)
-        p, q = len(y.left), len(x.right)
-        left = tuple(y.left[(r + lo - y.start) % p] for r in range(p))
-        right = tuple(x.right[(r + hi - x.end) % q] for r in range(q))
-        mid = tuple(y.at(i) for i in range(lo, 0)) + tuple(
-            x.at(i) for i in range(0, hi)
-        )
-        z = bi_sequence(left, mid, right, lo)
+        mid = y.window(lo, -1) + x.window(0, max(x.end, 1) - 1)
+        z = _splice(y, mid, x, lo)
         assert self.admissible(z)
         return z
 
@@ -557,16 +554,22 @@ class ShiftSystem:
         while A.cycle_word(fwd[-1]) is None and guard:
             fwd.append(rng.choice(A.successors[fwd[-1]]))
             guard -= 1
-        head = A.cycle_word(back[-1])
-        tail = A.cycle_word(fwd[-1])
+        word = tuple(reversed(back[1:])) + tuple(fwd)
+        return self.point_through(word, 1 - len(back))
+
+    def point_through(self, word, start):
+        """Admissible point whose window [start, start + len(word)) is
+        `word`, with periodic tails on the shortest cycles at its ends.
+
+        The left tail tiles the cycle at word[0], so its wrap edge feeds
+        word[0]; the right tail is the cycle at word[-1] rotated one
+        step, so it starts one step past word[-1].
+        """
+        head = self.matrix.cycle_word(word[0])
+        tail = self.matrix.cycle_word(word[-1])
         if head is None or tail is None:
-            raise ValueError("matrix has a state not reaching any cycle")
-        mid = tuple(reversed(back[1:])) + tuple(fwd)
-        start = -(len(back) - 1)
-        # left tail tiles the cycle so its wrap edge feeds mid[0] = head[0];
-        # right tail is the forward cycle rotated one step past mid[-1]
-        right = tail[1:] + tail[:1]
-        return self.point(head, mid, right, start)
+            raise ValueError("word has no bi-infinite extension")
+        return self.point(head, word, tail[1:] + tail[:1], start)
 
     def sample_pairs(self, count, seed=0, levels=(1, 8)):
         """Seeded pairs at exact agreement levels drawn from `levels`.

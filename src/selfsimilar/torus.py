@@ -255,7 +255,8 @@ class ToralSystem:
         """Seeded pairs with dist in [scale/2, scale], stratified in angle.
 
         The offset direction sweeps the stable/unstable mixture circle in
-        jittered strata; the radius is solved exactly, then checked.
+        jittered strata; the radius is solved exactly, then every pair
+        is checked against its target in one `offset_norm` call.
         """
         if not scale < self.xi:
             raise ValueError("scale must be below xi")
@@ -264,6 +265,7 @@ class ToralSystem:
         rng = Random(seed)
         vs, vu = self.v_stable, self.v_unstable
         out = []
+        dx, dy, targets = np.empty(count), np.empty(count), np.empty(count)
         for k in range(count):
             theta = 2 * math.pi * (k + rng.random()) / count
             target = scale * (0.5 + 0.5 * rng.random())
@@ -277,10 +279,11 @@ class ToralSystem:
             )
             x = (rng.random(), rng.random())
             y = ((x[0] + off[0]) % 1.0, (x[1] + off[1]) % 1.0)
-            d = self.dist(x, y)
-            if abs(d - target) > 1e-9 * target:
-                raise ArithmeticError("sampled pair missed its target distance")
             out.append((x, y))
+            dx[k], dy[k], targets[k] = y[0] - x[0], y[1] - x[1], target
+        d = self.offset_norm(dx, dy)
+        if np.any(np.abs(d - targets) > 1e-9 * targets):
+            raise ArithmeticError("sampled pair missed its target distance")
         return out
 
     # -- construction-time check ------------------------------------------

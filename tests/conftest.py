@@ -1,11 +1,16 @@
-"""Session-wide systems shared across the test modules.
+"""Session-wide systems, and the environment for child Pythons, shared
+across the test modules.
 
 Everything here is deterministic, so building each system once is safe; the
 cat map runs its construction-time identity sweep only on first use.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
+import selfsimilar
 from selfsimilar.core import refine_metric
 from selfsimilar.symbolic import four_symbol, full_shift, golden_mean
 from selfsimilar.torus import CircleDoubling, cat_map, euclidean_base
@@ -46,3 +51,14 @@ def refined_euclid(euclid):
 @pytest.fixture(scope="session")
 def doubling():
     return CircleDoubling()
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for child Pythons: the package source comes first on
+    PYTHONPATH, so they import it from a plain checkout."""
+    env = dict(os.environ)
+    src = str(Path(selfsimilar.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -318,11 +318,11 @@ def test_lambda_flag_rescales_capacity(capsys):
     assert res["passed"]
 
 
-def test_console_script_is_installed():
+def test_console_script_is_installed(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "selfsimilar.cli", "verify",
          "--system", "full-2-shift", "--samples", "200"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

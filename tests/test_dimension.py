@@ -71,8 +71,6 @@ def test_toral_covering_brackets(cat):
     assert e.value == pytest.approx(math.sqrt(20.0 * 118.0), rel=1e-12)
     finer = cov_eps(cat, 0.05)
     assert finer.lower >= e.lower and finer.upper >= e.upper
-    with pytest.raises(ValueError, match="sample too sparse"):
-        cov_eps(cat, 0.01, density=0.01)
     pinned = [(6, 54), (14, 96), (35, 205), (63, 384), (122, 782),
               (266, 1585), (522, 3174), (1053, 6305)]
     got = [cov_eps(cat, eps) for eps in default_scales(cat)]
@@ -170,7 +168,7 @@ def test_entropy_rows_are_logs_of_exact_counts(golden, four):
     for sys in (golden, four):
         rows = sys.matrix.rows
         rows_t = sys.matrix.transpose().rows
-        er = entropy(sys, n_max=20, n_min=2)
+        er = entropy(sys, n_max=20)
         assert [r["n"] for r in er.rows] == list(range(2, 21))
         for r in er.rows:
             n = r["n"]
@@ -274,7 +272,7 @@ def test_local_entropy_rows_are_logs_of_exact_counts(golden, four):
     for sys, anchor in ((golden, golden.constant(0)),
                         (golden, golden.point((0, 1))),
                         (four, four.point(four.matrix.cycle_word(2)))):
-        le = local_unstable_entropy(sys, anchor, n_max=24, n_min=3)
+        le = local_unstable_entropy(sys, anchor, n_max=24)
         state = anchor.at(0)
         assert le.rows == [
             (n, math.log(plain_count(sys.matrix.rows, n + 1, state)))
@@ -289,7 +287,7 @@ def test_local_entropy_on_the_cat_map(cat):
 
 def test_local_entropy_needs_a_window(full2):
     with pytest.raises(ValueError, match="too small for a slope"):
-        local_unstable_entropy(full2, full2.constant(0), n_max=3, n_min=3)
+        local_unstable_entropy(full2, full2.constant(0), n_max=3)
 
 
 def test_local_entropy_is_homogeneous(full2, golden):

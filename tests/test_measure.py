@@ -463,8 +463,6 @@ def test_parry_comparison_validation(golden, four, cat):
         parry_compare(four, 2)
     with pytest.raises(ValueError, match="depth must be nonnegative"):
         parry_compare(golden, -1)
-    with pytest.raises(ValueError, match="DP depth must be nonnegative"):
-        parry_compare(golden, 2, dp_depth=-1)
 
 
 # ------------------------------------------------------------- toral measure

@@ -114,6 +114,7 @@ def test_shift_moves_the_observation_point(left, mid, right, start, k):
     for i in range(-6, 7):
         assert y.at(i) == x.at(i + k)
     assert y.shift(-k) == x
+    assert y == bi_sequence(x.left, x.mid, x.right, x.start - k)
 
 
 @given(tails, mids, tails, st.integers(-4, 4), st.integers(-6, 6), sym)
@@ -152,6 +153,38 @@ def test_level_of_a_single_flip(full2, j):
     assert full2.dist(x, y) == 2.0 ** -(j - 1)
     z = x.with_value(-j, 1)
     assert agreement_level(x, z) == j - 1
+
+
+bits = st.integers(min_value=0, max_value=1)
+bit_tails = st.lists(bits, min_size=1, max_size=4).map(tuple)
+bit_mids = st.lists(bits, max_size=6).map(tuple)
+presentations = st.one_of(
+    st.tuples(bit_tails, bit_mids, bit_tails, st.integers(-5, 5)),
+    bit_tails.map(lambda w: (w, (), w, 0)),  # globally periodic
+)
+
+
+@given(presentations, st.data())
+@settings(max_examples=300)
+def test_level_is_the_distance_to_the_nearest_mismatch(pa, data):
+    """Against a plain scan of the raw presentations, far enough out
+    that both sides have passed every window and a common tail period."""
+    left, _, right, _ = pa
+    pb = data.draw(st.one_of(
+        presentations,
+        # the same tails with another window: long and infinite agreements
+        st.tuples(st.just(left), bit_mids, st.just(right),
+                  st.integers(-5, 5)),
+    ))
+    reach = 1 + max(abs(v) for _, mid, _, start in (pa, pb)
+                    for v in (start, start + len(mid)))
+    reach += math.lcm(*(len(p[i]) for p in (pa, pb) for i in (0, 2)))
+    mismatches = [abs(m) for m in range(-reach, reach + 1)
+                  if raw_at(*pa, m) != raw_at(*pb, m)]
+    expected = min(mismatches) - 1 if mismatches else math.inf
+    a, b = bi_sequence(*pa), bi_sequence(*pb)
+    assert agreement_level(a, b) == expected
+    assert agreement_level(b, a) == expected
 
 
 def test_disagreement_at_zero_caps_the_distance(full2):

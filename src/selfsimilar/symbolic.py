@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import lcm
@@ -88,6 +88,8 @@ class BiSequence:
 
     def with_value(self, i, sym):
         """Functional single-coordinate update (no admissibility check)."""
+        if not _is_symbol(sym):
+            raise ValueError("symbols must be nonnegative integers")
         lo = min(i, self.start)
         mid = list(self.window(lo, max(i + 1, self.end) - 1))
         mid[i - lo] = sym
@@ -102,12 +104,21 @@ def bi_sequence(left, mid=(), right=None, start=0):
     if not left or not right:
         raise ValueError("tail words must be nonempty")
     for w in (left, mid, right):
-        if any(not isinstance(s, int) or s < 0 for s in w):
+        if any(not _is_symbol(s) for s in w):
             raise ValueError("symbols must be nonnegative integers")
     d = _minimal_period(left)
     left = left[len(left) - d:]
     d = _minimal_period(right)
     right = right[:d]
+    return _absorb(left, mid, right, start)
+
+
+def _is_symbol(s):
+    return isinstance(s, int) and s >= 0
+
+
+def _absorb(left, mid, right, start):
+    """Canonical BiSequence from minimal-period tails and a window."""
     # left tail absorbs window symbols that already follow its pattern
     while mid and mid[0] == left[0]:
         mid = mid[1:]
@@ -139,12 +150,14 @@ def _splice(past, mid, future, lo):
     [lo, hi) and `future` from hi = lo + len(mid) on.
 
     Needs lo <= past.start and hi >= future.end, so each tail is one
-    period of its source read next to the cut.
+    period of its source read next to the cut: a rotation of a
+    canonical, minimal-period tail.  So the tails are trusted as they
+    are, and `mid`, read from the same points, needs no symbol check.
     """
     hi = lo + len(mid)
     left = past.window(lo - len(past.left), lo - 1)
     right = future.window(hi, hi + len(future.right) - 1)
-    return bi_sequence(left, mid, right, lo)
+    return _absorb(left, mid, right, lo)
 
 
 def agreement_level(a, b):

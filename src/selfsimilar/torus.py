@@ -325,7 +325,9 @@ class EuclideanTorus:
     Not self-similar; adapted below its xi for any lam up to
     sqrt((mu^2 + mu^-2)/2), so it serves as the base of a genuinely
     nontrivial sup-refinement.  The bracket delegates to the eigenline
-    geometry, which does not depend on the metric.
+    geometry, which does not depend on the metric.  The pair batch
+    `_pair_dists` follows each offset, wrapped to its nearest lattice
+    representative, under the matrix and takes np.hypot.
     """
 
     space_kind = "toral"
@@ -347,13 +349,38 @@ class EuclideanTorus:
         return self.geometry.apply_inv(x)
 
     def dist(self, x, y):
-        dx, dy = y[0] - x[0], y[1] - x[1]
-        best = math.inf
-        for wx, wy in _NINE:
-            r = math.hypot(dx + wx, dy + wy)
-            if r < best:
-                best = r
-        return best
+        return math.hypot(*(_nearest_offset(a, b, round(b - a))
+                            for a, b in zip(x, y)))
+
+    def _offset_orbit(self, pairs, reach):
+        """Yield (j, du, dv): the offset arrays f^j y - f^j x at their
+        nearest lattice representative, for j = 0, 1, ..., reach and
+        then j = -1, ..., -reach.
+
+        f^j y - f^j x = A^j (y - x) mod Z^2, so each direction is one
+        recurrence delta <- wrap(A delta) on the offset, never a
+        difference of two mapped points.
+        """
+        pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
+        du, dv = (_nearest_offset(w[:, 0], w[:, 1], np.round(w[:, 1] - w[:, 0]))
+                  for w in (pts[..., 0], pts[..., 1]))
+        yield 0, du, dv
+        geo = self.geometry
+        for sign, ((a, b), (c, d)) in ((1, geo.matrix), (-1, geo.inverse)):
+            u, v = du, dv
+            for j in range(1, reach + 1):
+                u, v = a * u + b * v, c * u + d * v
+                u -= np.round(u)
+                v -= np.round(v)
+                yield sign * j, u, v
+
+    def _pair_dists(self, pairs, steps):
+        """Pair batch: one array of dist(f^s x, f^s y) per step s, from
+        the offset orbit.  At step 0 each entry is within one rounding
+        (np.hypot against math.hypot) of the scalar `dist`."""
+        terms = {j: np.hypot(u, v) for j, u, v
+                 in self._offset_orbit(pairs, max(abs(s) for s in steps))}
+        return [terms[s] for s in steps]
 
     def bracket(self, x, y):
         return self.geometry.bracket(x, y)
@@ -380,6 +407,17 @@ class EuclideanTorus:
             )
             out.append((x, y))
         return out
+
+
+def _nearest_offset(a, b, k):
+    """b - a at its nearest lattice representative, k = round(b - a).
+
+    The lattice step goes to whichever coordinate lies above 1/2, where
+    it is exact, so the offset of a pair straddling the edge of the unit
+    square is rounded once and keeps every bit of the smaller
+    coordinate.  Works on floats and on arrays alike.
+    """
+    return (b - (k > 0) * k) - (a + (k < 0) * k)
 
 
 def euclidean_base(toral_sys, xi=0.02):

@@ -26,7 +26,6 @@ from selfsimilar.dimension import (
 )
 from selfsimilar.measure import (
     Box,
-    StableWindow,
     UnstableWindow,
     box_measure,
     hausdorff_estimate,

@@ -9,12 +9,17 @@ sqrt(0.3 * arc), pinning the Holder data.
 """
 
 import math
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsimilar.core import (
     DynMode,
+    HolderReport,
+    VerifyReport,
     bracket,
     dyn_metric,
     holder_check,
@@ -267,6 +272,193 @@ def test_holder_check_validation(doubling):
         holder_check(doubling.dist, doubling.dist, [(0.0, 0.1)], k=1.5, lam=2.0)
     with pytest.raises(ValueError, match="coincident sample pair"):
         holder_check(doubling.dist, doubling.dist, [(0.2, 0.2)], k=2.0, lam=2.0)
+
+
+# -------------------------------------------------------------- pair batches
+
+STEPS = (0, 1, -1)
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def toral_pairs(draw):
+    """A few pairs offset by [scale/2, scale] from anywhere on the torus,
+    scale in [1e-5, 2e-2], as EuclideanTorus.sample_pairs builds them."""
+    scale = draw(st.floats(1e-5, 2e-2))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = (draw(unit), draw(unit))
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        r = scale * draw(st.floats(0.5, 1.0))
+        y = ((x[0] + r * math.cos(theta)) % 1.0,
+             (x[1] + r * math.sin(theta)) % 1.0)
+        pairs.append((x, y))
+    return pairs
+
+
+def exact_terms(geo, x, y, reach):
+    """Euclidean distances at steps |j| <= reach from the exact orbit of
+    the float points: offsets A**j (y - x) mod Z**2 in rationals, one
+    rounding to float per coordinate before each math.hypot."""
+    def wrap(v):
+        return v - round(v)
+
+    delta = [wrap(Fraction(b) - Fraction(a)) for a, b in zip(x, y)]
+    terms = {}
+    for sign, ((a, b), (c, d)) in ((1, geo.matrix), (-1, geo.inverse)):
+        u, v = delta
+        for j in range(reach + 1):
+            terms[sign * j] = math.hypot(float(u), float(v))
+            u, v = wrap(a * u + b * v), wrap(c * u + d * v)
+    return terms
+
+
+def exact_refined(refined, x, y, steps):
+    """Refined distances at each step from the exact orbit."""
+    n = refined.window
+    terms = exact_terms(refined.base.geometry, x, y,
+                        n + max(abs(s) for s in steps))
+    return [max(terms[s + i] / refined.lam ** abs(i) for i in range(-n, n + 1))
+            for s in steps]
+
+
+def scalar_steps(sys, dist, x, y, steps):
+    """dist(f^s x, f^s y) by the scalar maps, for s in steps."""
+    out = []
+    for s in steps:
+        p, q = x, y
+        for _ in range(abs(s)):
+            step = sys.apply if s > 0 else sys.apply_inv
+            p, q = step(p), step(q)
+        out.append(dist(p, q))
+    return out
+
+
+@settings(deadline=None)
+@given(toral_pairs())
+def test_refined_batch_follows_the_exact_orbit(refined_euclid, pairs):
+    batch = refined_euclid._pair_dists(pairs, STEPS)
+    for i, (x, y) in enumerate(pairs):
+        want = exact_refined(refined_euclid, x, y, STEPS)
+        for got, w in zip((b[i] for b in batch), want):
+            assert got == pytest.approx(w, rel=1e-14)
+
+
+@settings(deadline=None, max_examples=30)
+@given(toral_pairs())
+def test_refined_batch_agrees_with_the_scalar_metric(refined_euclid, pairs):
+    batch = refined_euclid._pair_dists(pairs, STEPS)
+    for i, (x, y) in enumerate(pairs):
+        want = scalar_steps(refined_euclid, refined_euclid.dist, x, y, STEPS)
+        for got, w in zip((b[i] for b in batch), want):
+            assert got == pytest.approx(w, rel=1e-9)
+
+
+@settings(deadline=None)
+@given(toral_pairs())
+def test_euclidean_batch_follows_the_exact_orbit(euclid, pairs):
+    batch = euclid._pair_dists(pairs, STEPS)
+    for i, (x, y) in enumerate(pairs):
+        terms = exact_terms(euclid.geometry, x, y, 1)
+        scalar = scalar_steps(euclid, euclid.dist, x, y, STEPS)
+        for got, s, w in zip((b[i] for b in batch), STEPS, scalar):
+            assert got == pytest.approx(terms[s], rel=1e-14)
+            assert got == pytest.approx(w, rel=1e-9)
+        # at step 0 both paths read the same float offset
+        assert batch[0][i] == pytest.approx(euclid.dist(x, y), rel=1e-15)
+
+
+@settings(deadline=None)
+@given(toral_pairs())
+def test_domination_is_exact_on_the_batch_path(euclid, refined_euclid, pairs):
+    (b,) = euclid._pair_dists(pairs, (0,))
+    (r,) = refined_euclid._pair_dists(pairs, (0,))
+    assert (r >= b).all()
+    rep = holder_check(euclid.dist, refined_euclid.dist, pairs, k=3.0, lam=1.8)
+    assert rep.violations == []
+
+
+def test_straddling_pairs_keep_every_bit(euclid):
+    # x sits just above 0 and y just below 1: the offset wraps, and the
+    # smaller coordinate's low bits must survive the wrap
+    x = (1.2345678912345e-6, 0.5)
+    y = ((x[0] - 1e-5) % 1.0, 0.5)
+    exact = Fraction(y[0]) - Fraction(x[0]) - 1
+    assert euclid.dist(x, y) == abs(float(exact))
+    assert euclid._pair_dists([(x, y)], (0,))[0][0] == abs(float(exact))
+
+
+def test_batch_path_keeps_rejections_and_errors(euclid, refined_euclid):
+    pairs = euclid.sample_pairs(20, 1e-3, seed=5)
+    x = pairs[3][0]
+    far = ((x[0] + 0.3) % 1.0, x[1])
+    pairs[3] = (x, x)
+    pairs[7] = (x, far)
+    rep = verify_self_similar(refined_euclid, pairs, tol=1e-6)
+    assert rep.rejected == [(3, "coincident pair"), (7, "dist above xi")]
+    assert rep.checked == 18 and not rep.passed
+    with pytest.raises(ValueError, match="coincident sample pair"):
+        holder_check(euclid.dist, refined_euclid.dist, pairs, k=3.0, lam=1.8)
+
+
+def loop_verify(sys, pairs, tol):
+    """The per-pair verifier of the float path, as a reference."""
+    rejected, devs, worst = [], [], None
+    for idx, (p, q) in enumerate(pairs):
+        d = sys.dist(p, q)
+        if d == 0.0:
+            rejected.append((idx, "coincident pair"))
+            continue
+        if d > sys.xi:
+            rejected.append((idx, "dist above xi"))
+            continue
+        grown = max(sys.dist(sys.apply(p), sys.apply(q)),
+                    sys.dist(sys.apply_inv(p), sys.apply_inv(q)))
+        devs.append(abs(grown / (sys.lam * d) - 1.0))
+        if worst is None or devs[-1] > devs[worst]:
+            worst = len(devs) - 1
+    max_dev = max(devs) if devs else 0.0
+    return VerifyReport(
+        checked=len(devs), rejected=rejected, max_rel_deviation=max_dev,
+        mean_rel_deviation=sum(devs) / len(devs) if devs else 0.0,
+        worst_pair=worst, tol=tol,
+        passed=bool(devs) and max_dev <= tol and not rejected)
+
+
+def loop_holder(base_dist, refined_dist, samples, k, lam):
+    """The per-pair Holder fit, as a reference."""
+    alpha = math.log(lam) / math.log(k)
+    violations, c, worst = [], 0.0, None
+    for idx, (x, y) in enumerate(samples):
+        b, r = base_dist(x, y), refined_dist(x, y)
+        if r < b * (1 - 1e-12):
+            violations.append(idx)
+        if r / b**alpha > c:
+            c, worst = r / b**alpha, idx
+    return HolderReport(c=c, alpha=alpha, violations=violations,
+                        max_ratio_pair=worst)
+
+
+def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling, euclid):
+    assert refine_metric(euclid, 1.8, 1e-6, one_sided=True)._pair_dists is None
+    warped = PowerWarp(full2)
+    pairs = full2.sample_pairs(100, seed=4)
+    coincident = pairs + [(full2.constant(0),) * 2]
+    assert verify_self_similar(warped, coincident) == loop_verify(
+        warped, coincident, 1e-9)
+    lam = 2.0**0.9
+    assert holder_check(full2.dist, warped.dist, pairs, k=2.0, lam=lam) \
+        == loop_holder(full2.dist, warped.dist, pairs, 2.0, lam)
+    trunc = TruncatedArc()
+    arcs = circle_pairs(29)
+    for base, lam in ((trunc, math.sqrt(2.0)), (doubling, 2.0)):
+        refined = refine_metric(base, lam, 1e-6, one_sided=True)
+        assert refined._pair_dists is None
+        assert holder_check(base.dist, refined.dist, arcs, k=2.0, lam=lam) \
+            == loop_holder(base.dist, refined.dist, arcs, 2.0, lam)
+    refined = refine_metric(doubling, 2.0, 1e-9, one_sided=True)
+    with pytest.raises(ValueError, match="no inverse"):
+        verify_self_similar(refined, arcs)
 
 
 # ------------------------------------------------------------------ brackets

@@ -21,6 +21,7 @@ from selfsimilar.symbolic import (
     Cylinder,
     TransitionMatrix,
     _count_vectors,
+    _splice,
     _word_array,
     agreement_level,
     bi_sequence,
@@ -127,6 +128,32 @@ def test_with_value_touches_exactly_one_coordinate(left, mid, right, start, i, s
             assert y.at(j) == x.at(j)
     if s == x.at(i):
         assert y == x
+
+
+def test_with_value_checks_its_symbol():
+    x = bi_sequence((0,), (1,), (0,), 0)
+    for bad in (-1, 1.0, "1"):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            x.with_value(3, bad)
+
+
+@given(tails, mids, tails, st.integers(-4, 4), tails, mids, tails,
+       st.integers(-4, 4), st.integers(0, 3), st.lists(sym, max_size=8))
+def test_trusted_splice_matches_the_checked_constructor(
+    l1, m1, r1, s1, l2, m2, r2, s2, drop, extra
+):
+    past = bi_sequence(l1, m1, r1, s1)
+    future = bi_sequence(l2, m2, r2, s2)
+    lo = past.start - drop
+    mid = tuple(extra) + (0,) * max(0, future.end - lo - len(extra))
+    hi = lo + len(mid)
+    left = past.window(lo - len(past.left), lo - 1)
+    right = future.window(hi, hi + len(future.right) - 1)
+    z = _splice(past, mid, future, lo)
+    assert z == bi_sequence(left, mid, right, lo)
+    for i in range(lo - 6, hi + 6):
+        want = past.at(i) if i < lo else mid[i - lo] if i < hi else future.at(i)
+        assert z.at(i) == want
 
 
 def test_window_is_inclusive():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from selfsimilar.core import DynMode, dyn_metric
 from selfsimilar.torus import (
-    CircleDoubling,
     EuclideanTorus,
     ToralSystem,
     cat_map,

@@ -42,7 +42,7 @@ from random import Random
 from . import __version__
 from . import dimension as _dim
 from . import measure as _meas
-from .core import holonomy_deviation, triangle_ratio, verify_self_similar
+from .core import _holonomy_reports, _triangle_reports, verify_self_similar
 from .symbolic import four_symbol, full_shift, golden_mean, sft_new
 from .torus import cat_map
 
@@ -320,8 +320,7 @@ def _check_triangles(sys_obj, cfg):
         pairs = sys_obj.sample_pairs(cfg.samples, scale, seed=cfg.seed)
         tol = 1e-9
     worst = 0.0
-    for x, y in pairs:
-        rep = triangle_ratio(sys_obj, x, y)
+    for rep in _triangle_reports(sys_obj, pairs):
         worst = max(worst, abs(rep.ratio - 1.0))
     return {
         "pairs": len(pairs),
@@ -386,8 +385,7 @@ def _check_holonomy(sys_obj, cfg):
     violations = 0
     rejected = 0
     worst = 0.0
-    for p, q, pp, qq in quads:
-        rep = holonomy_deviation(sys_obj, p, q, pp, qq)
+    for rep in _holonomy_reports(sys_obj, quads):
         if not rep.precondition_ok:
             rejected += 1
             continue

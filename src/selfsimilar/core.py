@@ -7,14 +7,20 @@ expansivity threshold `xi`, a `diameter`, an `invertible` flag and
 expose integer `level` arithmetic, which the verifier uses to keep the
 self-similarity check exact.
 
-A system may also carry a private pair batch, `_pair_dists(pairs,
-steps)`, returning one array of dist(f^s x, f^s y) per step s.  The
-float path of `verify_self_similar` and `holder_check` (when both
-callables are bound `dist` methods of such systems) then make one
-batch call where they would loop over pairs; every other system and
-every other check keeps the pair loop, and the scalar `dist` stays the
-reference.  The Euclidean torus and the two-sided refinement of it
-have a batch (see `RefinedSystem`).
+A system may also carry a private pair batch, called with a list of
+pairs and the steps s to read them at: `_pair_levels(pairs, steps)`
+returns one list of integer levels of (f^s x, f^s y) per step (shift
+systems: one int8 window array per side, see `ShiftSystem`), and
+`_pair_dists(pairs, steps)` one array of dist(f^s x, f^s y) per step
+(the Euclidean torus and its two-sided refinement, see
+`RefinedSystem`).  `verify_self_similar`, the triangle check
+(`triangle_ratio`, `triangle_curve`) and the holonomy check
+(`holonomy_deviation`) read every level or distance through
+`_pair_values`, which makes one batch call per pair set, or runs the
+scalar `dist` (or `level`) pair by pair on systems without a batch;
+the scalar methods stay the reference.  `holder_check` batches when
+both of its callables are bound `dist` methods of systems with a
+`_pair_dists`.
 """
 from __future__ import annotations
 
@@ -70,25 +76,61 @@ class VerifyReport:
     exact: bool = False
 
 
+def _pair_values(sys, pairs, steps, levels=False):
+    """dist(f^s x, f^s y) for every pair, one list per step s; with
+    `levels`, the integer level instead (systems with `level` only).
+
+    One call to the system's pair batch, `_pair_levels` or else
+    `_pair_dists`; without one, the scalar `dist` (or `level`) of
+    each pair's orbit, every iterate computed once.  Distances from
+    levels are lam**-level in Python floats, as the scalar `dist`.
+    """
+    batch = getattr(sys, "_pair_levels", None)
+    if batch is not None:
+        out = batch(pairs, steps)
+        if levels:
+            return out
+        # one float per distinct level (lam**-inf is 0.0)
+        dist = {lev: sys.lam ** -lev for lev in set().union(*out)}
+        return [[dist[lev] for lev in row] for row in out]
+    batch = None if levels else getattr(sys, "_pair_dists", None)
+    if batch is not None:
+        return [a.tolist() for a in batch(pairs, steps)]
+    value = sys.level if levels else sys.dist
+    walks = [(sys.apply, range(1, max(steps) + 1))]
+    if min(steps) < 0:
+        walks.append((sys.apply_inv, range(-1, min(steps) - 1, -1)))
+    out = [[] for _ in steps]
+    for x, y in pairs:
+        orbit = {0: (x, y)}
+        for move, js in walks:
+            p, q = x, y
+            for j in js:
+                p, q = move(p), move(q)
+                orbit[j] = p, q
+        for row, s in zip(out, steps):
+            p, q = orbit[s]
+            row.append(value(p, q))
+    return out
+
+
 def verify_self_similar(sys, pairs, tol=None):
     """Check max{dist(f p, f q), dist(f^-1 p, f^-1 q)} = lam * dist(p, q).
 
     Pairs with dist > xi or dist = 0 are reported as rejected rather
     than silently skipped.  Systems with integer level arithmetic are
-    verified exactly; float systems report relative deviations, from
-    one pair-batch call when the system has one.
+    verified exactly; float systems report relative deviations.  Either
+    way the values come from one `_pair_values` call.
     """
     if tol is None:
         tol = getattr(sys, "tol_default", 1e-9)
     exact = hasattr(sys, "level")
-    batch = None if exact else getattr(sys, "_pair_dists", None)
-    if batch is not None:
-        d0, fwd, bwd = (a.tolist() for a in batch(pairs, (0, 1, -1)))
     rejected = []
     devs = []
     worst = None
-    for idx, (p, q) in enumerate(pairs):
-        d = sys.dist(p, q) if batch is None else d0[idx]
+    values = zip(*_pair_values(sys, pairs, (0, 1, -1), exact))
+    for idx, (v, fwd, bwd) in enumerate(values):
+        d = sys.lam ** -v if exact else v  # lam**-inf is 0.0
         if d == 0.0:
             rejected.append((idx, "coincident pair"))
             continue
@@ -96,21 +138,10 @@ def verify_self_similar(sys, pairs, tol=None):
             rejected.append((idx, "dist above xi"))
             continue
         if exact:
-            lev = sys.level(p, q)
-            img = min(
-                sys.level(sys.apply(p), sys.apply(q)),
-                sys.level(sys.apply_inv(p), sys.apply_inv(q)),
-            )
-            dev = 0.0 if img == lev - 1 else abs(sys.lam ** (lev - 1 - img) - 1.0)
+            img = min(fwd, bwd)
+            dev = 0.0 if img == v - 1 else abs(sys.lam ** (v - 1 - img) - 1.0)
         else:
-            if batch is None:
-                grown = max(
-                    sys.dist(sys.apply(p), sys.apply(q)),
-                    sys.dist(sys.apply_inv(p), sys.apply_inv(q)),
-                )
-            else:
-                grown = max(fwd[idx], bwd[idx])
-            dev = abs(grown / (sys.lam * d) - 1.0)
+            dev = abs(max(fwd, bwd) / (sys.lam * d) - 1.0)
         devs.append(dev)
         if worst is None or dev > devs[worst]:
             worst = len(devs) - 1
@@ -301,18 +332,39 @@ def triangle_ratio(sys, x, y):
     of y; the report compares the hypotenuse dist(x, y) with the longer
     leg.
     """
-    c0 = sys.dist(x, y)
-    if c0 == 0.0:
-        raise ValueError("coincident points give a degenerate triangle")
-    if c0 > sys.xi / (2 * sys.lam):
-        raise ValueError("pair above the triangle scale xi/(2 lam)")
-    z = sys.triangle_vertex(x, y)
-    a = sys.dist(x, z)
-    b = sys.dist(z, y)
-    m = max(a, b)
-    if m == 0.0:
-        raise ValueError("degenerate triangle: both legs vanish")
-    return TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m, scale=c0)
+    return _triangle_reports(sys, [(x, y)])[0]
+
+
+def _triangle_reports(sys, pairs):
+    """`triangle_ratio` of every pair, from one `_pair_values` call for
+    the hypotenuses and one for the legs.  The first pair that fails,
+    in input order, raises what `triangle_ratio` would raise on it."""
+    (hyps,) = _pair_values(sys, pairs, (0,))
+    legs = []
+    failure = None
+    for (x, y), c0 in zip(pairs, hyps):
+        try:
+            if c0 == 0.0:
+                raise ValueError(
+                    "coincident points give a degenerate triangle")
+            if c0 > sys.xi / (2 * sys.lam):
+                raise ValueError("pair above the triangle scale xi/(2 lam)")
+            z = sys.triangle_vertex(x, y)
+        except Exception as e:  # raised after the earlier pairs' legs
+            failure = e
+            break
+        legs += [(x, z), (z, y)]
+    (sides,) = _pair_values(sys, legs, (0,))
+    reports = []
+    for c0, a, b in zip(hyps, sides[::2], sides[1::2]):
+        m = max(a, b)
+        if m == 0.0:
+            raise ValueError("degenerate triangle: both legs vanish")
+        reports.append(TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m,
+                                      scale=c0))
+    if failure is not None:
+        raise failure
+    return reports
 
 
 @dataclass
@@ -385,43 +437,46 @@ def holonomy_deviation(sys, p, q, pp, qq):
     2/(lam**(m-1) - 2) whenever lam**(m-1) > 2; smaller m is reported as
     out of range.
     """
-    d = sys.dist(p, q)
-    d_img = sys.dist(pp, qq)
-    if d == 0.0 or d_img == 0.0:
-        raise ValueError("coincident plaque pair")
-    pre_ok = True
-    a, b = p, q
-    for _ in range(_HOLONOMY_DEPTH):
-        a, b = sys.apply_inv(a), sys.apply_inv(b)
-        if sys.dist(a, b) > sys.xi:
-            pre_ok = False
-            break
-    for leg in ((p, pp), (q, qq)):
-        if sys.dist(*leg) > sys.xi:
-            pre_ok = False
-        a, b = leg
-        for _ in range(_HOLONOMY_DEPTH):
-            a, b = sys.apply(a), sys.apply(b)
-            if sys.dist(a, b) > sys.xi:
-                pre_ok = False
-                break
-    big = max(d, d_img)
-    m = int(math.floor(math.log(sys.xi / big) / math.log(sys.lam)))
-    while sys.xi / sys.lam ** (m + 1) >= big:
-        m += 1
-    while sys.xi / sys.lam ** m < big:
-        m -= 1
-    observed = abs(d_img / d - 1.0)
-    in_range = sys.lam ** (m - 1) > 2.0
-    bound = 2.0 / (sys.lam ** (m - 1) - 2.0) if in_range else None
-    return HolonomyReport(
-        observed=observed,
-        bound=bound,
-        m=m,
-        in_range=in_range,
-        within_bound=(observed <= bound) if in_range else None,
-        precondition_ok=pre_ok,
-    )
+    return _holonomy_reports(sys, [(p, q, pp, qq)])[0]
+
+
+def _holonomy_reports(sys, quads):
+    """`holonomy_deviation` of every quadruple (p, q, pp, qq), from one
+    `_pair_values` call each for the plaque pairs (p, q) followed
+    backward, the projected pairs (pp, qq) and the legs followed
+    forward.  The first coincident plaque pair raises."""
+    depth = range(_HOLONOMY_DEPTH + 1)
+    plaques = zip(*_pair_values(sys, [quad[:2] for quad in quads],
+                                tuple(-j for j in depth)))
+    (images,) = _pair_values(sys, [quad[2:] for quad in quads], (0,))
+    legs = iter(zip(*_pair_values(sys, [leg for p, q, pp, qq in quads
+                                        for leg in ((p, pp), (q, qq))],
+                                  tuple(depth))))
+    reports = []
+    # legs come in (p, pp), (q, qq) order: zip takes two per quadruple
+    for (d, *back), d_img, leg_p, leg_q in zip(plaques, images, legs, legs):
+        if d == 0.0 or d_img == 0.0:
+            raise ValueError("coincident plaque pair")
+        # the plaque pair at steps -1.., each leg at steps 0..
+        pre_ok = not any(v > sys.xi for v in (*back, *leg_p, *leg_q))
+        big = max(d, d_img)
+        m = int(math.floor(math.log(sys.xi / big) / math.log(sys.lam)))
+        while sys.xi / sys.lam ** (m + 1) >= big:
+            m += 1
+        while sys.xi / sys.lam ** m < big:
+            m -= 1
+        observed = abs(d_img / d - 1.0)
+        in_range = sys.lam ** (m - 1) > 2.0
+        bound = 2.0 / (sys.lam ** (m - 1) - 2.0) if in_range else None
+        reports.append(HolonomyReport(
+            observed=observed,
+            bound=bound,
+            m=m,
+            in_range=in_range,
+            within_bound=(observed <= bound) if in_range else None,
+            precondition_ok=pre_ok,
+        ))
+    return reports
 
 
 @dataclass
@@ -440,8 +495,7 @@ def triangle_curve(sys, pair_buckets):
     devs = []
     for s in scales:
         worst = 0.0
-        for x, y in pair_buckets[s]:
-            rep = triangle_ratio(sys, x, y)
+        for rep in _triangle_reports(sys, pair_buckets[s]):
             worst = max(worst, abs(rep.ratio - 1.0))
         devs.append(worst)
     return TriangleCurve(scales=list(scales), max_deviation=devs)

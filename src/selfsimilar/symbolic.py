@@ -17,13 +17,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from random import Random
 
 import numpy as np
 
 INF = math.inf
+# the level batch reads each pair over |i| <= this plus the largest
+# step; sampled pairs differ within it, so the scalar scan is rare
+_LEVEL_REACH = 16
 
 
 def _divisors(n):
@@ -70,8 +73,16 @@ class BiSequence:
         return self.right[(i - self.end) % len(self.right)]
 
     def window(self, lo, hi):
-        """Tuple of coordinates lo..hi inclusive."""
-        return tuple(self.at(i) for i in range(lo, hi + 1))
+        """Tuple of coordinates lo..hi inclusive: the tiled left tail,
+        a slice of `mid` and the tiled right tail."""
+        start, mid = self.start, self.mid
+        end = start + len(mid)
+        out = mid[max(lo - start, 0):max(min(hi + 1, end) - start, 0)]
+        if lo < start:
+            out = _tile(self.left, lo - start, min(hi + 1, start) - lo) + out
+        if hi >= end:
+            out += _tile(self.right, max(lo, end) - end, hi + 1 - max(lo, end))
+        return out
 
     def shift(self, k=1):
         """The sequence b with b(n) = a(n+k).
@@ -94,6 +105,14 @@ class BiSequence:
         mid = list(self.window(lo, max(i + 1, self.end) - 1))
         mid[i - lo] = sym
         return _splice(self, tuple(mid), self, lo)
+
+
+def _tile(word, phase, n):
+    """n symbols of the periodic tiling of `word`, from index `phase`."""
+    if n <= 0:
+        return ()
+    r = phase % len(word)
+    return (word * ((r + n - 1) // len(word) + 1))[r:r + n]
 
 
 def bi_sequence(left, mid=(), right=None, start=0):
@@ -207,6 +226,12 @@ class TransitionMatrix:
     @cached_property
     def successors(self):
         return tuple(tuple(j for j, v in enumerate(r) if v) for r in self.rows)
+
+    @cached_property
+    def edges(self):
+        """The allowed transitions, as a frozenset of (a, b) pairs."""
+        return frozenset((a, b) for a, nxt in enumerate(self.successors)
+                         for b in nxt)
 
     @cached_property
     def predecessors(self):
@@ -485,6 +510,15 @@ class ShiftSystem:
 
     def point(self, left, mid=(), right=None, start=0):
         seq = bi_sequence(left, mid, right, start)
+        self._check_range(seq.left, seq.mid, seq.right)
+        return self._checked(seq)
+
+    def _check_range(self, *words):
+        n = self.matrix.n
+        if any(w and not (0 <= min(w) and max(w) < n) for w in words):
+            raise ValueError("symbol out of range")
+
+    def _checked(self, seq):
         if not self.admissible(seq):
             raise ValueError("sequence has a forbidden transition")
         return seq
@@ -493,19 +527,14 @@ class ShiftSystem:
         return self.point((s,))
 
     def admissible(self, seq):
-        def edge(a, b):
-            return bool(self.matrix.rows[a][b])
-
-        for w in (seq.left, seq.right):
-            pairs = list(zip(w, w[1:])) + [(w[-1], w[0])]
-            if not all(edge(a, b) for a, b in pairs):
-                return False
-        chain = (seq.left[-1],) + seq.mid + (seq.right[0],)
-        return all(edge(a, b) for a, b in zip(chain, chain[1:]))
+        # each tail's wrap edge, then left, mid and right in order
+        path = seq.left[-1:] + seq.left + seq.mid + seq.right + seq.right[:1]
+        return self.matrix.edges.issuperset(zip(path, path[1:]))
 
     def set_value(self, x, i, sym):
         """Admissible single-coordinate change; raises if forbidden."""
         y = x.with_value(i, sym)
+        self._check_range((sym,))
         if not self.admissible(y):
             raise ValueError("forbidden transition")
         return y
@@ -526,6 +555,42 @@ class ShiftSystem:
         if lev is INF:
             return 0.0
         return self.lam ** (-lev)
+
+    def _pair_levels(self, pairs, steps):
+        """The pair batch: level(f^s x, f^s y) for every pair, one list
+        per step s.
+
+        Each side's window [-w, w] is one (N, 2w + 1) int8 array, with
+        w = _LEVEL_REACH + max|s|.  At step s the level is t - 1 for the
+        first t at which the pair differs at coordinate s + t or s - t;
+        a row with no difference within t <= w - |s| takes math.inf when
+        its points are equal, else the scalar `agreement_level` of the
+        shifted pair.
+        """
+        n = len(pairs)
+        w = _LEVEL_REACH + max(abs(s) for s in steps)
+
+        def side(k):
+            symbols = chain.from_iterable(pair[k].window(-w, w)
+                                          for pair in pairs)
+            return np.fromiter(symbols, dtype=np.int8,
+                               count=n * (2 * w + 1)).reshape(n, 2 * w + 1)
+
+        differ = side(0) != side(1)
+        rows = np.arange(n)
+        out = []
+        for s in steps:
+            order = [w + s] + [w + s + u for t in range(1, w - abs(s) + 1)
+                               for u in (t, -t)]
+            scan = differ[:, order]
+            first = scan.argmax(axis=1)
+            levels = ((first + 1) // 2 - 1).tolist()
+            for i in np.flatnonzero(~scan[rows, first]).tolist():
+                x, y = pairs[i]
+                levels[i] = INF if x == y else agreement_level(x.shift(s),
+                                                               y.shift(s))
+            out.append(levels)
+        return out
 
     # -- product structure ---------------------------------------------
 
@@ -576,13 +641,17 @@ class ShiftSystem:
 
         The left tail tiles the cycle at word[0], so its wrap edge feeds
         word[0]; the right tail is the cycle at word[-1] rotated one
-        step, so it starts one step past word[-1].
+        step, so it starts one step past word[-1].  A shortest cycle
+        has minimal period (a shorter period would close a shorter
+        cycle), so both tails are canonical as they stand.
         """
+        word = tuple(word)
+        self._check_range(word)
         head = self.matrix.cycle_word(word[0])
         tail = self.matrix.cycle_word(word[-1])
         if head is None or tail is None:
             raise ValueError("word has no bi-infinite extension")
-        return self.point(head, word, tail[1:] + tail[:1], start)
+        return self._checked(_absorb(head, word, tail[1:] + tail[:1], start))
 
     def sample_pairs(self, count, seed=0, levels=(1, 8)):
         """Seeded pairs at exact agreement levels drawn from `levels`.

@@ -16,10 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfsimilar import cli
 from selfsimilar.core import (
     DynMode,
     HolderReport,
+    HolonomyReport,
+    TriangleReport,
     VerifyReport,
+    _holonomy_reports,
+    _triangle_reports,
     bracket,
     dyn_metric,
     holder_check,
@@ -55,6 +60,28 @@ class PowerWarp:
 
     def dist(self, x, y):
         return self._base.dist(x, y) ** 0.9
+
+
+class RiggedWarp(PowerWarp):
+    """PowerWarp with triangle vertices, some rigged: a pair in `broken`
+    has none, and a pair in `hubbed` gets HUB, a vertex at distance 0
+    from every point (a pseudo-metric, so both legs vanish)."""
+
+    HUB = "hub"
+
+    def __init__(self, base, broken=(), hubbed=()):
+        super().__init__(base)
+        self.broken, self.hubbed = set(broken), set(hubbed)
+
+    def triangle_vertex(self, x, y):
+        if (x, y) in self.broken:
+            raise ValueError("no vertex")
+        if (x, y) in self.hubbed:
+            return self.HUB
+        return self._base.triangle_vertex(x, y)
+
+    def dist(self, x, y):
+        return 0.0 if self.HUB in (x, y) else super().dist(x, y)
 
 
 class TruncatedArc:
@@ -643,3 +670,138 @@ def test_holonomy_on_toral_plaques(cat):
         assert rep.m >= 3 and rep.in_range
         assert rep.observed <= 1e-12
         assert rep.within_bound
+
+
+# ------------------------------------------ triangle and holonomy batches
+
+
+def scalar_triangle(sys, x, y):
+    """The per-pair triangle statistics, as a reference."""
+    c0 = sys.dist(x, y)
+    if c0 == 0.0:
+        raise ValueError("coincident points give a degenerate triangle")
+    if c0 > sys.xi / (2 * sys.lam):
+        raise ValueError("pair above the triangle scale xi/(2 lam)")
+    z = sys.triangle_vertex(x, y)
+    a, b = sys.dist(x, z), sys.dist(z, y)
+    if max(a, b) == 0.0:
+        raise ValueError("degenerate triangle: both legs vanish")
+    return TriangleReport(a=a, b=b, c0=c0, ratio=c0 / max(a, b), scale=c0)
+
+
+def scalar_holonomy(sys, p, q, pp, qq):
+    """The per-quadruple holonomy distortion, as a reference."""
+    d, d_img = sys.dist(p, q), sys.dist(pp, qq)
+    if d == 0.0 or d_img == 0.0:
+        raise ValueError("coincident plaque pair")
+    pre_ok = True
+    a, b = p, q
+    for _ in range(5):
+        a, b = sys.apply_inv(a), sys.apply_inv(b)
+        if sys.dist(a, b) > sys.xi:
+            pre_ok = False
+            break
+    for leg in ((p, pp), (q, qq)):
+        if sys.dist(*leg) > sys.xi:
+            pre_ok = False
+        a, b = leg
+        for _ in range(5):
+            a, b = sys.apply(a), sys.apply(b)
+            if sys.dist(a, b) > sys.xi:
+                pre_ok = False
+                break
+    big = max(d, d_img)
+    m = int(math.floor(math.log(sys.xi / big) / math.log(sys.lam)))
+    while sys.xi / sys.lam ** (m + 1) >= big:
+        m += 1
+    while sys.xi / sys.lam ** m < big:
+        m -= 1
+    observed = abs(d_img / d - 1.0)
+    in_range = sys.lam ** (m - 1) > 2.0
+    bound = 2.0 / (sys.lam ** (m - 1) - 2.0) if in_range else None
+    return HolonomyReport(
+        observed=observed, bound=bound, m=m, in_range=in_range,
+        within_bound=(observed <= bound) if in_range else None,
+        precondition_ok=pre_ok)
+
+
+def first_error(run):
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def triangle_inputs(full2, golden, cat):
+    return [(golden, golden.sample_pairs(150, seed=2, levels=(3, 9))),
+            (full2, full2.sample_pairs(150, seed=3, levels=(3, 9))),
+            (cat, cat.sample_pairs(150, cat.xi / (4 * cat.lam), seed=4)),
+            (RiggedWarp(full2), full2.sample_pairs(150, seed=5,
+                                                   levels=(4, 9)))]
+
+
+def test_triangle_batch_is_the_pair_loop(full2, golden, cat):
+    for sys, pairs in triangle_inputs(full2, golden, cat):
+        want = [scalar_triangle(sys, x, y) for x, y in pairs]
+        assert _triangle_reports(sys, pairs) == want
+        assert [triangle_ratio(sys, x, y) for x, y in pairs] == want
+        buckets = {1.0: pairs[:70], 0.5: pairs[70:]}
+        worst = [max(abs(r.ratio - 1.0) for r in want[:70]),
+                 max(abs(r.ratio - 1.0) for r in want[70:])]
+        assert triangle_curve(sys, buckets).max_deviation == worst
+
+
+def holonomy_inputs(full2, golden, cat):
+    x = full2.constant(0)
+    q, pp = x.with_value(5, 1), x.with_value(-1, 1)
+    # the precondition fails on a leg at distance 1 > xi, and on a
+    # plaque pair that differs at -3, so leaves xi two steps backward
+    bad = [(x, q, pp, full2.triangle_vertex(pp, q)),
+           (x, x.with_value(-3, 1), x, x.with_value(-3, 1))]
+    return [(golden, cli._symbolic_holonomy_quads(golden, 150, 2)),
+            (full2, cli._symbolic_holonomy_quads(full2, 150, 3) + bad),
+            (cat, cli._toral_holonomy_quads(cat, 150, 4,
+                                            cat.xi / cat.lam ** 3)),
+            (RiggedWarp(full2),
+             cli._symbolic_holonomy_quads(full2, 150, 5) + bad)]
+
+
+def test_holonomy_batch_is_the_pair_loop(full2, golden, cat):
+    for sys, quads in holonomy_inputs(full2, golden, cat):
+        want = [scalar_holonomy(sys, *quad) for quad in quads]
+        assert _holonomy_reports(sys, quads) == want
+        assert [holonomy_deviation(sys, *quad) for quad in quads] == want
+    assert [r.precondition_ok for r in want[-2:]] == [False, False]
+
+
+def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden):
+    good = full2.sample_pairs(6, seed=7, levels=(4, 9))
+    x = good[0][0]
+    same, wide = (x, x), (x, x.with_value(2, 1 - x.at(2)))
+    rigged = RiggedWarp(full2, broken=[good[3]], hubbed=[good[1]])
+    cases = [
+        (full2, good[:2] + [wide] + good[2:4] + [same]),
+        (full2, good[:2] + [same, wide]),
+        (rigged, good[2:5] + [same]),           # the broken vertex first
+        (rigged, [same] + good[2:5]),           # the coincident pair first
+        (rigged, good[:5]),                     # vanishing legs, then broken
+    ]
+    for sys, pairs in cases:
+        want = first_error(lambda: [scalar_triangle(sys, *p) for p in pairs])
+        assert first_error(lambda: _triangle_reports(sys, pairs)) == want
+    assert [first_error(lambda: _triangle_reports(sys, pairs))[1]
+            for sys, pairs in cases] == [
+        "pair above the triangle scale xi/(2 lam)",
+        "coincident points give a degenerate triangle",
+        "no vertex",
+        "coincident points give a degenerate triangle",
+        "degenerate triangle: both legs vanish",
+    ]
+
+    quads = cli._symbolic_holonomy_quads(golden, 20, 1)
+    p, q, pp, qq = quads[4]
+    quads[4] = (p, p, pp, qq)
+    quads[9] = (p, q, pp, pp)
+    want = first_error(lambda: [scalar_holonomy(golden, *qd) for qd in quads])
+    assert first_error(lambda: _holonomy_reports(golden, quads)) == want
+    assert want == (ValueError, "coincident plaque pair")
+

@@ -162,6 +162,14 @@ def test_window_is_inclusive():
     assert x.window(0, 0) == (1,)
 
 
+@given(tails, mids, tails, st.integers(-5, 5), st.integers(-30, 30),
+       st.integers(-2, 40))
+def test_window_slices_read_every_coordinate(left, mid, right, start, lo, n):
+    x = bi_sequence(left, mid, right, start)
+    assert x.window(lo, lo + n - 1) == tuple(x.at(i)
+                                             for i in range(lo, lo + n))
+
+
 # --------------------------------------------------------- agreement level
 
 
@@ -212,6 +220,54 @@ def test_level_is_the_distance_to_the_nearest_mismatch(pa, data):
     a, b = bi_sequence(*pa), bi_sequence(*pb)
     assert agreement_level(a, b) == expected
     assert agreement_level(b, a) == expected
+
+
+# presentations over 0..2 whose windows may sit far outside the batch's
+# reach, so that some first mismatches lie beyond it
+far = st.integers(-45, 45)
+level_points = st.one_of(
+    st.tuples(tails, mids, tails, far),
+    tails.map(lambda w: (w, (), w, 0)),  # globally periodic
+)
+
+
+@st.composite
+def level_pairs(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        pa = draw(level_points)
+        pb = draw(st.one_of(
+            level_points,
+            # the same tails with another window, or the same point
+            st.tuples(st.just(pa[0]), mids, st.just(pa[2]), far),
+            st.just(pa),
+        ))
+        pairs.append((bi_sequence(*pa), bi_sequence(*pb)))
+    return pairs
+
+
+@settings(max_examples=300)
+@given(level_pairs(), st.lists(st.integers(-6, 6), min_size=1, max_size=4,
+                               unique=True))
+def test_batch_levels_equal_the_scalar_scan(pairs, steps):
+    batch = full_shift(3)._pair_levels(pairs, steps)
+    assert len(batch) == len(steps)
+    for levels, s in zip(batch, steps):
+        assert levels == [agreement_level(x.shift(s), y.shift(s))
+                          for x, y in pairs]
+
+
+def test_batch_levels_past_the_window_and_of_equal_points(full2):
+    x = full2.constant(0)
+    periodic = full2.point((0, 1))
+    pairs = [(x, x), (x, x.with_value(40, 1)), (x, x.with_value(-3, 1)),
+             (periodic, periodic.shift(1)), (periodic, x),
+             (periodic, full2.point((1, 0)).shift(1))]
+    assert full2._pair_levels(pairs, (0, 1, -1)) == [
+        [math.inf, 39, 2, -1, 0, math.inf],
+        [math.inf, 38, 3, -1, -1, math.inf],
+        [math.inf, 40, 1, -1, -1, math.inf],
+    ]
 
 
 def test_disagreement_at_zero_caps_the_distance(full2):
@@ -478,6 +534,50 @@ def test_points_respect_the_transition_rule(golden):
     x = golden.point((0,), (1,), (0,))
     assert x.window(-2, 2) == (0, 0, 1, 0, 0)
     assert golden.admissible(x)
+    with pytest.raises(ValueError, match="forbidden transition"):
+        golden.point_through((0, 1, 1), 0)
+    for bad in (lambda: golden.point_through((0, 5, 0), 0),
+                lambda: golden.point_through((-1, 0), 0),
+                lambda: golden.point((0,), (0, 2, 0)),
+                lambda: golden.point((2,)),
+                lambda: golden.set_value(x, 3, 2)):
+        with pytest.raises(ValueError, match="symbol out of range"):
+            bad()
+
+
+def edge_admissible(sys, seq):
+    """The transition rule read edge by edge, as a reference."""
+    rows = sys.matrix.rows
+    for w in (seq.left, seq.right):
+        if not all(rows[a][b] for a, b in zip(w, w[1:] + w[:1])):
+            return False
+    chain = (seq.left[-1],) + seq.mid + (seq.right[0],)
+    return all(rows[a][b] for a, b in zip(chain, chain[1:]))
+
+
+THREE_STATE = (((0, 1, 0), (0, 0, 1), (1, 1, 0)),
+               ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
+               ((1, 1, 1), (1, 0, 0), (0, 1, 1)))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(THREE_STATE), tails, mids, tails, st.integers(-3, 3))
+def test_admissibility_is_the_edge_rule(rows, left, mid, right, start):
+    sys = sft_new(rows)
+    x = bi_sequence(left, mid, right, start)
+    assert sys.admissible(x) == edge_admissible(sys, x)
+
+
+@pytest.mark.parametrize("rows", THREE_STATE)
+def test_points_through_words_match_the_checked_constructor(rows):
+    sys = sft_new(rows)
+    A = sys.matrix
+    for length in range(1, 6):
+        for word in iter_words(A, length):
+            head, tail = A.cycle_word(word[0]), A.cycle_word(word[-1])
+            for start in (-4, 0, 3):
+                assert sys.point_through(word, start) == bi_sequence(
+                    head, word, tail[1:] + tail[:1], start)
 
 
 def test_set_value_checks_admissibility(golden):

@@ -12,15 +12,17 @@ pairs and the steps s to read them at: `_pair_levels(pairs, steps)`
 returns one list of integer levels of (f^s x, f^s y) per step (shift
 systems: one int8 window array per side, see `ShiftSystem`), and
 `_pair_dists(pairs, steps)` one array of dist(f^s x, f^s y) per step
-(the Euclidean torus and its two-sided refinement, see
-`RefinedSystem`).  `verify_self_similar`, the triangle check
-(`triangle_ratio`, `triangle_curve`) and the holonomy check
-(`holonomy_deviation`) read every level or distance through
-`_pair_values`, which makes one batch call per pair set, or runs the
-scalar `dist` (or `level`) pair by pair on systems without a batch;
-the scalar methods stay the reference.  `holder_check` batches when
-both of its callables are bound `dist` methods of systems with a
-`_pair_dists`.
+(the Euclidean torus and its two-sided refinement).  A base metric may
+carry `_orbit_dists(pairs, reach)`, which yields (j, the array of
+dist(f^j x, f^j y)) for |j| <= reach; a two-sided `RefinedSystem`
+builds its batch from it, without knowing the base's norm.
+
+`_pair_values` is the one orbit reader: `dyn_metric`, the verifier,
+`holder_check` and the triangle, contraction and holonomy checks read
+every level or distance through it.  It makes one batch call per pair
+set, or runs the scalar `dist` (or `level`) pair by pair on systems
+without a batch; the scalar methods, `RefinedSystem.dist` among them,
+stay the reference.
 """
 from __future__ import annotations
 
@@ -48,20 +50,14 @@ class DynMode:
 
 def dyn_metric(sys, x, y, mode):
     """max of dist over the orbit window selected by `mode`."""
-    best = sys.dist(x, y)
+    steps = [0]
     if mode.kind in ("two_sided", "forward"):
-        fx, fy = x, y
-        for _ in range(mode.n):
-            fx, fy = sys.apply(fx), sys.apply(fy)
-            best = max(best, sys.dist(fx, fy))
+        steps += range(1, mode.n + 1)
     if mode.kind in ("two_sided", "backward"):
         if not sys.invertible:
             raise ValueError("backward window needs an invertible system")
-        bx, by = x, y
-        for _ in range(mode.n):
-            bx, by = sys.apply_inv(bx), sys.apply_inv(by)
-            best = max(best, sys.dist(bx, by))
-    return best
+        steps += range(-1, -mode.n - 1, -1)
+    return max(row[0] for row in _pair_values(sys, [(x, y)], steps))
 
 
 @dataclass
@@ -168,13 +164,14 @@ class RefinedSystem:
     returned values exact whenever the true supremum exceeds
     diameter/lam**N (always the case at the scales the verifier uses).
 
-    Over a base with an offset orbit (the Euclidean torus), a two-sided
-    refinement has a pair batch: it follows the offset y - x under the
-    matrix, not the two points, so it never subtracts two nearby mapped
-    points.  Against the exact rational orbit of the same float points
-    it is within 4e-16 relative at pair scales 2e-2, 1e-3 and 1e-5,
-    where the scalar `dist` is off by up to 4e-14, 9e-13 and 8e-11.  One-sided refinements and other bases use
-    the scalar `dist` pair by pair.
+    Over a base with `_orbit_dists` (the Euclidean torus), a two-sided
+    refinement has a pair batch: the base follows the offset y - x under
+    the matrix, not the two points, so it never subtracts two nearby
+    mapped points.  Against the exact rational orbit of the same float
+    points it is within 4e-16 relative at pair scales 2e-2, 1e-3 and
+    1e-5, where the scalar `dist` is off by up to 4e-14, 9e-13 and
+    8e-11.  One-sided refinements and other bases use the scalar
+    `dist` pair by pair.
     """
 
     def __init__(self, base, lam, tol, one_sided=False):
@@ -197,6 +194,9 @@ class RefinedSystem:
         self.has_bracket = getattr(base, "has_bracket", False)
         self.tol_default = max(tol, 1e-12)
         self.space_kind = "wrapped-base-metric"
+        # the pair batch, for a two-sided refinement of a base with one
+        self._pair_dists = self._orbit_pair_dists if (
+            self.invertible and hasattr(base, "_orbit_dists")) else None
 
     def apply(self, x):
         return self.base.apply(x)
@@ -206,27 +206,18 @@ class RefinedSystem:
             raise ValueError("one-sided system has no inverse")
         return self.base.apply_inv(x)
 
-    @property
-    def _pair_dists(self):
-        """The pair batch: present for a two-sided refinement of a base
-        with an offset orbit, None otherwise."""
-        if self.invertible and hasattr(self.base, "_offset_orbit"):
-            return self._orbit_pair_dists
-        return None
-
     def _orbit_pair_dists(self, pairs, steps):
         """dist(f^s x, f^s y) for every pair, one array per step s.
 
-        The base yields every offset f^j y - f^j x out to
+        The base yields every dist(f^j x, f^j y) out to
         |j| <= window + max|s|; a running maximum per step keeps max
-        over |i| <= window of |offset(s + i)| / lam**|i|, so one pass
-        serves steps 0 and +-1.
+        over |i| <= window of the term at s + i divided by lam**|i|, so
+        one pass serves steps 0 and +-1.
         """
         n = self.window
         best = [np.zeros(len(pairs)) for _ in steps]
         reach = n + max(abs(s) for s in steps)
-        for j, u, v in self.base._offset_orbit(pairs, reach):
-            term = np.hypot(u, v)
+        for j, term in self.base._orbit_dists(pairs, reach):
             for acc, s in zip(best, steps):
                 if abs(j - s) <= n:
                     np.maximum(acc, term / self.lam ** abs(j - s), out=acc)
@@ -268,36 +259,31 @@ class HolderReport:
     max_ratio_pair: int | None
 
 
-def _dist_batch(dist):
-    """The pair batch behind `dist` when it is the bound `dist` of a
-    system that has one, else None."""
-    sys = getattr(dist, "__self__", None)
-    batch = getattr(sys, "_pair_dists", None)
-    return batch if batch is not None and dist == sys.dist else None
-
-
 def holder_check(base_dist, refined_dist, samples, k, lam):
     """Fit the sandwich base <= refined <= c * base**alpha, alpha = log_k lam.
 
     `violations` lists sample indices breaking the lower bound; c is the
-    smallest constant making the upper bound hold on the samples.  When
-    both callables are the bound `dist` of systems with a pair batch,
-    each is evaluated in one batch call; otherwise pair by pair.
+    smallest constant making the upper bound hold on the samples.  A
+    callable that is the bound `dist` of a system is read through
+    `_pair_values`, in one batch call where the system has a batch; any
+    other callable is evaluated pair by pair.
     """
     if not samples:
         raise ValueError("need at least one sample pair")
     if not k >= lam:
         raise ValueError("Lipschitz bound k must be at least lam")
     alpha = math.log(lam) / math.log(k)
-    batches = [_dist_batch(dist) for dist in (base_dist, refined_dist)]
-    if None in batches:
-        dists = ((base_dist(x, y), refined_dist(x, y)) for x, y in samples)
-    else:
-        dists = zip(*(batch(samples, (0,))[0].tolist() for batch in batches))
+
+    def values(dist):
+        sys = getattr(dist, "__self__", None)
+        if dist == getattr(sys, "dist", None):
+            return _pair_values(sys, samples, (0,))[0]
+        return [dist(x, y) for x, y in samples]
+
     violations = []
     c = 0.0
     worst = None
-    for idx, (b, r) in enumerate(dists):
+    for idx, (b, r) in enumerate(zip(values(base_dist), values(refined_dist))):
         if b == 0.0:
             raise ValueError("coincident sample pair")
         if r < b * (1 - 1e-12):
@@ -339,6 +325,8 @@ def _triangle_reports(sys, pairs):
     """`triangle_ratio` of every pair, from one `_pair_values` call for
     the hypotenuses and one for the legs.  The first pair that fails,
     in input order, raises what `triangle_ratio` would raise on it."""
+    if not getattr(sys, "has_bracket", hasattr(sys, "triangle_vertex")):
+        raise ValueError("system has no bracket structure")
     (hyps,) = _pair_values(sys, pairs, (0,))
     legs = []
     failure = None
@@ -382,23 +370,24 @@ def stable_contraction_check(sys, x, y, side="stable", n_max=10):
     n = 1..n_max; a pair drifting above xi at some iterate is a
     precondition violation and is flagged with the first bad n.
     """
-    d0 = sys.dist(x, y)
+    sign = {"stable": 1, "unstable": -1}.get(side)
+    steps = [0] if sign is None else [sign * n for n in range(n_max + 1)]
+    # without an inverse the backward walk raises, but only after the
+    # pair's own checks, as a step-by-step walk would
+    walk = sign != -1 or sys.invertible
+    d0, *ds = (row[0] for row in
+               _pair_values(sys, [(x, y)], steps if walk else [0]))
     if d0 == 0.0:
         raise ValueError("coincident points")
     if d0 > sys.xi:
         return ContractionReport([], math.inf, False, 0)
-    if side == "stable":
-        step = sys.apply
-    elif side == "unstable":
-        step = sys.apply_inv
-    else:
+    if sign is None:
         raise ValueError("side must be 'stable' or 'unstable'")
+    if not walk:
+        _, *ds = (row[0] for row in _pair_values(sys, [(x, y)], steps))
     ratios = []
     first_bad = None
-    p, q = x, y
-    for n in range(1, n_max + 1):
-        p, q = step(p), step(q)
-        d = sys.dist(p, q)
+    for n, d in enumerate(ds, 1):
         if d > sys.xi:
             first_bad = n
             break
@@ -492,10 +481,7 @@ def triangle_curve(sys, pair_buckets):
     in that bucket; buckets are processed in decreasing scale order.
     """
     scales = sorted(pair_buckets, reverse=True)
-    devs = []
-    for s in scales:
-        worst = 0.0
-        for rep in _triangle_reports(sys, pair_buckets[s]):
-            worst = max(worst, abs(rep.ratio - 1.0))
-        devs.append(worst)
+    devs = [max((abs(rep.ratio - 1.0)
+                 for rep in _triangle_reports(sys, pair_buckets[s])),
+                default=0.0) for s in scales]
     return TriangleCurve(scales=list(scales), max_deviation=devs)

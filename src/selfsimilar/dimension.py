@@ -25,14 +25,20 @@ import numpy as np
 from .symbolic import _count_vectors, _parry_data, _window_count, _word_counts
 
 
+def _unstable_mu(sys, what):
+    """|mu_u| of a toral automorphism; `what` names the quantity that
+    needs it in the error raised for any other system."""
+    if not hasattr(sys, "eig_unstable"):
+        raise ValueError(f"{what} needs a self-similar system")
+    return abs(sys.eig_unstable)
+
+
 def _log_growth(sys):
     """ent/2: log rho for a shift (primitive matrix only), log |mu_u| for
     a toral automorphism."""
     if sys.space_kind == "symbolic":
         return math.log(_parry_data(sys.matrix)[0])
-    if not hasattr(sys, "eig_unstable"):
-        raise ValueError("growth rate needs a self-similar system")
-    return math.log(abs(sys.eig_unstable))
+    return math.log(_unstable_mu(sys, "growth rate"))
 
 
 def _lsq(xs, ys):
@@ -79,8 +85,7 @@ class CovCount:
 def _toral_grid(sys, density):
     """Side n of the regular n x n grid whose metric density is at most
     `density`, and that density."""
-    beta_s = abs(sys._B[0][0]) + abs(sys._B[0][1])
-    beta_u = abs(sys._B[1][0]) + abs(sys._B[1][1])
+    beta_s, beta_u = sys._su_widths
 
     def density_of(h):
         return max((beta_s * h / 2) ** sys.e_s, (beta_u * h / 2) ** sys.e_u)
@@ -143,11 +148,13 @@ def cov_eps(sys, eps, k=0):
 
     Symbolic systems return the exact minimum; toral systems return a
     greedy upper bound and packing lower bound from a grid of metric
-    density eps/4.
+    density eps/4; other systems raise ValueError.
     """
     if hasattr(sys, "matrix") and sys.space_kind == "symbolic":
         n = _window_count(sys, eps, k)
         return CovCount(eps, n, n, True, "exact-symbolic", k)
+    if not hasattr(sys, "offset_norm"):
+        raise ValueError("cov_eps needs a self-similar system")
     return _toral_cov_bounds(sys, eps, k)
 
 
@@ -273,11 +280,10 @@ def _toral_entropy(sys, ns):
     the window edge), so counts are bracketed by an area bound from
     below and a strip tiling from above.
     """
-    mu = abs(sys.eig_unstable)
+    mu = _unstable_mu(sys, "entropy")
     vs, vu = sys.v_stable, sys.v_unstable
     det_v = abs(vs[0] * vu[1] - vs[1] * vu[0])
-    w_s = abs(sys._B[0][0]) + abs(sys._B[0][1])
-    w_u = abs(sys._B[1][0]) + abs(sys._B[1][1])
+    w_s, w_u = sys._su_widths
 
     def mean_log_count(h_s, h_u):
         lower = 1.0 / (4 * h_s * h_u * det_v)
@@ -302,8 +308,6 @@ def entropy(sys, n_max=12):
     ns = range(2, n_max + 1)
     if sys.space_kind == "symbolic":
         return _symbolic_entropy(sys, ns)
-    if not hasattr(sys, "eig_unstable"):
-        raise ValueError("entropy needs a self-similar system")
     return _toral_entropy(sys, ns)
 
 
@@ -433,7 +437,7 @@ def local_unstable_entropy(sys, x, n_max=16):
                   for v in islice(_count_vectors(sys.matrix), 1, n_max + 1)]
         rows = [(n, math.log(counts[n - 1])) for n in ns]
         return LocalEntropy(_slope_over_n(rows), rows, "forward-word-counts")
-    mu = abs(sys.eig_unstable)
+    mu = _unstable_mu(sys, "local unstable entropy")
     # arc of u-length L stretches to L * mu**n, cut into unit-L pieces
     rows = [(n, math.log(math.ceil(mu ** n))) for n in ns]
     return LocalEntropy(_slope_over_n(rows), rows, "unstable-arc-growth")

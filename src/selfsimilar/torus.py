@@ -6,6 +6,11 @@ of the map scales both by exactly lam, takes the max, and minimizes
 over the nine nearest lattice translates.  Everything is double
 precision; the one-step identity then holds to roundoff (about 1e-15)
 because the eigencoordinates transform exactly by the eigenvalues.
+
+Both metrics here depend on the offset y - x only, and f^j y - f^j x =
+A^j (y - x) mod Z^2: a scalar distance is one nine-translate search
+(`_nearest`), and every array of distances, d_k norms included, reads
+one offset recurrence (`ToralSystem._offset_orbit`).
 """
 from __future__ import annotations
 
@@ -24,12 +29,6 @@ class SUCoords:
 
     s: float
     u: float
-
-
-def _matmul(p, q):
-    (a, b), (c, d) = p
-    (e, f), (g, h) = q
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _eigen_2x2(m):
@@ -84,10 +83,8 @@ class ToralSystem:
         sgn = 1 if det == 1 else -1
         self.inverse = ((d * sgn, -b * sgn), (-c * sgn, a * sgn))
         (mu_s, v_s), (mu_u, v_u) = _eigen_2x2(rows)
-        self.eig_stable = mu_s
-        self.eig_unstable = mu_u
-        self.v_stable = v_s
-        self.v_unstable = v_u
+        self.eig_stable, self.eig_unstable = mu_s, mu_u
+        self.v_stable, self.v_unstable = v_s, v_u
         lam_sup = min(1.0 / abs(mu_s), abs(mu_u))
         if lam is None:
             lam = lam_sup
@@ -104,6 +101,9 @@ class ToralSystem:
             (v_u[1] / det_v, -v_u[0] / det_v),
             (-v_s[1] / det_v, v_s[0] / det_v),
         )
+        # (w_s, w_u): |s| <= w_s h and |u| <= w_u h on an ambient box of
+        # half-width h, for cover grids and Bowen boxes
+        self._su_widths = tuple(abs(r[0]) + abs(r[1]) for r in self._B)
         # nine lattice translates are enough only well below the shortest
         # nonzero lattice vector in this metric
         self.injectivity = min(
@@ -117,7 +117,9 @@ class ToralSystem:
                 f"xi={xi} too large: needs xi <= {self.injectivity / 4:.6g}"
             )
         self.xi = float(xi)
-        self.diameter = self._max_dist_bound()
+        # coarse diameter: the metric's max over a 16 x 16 offset grid
+        grid = np.arange(16) / 16
+        self.diameter = float(self.offset_norm(*np.meshgrid(grid, grid)).max())
         self._validate()
 
     # -- coordinates ---------------------------------------------------
@@ -127,8 +129,7 @@ class ToralSystem:
         return (B[0][0] * dx + B[0][1] * dy, B[1][0] * dx + B[1][1] * dy)
 
     def su_split(self, v):
-        s, u = self._su(float(v[0]), float(v[1]))
-        return SUCoords(s, u)
+        return SUCoords(*self._su(float(v[0]), float(v[1])))
 
     def from_su(self, coords):
         vs, vu = self.v_stable, self.v_unstable
@@ -139,12 +140,6 @@ class ToralSystem:
 
     def _rho(self, s, u):
         return max(abs(s) ** self.e_s, abs(u) ** self.e_u)
-
-    def _max_dist_bound(self):
-        # coarse diameter: max of the metric over a 16 x 16 grid of
-        # fundamental-domain offsets
-        grid = np.arange(16) / 16
-        return float(self.offset_norm(*np.meshgrid(grid, grid)).max())
 
     # -- dynamics --------------------------------------------------------
 
@@ -158,52 +153,65 @@ class ToralSystem:
 
     # -- metric ----------------------------------------------------------
 
-    def _dist_delta(self, dx, dy):
-        # nearest lattice representative first, as in offset_norm
+    def _nearest(self, x, y):
+        """(norm, offset): the smallest metric norm over the nine nearest
+        lattice translates of y - x, taken around its nearest lattice
+        representative as in `offset_norm`, and the translate that
+        attains it."""
+        dx, dy = y[0] - x[0], y[1] - x[1]
         dx -= round(dx)
         dy -= round(dy)
-        best = math.inf
+        best, arg = math.inf, (dx, dy)
         for wx, wy in _NINE:
             s, u = self._su(dx + wx, dy + wy)
             r = self._rho(s, u)
             if r < best:
-                best = r
-        return best
+                best, arg = r, (dx + wx, dy + wy)
+        return best, arg
 
     def dist(self, x, y):
-        return self._dist_delta(y[0] - x[0], y[1] - x[1])
+        return self._nearest(x, y)[0]
+
+    def _offset_orbit(self, du, dv, reach):
+        """Yield (j, u, v): the offset arrays f^j y - f^j x, each at its
+        nearest lattice representative, for j = 0, 1, ..., reach and
+        then j = -1, ..., -reach, from reduced offsets du, dv (step 0).
+
+        f^j y - f^j x = A^j (y - x) mod Z^2, so each direction is one
+        recurrence delta <- wrap(A delta) on the offset, never a
+        difference of two mapped points.
+        """
+        yield 0, du, dv
+        for sign, ((a, b), (c, d)) in ((1, self.matrix), (-1, self.inverse)):
+            u, v = du, dv
+            for j in range(1, reach + 1):
+                u, v = a * u + b * v, c * u + d * v
+                u -= np.round(u)
+                v -= np.round(v)
+                yield sign * j, u, v
 
     def offset_norm(self, dx, dy, k=0):
         """d_k norm of offset arrays y - x (k=0: the metric itself).
 
-        The metric is translation-invariant, so on a regular grid the
-        d_k ball around every grid point holds the same index offsets:
-        one call over them serves the whole grid.  Each M**i (dx, dy) is
-        wrapped and minimised over the nine nearest translates on its
-        own; that is the true d_k well below the injectivity scale and
-        an overestimate otherwise, which keeps cover and packing
-        decisions sound.  Per pair, the scalar `dist` is faster.
+        The max over |j| <= k of the metric of each offset of
+        `_offset_orbit`, minimised over its nine nearest translates.
+        That is the true d_k well below the injectivity scale and an
+        overestimate otherwise, which keeps cover and packing decisions
+        sound.  The metric is translation-invariant, so on a regular
+        grid the d_k ball around every grid point holds the same index
+        offsets: one call over them serves the whole grid.  Per pair,
+        the scalar `dist` is faster.
         """
         B = self._B
-        mats = [((1, 0), (0, 1))]
-        fwd = bwd = mats[0]
-        for _ in range(k):
-            fwd, bwd = _matmul(self.matrix, fwd), _matmul(self.inverse, bwd)
-            mats += [fwd, bwd]
         out = None
-        for (a, b), (c, d) in mats:
-            vx = a * dx + b * dy
-            vy = c * dx + d * dy
-            vx -= np.round(vx)
-            vy -= np.round(vy)
+        for _, u, v in self._offset_orbit(dx - np.round(dx),
+                                          dy - np.round(dy), k):
             best = None
-            for wx in (-1.0, 0.0, 1.0):
-                for wy in (-1.0, 0.0, 1.0):
-                    s = B[0][0] * (vx + wx) + B[0][1] * (vy + wy)
-                    u = B[1][0] * (vx + wx) + B[1][1] * (vy + wy)
-                    r = np.maximum(np.abs(s) ** self.e_s,
-                                   np.abs(u) ** self.e_u)
-                    best = r if best is None else np.minimum(best, r)
+            for wx, wy in _NINE:
+                s = B[0][0] * (u + wx) + B[0][1] * (v + wy)
+                t = B[1][0] * (u + wx) + B[1][1] * (v + wy)
+                r = np.maximum(np.abs(s) ** self.e_s, np.abs(t) ** self.e_u)
+                best = r if best is None else np.minimum(best, r)
             out = best if out is None else np.maximum(out, best)
         return out
 
@@ -222,22 +230,15 @@ class ToralSystem:
 
     def min_translate(self, x, y):
         """Offset y - x + w with the smallest metric norm."""
-        dx, dy = y[0] - x[0], y[1] - x[1]
-        best, arg = math.inf, (dx, dy)
-        for wx, wy in _NINE:
-            s, u = self._su(dx + wx, dy + wy)
-            r = self._rho(s, u)
-            if r < best:
-                best, arg = r, (dx + wx, dy + wy)
-        return arg
+        return self._nearest(x, y)[1]
 
     # -- product structure -------------------------------------------------
 
     def bracket(self, x, y):
         """Unique point on the unstable line of x and stable line of y."""
-        if self.dist(x, y) >= self.xi:
+        r, delta = self._nearest(x, y)
+        if r >= self.xi:
             raise ValueError("pair outside the bracket domain")
-        delta = self.min_translate(x, y)
         _, u = self._su(*delta)
         vu = self.v_unstable
         return ((x[0] + u * vu[0]) % 1.0, (x[1] + u * vu[1]) % 1.0)
@@ -325,9 +326,10 @@ class EuclideanTorus:
     Not self-similar; adapted below its xi for any lam up to
     sqrt((mu^2 + mu^-2)/2), so it serves as the base of a genuinely
     nontrivial sup-refinement.  The bracket delegates to the eigenline
-    geometry, which does not depend on the metric.  The pair batch
-    `_pair_dists` follows each offset, wrapped to its nearest lattice
-    representative, under the matrix and takes np.hypot.
+    geometry, which does not depend on the metric.  The offsets of a
+    pair's orbit come from the geometry's `_offset_orbit`; `_orbit_dists`
+    takes np.hypot of each, and the pair batch `_pair_dists` and the
+    refinement's batch read from it.
     """
 
     space_kind = "toral"
@@ -352,34 +354,21 @@ class EuclideanTorus:
         return math.hypot(*(_nearest_offset(a, b, round(b - a))
                             for a, b in zip(x, y)))
 
-    def _offset_orbit(self, pairs, reach):
-        """Yield (j, du, dv): the offset arrays f^j y - f^j x at their
-        nearest lattice representative, for j = 0, 1, ..., reach and
-        then j = -1, ..., -reach.
-
-        f^j y - f^j x = A^j (y - x) mod Z^2, so each direction is one
-        recurrence delta <- wrap(A delta) on the offset, never a
-        difference of two mapped points.
-        """
+    def _orbit_dists(self, pairs, reach):
+        """Yield (j, dist(f^j x, f^j y) for every pair) over the
+        geometry's `_offset_orbit`, j = 0, +-1, ..., +-reach; step 0
+        starts from each pair's nearest offset, as `dist` does."""
         pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
         du, dv = (_nearest_offset(w[:, 0], w[:, 1], np.round(w[:, 1] - w[:, 0]))
                   for w in (pts[..., 0], pts[..., 1]))
-        yield 0, du, dv
-        geo = self.geometry
-        for sign, ((a, b), (c, d)) in ((1, geo.matrix), (-1, geo.inverse)):
-            u, v = du, dv
-            for j in range(1, reach + 1):
-                u, v = a * u + b * v, c * u + d * v
-                u -= np.round(u)
-                v -= np.round(v)
-                yield sign * j, u, v
+        for j, u, v in self.geometry._offset_orbit(du, dv, reach):
+            yield j, np.hypot(u, v)
 
     def _pair_dists(self, pairs, steps):
         """Pair batch: one array of dist(f^s x, f^s y) per step s, from
         the offset orbit.  At step 0 each entry is within one rounding
         (np.hypot against math.hypot) of the scalar `dist`."""
-        terms = {j: np.hypot(u, v) for j, u, v
-                 in self._offset_orbit(pairs, max(abs(s) for s in steps))}
+        terms = dict(self._orbit_dists(pairs, max(abs(s) for s in steps)))
         return [terms[s] for s in steps]
 
     def bracket(self, x, y):

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -466,8 +467,11 @@ def loop_holder(base_dist, refined_dist, samples, k, lam):
                         max_ratio_pair=worst)
 
 
-def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling, euclid):
+def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling, euclid,
+                                                    cat):
     assert refine_metric(euclid, 1.8, 1e-6, one_sided=True)._pair_dists is None
+    # the toral metric has an offset orbit but no `_orbit_dists`
+    assert refine_metric(cat, 1.8, 1e-6)._pair_dists is None
     warped = PowerWarp(full2)
     pairs = full2.sample_pairs(100, seed=4)
     coincident = pairs + [(full2.constant(0),) * 2]
@@ -488,6 +492,176 @@ def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling, euclid):
         verify_self_similar(refined, arcs)
 
 
+class SupNormTorus:
+    """The automorphism's offsets under the sup norm: a refinement base
+    whose `_orbit_dists` is not Euclidean."""
+
+    invertible = True
+    xi = 0.02
+    diameter = 0.5
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+
+    def apply(self, x):
+        return self.geometry.apply(x)
+
+    def apply_inv(self, x):
+        return self.geometry.apply_inv(x)
+
+    def dist(self, x, y):
+        return max(abs(b - a - round(b - a)) for a, b in zip(x, y))
+
+    def _orbit_dists(self, pairs, reach):
+        pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
+        d = pts[:, 1] - pts[:, 0]
+        d -= np.round(d)
+        for j, u, v in self.geometry._offset_orbit(d[:, 0], d[:, 1], reach):
+            yield j, np.maximum(np.abs(u), np.abs(v))
+
+
+def test_refined_batch_reads_the_base_norm(cat, euclid, refined_euclid):
+    refined = refine_metric(SupNormTorus(cat), 1.8, 1e-6)
+    for scale, seed in ((2e-2, 43), (1e-2, 44)):
+        pairs = euclid.sample_pairs(150, scale, seed=seed)
+        batch = refined._pair_dists(pairs, STEPS)
+        for i, (x, y) in enumerate(pairs):
+            want = scalar_steps(refined, refined.dist, x, y, STEPS)
+            for got, w in zip((b[i] for b in batch), want):
+                assert got == pytest.approx(w, rel=1e-12)
+    # a Euclidean batch would be larger: the orbit's offsets are off-axis
+    pairs = euclid.sample_pairs(20, 1e-2, seed=45)
+    (sup,) = refined._pair_dists(pairs, (0,))
+    (euc,) = refined_euclid._pair_dists(pairs, (0,))
+    assert (sup < euc).all()
+
+
+# the orbit checks as the per-pair loops they replace, as references
+
+def loop_dyn_metric(sys, x, y, mode):
+    best = sys.dist(x, y)
+    if mode.kind in ("two_sided", "forward"):
+        fx, fy = x, y
+        for _ in range(mode.n):
+            fx, fy = sys.apply(fx), sys.apply(fy)
+            best = max(best, sys.dist(fx, fy))
+    if mode.kind in ("two_sided", "backward"):
+        if not sys.invertible:
+            raise ValueError("backward window needs an invertible system")
+        bx, by = x, y
+        for _ in range(mode.n):
+            bx, by = sys.apply_inv(bx), sys.apply_inv(by)
+            best = max(best, sys.dist(bx, by))
+    return best
+
+
+def loop_contraction(sys, x, y, side, n_max):
+    d0 = sys.dist(x, y)
+    if d0 == 0.0:
+        raise ValueError("coincident points")
+    if d0 > sys.xi:
+        return [], math.inf, False, 0
+    if side == "stable":
+        step = sys.apply
+    elif side == "unstable":
+        step = sys.apply_inv
+    else:
+        raise ValueError("side must be 'stable' or 'unstable'")
+    ratios, first_bad = [], None
+    p, q = x, y
+    for n in range(1, n_max + 1):
+        p, q = step(p), step(q)
+        d = sys.dist(p, q)
+        if d > sys.xi:
+            first_bad = n
+            break
+        ratios.append(d * sys.lam ** n / d0)
+    max_dev = max((abs(r - 1.0) for r in ratios), default=0.0)
+    return ratios, max_dev, first_bad is None, first_bad
+
+
+def outcome(run):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def orbit_check_inputs(golden, cat, doubling):
+    """(system, pairs) with coincident pairs and pairs above xi."""
+    g = golden.sample_pairs(40, seed=3, levels=(1, 8))
+    zero = golden.constant(0)
+    g += [(g[0][0], g[0][0]), (zero, zero.with_value(0, 1))]
+    rng = Random(37)
+    t = cat.sample_pairs(40, cat.xi / 3, seed=5)
+    for vec in (cat.v_stable, cat.v_unstable):
+        for _ in range(10):
+            p = (rng.random(), rng.random())
+            r = cat.xi / 3 * (0.25 + 0.75 * rng.random())
+            t.append((p, ((p[0] + r * vec[0]) % 1.0, (p[1] + r * vec[1]) % 1.0)))
+    t += [(t[0][0], t[0][0]), ((0.0, 0.0), (0.5, 0.5))]
+    c = circle_pairs(31, per_scale=3) + [(0.3, 0.3), (0.1, 0.6)]
+    one_sided = refine_metric(doubling, 2.0, 1e-6, one_sided=True)
+    return [(golden, g), (cat, t), (doubling, c), (one_sided, c[::4])]
+
+
+def test_orbit_checks_are_the_pair_loops(golden, cat, doubling):
+    modes = [DynMode(kind, n) for kind in ("two_sided", "forward", "backward")
+             for n in (0, 3)]
+    for sys, pairs in orbit_check_inputs(golden, cat, doubling):
+        for x, y in pairs:
+            for mode in modes:
+                assert outcome(lambda: dyn_metric(sys, x, y, mode)) == outcome(
+                    lambda: loop_dyn_metric(sys, x, y, mode))
+            for side in ("stable", "unstable", "middle"):
+                for n_max in (0, 6):
+                    if (sys is doubling and side == "unstable"
+                            and n_max == 0):
+                        # an empty walk no longer looks up the missing
+                        # apply_inv: the report is empty, not an error
+                        continue
+                    rep = outcome(lambda: stable_contraction_check(
+                        sys, x, y, side=side, n_max=n_max))
+                    if not isinstance(rep, tuple):
+                        rep = (rep.ratios, rep.max_deviation,
+                               rep.precondition_ok, rep.first_bad_n)
+                    assert rep == outcome(lambda: loop_contraction(
+                        sys, x, y, side, n_max))
+
+
+def test_contraction_on_a_system_without_an_inverse(doubling):
+    one_sided = refine_metric(doubling, 2.0, 1e-6, one_sided=True)
+    for sys in (doubling, one_sided):
+        with pytest.raises(ValueError, match="coincident points"):
+            stable_contraction_check(sys, 0.3, 0.3, side="unstable")
+        rep = stable_contraction_check(sys, 0.1, 0.6, side="unstable")
+        assert rep.first_bad_n == 0 and not rep.precondition_ok
+    with pytest.raises(AttributeError, match="apply_inv"):
+        stable_contraction_check(doubling, 0.1, 0.11, side="unstable")
+    with pytest.raises(ValueError, match="no inverse"):
+        stable_contraction_check(one_sided, 0.1, 0.11, side="unstable")
+    assert stable_contraction_check(doubling, 0.1, 0.11,
+                                    side="unstable", n_max=0).ratios == []
+
+
+def test_holder_check_is_the_pair_loop(golden, cat, doubling):
+    for sys, pairs in orbit_check_inputs(golden, cat, doubling)[:3]:
+        pairs = [(x, y) for x, y in pairs if sys.dist(x, y) > 0.0]
+        lam = sys.lam ** 0.9
+
+        def warped(x, y):
+            return sys.dist(x, y) ** 0.9
+
+        for base, refined in ((sys.dist, warped), (warped, sys.dist),
+                              (sys.dist, sys.dist)):
+            assert holder_check(base, refined, pairs, k=sys.lam, lam=lam) \
+                == loop_holder(base, refined, pairs, sys.lam, lam)
+        with pytest.raises(ValueError, match="coincident sample pair"):
+            holder_check(sys.dist, warped, pairs + [(pairs[0][0],) * 2],
+                         k=sys.lam, lam=lam)
+
+
 # ------------------------------------------------------------------ brackets
 
 
@@ -497,6 +671,10 @@ def test_bracket_helper_dispatches(golden, doubling):
     assert bracket(golden, x, y) == golden.bracket(x, y)
     with pytest.raises(ValueError, match="no bracket structure"):
         bracket(doubling, 0.1, 0.2)
+    one_sided = refine_metric(doubling, 2.0, 1e-6, one_sided=True)
+    for sys in (doubling, one_sided):
+        with pytest.raises(ValueError, match="no bracket structure"):
+            triangle_ratio(sys, 0.1, 0.1001)
 
 
 # ----------------------------------------------------------------- triangles

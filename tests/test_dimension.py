@@ -177,11 +177,21 @@ def test_entropy_rows_are_logs_of_exact_counts(golden, four):
             assert r["backward"] == math.log(plain_count(rows_t, n + 5))
 
 
-def test_entropy_validation(full2, euclid):
+def test_entropy_validation(full2, euclid, refined_euclid, doubling):
     with pytest.raises(ValueError, match="n_max must be at least 4"):
         entropy(full2, n_max=3)
     with pytest.raises(ValueError, match="self-similar system"):
         entropy(euclid)
+    # covers and entropies need a shift or a toral automorphism
+    for run in (lambda: cov_eps(euclid, 0.01),
+                lambda: cov_identity_check(euclid, k_max=1),
+                lambda: cov_eps(refined_euclid, 0.01),
+                lambda: capacity(refined_euclid),
+                lambda: cov_eps(doubling, 0.01),
+                lambda: local_unstable_entropy(euclid, (0.1, 0.2)),
+                lambda: local_unstable_entropy(refined_euclid, (0.1, 0.2))):
+        with pytest.raises(ValueError, match="needs a self-similar system"):
+            run()
 
 
 # -------------------------------------------------------- fundamental identity

@@ -224,6 +224,106 @@ def test_bracket_domain(cat):
         cat.bracket(x, y)
 
 
+# ---------------------------------------------- one search, one offset orbit
+
+NINE = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+
+
+def two_search_form(sys, x, y):
+    """(dist, min_translate, bracket or None) as two nine-translate
+    searches: the metric around the nearest lattice representative of
+    y - x, the translate around the raw offset, and a bracket that runs
+    both."""
+    def norm(dx, dy):
+        s, u = sys._su(dx, dy)
+        return max(abs(s) ** sys.e_s, abs(u) ** sys.e_u)
+
+    dx, dy = y[0] - x[0], y[1] - x[1]
+    rx, ry = dx - round(dx), dy - round(dy)
+    d = min(norm(rx + wx, ry + wy) for wx, wy in NINE)
+    # min keeps the first of equal norms, as a strict-< scan does
+    delta = min(((dx + wx, dy + wy) for wx, wy in NINE),
+                key=lambda v: norm(*v))
+    if d >= sys.xi:
+        return d, delta, None
+    u = sys._su(*delta)[1]
+    vu = sys.v_unstable
+    return d, delta, ((x[0] + u * vu[0]) % 1.0, (x[1] + u * vu[1]) % 1.0)
+
+
+def test_one_search_matches_the_two_search_form(cat):
+    rng = Random(23)
+    pairs = [pair for scale, seed in ((0.049, 1), (0.02, 2), (1e-3, 3),
+                                      (1e-5, 4))
+             for pair in cat.sample_pairs(400, scale, seed=seed)]
+    # pairs across the seam of the unit square, and far pairs
+    pairs += [((1.0 - 1e-3 * rng.random(), rng.random()),
+               (1e-3 * rng.random(), rng.random())) for _ in range(200)]
+    pairs += [((rng.random(), rng.random()), (rng.random(), rng.random()))
+              for _ in range(1000)]
+    brackets = 0
+    for x, y in pairs:
+        d, delta, z = two_search_form(cat, x, y)
+        assert cat.dist(x, y) == d
+        assert cat.min_translate(x, y) == delta
+        if z is None:
+            with pytest.raises(ValueError, match="bracket domain"):
+                cat.bracket(x, y)
+        else:
+            assert cat.bracket(x, y) == z
+            brackets += 1
+    assert brackets >= 1600
+
+
+def array_form(sys, dx, dy):
+    """offset_norm at k=0 as one array pass over the nine translates of
+    the nearest lattice representative."""
+    B = sys._B
+    vx, vy = dx - np.round(dx), dy - np.round(dy)
+    best = None
+    for wx, wy in NINE:
+        s = B[0][0] * (vx + wx) + B[0][1] * (vy + wy)
+        u = B[1][0] * (vx + wx) + B[1][1] * (vy + wy)
+        r = np.maximum(np.abs(s) ** sys.e_s, np.abs(u) ** sys.e_u)
+        best = r if best is None else np.minimum(best, r)
+    return best
+
+
+def test_offset_norm_at_step_zero_is_bit_stable(cat):
+    rng = np.random.default_rng(7)
+    grid = np.arange(-40, 41) / 64
+    gx, gy = (a.ravel() for a in np.meshgrid(grid, grid))
+    for dx, dy in ((rng.uniform(-1, 1, 5000), rng.uniform(-1, 1, 5000)),
+                   (rng.uniform(-1e-3, 1e-3, 5000),
+                    rng.uniform(-1e-3, 1e-3, 5000)),
+                   (gx, gy)):
+        assert np.array_equal(cat.offset_norm(dx, dy), array_form(cat, dx, dy))
+
+
+def test_offset_orbit_is_the_matrix_power(cat):
+    # offsets k/64 stay exact under the matrix, so every step of the
+    # recurrence is A**j (y - x) up to a lattice vector, at most 1/2 long
+    rng = Random(29)
+    du = np.array([rng.randrange(-32, 32) / 64 for _ in range(200)])
+    dv = np.array([rng.randrange(-32, 32) / 64 for _ in range(200)])
+    for j, u, v in cat._offset_orbit(du, dv, 4):
+        (a, b), (c, d) = np.linalg.matrix_power(
+            np.array(cat.matrix if j >= 0 else cat.inverse), abs(j))
+        for got, want in ((u, a * du + b * dv), (v, c * du + d * dv)):
+            assert np.array_equal(got - want, np.round(got - want))
+            assert np.all(np.abs(got) <= 0.5)
+
+
+def test_su_widths_are_the_box_extents():
+    # an asymmetric matrix, so the stable and unstable extents differ
+    sys = toral_new(((3, 1), (2, 1)))
+    w_s, w_u = sys._su_widths
+    corners = [sys.su_split((i, j)) for i in (-1, 1) for j in (-1, 1)]
+    assert max(abs(c.s) for c in corners) == pytest.approx(w_s, rel=1e-15)
+    assert max(abs(c.u) for c in corners) == pytest.approx(w_u, rel=1e-15)
+    assert abs(w_s - w_u) > 0.1
+
+
 # ---------------------------------------------------------- euclidean torus
 
 

@@ -12,17 +12,20 @@ pairs and the steps s to read them at: `_pair_levels(pairs, steps)`
 returns one list of integer levels of (f^s x, f^s y) per step (shift
 systems: one int8 window array per side, see `ShiftSystem`), and
 `_pair_dists(pairs, steps)` one array of dist(f^s x, f^s y) per step
-(the Euclidean torus and its two-sided refinement).  A base metric may
-carry `_orbit_dists(pairs, reach)`, which yields (j, the array of
-dist(f^j x, f^j y)) for |j| <= reach; a two-sided `RefinedSystem`
-builds its batch from it, without knowing the base's norm.
+(the self-similar torus, bit for bit equal to its scalar `dist`; the
+Euclidean torus and its two-sided refinement, from the offset orbit).
+A base metric may carry `_orbit_dists(pairs, reach)`, which yields
+(j, the array of dist(f^j x, f^j y)) for |j| <= reach; a two-sided
+`RefinedSystem` builds its batch from it, without knowing the base's
+norm.
 
 `_pair_values` is the one orbit reader: `dyn_metric`, the verifier,
 `holder_check` and the triangle, contraction and holonomy checks read
 every level or distance through it.  It makes one batch call per pair
 set, or runs the scalar `dist` (or `level`) pair by pair on systems
 without a batch; the scalar methods, `RefinedSystem.dist` among them,
-stay the reference.
+stay the reference.  A backward walk on a system without `apply_inv`
+raises ValueError.
 """
 from __future__ import annotations
 
@@ -80,6 +83,7 @@ def _pair_values(sys, pairs, steps, levels=False):
     `_pair_dists`; without one, the scalar `dist` (or `level`) of
     each pair's orbit, every iterate computed once.  Distances from
     levels are lam**-level in Python floats, as the scalar `dist`.
+    Negative steps on a system without `apply_inv` raise ValueError.
     """
     batch = getattr(sys, "_pair_levels", None)
     if batch is not None:
@@ -95,7 +99,10 @@ def _pair_values(sys, pairs, steps, levels=False):
     value = sys.level if levels else sys.dist
     walks = [(sys.apply, range(1, max(steps) + 1))]
     if min(steps) < 0:
-        walks.append((sys.apply_inv, range(-1, min(steps) - 1, -1)))
+        inverse = getattr(sys, "apply_inv", None)
+        if inverse is None:
+            raise ValueError("backward window needs an invertible system")
+        walks.append((inverse, range(-1, min(steps) - 1, -1)))
     out = [[] for _ in steps]
     for x, y in pairs:
         orbit = {0: (x, y)}

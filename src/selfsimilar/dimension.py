@@ -7,7 +7,9 @@ dense grid gives an upper bound, a separated packing gives a lower
 bound, and fits use the geometric mean of the two.  The toral metric is
 translation-invariant and the grid is regular, so the d_k ball around
 every grid point holds the same index offsets: one stencil per radius,
-from `ToralSystem.offset_norm`, serves the whole grid.
+from `ToralSystem.offset_norm`, serves the whole grid.  The cover and
+the packing are one raster-order greedy, `_greedy`, with the stencil
+for the cover and its negative for the packing; it runs row by row.
 
 Entropy follows the two-sided convention: covers refine under
 max_{|k| <= n} dist(f^k x, f^k y), which doubles the standard
@@ -110,6 +112,31 @@ def _stencil(sys, n, radius, k):
     return a[inside], b[inside]
 
 
+def _greedy(n, ta, tb):
+    """Points picked on the n x n grid, in raster order, when picking
+    an unmarked point p marks every point p + (ta, tb) mod n.
+
+    Row by row: the row is scanned as a list, marking only the offsets
+    that land in the same row, then one fancy-index assignment marks
+    every other row for all of the row's picks.
+    """
+    marked = np.zeros((n, n), dtype=bool)
+    same = set((tb[ta % n == 0] % n).tolist())
+    count = 0
+    for i in range(n):
+        row = marked[i].tolist()
+        picks = []
+        for j in range(n):
+            if not row[j]:
+                picks.append(j)
+                for b in same:
+                    row[(j + b) % n] = True
+        if picks:
+            marked[(i + ta) % n, (np.array(picks)[:, None] + tb) % n] = True
+        count += len(picks)
+    return count
+
+
 def _toral_cov_bounds(sys, eps, k=0):
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -119,27 +146,12 @@ def _toral_cov_bounds(sys, eps, k=0):
     growth = sys.lam ** k
     n, delta = _toral_grid(sys, eps / (4 * growth))
 
-    # greedy cover in raster order: each uncovered point opens a ball
-    sa, sb = _stencil(sys, n, eps - delta * growth, k)
-    covered = np.zeros((n, n), dtype=bool)
-    upper = 0
-    for i in range(n):
-        rows = (i + sa) % n
-        for j in range(n):
-            if not covered[i, j]:
-                upper += 1
-                covered[rows, (j + sb) % n] = True
-
-    # packing in the same order: keep points 2 eps from every kept one
+    # with S the stencil: the cover opens a ball at each uncovered p,
+    # covering p + S; the packing keeps p unless a kept q has p + S
+    # containing q, i.e. unless a kept q marked p by marking q - S
+    upper = _greedy(n, *_stencil(sys, n, eps - delta * growth, k))
     sa, sb = _stencil(sys, n, 2 * eps, k)
-    kept = np.zeros((n, n), dtype=bool)
-    lower = 0
-    for i in range(n):
-        rows = (i + sa) % n
-        for j in range(n):
-            if not kept[rows, (j + sb) % n].any():
-                kept[i, j] = True
-                lower += 1
+    lower = _greedy(n, -sa, -sb)
     return CovCount(eps, lower, upper, False, "greedy-upper/packing-lower", k)
 
 

@@ -9,18 +9,24 @@ because the eigencoordinates transform exactly by the eigenvalues.
 
 Both metrics here depend on the offset y - x only, and f^j y - f^j x =
 A^j (y - x) mod Z^2: a scalar distance is one nine-translate search
-(`_nearest`), and every array of distances, d_k norms included, reads
-one offset recurrence (`ToralSystem._offset_orbit`).
+(`_nearest`), and every d_k norm and Euclidean array of distances reads
+one offset recurrence (`ToralSystem._offset_orbit`).  The self-similar
+metric's pair batch (`ToralSystem._pair_dists`) instead maps the points
+as `apply` does and runs the nine-translate search on arrays, so that
+it equals the scalar `dist` bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from random import Random
 
 import numpy as np
 
 _NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
+# pairs per block of `ToralSystem._pair_dists`
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,70 @@ class ToralSystem:
     def dist(self, x, y):
         return self._nearest(x, y)[0]
 
+    def _translates(self, u, v):
+        """Yield (s, t, norm) for each of the nine nearest lattice
+        translates of the offset arrays u, v, in `_NINE` order: the su
+        coordinates of the translate and its metric norm."""
+        B = self._B
+        for wx, wy in _NINE:
+            s = B[0][0] * (u + wx) + B[0][1] * (v + wy)
+            t = B[1][0] * (u + wx) + B[1][1] * (v + wy)
+            yield s, t, np.maximum(np.abs(s) ** self.e_s,
+                                   np.abs(t) ** self.e_u)
+
+    def _pair_dists(self, pairs, steps):
+        """Pair batch: one array of dist(f^s x, f^s y) per step s, equal
+        bit for bit to the scalar `dist` of the iterates.
+
+        The points are mapped as arrays by `apply` and `apply_inv`
+        (np.remainder is Python's float %), and one nine-translate
+        search over the arrays picks each pair's translate.  Its norm is
+        then taken with Python `**`, because numpy's vectorised power
+        can differ from it in the last bit.  A pair whose two best
+        translates lie within 1e-12 relative of each other, where that
+        bit could change the pick, goes through the scalar `_nearest`.
+        Pairs go in blocks of `_BLOCK`, which bounds the array
+        temporaries (and so peak memory) on large pair sets.
+        """
+        if len(pairs) > _BLOCK:
+            parts = [self._pair_dists(pairs[i:i + _BLOCK], steps)
+                     for i in range(0, len(pairs), _BLOCK)]
+            return [np.concatenate(a) for a in zip(*parts)]
+        pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
+        # (first coordinates, second coordinates), each with columns x, y
+        p = pts[..., 0], pts[..., 1]
+        norms = {0: self._nearest_norms(*p)} if 0 in steps else {}
+        for move, js in ((self.apply, range(1, max(steps) + 1)),
+                         (self.apply_inv, range(-1, min(steps) - 1, -1))):
+            q = p
+            for j in js:
+                q = move(q)
+                if j in steps:
+                    norms[j] = self._nearest_norms(*q)
+        return [norms[s] for s in steps]
+
+    def _nearest_norms(self, X, Y):
+        """`dist` of every row's points (X[i, 0], Y[i, 0]) and
+        (X[i, 1], Y[i, 1]), by the array search of `_pair_dists`."""
+        dx, dy = X[:, 1] - X[:, 0], Y[:, 1] - Y[:, 0]
+        # the first smallest norm and the smallest of the others, with
+        # the su coordinates of the first, as the scalar strict-< scan
+        best = second = bs = bt = np.inf
+        for s, t, r in self._translates(dx - np.round(dx), dy - np.round(dy)):
+            closer = r < best
+            second = np.where(closer, best, np.minimum(second, r))
+            best, bs, bt = (np.where(closer, new, old) for new, old in
+                            ((r, best), (s, bs), (t, bt)))
+        ties = np.flatnonzero(second <= best * (1 + 1e-12))
+        e_s, e_u = self.e_s, self.e_u
+        out = np.fromiter((max(abs(a) ** e_s, abs(b) ** e_u)
+                           for a, b in zip(bs.tolist(), bt.tolist())),
+                          float, len(bs))
+        for i in ties.tolist():
+            x, y = zip(X[i].tolist(), Y[i].tolist())
+            out[i] = self._nearest(x, y)[0]
+        return out
+
     def _offset_orbit(self, du, dv, reach):
         """Yield (j, u, v): the offset arrays f^j y - f^j x, each at its
         nearest lattice representative, for j = 0, 1, ..., reach and
@@ -199,19 +269,13 @@ class ToralSystem:
         overestimate otherwise, which keeps cover and packing decisions
         sound.  The metric is translation-invariant, so on a regular
         grid the d_k ball around every grid point holds the same index
-        offsets: one call over them serves the whole grid.  Per pair,
-        the scalar `dist` is faster.
+        offsets: one call over them serves the whole grid.
         """
-        B = self._B
         out = None
         for _, u, v in self._offset_orbit(dx - np.round(dx),
                                           dy - np.round(dy), k):
-            best = None
-            for wx, wy in _NINE:
-                s = B[0][0] * (u + wx) + B[0][1] * (v + wy)
-                t = B[1][0] * (u + wx) + B[1][1] * (v + wy)
-                r = np.maximum(np.abs(s) ** self.e_s, np.abs(t) ** self.e_u)
-                best = r if best is None else np.minimum(best, r)
+            best = reduce(np.minimum,
+                          (r for _, _, r in self._translates(u, v)))
             out = best if out is None else np.maximum(out, best)
         return out
 

@@ -143,6 +143,13 @@ def test_backward_window_needs_invertibility(doubling):
     with pytest.raises(ValueError, match="invertible"):
         dyn_metric(doubling, 0.125, 0.1875, DynMode("backward", 1))
     assert dyn_metric(doubling, 0.125, 0.1875, DynMode("forward", 1)) == 0.125
+    # the other orbit readers that walk backward, on a system with no
+    # apply_inv at all
+    message = "backward window needs an invertible system"
+    with pytest.raises(ValueError, match=message):
+        verify_self_similar(doubling, [(0.1, 0.11)])
+    with pytest.raises(ValueError, match=message):
+        holonomy_deviation(doubling, 0.1, 0.11, 0.12, 0.13)
 
 
 # ------------------------------------------------------------- verification
@@ -564,12 +571,14 @@ def loop_contraction(sys, x, y, side, n_max):
     if side == "stable":
         step = sys.apply
     elif side == "unstable":
-        step = sys.apply_inv
+        step = getattr(sys, "apply_inv", None)
     else:
         raise ValueError("side must be 'stable' or 'unstable'")
     ratios, first_bad = [], None
     p, q = x, y
     for n in range(1, n_max + 1):
+        if step is None:
+            raise ValueError("backward window needs an invertible system")
         p, q = step(p), step(q)
         d = sys.dist(p, q)
         if d > sys.xi:
@@ -616,11 +625,6 @@ def test_orbit_checks_are_the_pair_loops(golden, cat, doubling):
                     lambda: loop_dyn_metric(sys, x, y, mode))
             for side in ("stable", "unstable", "middle"):
                 for n_max in (0, 6):
-                    if (sys is doubling and side == "unstable"
-                            and n_max == 0):
-                        # an empty walk no longer looks up the missing
-                        # apply_inv: the report is empty, not an error
-                        continue
                     rep = outcome(lambda: stable_contraction_check(
                         sys, x, y, side=side, n_max=n_max))
                     if not isinstance(rep, tuple):
@@ -637,7 +641,7 @@ def test_contraction_on_a_system_without_an_inverse(doubling):
             stable_contraction_check(sys, 0.3, 0.3, side="unstable")
         rep = stable_contraction_check(sys, 0.1, 0.6, side="unstable")
         assert rep.first_bad_n == 0 and not rep.precondition_ok
-    with pytest.raises(AttributeError, match="apply_inv"):
+    with pytest.raises(ValueError, match="needs an invertible system"):
         stable_contraction_check(doubling, 0.1, 0.11, side="unstable")
     with pytest.raises(ValueError, match="no inverse"):
         stable_contraction_check(one_sided, 0.1, 0.11, side="unstable")

@@ -12,9 +12,13 @@ import itertools
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from selfsimilar.dimension import (
+    _greedy,
+    _stencil,
+    _toral_grid,
     capacity,
     check_fundamental,
     cov_eps,
@@ -26,6 +30,7 @@ from selfsimilar.dimension import (
     local_unstable_entropy,
 )
 from selfsimilar.symbolic import count_words, exact_cov, full_shift
+from selfsimilar.torus import toral_new
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LOG2 = math.log(2.0)
@@ -77,6 +82,83 @@ def test_toral_covering_brackets(cat):
     assert [(c.lower, c.upper) for c in got] == pinned
     e = cov_eps(cat, cat.xi, k=1)
     assert (e.lower, e.upper) == (580, 3456)
+
+
+# the per-point greedy loops that the row kernel replaced, as references
+
+def loop_cover(n, sa, sb):
+    covered = np.zeros((n, n), dtype=bool)
+    upper = 0
+    for i in range(n):
+        rows = (i + sa) % n
+        for j in range(n):
+            if not covered[i, j]:
+                upper += 1
+                covered[rows, (j + sb) % n] = True
+    return upper
+
+
+def loop_packing(n, sa, sb):
+    kept = np.zeros((n, n), dtype=bool)
+    lower = 0
+    for i in range(n):
+        rows = (i + sa) % n
+        for j in range(n):
+            if not kept[rows, (j + sb) % n].any():
+                kept[i, j] = True
+                lower += 1
+    return lower
+
+
+def loop_counts(sys, eps, k):
+    """(lower, upper) of `cov_eps` as the per-point loops count them."""
+    growth = sys.lam ** k
+    n, delta = _toral_grid(sys, eps / (4 * growth))
+    upper = loop_cover(n, *_stencil(sys, n, eps - delta * growth, k))
+    return loop_packing(n, *_stencil(sys, n, 2 * eps, k)), upper
+
+
+def greedy_cases():
+    """(system, eps, k): the default scales and the radii of
+    `cov_identity_check` at k <= 1 on four matrices (k = 2 too on the
+    determinant -1 one), and two coarse grids whose packing stencil
+    wraps onto its own row."""
+    cases = []
+    for matrix in (((2, 1), (1, 1)), ((3, 1), (2, 1)), ((1, 1), (1, 0)),
+                   ((3, 2), (1, 1))):
+        sys = toral_new(matrix)
+        ks = (0, 1, 2) if sys.det == -1 else (0, 1)
+        cases += [(sys, eps, 0) for eps in default_scales(sys)]
+        cases += [(sys, sys.xi, k) for k in ks]
+        cases += [(sys, sys.xi * sys.lam ** -k * (1 - 1e-12), 0) for k in ks]
+    cat = cases[0][0]
+    return cases + [(cat, 0.4, 0), (cat, 0.6, 0)]
+
+
+def test_greedy_counts_are_the_per_point_loops():
+    cases = greedy_cases()
+    assert len(cases) == 52
+    for sys, eps, k in cases:
+        got = cov_eps(sys, eps, k)
+        assert (got.lower, got.upper) == loop_counts(sys, eps, k)
+    # the last two packing stencils reach a point's own row mod n
+    for sys, eps, _ in cases[-2:]:
+        n, _ = _toral_grid(sys, eps / 4)
+        a, _ = _stencil(sys, n, 2 * eps, 0)
+        assert ((a % n == 0) & (a != 0)).any()
+
+
+def test_greedy_kernel_on_wrapping_stencils():
+    # random, asymmetric stencils, many of them wider than the grid, so
+    # that a pick marks its own row through the wrap
+    rng = Random(31)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        size = rng.randrange(1, 12)
+        sa = np.array([rng.randrange(-2 * n, 2 * n + 1) for _ in range(size)])
+        sb = np.array([rng.randrange(-2 * n, 2 * n + 1) for _ in range(size)])
+        assert _greedy(n, sa, sb) == loop_cover(n, sa, sb)
+        assert _greedy(n, -sa, -sb) == loop_packing(n, sa, sb)
 
 
 # ------------------------------------------------------------------- capacity

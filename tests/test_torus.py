@@ -7,6 +7,7 @@ anchor every expected value here.
 """
 
 import math
+from functools import lru_cache
 from random import Random
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsimilar.core import DynMode, dyn_metric
+from selfsimilar import torus
+from selfsimilar.core import DynMode, _pair_values, dyn_metric
 from selfsimilar.torus import (
     EuclideanTorus,
     ToralSystem,
@@ -322,6 +324,97 @@ def test_su_widths_are_the_box_extents():
     assert max(abs(c.s) for c in corners) == pytest.approx(w_s, rel=1e-15)
     assert max(abs(c.u) for c in corners) == pytest.approx(w_u, rel=1e-15)
     assert abs(w_s - w_u) > 0.1
+
+
+# ------------------------------------------------------------- pair batch
+
+# the cat map, an asymmetric matrix, a determinant -1 one and a larger one
+MATRICES = (((2, 1), (1, 1)), ((3, 1), (2, 1)), ((1, 1), (1, 0)),
+            ((3, 2), (1, 1)))
+BATCH_STEPS = tuple(range(-6, 7))
+
+
+@lru_cache(maxsize=None)
+def automorphism(index):
+    return toral_new(MATRICES[index])
+
+
+class ScalarOnly:
+    """A toral system without its pair batch: `_pair_values` walks each
+    pair with the scalar maps and the scalar `dist`."""
+
+    def __init__(self, sys):
+        self.sys = sys
+
+    def apply(self, x):
+        return self.sys.apply(x)
+
+    def apply_inv(self, x):
+        return self.sys.apply_inv(x)
+
+    def dist(self, x, y):
+        return self.sys.dist(x, y)
+
+
+@st.composite
+def toral_pair_sets(draw):
+    """(system, pairs): sampled pairs at one scale in [1e-4, xi), far
+    random pairs, and pairs straddling an edge of the unit square."""
+    sys = automorphism(draw(st.integers(0, len(MATRICES) - 1)))
+    scale = math.exp(draw(st.floats(math.log(1e-4),
+                                    math.log(sys.xi * 0.999))))
+    seed = draw(st.integers(0, 2**16))
+    pairs = sys.sample_pairs(draw(st.integers(1, 30)), scale, seed=seed)
+    rng = Random(seed)
+    pairs += [((rng.random(), rng.random()), (rng.random(), rng.random()))
+              for _ in range(draw(st.integers(0, 10)))]
+    for _ in range(draw(st.integers(0, 10))):
+        other = rng.random()
+        x = (1.0 - 1e-3 * rng.random(), other)
+        y = (1e-3 * rng.random(), (other + 1e-3 * rng.random()) % 1.0)
+        if rng.random() < 0.5:  # straddle the other edge
+            x, y = x[::-1], y[::-1]
+        pairs.append((x, y) if rng.random() < 0.5 else (y, x))
+    return sys, pairs
+
+
+@settings(deadline=None, max_examples=150)
+@given(toral_pair_sets())
+def test_pair_batch_is_the_scalar_path(case):
+    sys, pairs = case
+    got = _pair_values(sys, pairs, BATCH_STEPS)
+    assert got == _pair_values(ScalarOnly(sys), pairs, BATCH_STEPS)
+    assert all(type(v) is float for row in got for v in row)
+
+
+def test_pair_batch_runs_in_blocks(cat):
+    # more pairs than one block holds, so the batch splits them
+    pairs = [pair for scale, seed in ((1e-3, 1), (cat.xi * 0.999, 2))
+             for pair in cat.sample_pairs(1100, scale, seed=seed)]
+    assert len(pairs) > 2 * torus._BLOCK
+    steps = (0, 2, -1)
+    got = _pair_values(cat, pairs, steps)
+    assert got == _pair_values(ScalarOnly(cat), pairs, steps)
+
+
+def test_near_ties_take_the_scalar_search(cat, monkeypatch):
+    # the offsets 1/2 and 1/2 + 2**-45 along x: the translates on either
+    # side of the seam have equal norms, and norms 6e-14 apart
+    ties = [((0.25, 0.3), (0.75, 0.3)), ((0.25, 0.3), (0.75 + 2**-45, 0.3))]
+    pairs = cat.sample_pairs(20, 1e-2, seed=3)
+    pairs[5:5] = ties
+    want = [cat.dist(x, y) for x, y in pairs]
+    calls = []
+    nearest = ToralSystem._nearest
+
+    def spy(self, x, y):
+        calls.append((x, y))
+        return nearest(self, x, y)
+
+    monkeypatch.setattr(ToralSystem, "_nearest", spy)
+    (got,) = cat._pair_dists(pairs, (0,))
+    assert calls == ties
+    assert got.tolist() == want
 
 
 # ---------------------------------------------------------- euclidean torus

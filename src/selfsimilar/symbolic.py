@@ -77,11 +77,16 @@ class BiSequence:
         a slice of `mid` and the tiled right tail."""
         start, mid = self.start, self.mid
         end = start + len(mid)
-        out = mid[max(lo - start, 0):max(min(hi + 1, end) - start, 0)]
+        if start <= lo and hi < end:
+            return mid[lo - start:hi + 1 - start]
+        stop = (hi + 1 if hi < end else end) - start
+        out = mid[(lo - start if lo > start else 0):(stop if stop > 0 else 0)]
         if lo < start:
-            out = _tile(self.left, lo - start, min(hi + 1, start) - lo) + out
+            out = _tile(self.left, lo - start,
+                        (hi + 1 if hi < start else start) - lo) + out
         if hi >= end:
-            out += _tile(self.right, max(lo, end) - end, hi + 1 - max(lo, end))
+            first = lo if lo > end else end
+            out += _tile(self.right, first - end, hi + 1 - first)
         return out
 
     def shift(self, k=1):
@@ -179,6 +184,25 @@ def _splice(past, mid, future, lo):
     return _absorb(left, mid, right, lo)
 
 
+def _walk(draw, table, state, n):
+    """The n states after `state` on a random walk whose step from s
+    picks among table[s] = (options, len(options), bit length of len).
+
+    `draw` is a `Random.getrandbits`.  Each step takes its index by
+    rejection exactly as `Random._randbelow_with_getrandbits` does, so
+    the walk draws, and returns, what n `Random.choice` calls would.
+    """
+    out = []
+    for _ in range(n):
+        options, size, k = table[state]
+        r = draw(k)
+        while r >= size:
+            r = draw(k)
+        state = options[r]
+        out.append(state)
+    return out
+
+
 def agreement_level(a, b):
     """Largest n with a(i) = b(i) for all |i| <= n.
 
@@ -265,6 +289,38 @@ class TransitionMatrix:
                 nxt.append(acc)
             power = nxt
             m *= 2
+
+    @cached_property
+    def _succ_draws(self):
+        """Per state, the `_walk` table entry of its successors."""
+        return tuple((s, len(s), len(s).bit_length()) for s in self.successors)
+
+    @cached_property
+    def _pred_draws(self):
+        """Per state, the `_walk` table entry of its predecessors."""
+        return tuple((p, len(p), len(p).bit_length())
+                     for p in self.predecessors)
+
+    @cached_property
+    def _cycles(self):
+        """`cycle_word(s)` for every state s."""
+        return tuple(self.cycle_word(s) for s in range(self.n))
+
+    @cached_property
+    def _flip_alts(self):
+        """(prev, cur, nxt) -> the states other than cur that fit between
+        prev and nxt, ascending.  Filled by `_alternatives` as triples
+        are met, since a table of every triple grows like n**3."""
+        return {}
+
+    def _alternatives(self, prev, cur, nxt):
+        key = (prev, cur, nxt)
+        alts = self._flip_alts.get(key)
+        if alts is None:
+            rows = self.rows
+            alts = self._flip_alts[key] = tuple(
+                s for s in self.successors[prev] if s != cur and rows[s][nxt])
+        return alts
 
     def transpose(self):
         n = self.n
@@ -615,25 +671,35 @@ class ShiftSystem:
     # -- sampling -------------------------------------------------------
 
     def random_point(self, rng, window=6):
+        """Point through a random walk of `window` steps each way from a
+        uniform state, with each end extended until it reaches a state
+        on a cycle.
+
+        Stream contract: the point and the state `rng` is left in are
+        those of drawing the start with `rng.randrange(n)` and every
+        step with `rng.choice` over the successors (forward) or the
+        predecessors (backward), forward walk first, then backward,
+        then the backward and the forward extensions.  `_walk` makes
+        the same `getrandbits` calls as `Random.choice`, without its
+        frames; the stored reports depend on this stream.
+        """
         A = self.matrix
+        draw = rng.getrandbits
+        succ, pred, cycles = A._succ_draws, A._pred_draws, A._cycles
         s = rng.randrange(A.n)
-        fwd = [s]
-        for _ in range(window):
-            fwd.append(rng.choice(A.successors[fwd[-1]]))
-        back = [s]
-        for _ in range(window):
-            back.append(rng.choice(A.predecessors[back[-1]]))
+        fwd = [s] + _walk(draw, succ, s, window)
+        back = [s] + _walk(draw, pred, s, window)
         # extend each end until it reaches a state lying on a cycle
         guard = A.n + 1
-        while A.cycle_word(back[-1]) is None and guard:
-            back.append(rng.choice(A.predecessors[back[-1]]))
+        while cycles[back[-1]] is None and guard:
+            back += _walk(draw, pred, back[-1], 1)
             guard -= 1
         guard = A.n + 1
-        while A.cycle_word(fwd[-1]) is None and guard:
-            fwd.append(rng.choice(A.successors[fwd[-1]]))
+        while cycles[fwd[-1]] is None and guard:
+            fwd += _walk(draw, succ, fwd[-1], 1)
             guard -= 1
-        word = tuple(reversed(back[1:])) + tuple(fwd)
-        return self.point_through(word, 1 - len(back))
+        back.reverse()
+        return self.point_through(back[:-1] + fwd, 1 - len(back))
 
     def point_through(self, word, start):
         """Admissible point whose window [start, start + len(word)) is
@@ -646,9 +712,12 @@ class ShiftSystem:
         cycle), so both tails are canonical as they stand.
         """
         word = tuple(word)
+        if not word:
+            raise ValueError("word must be nonempty")
         self._check_range(word)
-        head = self.matrix.cycle_word(word[0])
-        tail = self.matrix.cycle_word(word[-1])
+        cycles = self.matrix._cycles
+        head = cycles[word[0]]
+        tail = cycles[word[-1]]
         if head is None or tail is None:
             raise ValueError("word has no bi-infinite extension")
         return self._checked(_absorb(head, word, tail[1:] + tail[:1], start))
@@ -659,10 +728,12 @@ class ShiftSystem:
         Every pair satisfies 0 < dist <= xi; the level of each pair is
         exact by construction.
         """
-        rng = Random(seed)
         lo, hi = levels
         if lo < 1:
             raise ValueError("levels below 1 leave the self-similar regime")
+        if lo > hi:
+            raise ValueError("levels must be a range (lo, hi) with lo <= hi")
+        rng = Random(seed)
         out = []
         attempts = 0
         while len(out) < count:
@@ -687,10 +758,7 @@ class ShiftSystem:
     def _flip(self, x, i, rng):
         """x with coordinate i changed to a random admissible other
         symbol; None when no other symbol fits between its neighbours."""
-        rows = self.matrix.rows
-        prev_s, cur, nxt = x.at(i - 1), x.at(i), x.at(i + 1)
-        alts = [s for s in range(self.matrix.n)
-                if s != cur and rows[prev_s][s] and rows[s][nxt]]
+        alts = self.matrix._alternatives(*x.window(i - 1, i + 1))
         if not alts:
             return None
         return x.with_value(i, rng.choice(alts))

@@ -11,9 +11,9 @@ lengths 2 and 3, so their points have tails of both periods.  On the
 3-state one no single symbol can change between fixed neighbours, so
 every pair sampler stalls, and the report pins those errors; the
 4-state one samples, and runs the sampled checks on such points.
-The cat-map-2000 case sets its own samples and seed: it is
-`selfsim all --system cat-map --samples 2000 --seed 0`, the input of
-the torus-cover benchmark workload.
+The cat-map-2000 and golden-mean-2000 cases set their own samples and
+seed: they are `selfsim all --system NAME --samples 2000 --seed 0`,
+the inputs of the torus-cover and shift-sampled benchmark workloads.
 
 A change that moves any reported number, however little, fails here;
 if it is meant to, regenerate the files with the command above and say
@@ -38,8 +38,10 @@ CASES = {
     "sft-4-state": {"system": "sft",
                     "rows": [[0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0],
                              [1, 0, 0, 0]]},
-    # the benchmark's torus-cover input
+    # the benchmark's torus-cover and shift-sampled inputs
     "cat-map-2000": {"system": "cat-map", "samples": 2000, "seed": 0},
+    "golden-mean-2000": {"system": "golden-mean", "samples": 2000,
+                         "seed": 0},
 }
 
 

@@ -22,6 +22,7 @@ from selfsimilar.symbolic import (
     TransitionMatrix,
     _count_vectors,
     _splice,
+    _walk,
     _word_array,
     agreement_level,
     bi_sequence,
@@ -163,11 +164,21 @@ def test_window_is_inclusive():
 
 
 @given(tails, mids, tails, st.integers(-5, 5), st.integers(-30, 30),
-       st.integers(-2, 40))
-def test_window_slices_read_every_coordinate(left, mid, right, start, lo, n):
+       st.integers(-2, 40), st.integers(0, 8), st.integers(0, 8))
+def test_window_slices_read_every_coordinate(left, mid, right, start, lo, n,
+                                             a, b):
     x = bi_sequence(left, mid, right, start)
-    assert x.window(lo, lo + n - 1) == tuple(x.at(i)
-                                             for i in range(lo, lo + n))
+    s, e = x.start, x.end
+    # besides the random interval: intervals inside `mid` (the sliced
+    # fast path), touching either of its ends, and wholly in one tail
+    width = max(e - s, 1)
+    i, j = sorted((a % width, b % width))
+    inside = (s + i, s + j)
+    for lo, hi in ((lo, lo + n - 1), inside, (s, e - 1), (s, s),
+                   (e - 1, e - 1), (s - 1, e), (s, e), (s - 1, e - 1),
+                   (s - 1 - a, s - 1), (s - 1 - a - b, s - 1 - b),
+                   (e, e + a), (e + b, e + a + b), (s, s - 1), (e, e - 1)):
+        assert x.window(lo, hi) == tuple(x.at(i) for i in range(lo, hi + 1))
 
 
 # --------------------------------------------------------- agreement level
@@ -650,6 +661,14 @@ def test_sampled_pairs_sit_at_exact_levels(full2, golden, four):
         full2.sample_pairs(3, levels=(0, 4))
 
 
+def test_sampler_rejects_bad_inputs_before_drawing(golden, full2):
+    with pytest.raises(ValueError, match="word must be nonempty"):
+        golden.point_through((), 0)
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="levels"):
+            full2.sample_pairs(count, levels=(5, 2))
+
+
 def test_random_points_are_admissible(golden, four):
     for sys in (golden, four):
         rng = Random(2)
@@ -680,3 +699,96 @@ def test_unstable_children_refine_by_one_symbol(golden):
     assert only == (Cylinder(0, (0, 1, 0)),)
     with pytest.raises(ValueError, match="empty cylinder"):
         enumerate_unstable_children(golden, Cylinder(0, ()))
+
+
+# --------------------------------------------------------- sampling stream
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 70), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_walk_draws_what_random_choice_draws(sizes, seed, n):
+    """_walk inlines CPython's `_randbelow_with_getrandbits`; a Python
+    whose `Random.choice` draws differently fails here."""
+    m = len(sizes)
+    options = [tuple((s + 1 + j) % m for j in range(k))
+               for s, k in enumerate(sizes)]
+    table = [(o, len(o), len(o).bit_length()) for o in options]
+    rng, ref = Random(seed), Random(seed)
+    state, want = 0, []
+    for _ in range(n):
+        state = ref.choice(options[state])
+        want.append(state)
+    assert _walk(rng.getrandbits, table, 0, n) == want
+    assert rng.getstate() == ref.getstate()
+
+
+SAMPLER_MATRICES = (
+    ((1, 1), (1, 1)),
+    ((1, 1), (1, 0)),
+    ((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1)),
+    ((1, 1, 0), (0, 0, 1), (0, 0, 1)),  # state 1 lies on no cycle
+    ((1, 1, 1), (1, 0, 0), (0, 1, 1)),
+    ((0, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 0, 0, 0)),
+    ((1,) * 5,) * 5,
+)
+
+
+def reference_random_point(sys, rng, window=6):
+    """The sampler as it was written with `Random.choice` draws and a
+    breadth-first cycle search per end."""
+    A = sys.matrix
+    s = rng.randrange(A.n)
+    fwd = [s]
+    for _ in range(window):
+        fwd.append(rng.choice(A.successors[fwd[-1]]))
+    back = [s]
+    for _ in range(window):
+        back.append(rng.choice(A.predecessors[back[-1]]))
+    guard = A.n + 1
+    while A.cycle_word(back[-1]) is None and guard:
+        back.append(rng.choice(A.predecessors[back[-1]]))
+        guard -= 1
+    guard = A.n + 1
+    while A.cycle_word(fwd[-1]) is None and guard:
+        fwd.append(rng.choice(A.successors[fwd[-1]]))
+        guard -= 1
+    word = tuple(reversed(back[1:])) + tuple(fwd)
+    head, tail = A.cycle_word(word[0]), A.cycle_word(word[-1])
+    return bi_sequence(head, word, tail[1:] + tail[:1], 1 - len(back))
+
+
+def reference_flip(sys, x, i, rng):
+    rows = sys.matrix.rows
+    prev_s, cur, nxt = x.at(i - 1), x.at(i), x.at(i + 1)
+    alts = [s for s in range(sys.matrix.n)
+            if s != cur and rows[prev_s][s] and rows[s][nxt]]
+    if not alts:
+        return None
+    return x.with_value(i, rng.choice(alts))
+
+
+@pytest.mark.parametrize("rows", SAMPLER_MATRICES)
+def test_random_points_follow_the_choice_stream(rows):
+    sys = sft_new(rows)
+    for seed in range(4):
+        rng, ref = Random(seed), Random(seed)
+        for window in range(18):
+            assert sys.random_point(rng, window) == reference_random_point(
+                sys, ref, window)
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("rows", SAMPLER_MATRICES)
+def test_flips_follow_the_choice_stream(rows):
+    sys = sft_new(rows)
+    n = sys.matrix.n
+    for prev_s, cur, nxt in product(range(n), repeat=3):
+        assert list(sys.matrix._alternatives(prev_s, cur, nxt)) == [
+            s for s in range(n)
+            if s != cur and rows[prev_s][s] and rows[s][nxt]]
+    points, rng, ref = Random(4), Random(5), Random(5)
+    for _ in range(40):
+        x = sys.random_point(points, window=4)
+        for i in range(-6, 7):
+            assert sys._flip(x, i, rng) == reference_flip(sys, x, i, ref)
+            assert rng.getstate() == ref.getstate()

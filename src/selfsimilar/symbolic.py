@@ -689,15 +689,13 @@ class ShiftSystem:
         s = rng.randrange(A.n)
         fwd = [s] + _walk(draw, succ, s, window)
         back = [s] + _walk(draw, pred, s, window)
-        # extend each end until it reaches a state lying on a cycle
-        guard = A.n + 1
-        while cycles[back[-1]] is None and guard:
-            back += _walk(draw, pred, back[-1], 1)
-            guard -= 1
-        guard = A.n + 1
-        while cycles[fwd[-1]] is None and guard:
-            fwd += _walk(draw, succ, fwd[-1], 1)
-            guard -= 1
+        # extend each end, the back first, until it reaches a state
+        # lying on a cycle
+        for path, table in ((back, pred), (fwd, succ)):
+            guard = A.n + 1
+            while cycles[path[-1]] is None and guard:
+                path += _walk(draw, table, path[-1], 1)
+                guard -= 1
         back.reverse()
         return self.point_through(back[:-1] + fwd, 1 - len(back))
 
@@ -716,8 +714,7 @@ class ShiftSystem:
             raise ValueError("word must be nonempty")
         self._check_range(word)
         cycles = self.matrix._cycles
-        head = cycles[word[0]]
-        tail = cycles[word[-1]]
+        head, tail = cycles[word[0]], cycles[word[-1]]
         if head is None or tail is None:
             raise ValueError("word has no bi-infinite extension")
         return self._checked(_absorb(head, word, tail[1:] + tail[:1], start))

@@ -730,6 +730,12 @@ SAMPLER_MATRICES = (
     ((1, 1, 1), (1, 0, 0), (0, 1, 1)),
     ((0, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 0, 0, 0)),
     ((1,) * 5,) * 5,
+    # cycles {0, 1} -> 2 -> {3, 4} -> 5 -> {6, 7}: a walk from 3 or 4
+    # can end at 2 going back and at 5 going forward, and both
+    # extensions then pick among two states, so their order shows
+    tuple(tuple(int(j in nxt) for j in range(8))
+          for nxt in ((0, 1, 2), (0, 1, 2), (3, 4), (3, 4, 5), (3, 4, 5),
+                      (6, 7), (6, 7), (6, 7))),
 )
 
 

@@ -143,15 +143,23 @@ def _is_symbol(s):
 
 def _absorb(left, mid, right, start):
     """Canonical BiSequence from minimal-period tails and a window."""
-    # left tail absorbs window symbols that already follow its pattern
-    while mid and mid[0] == left[0]:
-        mid = mid[1:]
-        left = left[1:] + left[:1]
-        start += 1
-    # right tail absorbs from the other end
-    while mid and mid[-1] == right[-1]:
-        mid = mid[:-1]
-        right = right[-1:] + right[:-1]
+    # left tail absorbs window symbols that already follow its pattern,
+    # the right tail absorbs from the other end; each rotates by the
+    # number of symbols it took
+    n, p, q = len(mid), len(left), len(right)
+    i, j = 0, n
+    while i < n and mid[i] == left[i % p]:
+        i += 1
+    while j > i and mid[j - 1] == right[(j - n - 1) % q]:
+        j -= 1
+    if i:
+        r = i % p
+        left = left[r:] + left[:r]
+        start += i
+    if j < n:
+        r = (j - n) % q
+        right = right[r:] + right[:r]
+    mid = mid[i:j]
     if not mid:
         # bare boundary between the two periodic tails: let the left
         # pattern keep eating while it matches; if it never stops the
@@ -571,8 +579,9 @@ class ShiftSystem:
 
     def _check_range(self, *words):
         n = self.matrix.n
-        if any(w and not (0 <= min(w) and max(w) < n) for w in words):
-            raise ValueError("symbol out of range")
+        for w in words:
+            if w and (min(w) < 0 or max(w) >= n):
+                raise ValueError("symbol out of range")
 
     def _checked(self, seq):
         if not self.admissible(seq):

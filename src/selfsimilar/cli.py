@@ -363,15 +363,16 @@ def _toral_holonomy_quads(sys_obj, count, seed, scale):
     rng = Random(seed)
     vs, vu = sys_obj.v_stable, sys_obj.v_unstable
     leg = sys_obj.xi / 4
-    quads = []
+    plaques = []
     for p in sys_obj.sample_points(count, seed=seed):
         t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
         s = leg * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
         q = ((p[0] + t * vu[0]) % 1.0, (p[1] + t * vu[1]) % 1.0)
         pp = ((p[0] + s * vs[0]) % 1.0, (p[1] + s * vs[1]) % 1.0)
-        qq = sys_obj.triangle_vertex(pp, q)
-        quads.append((p, q, pp, qq))
-    return quads
+        plaques.append((p, q, pp))
+    # qq = triangle_vertex(pp, q) of every quadruple, in one batch
+    corners = sys_obj._pair_brackets([(pp, q) for _, q, pp in plaques])
+    return [(p, q, pp, qq) for (p, q, pp), qq in zip(plaques, corners)]
 
 
 def _check_holonomy(sys_obj, cfg):

@@ -14,6 +14,9 @@ systems: one int8 window array per side, see `ShiftSystem`), and
 `_pair_dists(pairs, steps)` one array of dist(f^s x, f^s y) per step
 (the self-similar torus, bit for bit equal to its scalar `dist`; the
 Euclidean torus and its two-sided refinement, from the offset orbit).
+A system with brackets may carry `_pair_brackets(pairs)`, the list of
+`triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
+bit), which the triangle check reads in one call.
 A base metric may carry `_orbit_dists(pairs, reach)`, which yields
 (j, the array of dist(f^j x, f^j y)) for |j| <= reach; a two-sided
 `RefinedSystem` builds its batch from it, without knowing the base's
@@ -335,20 +338,29 @@ def _triangle_reports(sys, pairs):
     if not getattr(sys, "has_bracket", hasattr(sys, "triangle_vertex")):
         raise ValueError("system has no bracket structure")
     (hyps,) = _pair_values(sys, pairs, (0,))
-    legs = []
-    failure = None
-    for (x, y), c0 in zip(pairs, hyps):
-        try:
-            if c0 == 0.0:
-                raise ValueError(
-                    "coincident points give a degenerate triangle")
-            if c0 > sys.xi / (2 * sys.lam):
-                raise ValueError("pair above the triangle scale xi/(2 lam)")
-            z = sys.triangle_vertex(x, y)
-        except Exception as e:  # raised after the earlier pairs' legs
-            failure = e
+    cut, failure = len(pairs), None
+    for i, c0 in enumerate(hyps):
+        if c0 == 0.0:
+            failure = ValueError(
+                "coincident points give a degenerate triangle")
+        elif c0 > sys.xi / (2 * sys.lam):
+            failure = ValueError("pair above the triangle scale xi/(2 lam)")
+        if failure is not None:
+            cut = i
             break
-        legs += [(x, z), (z, y)]
+    batch = getattr(sys, "_pair_brackets", None)
+    if batch is not None:  # c0 <= xi/(2 lam) < xi: inside the domain
+        vertices = batch(pairs[:cut])
+    else:
+        vertices = []
+        for x, y in pairs[:cut]:
+            try:
+                vertices.append(sys.triangle_vertex(x, y))
+            except Exception as e:  # raised after the earlier pairs' legs
+                failure = e
+                break
+    legs = [leg for (x, y), z in zip(pairs, vertices)
+            for leg in ((x, z), (z, y))]
     (sides,) = _pair_values(sys, legs, (0,))
     reports = []
     for c0, a, b in zip(hyps, sides[::2], sides[1::2]):

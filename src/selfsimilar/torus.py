@@ -11,22 +11,37 @@ Both metrics here depend on the offset y - x only, and f^j y - f^j x =
 A^j (y - x) mod Z^2: a scalar distance is one nine-translate search
 (`_nearest`), and every d_k norm and Euclidean array of distances reads
 one offset recurrence (`ToralSystem._offset_orbit`).  The self-similar
-metric's pair batch (`ToralSystem._pair_dists`) instead maps the points
-as `apply` does and runs the nine-translate search on arrays, so that
-it equals the scalar `dist` bit for bit.
+metric's pair batches instead run the nine-translate search on arrays
+of points, so that they equal the scalar methods bit for bit:
+`ToralSystem._pair_dists` maps the points as `apply` does and equals
+`dist`, and `ToralSystem._pair_brackets` reads the unstable coordinate
+of the same picked translate and equals `bracket`.  The samplers draw
+the same `Random` stream as a per-pair loop, in one array.  Whatever
+numpy's vectorised loops could round differently from the scalar code
+(cos, sin, powers) goes through the libm function elementwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from random import Random
 
 import numpy as np
 
 _NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
-# pairs per block of `ToralSystem._pair_dists`
+# pairs per block of `ToralSystem._pair_dists` and `_pair_brackets`
 _BLOCK = 1024
+# relative tolerance of `ToralSystem.sample_pairs` on each pair's target
+_SAMPLE_RTOL = 1e-9
+
+
+def _each(f, a, *args):
+    """f applied to every element of the 1-d array a as a Python float
+    (with any further iterables as further arguments), as an array.
+    For the libm functions whose numpy loops can differ in the last bit."""
+    return np.fromiter(map(f, a.tolist(), *args), float, a.size)
 
 
 @dataclass(frozen=True)
@@ -68,7 +83,9 @@ class ToralSystem:
 
     Construction computes the diameter over a 16 x 16 offset grid and
     runs the one-step identity sweep of `_validate`; an xi too large
-    for the nine-translate reduction raises ArithmeticError there.
+    for the nine-translate reduction raises ArithmeticError there, and
+    a lam so small that xi/8 lies below the smallest sound sampling
+    scale (see `sample_pairs`) raises ValueError.
     """
 
     space_kind = "toral"
@@ -110,6 +127,14 @@ class ToralSystem:
         # (w_s, w_u): |s| <= w_s h and |u| <= w_u h on an ambient box of
         # half-width h, for cover grids and Bowen boxes
         self._su_widths = tuple(abs(r[0]) + abs(r[1]) for r in self._B)
+        # smallest scale whose sampled pairs can meet their targets: each
+        # offset coordinate of a sampled pair carries up to 2**-52 of
+        # roundoff (the sum and wrap of y = x + off, then y - x), so s or
+        # u up to w * 2**-52, which moves |s|**e by e * w * 2**-52 / |s|
+        # relative; the binding coordinate has |s| >= (scale/2)**(1/e)
+        self._min_scale = 2 * max(
+            (e * w * 2.0**-52 / _SAMPLE_RTOL) ** e
+            for e, w in zip((self.e_s, self.e_u), self._su_widths))
         # nine lattice translates are enough only well below the shortest
         # nonzero lattice vector in this metric
         self.injectivity = min(
@@ -196,10 +221,11 @@ class ToralSystem:
         The points are mapped as arrays by `apply` and `apply_inv`
         (np.remainder is Python's float %), and one nine-translate
         search over the arrays picks each pair's translate.  Its norm is
-        then taken with Python `**`, because numpy's vectorised power
-        can differ from it in the last bit.  A pair whose two best
-        translates lie within 1e-12 relative of each other, where that
-        bit could change the pick, goes through the scalar `_nearest`.
+        then taken with builtin `pow`, the scalar `**`, because numpy's
+        vectorised power can differ from it in the last bit.  A pair
+        whose two best translates lie within 1e-12 relative of each
+        other, where that bit could change the pick, goes through the
+        scalar `_nearest`.
         Pairs go in blocks of `_BLOCK`, which bounds the array
         temporaries (and so peak memory) on large pair sets.
         """
@@ -210,19 +236,22 @@ class ToralSystem:
         pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
         # (first coordinates, second coordinates), each with columns x, y
         p = pts[..., 0], pts[..., 1]
-        norms = {0: self._nearest_norms(*p)} if 0 in steps else {}
+        norms = {0: self._nearest_norms(*p)[0]} if 0 in steps else {}
         for move, js in ((self.apply, range(1, max(steps) + 1)),
                          (self.apply_inv, range(-1, min(steps) - 1, -1))):
             q = p
             for j in js:
                 q = move(q)
                 if j in steps:
-                    norms[j] = self._nearest_norms(*q)
+                    norms[j] = self._nearest_norms(*q)[0]
         return [norms[s] for s in steps]
 
     def _nearest_norms(self, X, Y):
-        """`dist` of every row's points (X[i, 0], Y[i, 0]) and
-        (X[i, 1], Y[i, 1]), by the array search of `_pair_dists`."""
+        """(norms, t, ties) for every row's points (X[i, 0], Y[i, 0]) and
+        (X[i, 1], Y[i, 1]), by the array search of `_pair_dists`: each
+        row's `dist`, the unstable coordinate of the translate the array
+        search picked, and the rows whose two best translates lie within
+        1e-12 relative (their norms come from the scalar `_nearest`)."""
         dx, dy = X[:, 1] - X[:, 0], Y[:, 1] - Y[:, 0]
         # the first smallest norm and the smallest of the others, with
         # the su coordinates of the first, as the scalar strict-< scan
@@ -232,15 +261,14 @@ class ToralSystem:
             second = np.where(closer, best, np.minimum(second, r))
             best, bs, bt = (np.where(closer, new, old) for new, old in
                             ((r, best), (s, bs), (t, bt)))
-        ties = np.flatnonzero(second <= best * (1 + 1e-12))
-        e_s, e_u = self.e_s, self.e_u
-        out = np.fromiter((max(abs(a) ** e_s, abs(b) ** e_u)
-                           for a, b in zip(bs.tolist(), bt.tolist())),
-                          float, len(bs))
-        for i in ties.tolist():
+        ties = np.flatnonzero(second <= best * (1 + 1e-12)).tolist()
+        # builtin pow is the scalar `**`; the max of two floats is exact
+        norms = np.maximum(_each(pow, np.abs(bs), repeat(self.e_s)),
+                           _each(pow, np.abs(bt), repeat(self.e_u)))
+        for i in ties:
             x, y = zip(X[i].tolist(), Y[i].tolist())
-            out[i] = self._nearest(x, y)[0]
-        return out
+            norms[i] = self._nearest(x, y)[0]
+        return norms, bt, ties
 
     def _offset_orbit(self, du, dv, reach):
         """Yield (j, u, v): the offset arrays f^j y - f^j x, each at its
@@ -307,6 +335,31 @@ class ToralSystem:
         vu = self.v_unstable
         return ((x[0] + u * vu[0]) % 1.0, (x[1] + u * vu[1]) % 1.0)
 
+    def _pair_brackets(self, pairs):
+        """Pair batch: `bracket` of every pair, equal to it bit for bit.
+
+        The unstable coordinate t of each pair's picked translate comes
+        from the array search of `_nearest_norms`, and the point is
+        x + t * v_unstable wrapped by np.remainder, the IEEE operations
+        of the scalar `bracket`.  A pair at a near-tie of two translates
+        goes through the scalar `bracket`; a pair outside the domain
+        raises its error.  Pairs go in blocks of `_BLOCK`.
+        """
+        if len(pairs) > _BLOCK:
+            return [z for i in range(0, len(pairs), _BLOCK)
+                    for z in self._pair_brackets(pairs[i:i + _BLOCK])]
+        pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
+        X, Y = pts[..., 0], pts[..., 1]
+        norms, t, ties = self._nearest_norms(X, Y)
+        if np.any(norms >= self.xi):
+            raise ValueError("pair outside the bracket domain")
+        vu = self.v_unstable
+        out = list(zip(np.remainder(X[:, 0] + t * vu[0], 1.0).tolist(),
+                       np.remainder(Y[:, 0] + t * vu[1], 1.0).tolist()))
+        for i in ties:
+            out[i] = self.bracket(*pairs[i])
+        return out
+
     def triangle_vertex(self, x, y):
         return self.bracket(x, y)
 
@@ -321,35 +374,44 @@ class ToralSystem:
 
         The offset direction sweeps the stable/unstable mixture circle in
         jittered strata; the radius is solved exactly, then every pair
-        is checked against its target in one `offset_norm` call.
+        is checked against its target in one `offset_norm` call.  Each
+        pair takes four draws (angle jitter, target, x0, x1), in the
+        order of a per-pair loop.  A scale below the roundoff floor of
+        that check raises ValueError before drawing.
         """
+        x0, x1, y0, y1 = self._sample_coords(count, scale, seed)
+        return list(zip(zip(x0.tolist(), x1.tolist()),
+                        zip(y0.tolist(), y1.tolist())))
+
+    def _sample_coords(self, count, scale, seed):
+        """The coordinate arrays x0, x1, y0, y1 of `sample_pairs`."""
         if not scale < self.xi:
             raise ValueError("scale must be below xi")
         if scale <= 0:
             raise ValueError("scale must be positive")
+        if scale < self._min_scale:
+            raise ValueError(
+                f"scale {scale:.6g} is below {self._min_scale:.6g}, the "
+                "smallest at which double roundoff lets a sampled pair "
+                "hit its target distance")
         rng = Random(seed)
+        jitter, frac, x0, x1 = np.fromiter(
+            iter(rng.random, -1.0), float, 4 * count).reshape(count, 4).T
+        theta = 2 * math.pi * (np.arange(count) + jitter) / count
+        targets = scale * (0.5 + 0.5 * frac)
+        cs, sn = _each(math.cos, theta), _each(math.sin, theta)
+        # a zero cos or sin leaves its side unbounded (root / 0 = inf)
+        with np.errstate(divide="ignore"):
+            c = np.minimum(
+                _each(pow, targets, repeat(1.0 / self.e_s)) / np.abs(cs),
+                _each(pow, targets, repeat(1.0 / self.e_u)) / np.abs(sn))
         vs, vu = self.v_stable, self.v_unstable
-        out = []
-        dx, dy, targets = np.empty(count), np.empty(count), np.empty(count)
-        for k in range(count):
-            theta = 2 * math.pi * (k + rng.random()) / count
-            target = scale * (0.5 + 0.5 * rng.random())
-            cs, sn = math.cos(theta), math.sin(theta)
-            c_s = (target ** (1.0 / self.e_s) / abs(cs)) if cs else math.inf
-            c_u = (target ** (1.0 / self.e_u) / abs(sn)) if sn else math.inf
-            c = min(c_s, c_u)
-            off = (
-                c * (cs * vs[0] + sn * vu[0]),
-                c * (cs * vs[1] + sn * vu[1]),
-            )
-            x = (rng.random(), rng.random())
-            y = ((x[0] + off[0]) % 1.0, (x[1] + off[1]) % 1.0)
-            out.append((x, y))
-            dx[k], dy[k], targets[k] = y[0] - x[0], y[1] - x[1], target
-        d = self.offset_norm(dx, dy)
-        if np.any(np.abs(d - targets) > 1e-9 * targets):
+        y0 = np.remainder(x0 + c * (cs * vs[0] + sn * vu[0]), 1.0)
+        y1 = np.remainder(x1 + c * (cs * vs[1] + sn * vu[1]), 1.0)
+        d = self.offset_norm(y0 - x0, y1 - x1)
+        if np.any(np.abs(d - targets) > _SAMPLE_RTOL * targets):
             raise ArithmeticError("sampled pair missed its target distance")
-        return out
+        return x0, x1, y0, y1
 
     # -- construction-time check ------------------------------------------
 
@@ -363,8 +425,8 @@ class ToralSystem:
         """
         worst = 0.0
         for scale, seed in ((self.xi * 0.999, 1), (self.xi / 8, 2)):
-            pairs = np.array(self.sample_pairs(5000, scale, seed))
-            dx, dy = (pairs[:, 1] - pairs[:, 0]).T
+            x0, x1, y0, y1 = self._sample_coords(5000, scale, seed)
+            dx, dy = y0 - x0, y1 - x1
             ratio = self.offset_norm(dx, dy, 1) / (
                 self.lam * self.offset_norm(dx, dy, 0))
             worst = max(worst, float(np.abs(ratio - 1.0).max()))
@@ -438,6 +500,9 @@ class EuclideanTorus:
     def bracket(self, x, y):
         return self.geometry.bracket(x, y)
 
+    def _pair_brackets(self, pairs):
+        return self.geometry._pair_brackets(pairs)
+
     def triangle_vertex(self, x, y):
         return self.geometry.triangle_vertex(x, y)
 
@@ -445,21 +510,21 @@ class EuclideanTorus:
         return self.geometry.sample_points(count, seed)
 
     def sample_pairs(self, count, scale, seed=0):
-        """Pairs at Euclidean distance in [scale/2, scale], random headings."""
+        """Pairs at Euclidean distance in [scale/2, scale], random headings.
+
+        Four draws per pair (heading, radius, x0, x1), in the order of a
+        per-pair loop."""
         if not 0 < scale < 0.25:
             raise ValueError("scale must sit below the injectivity radius")
         rng = Random(seed)
-        out = []
-        for _ in range(count):
-            theta = 2 * math.pi * rng.random()
-            r = scale * (0.5 + 0.5 * rng.random())
-            x = (rng.random(), rng.random())
-            y = (
-                (x[0] + r * math.cos(theta)) % 1.0,
-                (x[1] + r * math.sin(theta)) % 1.0,
-            )
-            out.append((x, y))
-        return out
+        turn, frac, x0, x1 = np.fromiter(
+            iter(rng.random, -1.0), float, 4 * count).reshape(count, 4).T
+        theta = 2 * math.pi * turn
+        r = scale * (0.5 + 0.5 * frac)
+        y0 = np.remainder(x0 + r * _each(math.cos, theta), 1.0)
+        y1 = np.remainder(x1 + r * _each(math.sin, theta), 1.0)
+        return list(zip(zip(x0.tolist(), x1.tolist()),
+                        zip(y0.tolist(), y1.tolist())))
 
 
 def _nearest_offset(a, b, k):

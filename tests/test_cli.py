@@ -248,6 +248,19 @@ def test_exit_zero_with_config_file(tmp_path, capsys):
     assert out["passed"] is True
 
 
+def test_a_scale_below_the_roundoff_floor_is_reported(capsys):
+    # pairs this close cannot meet their 1e-9 target check in doubles;
+    # the sampler says so before drawing, and the report carries it
+    code = cli.main(["verify", "--system", "cat-map", "--scale", "1e-9"])
+    assert code == 1
+    res = json.loads(capsys.readouterr().out)["results"]["verify"]
+    floor = build_system(parse_config(cfg_text(
+        system="cat-map", command="verify")))._min_scale
+    assert res == {"error": f"verify: scale 1e-09 is below {floor:.6g}, "
+                   "the smallest at which double roundoff lets a sampled "
+                   "pair hit its target distance", "passed": False}
+
+
 def test_exit_one_when_a_check_fails(capsys):
     # homogeneity needs spectral data the reducible matrix lacks; the
     # error is folded into the report rather than crashing the run

@@ -947,6 +947,36 @@ def holonomy_inputs(full2, golden, cat):
              cli._symbolic_holonomy_quads(full2, 150, 5) + bad)]
 
 
+def loop_toral_holonomy_quads(sys, count, seed, scale):
+    """The per-quadruple loop of the toral holonomy sampler, as a
+    reference: one scalar `triangle_vertex` per quadruple."""
+    rng = Random(seed)
+    vs, vu = sys.v_stable, sys.v_unstable
+    leg = sys.xi / 4
+    quads = []
+    for p in sys.sample_points(count, seed=seed):
+        t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
+        s = leg * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
+        q = ((p[0] + t * vu[0]) % 1.0, (p[1] + t * vu[1]) % 1.0)
+        pp = ((p[0] + s * vs[0]) % 1.0, (p[1] + s * vs[1]) % 1.0)
+        quads.append((p, q, pp, sys.triangle_vertex(pp, q)))
+    return quads
+
+
+def test_toral_holonomy_quads_are_the_pair_loop(cat):
+    for count, seed, scale in ((0, 0, 1e-3), (1, 3, 1e-3),
+                               (300, 4, cat.xi / cat.lam ** 3),
+                               (1500, 104729, cat.xi / cat.lam)):
+        assert (cli._toral_holonomy_quads(cat, count, seed, scale)
+                == loop_toral_holonomy_quads(cat, count, seed, scale))
+    # unstable legs up to 2 xi leave the bracket domain on both paths
+    want = first_error(lambda: loop_toral_holonomy_quads(cat, 300, 1,
+                                                         2 * cat.xi))
+    assert want == (ValueError, "pair outside the bracket domain")
+    assert first_error(
+        lambda: cli._toral_holonomy_quads(cat, 300, 1, 2 * cat.xi)) == want
+
+
 def test_holonomy_batch_is_the_pair_loop(full2, golden, cat):
     for sys, quads in holonomy_inputs(full2, golden, cat):
         want = [scalar_holonomy(sys, *quad) for quad in quads]
@@ -955,17 +985,27 @@ def test_holonomy_batch_is_the_pair_loop(full2, golden, cat):
     assert [r.precondition_ok for r in want[-2:]] == [False, False]
 
 
-def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden):
+def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden, cat):
     good = full2.sample_pairs(6, seed=7, levels=(4, 9))
     x = good[0][0]
     same, wide = (x, x), (x, x.with_value(2, 1 - x.at(2)))
     rigged = RiggedWarp(full2, broken=[good[3]], hubbed=[good[1]])
+    # on the torus: a coincident pair, and a pair above xi/(2 lam) but
+    # inside the bracket domain
+    t_good = cat.sample_pairs(6, cat.xi / (4 * cat.lam), seed=7)
+    t_same = (t_good[0][0], t_good[0][0])
+    (t_wide,) = cat.sample_pairs(1, cat.xi * 0.9, seed=8)
+    assert cat.xi / (2 * cat.lam) < cat.dist(*t_wide) < cat.xi
     cases = [
         (full2, good[:2] + [wide] + good[2:4] + [same]),
         (full2, good[:2] + [same, wide]),
         (rigged, good[2:5] + [same]),           # the broken vertex first
         (rigged, [same] + good[2:5]),           # the coincident pair first
         (rigged, good[:5]),                     # vanishing legs, then broken
+        (cat, t_good[:2] + [t_wide] + t_good[2:4] + [t_same]),
+        (cat, t_good[:3] + [t_same, t_wide] + t_good[3:]),
+        (cat, [t_wide, t_same] + t_good),
+        (cat, t_good + [t_same]),
     ]
     for sys, pairs in cases:
         want = first_error(lambda: [scalar_triangle(sys, *p) for p in pairs])
@@ -977,6 +1017,10 @@ def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden):
         "no vertex",
         "coincident points give a degenerate triangle",
         "degenerate triangle: both legs vanish",
+        "pair above the triangle scale xi/(2 lam)",
+        "coincident points give a degenerate triangle",
+        "pair above the triangle scale xi/(2 lam)",
+        "coincident points give a degenerate triangle",
     ]
 
     quads = cli._symbolic_holonomy_quads(golden, 20, 1)

@@ -6,7 +6,9 @@ phi**2 and phi**-2 with orthogonal unit eigenvectors; those closed forms
 anchor every expected value here.
 """
 
+import copy
 import math
+import re
 from functools import lru_cache
 from random import Random
 
@@ -395,6 +397,7 @@ def test_pair_batch_runs_in_blocks(cat):
     steps = (0, 2, -1)
     got = _pair_values(cat, pairs, steps)
     assert got == _pair_values(ScalarOnly(cat), pairs, steps)
+    assert cat._pair_brackets(pairs) == [cat.bracket(*p) for p in pairs]
 
 
 def test_near_ties_take_the_scalar_search(cat, monkeypatch):
@@ -415,6 +418,123 @@ def test_near_ties_take_the_scalar_search(cat, monkeypatch):
     (got,) = cat._pair_dists(pairs, (0,))
     assert calls == ties
     assert got.tolist() == want
+
+
+# ------------------------------------------------ bracket batch, samplers
+
+
+@settings(deadline=None, max_examples=150)
+@given(toral_pair_sets())
+def test_bracket_batch_is_the_scalar_bracket(case):
+    sys, pairs = case
+    pairs = [p for p in pairs if sys.dist(*p) < sys.xi]
+    got = sys._pair_brackets(pairs)
+    assert got == [sys.bracket(*p) for p in pairs]
+    assert all(type(v) is float for z in got for v in z)
+
+
+def test_near_ties_take_the_scalar_bracket(cat, monkeypatch):
+    # the tied offsets of `test_near_ties_take_the_scalar_search` lie far
+    # outside the domain of any real xi (xi is at most a quarter of the
+    # shortest lattice vector), so a copy with a huge xi brackets them
+    wide = copy.copy(cat)
+    wide.xi = 10.0
+    ties = [((0.25, 0.3), (0.75, 0.3)), ((0.25, 0.3), (0.75 + 2**-45, 0.3))]
+    pairs = cat.sample_pairs(20, 1e-2, seed=3)
+    pairs[5:5] = ties
+    want = [wide.bracket(x, y) for x, y in pairs]
+    calls = []
+    bracket = ToralSystem.bracket
+
+    def spy(self, x, y):
+        calls.append((x, y))
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(ToralSystem, "bracket", spy)
+    assert wide._pair_brackets(pairs) == want
+    assert calls == ties
+
+
+def test_a_pair_outside_the_domain_raises_the_scalar_error(cat):
+    far = ((0.1, 0.2), (0.6, 0.65))
+    assert cat.dist(*far) >= cat.xi
+    with pytest.raises(ValueError) as scalar:
+        cat.bracket(*far)
+    pairs = cat.sample_pairs(2100, 1e-2, seed=4)
+    for at in (17, torus._BLOCK + 3):  # in the first block and a later one
+        with pytest.raises(ValueError) as batch:
+            cat._pair_brackets(pairs[:at] + [far] + pairs[at:])
+        assert str(batch.value) == str(scalar.value)
+
+
+def loop_sample_pairs(sys, count, scale, seed):
+    """The per-pair loop of the self-similar sampler, as a reference."""
+    rng = Random(seed)
+    vs, vu = sys.v_stable, sys.v_unstable
+    out = []
+    for k in range(count):
+        theta = 2 * math.pi * (k + rng.random()) / count
+        target = scale * (0.5 + 0.5 * rng.random())
+        cs, sn = math.cos(theta), math.sin(theta)
+        c_s = (target ** (1.0 / sys.e_s) / abs(cs)) if cs else math.inf
+        c_u = (target ** (1.0 / sys.e_u) / abs(sn)) if sn else math.inf
+        c = min(c_s, c_u)
+        off = (c * (cs * vs[0] + sn * vu[0]), c * (cs * vs[1] + sn * vu[1]))
+        x = (rng.random(), rng.random())
+        out.append((x, ((x[0] + off[0]) % 1.0, (x[1] + off[1]) % 1.0)))
+    return out
+
+
+def loop_euclidean_pairs(count, scale, seed):
+    """The per-pair loop of the Euclidean sampler, as a reference."""
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
+        theta = 2 * math.pi * rng.random()
+        r = scale * (0.5 + 0.5 * rng.random())
+        x = (rng.random(), rng.random())
+        out.append((x, ((x[0] + r * math.cos(theta)) % 1.0,
+                        (x[1] + r * math.sin(theta)) % 1.0)))
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(MATRICES)))
+def test_samplers_draw_as_the_pair_loops(index, monkeypatch):
+    sys = automorphism(index)
+    euclid = euclidean_base(sys)
+    # numpy's cos and sin equal libm's on some machines and not on
+    # others; moving libm's by one ulp shows which one the samplers call
+    for name in ("cos", "sin"):
+        libm = getattr(math, name)
+        monkeypatch.setattr(math, name,
+                            lambda v, f=libm: math.nextafter(f(v), 2.0))
+    for count in (0, 1, 7, 300):
+        for seed in (0, 5, 104729):
+            for scale in (sys._min_scale, 1e-6, 1e-3, sys.xi * 0.999):
+                got = sys.sample_pairs(count, scale, seed=seed)
+                assert got == loop_sample_pairs(sys, count, scale, seed)
+                assert all(type(v) is float
+                           for pair in got for pt in pair for v in pt)
+            for scale in (1e-6, 1e-3, 0.2):
+                got = euclid.sample_pairs(count, scale, seed=seed)
+                assert got == loop_euclidean_pairs(count, scale, seed)
+
+
+@pytest.mark.parametrize(
+    "index, lam", [(i, None) for i in range(len(MATRICES))] + [(0, 1.5)])
+def test_the_scale_floor_meets_the_target_check(index, lam):
+    sys = automorphism(index) if lam is None else toral_new(MATRICES[index],
+                                                            lam)
+    floor = sys._min_scale
+    # the floor passes the sampler's own 1e-9 check, which raises on a miss
+    for seed in range(10):
+        assert len(sys.sample_pairs(200, floor, seed=seed)) == 200
+    if lam is None:
+        assert floor <= 1e-6
+        sys.sample_pairs(200, 1e-6, seed=0)
+    below = floor * (1 - 1e-9)
+    with pytest.raises(ValueError, match=re.escape(f"below {floor:.6g}")):
+        sys.sample_pairs(5, below)
 
 
 # ---------------------------------------------------------- euclidean torus
@@ -445,6 +565,7 @@ def test_euclidean_bracket_delegates_to_the_geometry(cat, euclid):
     pairs = euclid.sample_pairs(50, 0.01, seed=19)
     for x, y in pairs:
         assert euclid.bracket(x, y) == cat.bracket(x, y)
+    assert euclid._pair_brackets(pairs) == cat._pair_brackets(pairs)
 
 
 def test_euclidean_base_helper(cat):

@@ -42,7 +42,8 @@ from random import Random
 from . import __version__
 from . import dimension as _dim
 from . import measure as _meas
-from .core import _holonomy_reports, _triangle_reports, verify_self_similar
+from .core import (_HOLONOMY_DEPTH, _holonomy_reports, _triangle_reports,
+                   verify_self_similar)
 from .symbolic import four_symbol, full_shift, golden_mean, sft_new
 from .torus import cat_map
 
@@ -332,31 +333,19 @@ def _check_triangles(sys_obj, cfg):
 
 
 def _symbolic_holonomy_quads(sys_obj, count, seed):
-    rng = Random(seed)
-    # a flip at +j gives plaque distance lam**-(j-1), hence m = j - 2;
-    # straddle the bound's validity threshold lam**(m-1) > 2
+    # tails parting at +j put the plaque pair at distance lam**-(j-1), so
+    # m = j - 2; straddle the bound's validity threshold lam**(m-1) > 2
     j_in = 4
     while sys_obj.lam ** (j_in - 3) <= 2:
         j_in += 1
     j_lo, j_hi = max(2, j_in - 2), j_in + 3
-    quads = []
-    attempts = 0
-    while len(quads) < count:
-        attempts += 1
-        if attempts > 60 * count + 200:
-            raise ArithmeticError("holonomy sampling stalled")
-        x = sys_obj.random_point(rng, window=j_hi + 6)
-        q = sys_obj._flip(x, rng.randint(j_lo, j_hi), rng)
-        if q is None:
-            continue
-        # legs flipped at -j have distance lam**-(j-1); j >= 2 keeps
-        # them at or below xi
-        pp = sys_obj._flip(x, -rng.randint(2, 5), rng)
-        if pp is None:
-            continue
-        qq = sys_obj.triangle_vertex(pp, q)
-        quads.append((x, q, pp, qq))
-    return quads
+    # legs parting at -k, 2 <= k <= 5, are at distance lam**-(k-1) <= xi;
+    # rows reach far enough for the precondition's steps either way
+    rows = sys_obj._sample(count, seed, j_hi + 2 * _HOLONOMY_DEPTH,
+                           ((j_lo, j_hi, 1), (2, 5, -1)))
+    _, q, pp = rows.columns()
+    # qq = triangle_vertex(pp, q) of every quadruple: one column splice
+    return rows.zip(sys_obj._pair_brackets(pp.zip(q)))
 
 
 def _toral_holonomy_quads(sys_obj, count, seed, scale):
@@ -481,11 +470,12 @@ _CHECKS = {
 }
 
 
-def _applicable(sys_obj):
+def _applicable(config, sys_obj):
+    """The checks `all` runs: all its kind can, if it failed to build."""
     names = [n for n in COMMANDS if n != "all"]
-    if sys_obj.space_kind != "symbolic":
+    if config.system == "cat-map":
         names.remove("homogeneity")
-    elif not sys_obj.matrix.primitive:
+    elif sys_obj is not None and not sys_obj.matrix.primitive:
         names.remove("measure")
         names.remove("homogeneity")
     return names
@@ -494,14 +484,19 @@ def _applicable(sys_obj):
 def run(config):
     """Execute the configured command(s); returns the report dict."""
     t0 = time.perf_counter()
-    sys_obj = build_system(config)
+    try:  # a system that fails to build fails every requested check
+        sys_obj, failure = build_system(config), None
+    except Exception as e:
+        sys_obj, failure = None, e
     if config.command == "all":
-        names = _applicable(sys_obj)
+        names = _applicable(config, sys_obj)
     else:
         names = [config.command]
     results = {}
     for name in names:
         try:
+            if failure is not None:
+                raise failure
             results[name] = _CHECKS[name](sys_obj, config)
         except Exception as e:  # wrapped so one failure cannot hide others
             results[name] = {"error": f"{name}: {e}", "passed": False}

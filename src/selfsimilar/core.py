@@ -10,13 +10,15 @@ self-similarity check exact.
 A system may also carry a private pair batch, called with a list of
 pairs and the steps s to read them at: `_pair_levels(pairs, steps)`
 returns one list of integer levels of (f^s x, f^s y) per step (shift
-systems: one int8 window array per side, see `ShiftSystem`), and
+systems: one int8 array per side, see `ShiftSystem`), and
 `_pair_dists(pairs, steps)` one array of dist(f^s x, f^s y) per step
 (the self-similar torus, bit for bit equal to its scalar `dist`; the
 Euclidean torus and its two-sided refinement, from the offset orbit).
-A system with brackets may carry `_pair_brackets(pairs)`, the list of
+A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
 bit), which the triangle check reads in one call.
+Sampled shift points come as row-backed sequences (`symbolic._Rows`),
+which `_unzip` and `_zip` split and pair without building a point.
 A base metric may carry `_orbit_dists(pairs, reach)`, which yields
 (j, the array of dist(f^j x, f^j y)) for |j| <= reach; a two-sided
 `RefinedSystem` builds its batch from it, without knowing the base's
@@ -118,6 +120,22 @@ def _pair_values(sys, pairs, steps, levels=False):
             p, q = orbit[s]
             row.append(value(p, q))
     return out
+
+
+def _unzip(items, k):
+    """The k slots of a sequence of k-tuples, one sequence each; sampled
+    shift points (`symbolic._Rows`) hand out their row arrays."""
+    columns = getattr(items, "columns", None)
+    if columns is not None:
+        return columns()
+    return tuple(zip(*items)) if len(items) else ((),) * k
+
+
+def _zip(a, b):
+    """The pairs (a[i], b[i]); two sequences of sampled shift points
+    pair up their row arrays, without building a point."""
+    joined = a.zip(b) if hasattr(a, "zip") else None
+    return list(zip(a, b)) if joined is None else joined
 
 
 def verify_self_similar(sys, pairs, tol=None):
@@ -333,8 +351,8 @@ def triangle_ratio(sys, x, y):
 
 def _triangle_reports(sys, pairs):
     """`triangle_ratio` of every pair, from one `_pair_values` call for
-    the hypotenuses and one for the legs.  The first pair that fails,
-    in input order, raises what `triangle_ratio` would raise on it."""
+    the hypotenuses and one for each side of the legs.  The first pair
+    that fails, in input order, raises what `triangle_ratio` would."""
     if not getattr(sys, "has_bracket", hasattr(sys, "triangle_vertex")):
         raise ValueError("system has no bracket structure")
     (hyps,) = _pair_values(sys, pairs, (0,))
@@ -359,11 +377,11 @@ def _triangle_reports(sys, pairs):
             except Exception as e:  # raised after the earlier pairs' legs
                 failure = e
                 break
-    legs = [leg for (x, y), z in zip(pairs, vertices)
-            for leg in ((x, z), (z, y))]
-    (sides,) = _pair_values(sys, legs, (0,))
+    xs, ys = _unzip(pairs[:cut], 2)
+    (legs_a,) = _pair_values(sys, _zip(xs, vertices), (0,))
+    (legs_b,) = _pair_values(sys, _zip(vertices, ys), (0,))
     reports = []
-    for c0, a, b in zip(hyps, sides[::2], sides[1::2]):
+    for c0, a, b in zip(hyps, legs_a, legs_b):
         m = max(a, b)
         if m == 0.0:
             raise ValueError("degenerate triangle: both legs vanish")
@@ -451,22 +469,21 @@ def holonomy_deviation(sys, p, q, pp, qq):
 def _holonomy_reports(sys, quads):
     """`holonomy_deviation` of every quadruple (p, q, pp, qq), from one
     `_pair_values` call each for the plaque pairs (p, q) followed
-    backward, the projected pairs (pp, qq) and the legs followed
+    backward, the projected pairs (pp, qq) and each side's legs followed
     forward.  The first coincident plaque pair raises."""
     depth = range(_HOLONOMY_DEPTH + 1)
-    plaques = zip(*_pair_values(sys, [quad[:2] for quad in quads],
-                                tuple(-j for j in depth)))
-    (images,) = _pair_values(sys, [quad[2:] for quad in quads], (0,))
-    legs = iter(zip(*_pair_values(sys, [leg for p, q, pp, qq in quads
-                                        for leg in ((p, pp), (q, qq))],
-                                  tuple(depth))))
+    p, q, pp, qq = _unzip(quads, 4)
+    plaques, *back = _pair_values(sys, _zip(p, q), tuple(-j for j in depth))
+    (images,) = _pair_values(sys, _zip(pp, qq), (0,))
+    legs_p = _pair_values(sys, _zip(p, pp), tuple(depth))
+    legs_q = _pair_values(sys, _zip(q, qq), tuple(depth))
+    # one row per step: the plaque pair at steps -1.., each leg at 0..
+    above = [np.greater(row, sys.xi) for row in back + legs_p + legs_q]
+    pre_ok = (~np.any(above, axis=0)).tolist()
     reports = []
-    # legs come in (p, pp), (q, qq) order: zip takes two per quadruple
-    for (d, *back), d_img, leg_p, leg_q in zip(plaques, images, legs, legs):
+    for d, d_img, ok in zip(plaques, images, pre_ok):
         if d == 0.0 or d_img == 0.0:
             raise ValueError("coincident plaque pair")
-        # the plaque pair at steps -1.., each leg at steps 0..
-        pre_ok = not any(v > sys.xi for v in (*back, *leg_p, *leg_q))
         big = max(d, d_img)
         m = int(math.floor(math.log(sys.xi / big) / math.log(sys.lam)))
         while sys.xi / sys.lam ** (m + 1) >= big:
@@ -482,7 +499,7 @@ def _holonomy_reports(sys, quads):
             m=m,
             in_range=in_range,
             within_bound=(observed <= bound) if in_range else None,
-            precondition_ok=pre_ok,
+            precondition_ok=ok,
         ))
     return reports
 

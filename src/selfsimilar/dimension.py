@@ -19,7 +19,7 @@ convention is never ambiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -77,11 +77,7 @@ class CovCount:
     def value(self):
         return self.lower if self.exact else math.sqrt(self.lower * self.upper)
 
-    def to_dict(self):
-        return {
-            "eps": self.eps, "lower": self.lower, "upper": self.upper,
-            "exact": self.exact, "method": self.method, "k": self.k,
-        }
+    to_dict = asdict
 
 
 def _toral_grid(sys, density):
@@ -243,13 +239,7 @@ class EntropyReport:
     rows: list = field(repr=False)
     method: str = "exact-symbolic"
 
-    def to_dict(self):
-        return {
-            "ent": self.ent, "ent_plus": self.ent_plus,
-            "ent_minus": self.ent_minus, "standard": self.standard,
-            "gap_two_sided": self.gap_two_sided, "rows": self.rows,
-            "method": self.method,
-        }
+    to_dict = asdict
 
 
 def _slope_over_n(rows):
@@ -367,9 +357,7 @@ class IdentityRow:
     rhs: CovCount
     consistent: bool
 
-    def to_dict(self):
-        return {"k": self.k, "lhs": self.lhs.to_dict(),
-                "rhs": self.rhs.to_dict(), "consistent": self.consistent}
+    to_dict = asdict  # lhs and rhs as CovCount.to_dict gives them
 
 
 def cov_identity_check(sys, k_max=6):
@@ -400,9 +388,7 @@ class IdealFactor:
     lam: float | None
     bound_ok: bool | None
 
-    def to_dict(self):
-        return {"lam_ideal": self.lam_ideal, "ent": self.ent,
-                "dim": self.dim, "lam": self.lam, "bound_ok": self.bound_ok}
+    to_dict = asdict
 
 
 def ideal_factor(ent, dim, lam=None):
@@ -432,9 +418,7 @@ class LocalEntropy:
     rows: list
     method: str
 
-    def to_dict(self):
-        return {"estimate": self.estimate, "rows": self.rows,
-                "method": self.method}
+    to_dict = asdict
 
 
 def local_unstable_entropy(sys, x, n_max=16):
@@ -462,9 +446,7 @@ class LocalEntropySpread:
     reference: float
     max_rel_gap: float
 
-    def to_dict(self):
-        return {"estimates": self.estimates, "spread_rel": self.spread_rel,
-                "reference": self.reference, "max_rel_gap": self.max_rel_gap}
+    to_dict = asdict
 
 
 def local_entropy_homogeneity(sys, xs, n_max=16):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -81,18 +81,13 @@ class StableWindow:
 
 def _slack(matrix, state):
     """Forced steps before the walk from `state` branches; None if never."""
-    steps = 0
-    seen = {state}
-    cur = state
-    while True:
-        succ = matrix.successors[cur]
-        if len(succ) > 1:
-            return steps
-        cur = succ[0]
-        steps += 1
-        if cur in seen:
+    seen = set()
+    while len(matrix.successors[state]) == 1:
+        if state in seen:
             return None
-        seen.add(cur)
+        seen.add(state)
+        state = matrix.successors[state][0]
+    return len(seen)
 
 
 class _SideDP:
@@ -259,12 +254,7 @@ class BoxMeasure:
     depth: int
     admissible: bool = True
 
-    def to_dict(self):
-        return {
-            "stable": self.stable, "unstable": self.unstable,
-            "product": self.product, "plaque_gap": self.plaque_gap,
-            "d": self.d, "depth": self.depth, "admissible": self.admissible,
-        }
+    to_dict = asdict
 
 
 def box_measure(sys, box, d=None, depth=12):
@@ -315,10 +305,7 @@ class ScalingReport:
     side: str
     depth: int
 
-    def to_dict(self):
-        return {"ratio": self.ratio, "expected": self.expected,
-                "rel_gap": self.rel_gap, "side": self.side,
-                "depth": self.depth}
+    to_dict = asdict
 
 
 def scaling_check(sys, window, d=None, depth=12):
@@ -362,13 +349,7 @@ class HomogeneityReport:
     d: float
     depth: int
 
-    def to_dict(self):
-        return {
-            "c_observed": self.c_observed, "rows": self.rows,
-            "flat_ratio": self.flat_ratio, "trend": self.trend,
-            "passed": self.passed, "delta": self.delta, "eps": self.eps,
-            "d": self.d, "depth": self.depth,
-        }
+    to_dict = asdict
 
 
 def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,

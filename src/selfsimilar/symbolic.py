@@ -15,32 +15,22 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 from random import Random
 
 import numpy as np
 
 INF = math.inf
-# the level batch reads each pair over |i| <= this plus the largest
-# step; sampled pairs differ within it, so the scalar scan is rare
-_LEVEL_REACH = 16
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def _minimal_period(word):
     """Smallest d such that the bi-infinite tiling of `word` has period d."""
-    p = len(word)
-    for d in _divisors(p):
-        if all(word[r] == word[(r + d) % p] for r in range(p)):
-            return d
-    return p
+    return next(d for d in range(1, len(word) + 1)
+                if word[d:] + word[:d] == word)
 
 
 @dataclass(frozen=True)
@@ -192,23 +182,52 @@ def _splice(past, mid, future, lo):
     return _absorb(left, mid, right, lo)
 
 
-def _walk(draw, table, state, n):
-    """The n states after `state` on a random walk whose step from s
-    picks among table[s] = (options, len(options), bit length of len).
+def _below(rng, counts):
+    """One uniform draw from range(c) per c >= 1 of the int64 array
+    `counts`: a 32-bit word of `rng.randbytes`, redrawn while at or above
+    the largest multiple of c below 2**32, modulo c (exactly uniform)."""
+    u = np.frombuffer(rng.randbytes(4 * len(counts)), "<u4").astype(np.int64)
+    limit = (1 << 32) - (1 << 32) % counts
+    redo = np.flatnonzero(u >= limit)
+    while redo.size:
+        u[redo] = np.frombuffer(rng.randbytes(4 * redo.size), "<u4")
+        redo = redo[u[redo] >= limit[redo]]
+    return u % counts
 
-    `draw` is a `Random.getrandbits`.  Each step takes its index by
-    rejection exactly as `Random._randbelow_with_getrandbits` does, so
-    the walk draws, and returns, what n `Random.choice` calls would.
+
+class _Rows(Sequence):
+    """Read-only sequence of sampled points, or of tuples of them.
+
+    `cols` holds one (N, 2 origin + 1) int8 array per tuple slot, column
+    `origin` being coordinate 0.  Item i is the tuple of the points that
+    row i of each array spells (one array: the point), built on access
+    by `ShiftSystem._row_point`; the shift batches read the arrays.
     """
-    out = []
-    for _ in range(n):
-        options, size, k = table[state]
-        r = draw(k)
-        while r >= size:
-            r = draw(k)
-        state = options[r]
-        out.append(state)
-    return out
+
+    def __init__(self, system, cols, origin):
+        self.system, self.cols, self.origin = system, cols, origin
+
+    def __len__(self):
+        return len(self.cols[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Rows(self.system, tuple(a[i] for a in self.cols),
+                         self.origin)
+        points = tuple(self.system._row_point(a[i].tolist(), -self.origin)
+                       for a in self.cols)
+        return points if len(points) > 1 else points[0]
+
+    def columns(self):
+        """One sequence of points per tuple slot."""
+        return tuple(_Rows(self.system, (a,), self.origin) for a in self.cols)
+
+    def zip(self, other):
+        """The tuples of this sequence's slots and then other's, when
+        other holds rows with the same origin; else None."""
+        if isinstance(other, _Rows) and other.origin == self.origin:
+            return _Rows(self.system, self.cols + other.cols, self.origin)
+        return None
 
 
 def agreement_level(a, b):
@@ -247,9 +266,8 @@ class TransitionMatrix:
             raise ValueError("entries must be 0 or 1")
         if any(not any(r) for r in rows):
             raise ValueError("zero row: every state needs a successor")
-        for j in range(n):
-            if not any(rows[i][j] for i in range(n)):
-                raise ValueError("zero column: every state needs a predecessor")
+        if any(not any(c) for c in zip(*rows)):
+            raise ValueError("zero column: every state needs a predecessor")
 
     @property
     def n(self):
@@ -267,47 +285,17 @@ class TransitionMatrix:
 
     @cached_property
     def predecessors(self):
-        n = self.n
-        return tuple(
-            tuple(i for i in range(n) if self.rows[i][j]) for j in range(n)
-        )
+        return self.transpose().successors
 
     @cached_property
     def primitive(self):
         """Wielandt test: primitive iff A^((n-1)^2 + 1) is positive."""
-        n = self.n
-        full = (1 << n) - 1
-        power = [sum(1 << j for j in s) for s in self.successors]
-        target = (n - 1) ** 2 + 1
-        m = 1
-        while True:
-            if all(r == full for r in power):
-                return True
-            if m >= target:
+        power, m = np.array(self.rows, dtype=np.int64), 1
+        while not power.all():
+            if m >= (self.n - 1) ** 2 + 1:
                 return False
-            nxt = []
-            for r in power:
-                acc = 0
-                j = 0
-                while r:
-                    if r & 1:
-                        acc |= power[j]
-                    r >>= 1
-                    j += 1
-                nxt.append(acc)
-            power = nxt
-            m *= 2
-
-    @cached_property
-    def _succ_draws(self):
-        """Per state, the `_walk` table entry of its successors."""
-        return tuple((s, len(s), len(s).bit_length()) for s in self.successors)
-
-    @cached_property
-    def _pred_draws(self):
-        """Per state, the `_walk` table entry of its predecessors."""
-        return tuple((p, len(p), len(p).bit_length())
-                     for p in self.predecessors)
+            power, m = np.minimum(power @ power, 1), 2 * m
+        return True
 
     @cached_property
     def _cycles(self):
@@ -315,26 +303,21 @@ class TransitionMatrix:
         return tuple(self.cycle_word(s) for s in range(self.n))
 
     @cached_property
-    def _flip_alts(self):
-        """(prev, cur, nxt) -> the states other than cur that fit between
-        prev and nxt, ascending.  Filled by `_alternatives` as triples
-        are met, since a table of every triple grows like n**3."""
-        return {}
-
-    def _alternatives(self, prev, cur, nxt):
-        key = (prev, cur, nxt)
-        alts = self._flip_alts.get(key)
-        if alts is None:
-            rows = self.rows
-            alts = self._flip_alts[key] = tuple(
-                s for s in self.successors[prev] if s != cur and rows[s][nxt])
-        return alts
+    def _steps(self):
+        """The batch walk tables, forward (successors) then backward
+        (predecessors): each state's options, ascending and padded with
+        -1, as an (n, max degree) int8 array, and the int64 degrees."""
+        out = []
+        for options in (self.successors, self.predecessors):
+            degree = np.array([len(o) for o in options], dtype=np.int64)
+            table = np.full((self.n, degree.max()), -1, dtype=np.int8)
+            for s, opts in enumerate(options):
+                table[s, :len(opts)] = opts
+            out.append((table, degree))
+        return tuple(out)
 
     def transpose(self):
-        n = self.n
-        return TransitionMatrix(
-            tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(n))
-        )
+        return TransitionMatrix(tuple(zip(*self.rows)))
 
     def cycle_word(self, s):
         """Shortest directed cycle through state s, as a word starting at s.
@@ -342,28 +325,17 @@ class TransitionMatrix:
         Tiling the word periodically gives an admissible orbit; None when
         s lies on no cycle.
         """
-        parent = {}
-        queue = []
-        for t in self.successors[s]:
-            if t == s:
-                return (s,)
-            if t not in parent:
-                parent[t] = None
-                queue.append(t)
-        while queue:
-            nxt = []
-            for u in queue:
-                for t in self.successors[u]:
-                    if t == s:
-                        path = [u]
-                        while parent[path[-1]] is not None:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return (s,) + tuple(path)
-                    if t not in parent:
-                        parent[t] = u
-                        nxt.append(t)
-            queue = nxt
+        parent, queue = {}, [s]
+        for u in queue:  # breadth first: the queue grows as it is read
+            for t in self.successors[u]:
+                if t == s:
+                    path = [u]
+                    while path[-1] != s:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                if t not in parent:
+                    parent[t] = u
+                    queue.append(t)
         return None
 
     def to_json(self):
@@ -440,11 +412,7 @@ def _word_array(matrix, length):
     """
     if length == 0:
         return np.zeros((1, 0), dtype=np.int8)
-    succ = matrix.successors
-    degree = np.array([len(s) for s in succ])
-    table = np.full((matrix.n, degree.max()), -1, dtype=np.int8)
-    for s, nxt in enumerate(succ):
-        table[s, :len(nxt)] = nxt
+    table, degree = matrix._steps[0]
     words = np.arange(matrix.n, dtype=np.int8)[:, None]
     for _ in range(length - 1):
         last = words[:, -1]
@@ -623,26 +591,20 @@ class ShiftSystem:
 
     def _pair_levels(self, pairs, steps):
         """The pair batch: level(f^s x, f^s y) for every pair, one list
-        per step s.
-
-        Each side's window [-w, w] is one (N, 2w + 1) int8 array, with
-        w = _LEVEL_REACH + max|s|.  At step s the level is t - 1 for the
-        first t at which the pair differs at coordinate s + t or s - t;
-        a row with no difference within t <= w - |s| takes math.inf when
-        its points are equal, else the scalar `agreement_level` of the
-        shifted pair.
+        per step s.  Sampled pairs (`_Rows` over [-w, w], every |s| < w)
+        read their rows: the level is t - 1 for the first t at which they
+        differ at coordinate s + t or s - t.  Rows with no difference
+        within t <= w - |s| are math.inf if equal (equal rows spell equal
+        points), else they take the scalar level, as any other pairs do.
         """
-        n = len(pairs)
-        w = _LEVEL_REACH + max(abs(s) for s in steps)
-
-        def side(k):
-            symbols = chain.from_iterable(pair[k].window(-w, w)
-                                          for pair in pairs)
-            return np.fromiter(symbols, dtype=np.int8,
-                               count=n * (2 * w + 1)).reshape(n, 2 * w + 1)
-
-        differ = side(0) != side(1)
-        rows = np.arange(n)
+        w = getattr(pairs, "origin", 0)
+        if not (isinstance(pairs, _Rows) and max(map(abs, steps)) < w):
+            return [[agreement_level(x.shift(s), y.shift(s))
+                     for x, y in pairs] for s in steps]
+        xs, ys = pairs.cols
+        differ = xs != ys
+        equal = ~differ.any(axis=1)
+        rows = np.arange(len(pairs))
         out = []
         for s in steps:
             order = [w + s] + [w + s + u for t in range(1, w - abs(s) + 1)
@@ -650,10 +612,11 @@ class ShiftSystem:
             scan = differ[:, order]
             first = scan.argmax(axis=1)
             levels = ((first + 1) // 2 - 1).tolist()
-            for i in np.flatnonzero(~scan[rows, first]).tolist():
+            for i in np.flatnonzero(~scan[rows, first] & ~equal).tolist():
                 x, y = pairs[i]
-                levels[i] = INF if x == y else agreement_level(x.shift(s),
-                                                               y.shift(s))
+                levels[i] = agreement_level(x.shift(s), y.shift(s))
+            for i in np.flatnonzero(equal).tolist():
+                levels[i] = INF
             out.append(levels)
         return out
 
@@ -677,6 +640,20 @@ class ShiftSystem:
         """Third vertex of the dynamical triangle: past of x, future of y."""
         return self.bracket(y, x)
 
+    def _pair_brackets(self, pairs):
+        """`triangle_vertex(x, y)` of every pair.  Sampled pairs splice
+        their rows, x's columns below coordinate 0 and y's from 0 on,
+        into a `_Rows` of points: its ends are x's and y's, so each
+        built point is the scalar vertex."""
+        if not isinstance(pairs, _Rows):
+            return [self.triangle_vertex(x, y) for x, y in pairs]
+        xs, ys = pairs.cols
+        c = pairs.origin
+        if (xs[:, c] != ys[:, c]).any():
+            raise ValueError("bracket needs agreement at coordinate 0")
+        return _Rows(self, (np.concatenate((xs[:, :c], ys[:, c:]), axis=1),),
+                     c)
+
     # -- sampling -------------------------------------------------------
 
     def random_point(self, rng, window=6):
@@ -684,26 +661,22 @@ class ShiftSystem:
         uniform state, with each end extended until it reaches a state
         on a cycle.
 
-        Stream contract: the point and the state `rng` is left in are
-        those of drawing the start with `rng.randrange(n)` and every
-        step with `rng.choice` over the successors (forward) or the
-        predecessors (backward), forward walk first, then backward,
-        then the backward and the forward extensions.  `_walk` makes
-        the same `getrandbits` calls as `Random.choice`, without its
-        frames; the stored reports depend on this stream.
+        Stream contract: the start is `rng.randrange(n)` and every step
+        an `rng.choice` over the successors (forward) or predecessors
+        (backward): forward walk first, then backward, then the backward
+        and the forward extensions.  Stored reports depend on it.
         """
         A = self.matrix
-        draw = rng.getrandbits
-        succ, pred, cycles = A._succ_draws, A._pred_draws, A._cycles
+        succ, pred, cycles = A.successors, A.predecessors, A._cycles
         s = rng.randrange(A.n)
-        fwd = [s] + _walk(draw, succ, s, window)
-        back = [s] + _walk(draw, pred, s, window)
-        # extend each end, the back first, until it reaches a state
-        # lying on a cycle
-        for path, table in ((back, pred), (fwd, succ)):
+        fwd, back = [s], [s]
+        for path, options in ((fwd, succ), (back, pred)):
+            for _ in range(window):
+                path.append(rng.choice(options[path[-1]]))
+        for path, options in ((back, pred), (fwd, succ)):
             guard = A.n + 1
             while cycles[path[-1]] is None and guard:
-                path += _walk(draw, table, path[-1], 1)
+                path.append(rng.choice(options[path[-1]]))
                 guard -= 1
         back.reverse()
         return self.point_through(back[:-1] + fwd, 1 - len(back))
@@ -729,45 +702,96 @@ class ShiftSystem:
         return self._checked(_absorb(head, word, tail[1:] + tail[:1], start))
 
     def sample_pairs(self, count, seed=0, levels=(1, 8)):
-        """Seeded pairs at exact agreement levels drawn from `levels`.
+        """Seeded pairs at exact agreement levels drawn from `levels`, as
+        a read-only sequence of (x, y) built on access.
 
         Every pair satisfies 0 < dist <= xi; the level of each pair is
-        exact by construction.
+        exact by construction: y is x with its tail from coordinate
+        +-(level + 1) on redrawn (see `_sample`).
         """
         lo, hi = levels
         if lo < 1:
             raise ValueError("levels below 1 leave the self-similar regime")
         if lo > hi:
             raise ValueError("levels must be a range (lo, hi) with lo <= hi")
+        # the level scan at steps +-1 reads out to coordinate +-(hi + 3)
+        return self._sample(count, seed, hi + 3, ((lo + 1, hi + 1, 0),))
+
+    def _sample(self, count, seed, reach, cuts):
+        """`count` seeded rows (walk, copy, ...) over [-reach, reach]:
+        a walk from a uniform state at 0 to uniform successors (and
+        predecessors) out to each end, and per cut (lo, hi, side) a copy
+        that leaves it at coordinate side * r, r uniform in lo..hi (side
+        0: either side), for another option there and walks on.  Rows
+        with no such option are dropped; bulk rounds go on until `count`
+        are kept, and stall past 64 count + 1024 rows.  Every draw comes
+        from one `Random(seed)`, through `_below`."""
         rng = Random(seed)
-        out = []
-        attempts = 0
-        while len(out) < count:
-            attempts += 1
-            if attempts > 50 * count + 100:
+        parts = [[np.zeros((0, 2 * reach + 1), dtype=np.int8)] * (
+            1 + len(cuts))]
+        have = drawn = 0
+        while have < count:
+            budget = 64 * count + 1024 - drawn
+            if budget <= 0:
                 raise ArithmeticError("sampling stalled; matrix too rigid")
-            lev = rng.randint(lo, hi)
-            x = self.random_point(rng, window=lev + 3)
-            y = self._perturb_at_radius(x, lev + 1, rng)
-            if y is None:
-                continue
-            out.append((x, y))
-        return out
+            # twice the rows needed at the acceptance seen so far
+            m = min(budget, 16 + 2 * (count - have) * max(drawn, 1)
+                    // max(have, 1))
+            x = np.empty((m, 2 * reach + 1), dtype=np.int8)
+            x[:, reach] = _below(rng, np.full(m, self.matrix.n))
+            every, ok = np.arange(m), np.ones(m, dtype=bool)
+            for sign in (1, -1):
+                self._walk_on(rng, x, sign, every, np.zeros(m, dtype=int))
+            rows = [x]
+            for lo, hi, side in cuts:
+                r = lo + _below(rng, np.full(m, hi - lo + 1))
+                sides = np.full(m, side) if side else (
+                    2 * _below(rng, np.full(m, 2)) - 1)
+                rows.append(x.copy())
+                for sign in (1, -1):
+                    at = np.flatnonzero(sides == sign)
+                    ok[at] &= self._branch(rng, rows[-1], sign, at, r[at])
+            parts.append([a[ok] for a in rows])
+            have += int(ok.sum())
+            drawn += m
+        return _Rows(self, tuple(np.concatenate(col)[:count]
+                                 for col in zip(*parts)), reach)
 
-    def _perturb_at_radius(self, x, r, rng):
-        for side in rng.sample((1, -1), 2):
-            y = self._flip(x, side * r, rng)
-            if y is not None:
-                return y
-        return None
+    def _branch(self, rng, x, sign, rows, r):
+        """Rows `rows` of x take another option than theirs at coordinate
+        sign * r[i] and walk on; returns which of them had one."""
+        table, degree = self.matrix._steps[sign < 0]
+        half = x[:, x.shape[1] // 2::sign]  # column t: coordinate sign * t
+        prev, old = half[rows, r - 1], half[rows, r]
+        alts = degree[prev] - 1
+        ok = alts > 0
+        rows, r, prev, old = rows[ok], r[ok], prev[ok], old[ok]
+        # options ascend: skip old by stepping past every option below it
+        pick = _below(rng, alts[ok])
+        half[rows, r] = table[prev, pick + (table[prev, pick] >= old)]
+        self._walk_on(rng, x, sign, rows, r)
+        return ok
 
-    def _flip(self, x, i, rng):
-        """x with coordinate i changed to a random admissible other
-        symbol; None when no other symbol fits between its neighbours."""
-        alts = self.matrix._alternatives(*x.window(i - 1, i + 1))
-        if not alts:
-            return None
-        return x.with_value(i, rng.choice(alts))
+    def _walk_on(self, rng, x, sign, rows, r):
+        """Rows `rows` of x walk from coordinate sign * r[i] out to their
+        end, to a uniform successor (sign 1) or predecessor per step."""
+        table, degree = self.matrix._steps[sign < 0]
+        half = x[:, x.shape[1] // 2::sign]
+        for t in range(1, half.shape[1]):
+            live = rows[r < t]
+            cur = half[live, t - 1]
+            half[live, t] = table[cur, _below(rng, degree[cur])]
+
+    def _row_point(self, row, start):
+        """`point_through` the list `row` of a sampled row at `start`,
+        once each end on no cycle is followed through first predecessors
+        (successors) to one that is."""
+        A = self.matrix
+        while A._cycles[row[0]] is None:
+            row, start = [A.predecessors[row[0]][0]] + row, start - 1
+        while A._cycles[row[-1]] is None:
+            row = row + [A.successors[row[-1]][0]]
+        return self.point_through(row, start)
 
 
 def sft_new(rows, lam=2.0):

@@ -261,6 +261,22 @@ def test_a_scale_below_the_roundoff_floor_is_reported(capsys):
                    "pair hit its target distance", "passed": False}
 
 
+def test_a_system_that_fails_to_build_fails_each_check(capsys):
+    # at lam 1.3 the cat map's default scale is below its sampling
+    # floor, which the construction sweep meets; the report still prints
+    for command, names in (("verify", ["verify"]),
+                           ("all", [n for n in cli.COMMANDS
+                                    if n not in ("all", "homogeneity")])):
+        code = cli.main([command, "--system", "cat-map", "--lambda", "1.3"])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert sorted(out["results"]) == sorted(names)
+        for name, res in out["results"].items():
+            assert res["passed"] is False
+            assert res["error"].startswith(f"{name}: scale 0.00625 is below")
+        assert out["passed"] is False
+
+
 def test_exit_one_when_a_check_fails(capsys):
     # homogeneity needs spectral data the reducible matrix lacks; the
     # error is folded into the report rather than crashing the run
@@ -339,3 +355,17 @@ def test_console_script_is_installed(subprocess_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_shift_runs_leave_numpy_random_unloaded(subprocess_env):
+    # numpy.random costs about 6 MB of resident memory to import
+    code = ("import contextlib, io, sys\n"
+            "from selfsimilar import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['all', '--system', 'golden-mean',"
+            " '--samples', '50'])\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]

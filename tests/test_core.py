@@ -481,7 +481,7 @@ def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling, euclid,
     assert refine_metric(cat, 1.8, 1e-6)._pair_dists is None
     warped = PowerWarp(full2)
     pairs = full2.sample_pairs(100, seed=4)
-    coincident = pairs + [(full2.constant(0),) * 2]
+    coincident = list(pairs) + [(full2.constant(0),) * 2]
     assert verify_self_similar(warped, coincident) == loop_verify(
         warped, coincident, 1e-9)
     lam = 2.0**0.9
@@ -599,7 +599,7 @@ def outcome(run):
 
 def orbit_check_inputs(golden, cat, doubling):
     """(system, pairs) with coincident pairs and pairs above xi."""
-    g = golden.sample_pairs(40, seed=3, levels=(1, 8))
+    g = list(golden.sample_pairs(40, seed=3, levels=(1, 8)))
     zero = golden.constant(0)
     g += [(g[0][0], g[0][0]), (zero, zero.with_value(0, 1))]
     rng = Random(37)
@@ -940,11 +940,11 @@ def holonomy_inputs(full2, golden, cat):
     bad = [(x, q, pp, full2.triangle_vertex(pp, q)),
            (x, x.with_value(-3, 1), x, x.with_value(-3, 1))]
     return [(golden, cli._symbolic_holonomy_quads(golden, 150, 2)),
-            (full2, cli._symbolic_holonomy_quads(full2, 150, 3) + bad),
+            (full2, list(cli._symbolic_holonomy_quads(full2, 150, 3)) + bad),
             (cat, cli._toral_holonomy_quads(cat, 150, 4,
                                             cat.xi / cat.lam ** 3)),
             (RiggedWarp(full2),
-             cli._symbolic_holonomy_quads(full2, 150, 5) + bad)]
+             list(cli._symbolic_holonomy_quads(full2, 150, 5)) + bad)]
 
 
 def loop_toral_holonomy_quads(sys, count, seed, scale):
@@ -986,7 +986,7 @@ def test_holonomy_batch_is_the_pair_loop(full2, golden, cat):
 
 
 def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden, cat):
-    good = full2.sample_pairs(6, seed=7, levels=(4, 9))
+    good = list(full2.sample_pairs(6, seed=7, levels=(4, 9)))
     x = good[0][0]
     same, wide = (x, x), (x, x.with_value(2, 1 - x.at(2)))
     rigged = RiggedWarp(full2, broken=[good[3]], hubbed=[good[1]])
@@ -1023,7 +1023,7 @@ def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden, cat):
         "coincident points give a degenerate triangle",
     ]
 
-    quads = cli._symbolic_holonomy_quads(golden, 20, 1)
+    quads = list(cli._symbolic_holonomy_quads(golden, 20, 1))
     p, q, pp, qq = quads[4]
     quads[4] = (p, p, pp, qq)
     quads[9] = (p, q, pp, pp)

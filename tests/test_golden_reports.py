@@ -8,9 +8,9 @@ with FILE holding the case's config, as JSON (with the "wall_clock_s"
 entry removed) and as CSV.  The built-in systems' configs name only the
 system; the two sft cases carry a matrix whose shortest cycles have
 lengths 2 and 3, so their points have tails of both periods.  On the
-3-state one no single symbol can change between fixed neighbours, so
-every pair sampler stalls, and the report pins those errors; the
-4-state one samples, and runs the sampled checks on such points.
+3-state one no single symbol can change between fixed neighbours, which
+stalled the one-symbol flip sampler of earlier versions; the tail
+redraw samples it, and both sft cases run the sampled checks.
 The cat-map-2000 and golden-mean-2000 cases set their own samples and
 seed: they are `selfsim all --system NAME --samples 2000 --seed 0`,
 the inputs of the torus-cover and shift-sampled benchmark workloads.

@@ -13,16 +13,18 @@ from itertools import product
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from selfsimilar import cli
 from selfsimilar.symbolic import (
     Cylinder,
     TransitionMatrix,
+    _Rows,
     _count_vectors,
     _splice,
-    _walk,
     _word_array,
     agreement_level,
     bi_sequence,
@@ -279,6 +281,22 @@ def test_batch_levels_past_the_window_and_of_equal_points(full2):
         [math.inf, 38, 3, -1, -1, math.inf],
         [math.inf, 40, 1, -1, -1, math.inf],
     ]
+
+
+def test_row_levels_past_the_scanned_columns(full2):
+    """Rows over [-3, 3] read at step s scan |t| <= 3 - |s| around s: a
+    difference only at coordinate 3 is out of reach at step -1, where
+    the level comes from the built points."""
+    xs = np.zeros((3, 7), dtype=np.int8)
+    ys = xs.copy()
+    ys[0, 6] = 1
+    ys[1, 0] = 1
+    pairs = _Rows(full2, (xs, ys), 3)
+    steps = (0, 1, -1, 2)
+    assert full2._pair_levels(pairs, steps) == [
+        [agreement_level(x.shift(s), y.shift(s)) for x, y in pairs]
+        for s in steps]
+    assert full2._pair_levels(pairs, (-1,)) == [[3, 1, math.inf]]
 
 
 def test_disagreement_at_zero_caps_the_distance(full2):
@@ -655,8 +673,10 @@ def test_sampled_pairs_sit_at_exact_levels(full2, golden, four):
             assert 1 <= lev <= 8
             assert 0.0 < sys.dist(x, y) <= sys.xi
             assert sys.admissible(x) and sys.admissible(y)
-    assert full2.sample_pairs(5, seed=11) == full2.sample_pairs(5, seed=11)
-    assert full2.sample_pairs(5, seed=11) != full2.sample_pairs(5, seed=12)
+    assert list(full2.sample_pairs(5, seed=11)) == list(
+        full2.sample_pairs(5, seed=11))
+    assert list(full2.sample_pairs(5, seed=11)) != list(
+        full2.sample_pairs(5, seed=12))
     with pytest.raises(ValueError, match="self-similar regime"):
         full2.sample_pairs(3, levels=(0, 4))
 
@@ -703,25 +723,6 @@ def test_unstable_children_refine_by_one_symbol(golden):
 
 # --------------------------------------------------------- sampling stream
 
-@settings(max_examples=200)
-@given(st.lists(st.integers(1, 70), min_size=1, max_size=8),
-       st.integers(0, 2**32 - 1), st.integers(0, 40))
-def test_walk_draws_what_random_choice_draws(sizes, seed, n):
-    """_walk inlines CPython's `_randbelow_with_getrandbits`; a Python
-    whose `Random.choice` draws differently fails here."""
-    m = len(sizes)
-    options = [tuple((s + 1 + j) % m for j in range(k))
-               for s, k in enumerate(sizes)]
-    table = [(o, len(o), len(o).bit_length()) for o in options]
-    rng, ref = Random(seed), Random(seed)
-    state, want = 0, []
-    for _ in range(n):
-        state = ref.choice(options[state])
-        want.append(state)
-    assert _walk(rng.getrandbits, table, 0, n) == want
-    assert rng.getstate() == ref.getstate()
-
-
 SAMPLER_MATRICES = (
     ((1, 1), (1, 1)),
     ((1, 1), (1, 0)),
@@ -763,16 +764,6 @@ def reference_random_point(sys, rng, window=6):
     return bi_sequence(head, word, tail[1:] + tail[:1], 1 - len(back))
 
 
-def reference_flip(sys, x, i, rng):
-    rows = sys.matrix.rows
-    prev_s, cur, nxt = x.at(i - 1), x.at(i), x.at(i + 1)
-    alts = [s for s in range(sys.matrix.n)
-            if s != cur and rows[prev_s][s] and rows[s][nxt]]
-    if not alts:
-        return None
-    return x.with_value(i, rng.choice(alts))
-
-
 @pytest.mark.parametrize("rows", SAMPLER_MATRICES)
 def test_random_points_follow_the_choice_stream(rows):
     sys = sft_new(rows)
@@ -784,17 +775,97 @@ def test_random_points_follow_the_choice_stream(rows):
             assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("rows", SAMPLER_MATRICES)
-def test_flips_follow_the_choice_stream(rows):
+def check_sampled_pairs(sys, pairs, count, levels):
+    """Rows are walks on the matrix, every built pair sits at a level
+    in `levels`, and the batch levels at steps 0 and +-1 are the scalar
+    ones of the built points."""
+    edges = np.array(sys.matrix.rows, dtype=bool)
+    assert len(pairs) == count
+    for rows in pairs.cols:
+        assert edges[rows[:, :-1], rows[:, 1:]].all()
+    built = list(pairs)
+    for x, y in built:
+        assert sys.admissible(x) and sys.admissible(y)
+        assert levels[0] <= agreement_level(x, y) <= levels[1]
+    steps = (0, 1, -1)
+    for got, s in zip(sys._pair_levels(pairs, steps), steps):
+        assert got == [agreement_level(x.shift(s), y.shift(s))
+                       for x, y in built]
+
+
+@st.composite
+def primitive_rows(draw):
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(bits, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(all(any(r) for r in rows) and all(any(c) for c in zip(*rows)))
+    assume(TransitionMatrix(rows).primitive)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_rows(), st.integers(0, 2**32 - 1), st.integers(0, 40),
+       st.integers(1, 6), st.integers(0, 5))
+def test_batch_sampler_draws_pairs_at_their_levels(rows, seed, count, lo,
+                                                   span):
     sys = sft_new(rows)
-    n = sys.matrix.n
-    for prev_s, cur, nxt in product(range(n), repeat=3):
-        assert list(sys.matrix._alternatives(prev_s, cur, nxt)) == [
-            s for s in range(n)
-            if s != cur and rows[prev_s][s] and rows[s][nxt]]
-    points, rng, ref = Random(4), Random(5), Random(5)
-    for _ in range(40):
-        x = sys.random_point(points, window=4)
-        for i in range(-6, 7):
-            assert sys._flip(x, i, rng) == reference_flip(sys, x, i, ref)
-            assert rng.getstate() == ref.getstate()
+    levels = (lo, lo + span)
+    check_sampled_pairs(sys, sys.sample_pairs(count, seed, levels), count,
+                        levels)
+
+
+@pytest.mark.parametrize("rows", SAMPLER_MATRICES)
+def test_tail_redraws_give_admissible_pairs_and_quadruples(rows):
+    """Also on matrices with states on no cycle, where a row's ends
+    follow first successors (predecessors) into a cycle."""
+    sys = sft_new(rows)
+    for seed in range(3):
+        check_sampled_pairs(sys, sys.sample_pairs(60, seed, (1, 8)), 60,
+                            (1, 8))
+    if rows == SAMPLER_MATRICES[3]:
+        # only 0 branches forward, and a past that reaches it is all 0,
+        # which has no other predecessor: no quadruple exists
+        with pytest.raises(ArithmeticError, match="stalled"):
+            cli._symbolic_holonomy_quads(sys, 40, 1)
+        return
+    quads = cli._symbolic_holonomy_quads(sys, 40, 1)
+    assert len(quads) == 40
+    for p, q, pp, qq in quads:
+        assert all(sys.admissible(z) for z in (p, q, pp, qq))
+        assert qq == sys.triangle_vertex(pp, q)
+
+
+def test_pair_brackets_splice_the_scalar_vertices(golden, four):
+    for sys in (golden, four):
+        pairs = sys.sample_pairs(200, seed=9, levels=(1, 6))
+        vertices = sys._pair_brackets(pairs)
+        assert list(vertices) == [sys.triangle_vertex(x, y)
+                                  for x, y in pairs]
+        assert sys._pair_brackets(list(pairs)) == list(vertices)
+    # first points of two samples, paired: some differ at coordinate 0
+    zero = golden.constant(0)
+    a, _ = golden.sample_pairs(20, seed=1).columns()
+    b, _ = golden.sample_pairs(20, seed=2).columns()
+    with pytest.raises(ValueError, match="agreement at coordinate 0"):
+        golden._pair_brackets(a.zip(b))
+    with pytest.raises(ValueError, match="agreement at coordinate 0"):
+        golden._pair_brackets([(zero, zero.with_value(0, 1))])
+
+
+def test_samplers_stall_without_a_branching_state():
+    swap = sft_new(((0, 1), (1, 0)))
+    with pytest.raises(ArithmeticError, match="stalled"):
+        swap.sample_pairs(50)
+    with pytest.raises(ArithmeticError, match="stalled"):
+        cli._symbolic_holonomy_quads(swap, 50, 0)
+    assert len(swap.sample_pairs(0)) == 0
+
+
+def test_sampled_sequences_are_read_only_views(full2):
+    pairs = full2.sample_pairs(6, seed=2)
+    with pytest.raises(TypeError):
+        pairs[0] = pairs[1]
+    assert list(pairs[2:4]) == list(pairs)[2:4] == [pairs[2], pairs[-3]]
+    x, y = pairs.columns()
+    assert list(x.zip(y)) == list(pairs)
+    assert x.zip([1, 2]) is None

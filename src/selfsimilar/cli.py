@@ -6,11 +6,11 @@ Config schema (all keys optional unless marked required):
       "system":  "full-2-shift" | "golden-mean" | "four-symbol"
                  | "cat-map" | "sft",                    (required)
       "rows":    [[0|1, ...], ...],          (required when system=sft)
-      "lam":     float > 1,                  ("lambda" accepted as alias)
+      "lam":     finite float > 1,           ("lambda" accepted as alias)
       "command": "verify" | "capacity" | "entropy" | "fundamental"
                  | "triangles" | "holonomy" | "measure"
                  | "homogeneity" | "all",                (required)
-      "scale":   float > 0,      sampling scale where one applies
+      "scale":   finite float > 0,  sampling scale where one applies
       "samples": int >= 1,       pair/point budget       (default 10000)
       "depth":   int >= 1,       measure DP horizon      (default 12)
       "n_max":   int >= 4,       entropy horizon         (default 12)
@@ -135,8 +135,8 @@ def _validate(data):
     if lam is not None:
         if not isinstance(lam, (int, float)) or isinstance(lam, bool):
             errors.append("lam must be a number")
-        elif lam <= 1:
-            errors.append("lam must exceed 1")
+        elif not 1 < lam < math.inf:  # NaN fails every comparison
+            errors.append("lam must be a finite number above 1")
         elif kind == "cat-map" and lam > _CAT_LAM_SUP * (1 + 1e-12):
             errors.append(
                 f"lam must lie in (1, {_CAT_LAM_SUP}] for the cat map"
@@ -146,8 +146,9 @@ def _validate(data):
 
     scale = data.get("scale")
     if scale is not None and (not isinstance(scale, (int, float))
-                              or isinstance(scale, bool) or scale <= 0):
-        errors.append("scale must be a positive number")
+                              or isinstance(scale, bool)
+                              or not 0 < scale < math.inf):
+        errors.append("scale must be a positive finite number")
     for key, lo in (("samples", 1), ("depth", 1), ("n_max", 4)):
         v = data.get(key)
         if v is not None and (not isinstance(v, int) or isinstance(v, bool)

@@ -63,21 +63,8 @@ class BiSequence:
         return self.right[(i - self.end) % len(self.right)]
 
     def window(self, lo, hi):
-        """Tuple of coordinates lo..hi inclusive: the tiled left tail,
-        a slice of `mid` and the tiled right tail."""
-        start, mid = self.start, self.mid
-        end = start + len(mid)
-        if start <= lo and hi < end:
-            return mid[lo - start:hi + 1 - start]
-        stop = (hi + 1 if hi < end else end) - start
-        out = mid[(lo - start if lo > start else 0):(stop if stop > 0 else 0)]
-        if lo < start:
-            out = _tile(self.left, lo - start,
-                        (hi + 1 if hi < start else start) - lo) + out
-        if hi >= end:
-            first = lo if lo > end else end
-            out += _tile(self.right, first - end, hi + 1 - first)
-        return out
+        """Tuple of coordinates lo..hi inclusive."""
+        return tuple(self.at(i) for i in range(lo, hi + 1))
 
     def shift(self, k=1):
         """The sequence b with b(n) = a(n+k).
@@ -100,14 +87,6 @@ class BiSequence:
         mid = list(self.window(lo, max(i + 1, self.end) - 1))
         mid[i - lo] = sym
         return _splice(self, tuple(mid), self, lo)
-
-
-def _tile(word, phase, n):
-    """n symbols of the periodic tiling of `word`, from index `phase`."""
-    if n <= 0:
-        return ()
-    r = phase % len(word)
-    return (word * ((r + n - 1) // len(word) + 1))[r:r + n]
 
 
 def bi_sequence(left, mid=(), right=None, start=0):
@@ -133,23 +112,15 @@ def _is_symbol(s):
 
 def _absorb(left, mid, right, start):
     """Canonical BiSequence from minimal-period tails and a window."""
-    # left tail absorbs window symbols that already follow its pattern,
-    # the right tail absorbs from the other end; each rotates by the
-    # number of symbols it took
-    n, p, q = len(mid), len(left), len(right)
-    i, j = 0, n
-    while i < n and mid[i] == left[i % p]:
-        i += 1
-    while j > i and mid[j - 1] == right[(j - n - 1) % q]:
-        j -= 1
-    if i:
-        r = i % p
-        left = left[r:] + left[:r]
-        start += i
-    if j < n:
-        r = (j - n) % q
-        right = right[r:] + right[:r]
-    mid = mid[i:j]
+    # left tail absorbs window symbols that already follow its pattern
+    while mid and mid[0] == left[0]:
+        mid = mid[1:]
+        left = left[1:] + left[:1]
+        start += 1
+    # right tail absorbs from the other end
+    while mid and mid[-1] == right[-1]:
+        mid = mid[:-1]
+        right = right[-1:] + right[:-1]
     if not mid:
         # bare boundary between the two periodic tails: let the left
         # pattern keep eating while it matches; if it never stops the

@@ -31,8 +31,6 @@ from random import Random
 import numpy as np
 
 _NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
-# pairs per block of `ToralSystem._pair_dists` and `_pair_brackets`
-_BLOCK = 1024
 # relative tolerance of `ToralSystem.sample_pairs` on each pair's target
 _SAMPLE_RTOL = 1e-9
 
@@ -226,13 +224,7 @@ class ToralSystem:
         whose two best translates lie within 1e-12 relative of each
         other, where that bit could change the pick, goes through the
         scalar `_nearest`.
-        Pairs go in blocks of `_BLOCK`, which bounds the array
-        temporaries (and so peak memory) on large pair sets.
         """
-        if len(pairs) > _BLOCK:
-            parts = [self._pair_dists(pairs[i:i + _BLOCK], steps)
-                     for i in range(0, len(pairs), _BLOCK)]
-            return [np.concatenate(a) for a in zip(*parts)]
         pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
         # (first coordinates, second coordinates), each with columns x, y
         p = pts[..., 0], pts[..., 1]
@@ -343,11 +335,8 @@ class ToralSystem:
         x + t * v_unstable wrapped by np.remainder, the IEEE operations
         of the scalar `bracket`.  A pair at a near-tie of two translates
         goes through the scalar `bracket`; a pair outside the domain
-        raises its error.  Pairs go in blocks of `_BLOCK`.
+        raises its error.
         """
-        if len(pairs) > _BLOCK:
-            return [z for i in range(0, len(pairs), _BLOCK)
-                    for z in self._pair_brackets(pairs[i:i + _BLOCK])]
         pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
         X, Y = pts[..., 0], pts[..., 1]
         norms, t, ties = self._nearest_norms(X, Y)

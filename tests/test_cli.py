@@ -67,7 +67,7 @@ def test_non_object_config_is_rejected():
 def test_lam_bounds():
     errs = errors_of(cfg_text(system="full-2-shift", command="verify",
                               lam=0.5))
-    assert "lam must exceed 1" in errs
+    assert "lam must be a finite number above 1" in errs
     errs = errors_of(cfg_text(system="full-2-shift", command="verify",
                               lam=True))
     assert "lam must be a number" in errs
@@ -75,6 +75,15 @@ def test_lam_bounds():
     assert any("for the cat map" in e for e in errs)
     cfg = parse_config(cfg_text(system="cat-map", command="verify", lam=1.8))
     assert cfg.lam == 1.8
+    # `nan <= 1` is false, so a bound check alone lets NaN through
+    for lam in (math.nan, math.inf, -math.inf):
+        errs = errors_of(cfg_text(system="golden-mean", command="all",
+                                  lam=lam))
+        assert errs == ["lam must be a finite number above 1"]
+    for scale in (math.nan, math.inf):
+        errs = errors_of(cfg_text(system="cat-map", command="all",
+                                  scale=scale))
+        assert errs == ["scale must be a positive finite number"]
 
 
 def test_every_problem_is_reported_at_once():
@@ -84,7 +93,7 @@ def test_every_problem_is_reported_at_once():
     ))
     assert len(errs) >= 8
     assert "unknown config key: bogus" in errs
-    assert "lam must exceed 1" in errs
+    assert "lam must be a finite number above 1" in errs
     assert "samples must be an integer >= 1" in errs
     assert "depth must be an integer >= 1" in errs
     assert "n_max must be an integer >= 4" in errs
@@ -120,7 +129,7 @@ def test_rows_wiring():
 
 def test_scale_must_be_positive():
     errs = errors_of(cfg_text(system="cat-map", command="verify", scale=-1))
-    assert "scale must be a positive number" in errs
+    assert "scale must be a positive finite number" in errs
 
 
 # ------------------------------------------------------------------- running
@@ -313,6 +322,18 @@ def test_exit_two_on_config_problems(tmp_path, capsys):
 
     assert cli.main(["verify", "--seed", "7"]) == 2
     assert "missing required field: system" in capsys.readouterr().err
+
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"system": "golden-mean", "command": "all", "lam": NaN}')
+    for argv in (["all", "--config", str(nan)],
+                 ["all", "--system", "golden-mean", "--lambda", "nan"],
+                 ["all", "--system", "golden-mean", "--lambda", "inf"],
+                 ["all", "--system", "cat-map", "--scale", "nan"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "finite" in captured.err
+        assert captured.out == ""
 
 
 def test_csv_format_via_the_command_line(capsys):

@@ -15,7 +15,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
@@ -23,6 +23,7 @@ from selfsimilar.symbolic import (
     Cylinder,
     TransitionMatrix,
     _Rows,
+    _below,
     _count_vectors,
     _splice,
     _word_array,
@@ -165,24 +166,6 @@ def test_window_is_inclusive():
     assert x.window(0, 0) == (1,)
 
 
-@given(tails, mids, tails, st.integers(-5, 5), st.integers(-30, 30),
-       st.integers(-2, 40), st.integers(0, 8), st.integers(0, 8))
-def test_window_slices_read_every_coordinate(left, mid, right, start, lo, n,
-                                             a, b):
-    x = bi_sequence(left, mid, right, start)
-    s, e = x.start, x.end
-    # besides the random interval: intervals inside `mid` (the sliced
-    # fast path), touching either of its ends, and wholly in one tail
-    width = max(e - s, 1)
-    i, j = sorted((a % width, b % width))
-    inside = (s + i, s + j)
-    for lo, hi in ((lo, lo + n - 1), inside, (s, e - 1), (s, s),
-                   (e - 1, e - 1), (s - 1, e), (s, e), (s - 1, e - 1),
-                   (s - 1 - a, s - 1), (s - 1 - a - b, s - 1 - b),
-                   (e, e + a), (e + b, e + a + b), (s, s - 1), (e, e - 1)):
-        assert x.window(lo, hi) == tuple(x.at(i) for i in range(lo, hi + 1))
-
-
 # --------------------------------------------------------- agreement level
 
 
@@ -259,15 +242,44 @@ def level_pairs(draw):
     return pairs
 
 
+# reach of the level kernel's rows, [-W, W]: every step s below has |s| < W
+W = 7
+
+
 @settings(max_examples=300)
 @given(level_pairs(), st.lists(st.integers(-6, 6), min_size=1, max_size=4,
                                unique=True))
+@example([], [0, 3, -6])
 def test_batch_levels_equal_the_scalar_scan(pairs, steps):
-    batch = full_shift(3)._pair_levels(pairs, steps)
+    """The row kernel against the scalar level of the points its rows
+    spell.  The rows are each pair's window(-W, W) and four fixed pairs
+    of constant-0 points: one differing at coordinate 0, which every scan
+    finds; one differing only at -W and one only at W, of which at each
+    step s != 0 one lies past the scanned columns (the scalar fallback);
+    and an equal pair.  Where the scan finds the mismatch, the level is
+    also the original pair's."""
+    shift3 = full_shift(3)
+    x = shift3.constant(0)
+    pairs = pairs + [(x, x.with_value(0, 1)), (x, x.with_value(-W, 1)),
+                     (x, x.with_value(W, 1)), (x, x)]
+    rows = _Rows(shift3, tuple(
+        np.array([p[k].window(-W, W) for p in pairs], dtype=np.int8)
+        for k in (0, 1)), W)
+    spelled = list(rows)
+    batch = shift3._pair_levels(rows, steps)
     assert len(batch) == len(steps)
+    kinds = set()
     for levels, s in zip(batch, steps):
-        assert levels == [agreement_level(x.shift(s), y.shift(s))
-                          for x, y in pairs]
+        assert levels == [agreement_level(a.shift(s), b.shift(s))
+                          for a, b in spelled]
+        reach = W - abs(s)
+        for level, (a, b) in zip(levels, pairs):
+            if level < reach:
+                assert level == agreement_level(a.shift(s), b.shift(s))
+            kinds.add("equal" if level == math.inf
+                      else "scanned" if level < reach else "past")
+    assert kinds == ({"scanned", "past", "equal"} if any(steps)
+                     else {"scanned", "equal"})
 
 
 def test_batch_levels_past_the_window_and_of_equal_points(full2):
@@ -773,6 +785,33 @@ def test_random_points_follow_the_choice_stream(rows):
             assert sys.random_point(rng, window) == reference_random_point(
                 sys, ref, window)
             assert rng.getstate() == ref.getstate()
+
+
+class QueuedWords:
+    """Stub rng whose `randbytes` serves one queued list of 32-bit words
+    per call, recording how many bytes each call asked for."""
+
+    def __init__(self, *rounds):
+        self.rounds, self.asked = list(rounds), []
+
+    def randbytes(self, n):
+        self.asked.append(n)
+        return np.array(self.rounds.pop(0), "<u4").tobytes()
+
+
+def test_below_redraws_the_rejected_words():
+    # a word is rejected at or above (1 << 32) - (1 << 32) % c: for c = 3
+    # and 7 that is only the top 1 and 4 words, for c = 3 << 30 it is c
+    # itself, and for c = 1 no word
+    big = 3 << 30
+    counts = np.array([3, big, 7, big, 1], dtype=np.int64)
+    top = (1 << 32) - 1
+    rng = QueuedWords([top, big + 5, 10, top, top],  # rows 0, 1, 3 rejected
+                      [7, top - 1, 4],  # row 1 again
+                      [big - 1])
+    got = _below(rng, counts)
+    assert rng.asked == [20, 12, 4] and not rng.rounds
+    assert got.tolist() == [7 % 3, big - 1, 10 % 7, 4, 0]
 
 
 def check_sampled_pairs(sys, pairs, count, levels):

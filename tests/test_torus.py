@@ -17,7 +17,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsimilar import torus
 from selfsimilar.core import DynMode, _pair_values, dyn_metric
 from selfsimilar.torus import (
     EuclideanTorus,
@@ -389,11 +388,10 @@ def test_pair_batch_is_the_scalar_path(case):
     assert all(type(v) is float for row in got for v in row)
 
 
-def test_pair_batch_runs_in_blocks(cat):
-    # more pairs than one block holds, so the batch splits them
+def test_pair_batch_is_the_scalar_path_on_2200_pairs(cat):
+    # one batch of 2,200 pairs, at a small and a large scale
     pairs = [pair for scale, seed in ((1e-3, 1), (cat.xi * 0.999, 2))
              for pair in cat.sample_pairs(1100, scale, seed=seed)]
-    assert len(pairs) > 2 * torus._BLOCK
     steps = (0, 2, -1)
     got = _pair_values(cat, pairs, steps)
     assert got == _pair_values(ScalarOnly(cat), pairs, steps)
@@ -461,7 +459,7 @@ def test_a_pair_outside_the_domain_raises_the_scalar_error(cat):
     with pytest.raises(ValueError) as scalar:
         cat.bracket(*far)
     pairs = cat.sample_pairs(2100, 1e-2, seed=4)
-    for at in (17, torus._BLOCK + 3):  # in the first block and a later one
+    for at in (17, 1027):
         with pytest.raises(ValueError) as batch:
             cat._pair_brackets(pairs[:at] + [far] + pairs[at:])
         assert str(batch.value) == str(scalar.value)

@@ -10,6 +10,8 @@ unstable Hausdorff measures.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .core import (
     holder_check,
     holonomy_deviation,
@@ -55,14 +57,18 @@ from .symbolic import (
     sft_new,
     spectral_radius,
 )
-from .torus import (
-    CircleDoubling,
-    EuclideanTorus,
-    ToralSystem,
-    cat_map,
-    euclidean_base,
-    toral_new,
-)
+
+# the torus (and with it numpy) loads on first use of one of its names
+_TORAL = ("CircleDoubling", "EuclideanTorus", "ToralSystem", "cat_map",
+          "euclidean_base", "toral_new")
+
+
+def __getattr__(name):
+    if name != "torus" and name not in _TORAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    torus = importlib.import_module(".torus", __name__)
+    return torus if name == "torus" else getattr(torus, name)
+
 
 __all__ = [
     "__version__",

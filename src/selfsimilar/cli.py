@@ -45,7 +45,6 @@ from . import measure as _meas
 from .core import (_HOLONOMY_DEPTH, _holonomy_reports, _triangle_reports,
                    verify_self_similar)
 from .symbolic import four_symbol, full_shift, golden_mean, sft_new
-from .torus import cat_map
 
 COMMANDS = ("verify", "capacity", "entropy", "fundamental", "triangles",
             "holonomy", "measure", "homogeneity", "all")
@@ -135,7 +134,7 @@ def _validate(data):
     if lam is not None:
         if not isinstance(lam, (int, float)) or isinstance(lam, bool):
             errors.append("lam must be a number")
-        elif not 1 < lam < math.inf:  # NaN fails every comparison
+        elif not 1 < lam <= _sys.float_info.max:  # NaN, inf, 10**400 fail
             errors.append("lam must be a finite number above 1")
         elif kind == "cat-map" and lam > _CAT_LAM_SUP * (1 + 1e-12):
             errors.append(
@@ -200,6 +199,7 @@ def build_system(cfg):
     if cfg.system == "four-symbol":
         return four_symbol(**kw)
     if cfg.system == "cat-map":
+        from .torus import cat_map
         return cat_map(**kw)
     return sft_new(cfg.rows, **kw)
 

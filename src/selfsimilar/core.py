@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _MODES = ("two_sided", "forward", "backward")
 
 
@@ -242,6 +240,7 @@ class RefinedSystem:
         over |i| <= window of the term at s + i divided by lam**|i|, so
         one pass serves steps 0 and +-1.
         """
+        import numpy as np
         n = self.window
         best = [np.zeros(len(pairs)) for _ in steps]
         reach = n + max(abs(s) for s in steps)
@@ -471,6 +470,7 @@ def _holonomy_reports(sys, quads):
     `_pair_values` call each for the plaque pairs (p, q) followed
     backward, the projected pairs (pp, qq) and each side's legs followed
     forward.  The first coincident plaque pair raises."""
+    import numpy as np
     depth = range(_HOLONOMY_DEPTH + 1)
     p, q, pp, qq = _unzip(quads, 4)
     plaques, *back = _pair_values(sys, _zip(p, q), tuple(-j for j in depth))

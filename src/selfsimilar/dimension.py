@@ -22,8 +22,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 
-import numpy as np
-
 from .symbolic import _count_vectors, _parry_data, _window_count, _word_counts
 
 
@@ -99,6 +97,7 @@ def _toral_grid(sys, density):
 def _stencil(sys, n, radius, k):
     """Index offsets (a, b) of the grid points in the closed d_k ball
     of this radius around any grid point."""
+    import numpy as np
     hx, hy = sys.ball_half_widths(radius, k)
     ax, ay = int(hx * n) + 1, int(hy * n) + 1
     a, b = np.meshgrid(np.arange(-ax, ax + 1), np.arange(-ay, ay + 1),
@@ -116,6 +115,7 @@ def _greedy(n, ta, tb):
     that land in the same row, then one fancy-index assignment marks
     every other row for all of the row's picks.
     """
+    import numpy as np
     marked = np.zeros((n, n), dtype=bool)
     same = set((tb[ta % n == 0] % n).tolist())
     count = 0

@@ -20,23 +20,23 @@ requires stable times unstable and that is what is implemented.
 Probabilities are normalized by the total mass of all boxes of the
 same depth, since no normalization convention is given.
 
-The Parry comparison holds every admissible depth-k word in one int8
-array and computes the box and Parry masses column-wise, in the same
-floating-point operation order as the scalar formulas, so its values
-are those of a per-word loop bit for bit; its rows are a lazy view
-over the columns.
+Both masses of a depth-k box depend only on its end states, so the
+Parry comparison runs over the n**2 end-state classes weighted by
+their exact word counts, in memory O(n**2) at any depth; its rows, one
+per admissible word, are a lazy view over the class table.  The module
+runs without numpy.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from itertools import islice
 
 from .dimension import _log_growth, _lsq
-from .symbolic import _parry_data, _word_array
+from .symbolic import _count_vectors, _parry_data, iter_words
 
 
 def _edge_at(sys, scale):
@@ -409,37 +409,43 @@ def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,
 # -- Parry comparison --------------------------------------------------------
 
 
-_ROW_CHUNK = 4096
-
-
-def _row_tuples(words, dp, parry, gap):
-    return zip(map(tuple, words.tolist()), dp.tolist(), parry.tolist(),
-               gap.tolist())
-
-
 class _ParryRows(Sequence):
-    """Read-only rows (word, dp, parry, rel_gap) over the column arrays.
-
-    Rows are built on access, as tuples of Python ints and floats; a
-    slice gives a list.  Iteration converts one chunk at a time.
+    """Read-only rows (word, dp, parry, rel_gap), one per admissible word
+    of the given length in `iter_words` order, with the values that
+    `table` holds for the word's end states.  Item i is the word of rank i,
+    unranked with the suffix counts of `_count_vectors`; iteration walks
+    `iter_words`; a slice gives a list.
     """
 
-    def __init__(self, words, dp, parry, gap):
-        self._cols = (words, dp, parry, gap)
+    def __init__(self, matrix, length, table):
+        self._matrix, self._length, self._table = matrix, length, table
+        # _suffix[k][s]: the words of length k + 1 that start at s
+        self._suffix = list(islice(_count_vectors(matrix), length))
+        # indexing a range works past sys.maxsize, where len() stops
+        self._ranks = range(sum(self._suffix[-1]))
 
     def __len__(self):
-        return len(self._cols[1])
+        return len(self._ranks)
+
+    def _row(self, word):
+        return (word, *self._table[word[0], word[-1]])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(_row_tuples(*(c[i] for c in self._cols)))
-        i = range(len(self))[i]
-        return next(_row_tuples(*(c[i:i + 1] for c in self._cols)))
+            return [self[j] for j in self._ranks[i]]
+        i = self._ranks[i]
+        word, options = [], range(self._matrix.n)
+        for counts in reversed(self._suffix):
+            for s in options:
+                if i < counts[s]:
+                    break
+                i -= counts[s]
+            word.append(s)
+            options = self._matrix.successors[s]
+        return self._row(tuple(word))
 
     def __iter__(self):
-        for lo in range(0, len(self), _ROW_CHUNK):
-            yield from _row_tuples(*(c[lo:lo + _ROW_CHUNK]
-                                     for c in self._cols))
+        return map(self._row, iter_words(self._matrix, self._length))
 
 
 @dataclass
@@ -463,13 +469,15 @@ class ParryReport:
 def parry_compare(sys, depth):
     """Normalized depth-k box masses against the Parry measure.
 
-    The admissible words of length 2 * depth + 1 are one int8 array,
-    and each quantity is computed column-wise in the operation order of
-    the per-word formulas, so every value is theirs bit for bit: the DP
-    mass is scale * g_s(w[0]) * g_u(w[-1]), the total is the builtin sum
-    in word order, and the Parry mass is pi[w[0]] times the steps
-    v[b] / (rho * v[a]) in word order.  The report's rows are a lazy
-    view over the columns.
+    Both masses of a word of length L = 2 * depth + 1 depend on its end
+    states (a, b) only: the DP mass is scale * g_s[a] * g_u[b], and the
+    Parry mass telescopes to pi[a] * v[b] / (v[a] * rho**(L - 1)).  So
+    the comparison runs over the n**2 end-state classes, each holding
+    the exact count (A**(2 * depth))_ab of words.  The total mass is the
+    exact sum of count times class mass, rounded once (math.fsum of the
+    per-word masses, bit for bit), and the worst gap is taken over the
+    classes that hold a word.  The report's rows are one per word, read
+    from the class table on access.
     """
     if sys.space_kind != "symbolic":
         raise ValueError("parry comparison is symbolic-only")
@@ -477,27 +485,31 @@ def parry_compare(sys, depth):
         raise ValueError("parry comparison needs a mixing (primitive) SFT")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    matrix, n, length = sys.matrix, sys.matrix.n, 2 * depth + 1
     d = intrinsic_exponent(sys)
+    if d <= 0:  # one state, no entropy: every box mass is 0
+        raise ValueError("dimension exponent must be positive")
     dp_depth = 32
-    g_u = np.array(_dp(sys.matrix, sys.lam, d).table(dp_depth))
-    g_s = np.array(_dp(sys.matrix.transpose(), sys.lam, d).table(dp_depth))
+    g_u = _dp(matrix, sys.lam, d).table(dp_depth)
+    g_s = _dp(matrix.transpose(), sys.lam, d).table(dp_depth)
     scale = sys.lam ** (-2 * depth * d)
-    words = _word_array(sys.matrix, 2 * depth + 1)
-    masses = scale * g_s[words[:, 0]] * g_u[words[:, -1]]
-    total = sum(masses.tolist())  # in word order; np.sum is pairwise
-    dp = masses / total
+    counts = [[int(a == b) for b in range(n)] for a in range(n)]
+    for _ in range(2 * depth):
+        counts = [[sum(row[c] for c in matrix.predecessors[b])
+                   for b in range(n)] for row in counts]
+    masses = {(a, b): scale * g_s[a] * g_u[b] for a in range(n)
+              for b in range(n) if counts[a][b]}
+    total = float(sum(Fraction(m) * counts[a][b]
+                      for (a, b), m in masses.items()))
 
-    rho, v, pi = _parry_data(sys.matrix)
-    n = sys.matrix.n
-    step = np.array([[v[b] / (rho * v[a]) for b in range(n)]
-                     for a in range(n)])
-    parry = np.array(pi)[words[:, 0]]
-    for j in range(1, words.shape[1]):
-        parry *= step[words[:, j - 1], words[:, j]]
-    gap = np.abs(dp - parry) / parry
-    return ParryReport(depth=depth, max_rel_gap=float(gap.max()),
-                       total_mass=total,
-                       rows=_ParryRows(words, dp, parry, gap))
+    rho, v, pi = _parry_data(matrix)
+    table = {}
+    for (a, b), m in masses.items():
+        parry = pi[a] * v[b] / (v[a] * rho ** (length - 1))
+        table[a, b] = (m / total, parry, abs(m / total - parry) / parry)
+    worst = max(gap for _, _, gap in table.values())
+    return ParryReport(depth=depth, max_rel_gap=worst, total_mass=total,
+                       rows=_ParryRows(matrix, length, table))
 
 
 # -- toral closed form -------------------------------------------------------

@@ -17,12 +17,11 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import lcm
+from operator import or_
 from random import Random
-
-import numpy as np
 
 INF = math.inf
 
@@ -157,6 +156,7 @@ def _below(rng, counts):
     """One uniform draw from range(c) per c >= 1 of the int64 array
     `counts`: a 32-bit word of `rng.randbytes`, redrawn while at or above
     the largest multiple of c below 2**32, modulo c (exactly uniform)."""
+    import numpy as np
     u = np.frombuffer(rng.randbytes(4 * len(counts)), "<u4").astype(np.int64)
     limit = (1 << 32) - (1 << 32) % counts
     redo = np.flatnonzero(u >= limit)
@@ -260,12 +260,16 @@ class TransitionMatrix:
 
     @cached_property
     def primitive(self):
-        """Wielandt test: primitive iff A^((n-1)^2 + 1) is positive."""
-        power, m = np.array(self.rows, dtype=np.int64), 1
-        while not power.all():
+        """Wielandt test: primitive iff A^((n-1)^2 + 1) is positive, on
+        rows as bitsets (bit b of row a of A^m: an m-step walk a -> b)."""
+        full = (1 << self.n) - 1
+        power, m = [sum(1 << b for b in s) for s in self.successors], 1
+        while any(r != full for r in power):
             if m >= (self.n - 1) ** 2 + 1:
                 return False
-            power, m = np.minimum(power @ power, 1), 2 * m
+            power = [reduce(or_, (p for c, p in enumerate(power)
+                                  if r >> c & 1)) for r in power]
+            m *= 2
         return True
 
     @cached_property
@@ -278,6 +282,7 @@ class TransitionMatrix:
         """The batch walk tables, forward (successors) then backward
         (predecessors): each state's options, ascending and padded with
         -1, as an (n, max degree) int8 array, and the int64 degrees."""
+        import numpy as np
         out = []
         for options in (self.successors, self.predecessors):
             degree = np.array([len(o) for o in options], dtype=np.int64)
@@ -371,26 +376,6 @@ def iter_words(matrix, length):
 
     for s in range(matrix.n):
         yield from rec((s,))
-
-
-def _word_array(matrix, length):
-    """All admissible words of the given length as an (N, length) int8
-    array, rows in the lexicographic order of iter_words.
-
-    Grown one column at a time: each word is repeated once per
-    successor of its last symbol, and the successors, read row-major
-    from a padded table, form the new column.
-    """
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    table, degree = matrix._steps[0]
-    words = np.arange(matrix.n, dtype=np.int8)[:, None]
-    for _ in range(length - 1):
-        last = words[:, -1]
-        nxt = table[last]
-        words = np.column_stack((np.repeat(words, degree[last], axis=0),
-                                 nxt[nxt >= 0]))
-    return words
 
 
 def spectral_radius(matrix):
@@ -572,6 +557,7 @@ class ShiftSystem:
         if not (isinstance(pairs, _Rows) and max(map(abs, steps)) < w):
             return [[agreement_level(x.shift(s), y.shift(s))
                      for x, y in pairs] for s in steps]
+        import numpy as np
         xs, ys = pairs.cols
         differ = xs != ys
         equal = ~differ.any(axis=1)
@@ -618,6 +604,7 @@ class ShiftSystem:
         built point is the scalar vertex."""
         if not isinstance(pairs, _Rows):
             return [self.triangle_vertex(x, y) for x, y in pairs]
+        import numpy as np
         xs, ys = pairs.cols
         c = pairs.origin
         if (xs[:, c] != ys[:, c]).any():
@@ -697,6 +684,7 @@ class ShiftSystem:
         with no such option are dropped; bulk rounds go on until `count`
         are kept, and stall past 64 count + 1024 rows.  Every draw comes
         from one `Random(seed)`, through `_below`."""
+        import numpy as np
         rng = Random(seed)
         parts = [[np.zeros((0, 2 * reach + 1), dtype=np.int8)] * (
             1 + len(cuts))]

@@ -64,7 +64,7 @@ def test_non_object_config_is_rejected():
                     "system, command"]
 
 
-def test_lam_bounds():
+def test_lam_bounds(tmp_path, capsys):
     errs = errors_of(cfg_text(system="full-2-shift", command="verify",
                               lam=0.5))
     assert "lam must be a finite number above 1" in errs
@@ -80,6 +80,15 @@ def test_lam_bounds():
         errs = errors_of(cfg_text(system="golden-mean", command="all",
                                   lam=lam))
         assert errs == ["lam must be a finite number above 1"]
+    # a JSON integer beyond the float range passes `lam < math.inf`
+    text = '{"system": "golden-mean", "command": "entropy", "lam": 1%s}' % (
+        "0" * 400)
+    assert errors_of(text) == ["lam must be a finite number above 1"]
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    assert cli.main(["entropy", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: lam must be a finite number above 1\n")
     for scale in (math.nan, math.inf):
         errs = errors_of(cfg_text(system="cat-map", command="all",
                                   scale=scale))
@@ -390,3 +399,36 @@ def test_shift_runs_leave_numpy_random_unloaded(subprocess_env):
                           text=True, env=subprocess_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False"]
+
+
+def test_shift_measure_runs_leave_numpy_unloaded(subprocess_env):
+    # numpy is imported by the array kernels only: sampling, the torus and
+    # the toral covers; the exact shift measure path runs without it
+    code = """\
+import sys
+from random import Random
+import selfsimilar, selfsimilar.cli
+from selfsimilar import (UnstableWindow, cov_identity_check, entropy,
+                         full_shift, golden_mean, hausdorff_estimate,
+                         homogeneity_check, intrinsic_exponent, parry_compare)
+f3, g = full_shift(3), golden_mean()
+assert len(parry_compare(f3, 5).rows) == 3 ** 11
+assert hausdorff_estimate(g, UnstableWindow(g.constant(0), 0),
+                          intrinsic_exponent(g), 12).value == 1.0
+assert entropy(g, n_max=64).ent > 0
+assert all(r.consistent for r in cov_identity_check(g, k_max=6))
+rng = Random(0)
+xs = [g.random_point(rng, window=16) for _ in range(20)]
+assert homogeneity_check(g, xs).c_observed > 1
+assert "numpy" not in sys.modules, "numpy loaded"
+assert selfsimilar.cat_map().space_kind == "toral"
+assert selfsimilar.torus.ToralSystem is selfsimilar.ToralSystem
+namespace = {}
+exec("from selfsimilar import *", namespace)
+assert set(selfsimilar.__all__) <= set(namespace)
+print("numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]

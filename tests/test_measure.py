@@ -9,6 +9,7 @@ conditionals reproduce the Parry transition probabilities.
 """
 
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -385,7 +386,10 @@ def test_box_masses_match_the_parry_measure(golden):
 
 
 def parry_reference(sys, depth, dp_depth=32):
-    """Per-word scalar rows, total mass and worst gap of the comparison."""
+    """Per-word scalar rows, total mass and worst gap of the comparison:
+    every admissible word, its DP mass from the tables, the total as
+    math.fsum (correctly rounded) and the Parry mass as parry_measure's
+    product of steps."""
     d = intrinsic_exponent(sys)
     dp_u = _dp(sys.matrix, sys.lam, d)
     dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
@@ -393,7 +397,7 @@ def parry_reference(sys, depth, dp_depth=32):
     words = list(iter_words(sys.matrix, 2 * depth + 1))
     masses = [scale * dp_s.g(w[0], dp_depth) * dp_u.g(w[-1], dp_depth)
               for w in words]
-    total = sum(masses)
+    total = math.fsum(masses)
     rows, worst = [], 0.0
     for w, m in zip(words, masses):
         p = parry_measure(sys.matrix, w)
@@ -403,15 +407,29 @@ def parry_reference(sys, depth, dp_depth=32):
     return rows, total, worst
 
 
+def assert_rows_match(got, want):
+    """Word and DP mass equal; Parry mass to 1e-14 relative (the class
+    formula telescopes the reference's product of steps); gap to 1e-14."""
+    assert len(got) == len(want)
+    for (w, dp, parry, gap), (w0, dp0, parry0, gap0) in zip(got, want):
+        assert w == w0 and dp == dp0
+        assert abs(parry - parry0) <= 1e-14 * parry0, (w, parry, parry0)
+        assert abs(gap - gap0) <= 1e-14, (w, gap, gap0)
+
+
 def test_parry_comparison_equals_the_scalar_formulas(golden):
-    # bit for bit: == on every float, no tolerance
-    cases = [(golden, depth) for depth in range(7)] + [(full_shift(3), 3)]
+    cases = [(golden, depth) for depth in range(7)] + [
+        (full_shift(3), 3), (full_shift(3), 5),
+        (sft_new([[0, 1, 0], [0, 0, 1], [1, 1, 0]]), 3),
+        (sft_new([[0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]]),
+         3),
+    ]
     for sys, depth in cases:
         rep = parry_compare(sys, depth)
         rows, total, worst = parry_reference(sys, depth)
-        assert list(rep.rows) == rows
         assert rep.total_mass == total
-        assert rep.max_rel_gap == worst
+        assert_rows_match(list(rep.rows), rows)
+        assert rep.max_rel_gap == pytest.approx(worst, rel=0, abs=1e-14)
         assert type(rep.max_rel_gap) is float
         word, dp_mass, parry_mass, gap = rep.rows[0]
         assert all(type(s) is int for s in word)
@@ -424,29 +442,55 @@ def test_parry_comparison_at_depth_6_on_the_full_3_shift():
     assert rep.max_rel_gap <= 1e-9
 
 
+def test_parry_comparison_at_depth_12_is_memory_flat():
+    # 3**25 words: the class table and the suffix counts hold it all
+    tracemalloc.start()
+    try:
+        rep = parry_compare(full_shift(3), 12)
+        last = rep.rows[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 3**25
+    word, dp_mass, parry_mass, gap = last
+    assert word == (2,) * 25
+    assert (word, dp_mass, parry_mass, gap) == rep.rows[3**25 - 1]
+    assert dp_mass == rep.rows[0][1] == pytest.approx(3.0**-25, rel=1e-14)
+    assert parry_mass == pytest.approx(3.0**-25, rel=1e-14)
+    assert rep.max_rel_gap <= 1e-9
+    assert peak < 1 << 20
+    # past sys.maxsize rows len() overflows, but indexing still works
+    rows = parry_compare(full_shift(3), 20).rows
+    assert rows[-1][0] == (2,) * 41
+    assert [r[0][-1] for r in rows[3**41 - 3:]] == [0, 1, 2]
+
+
 def test_parry_rows_are_a_read_only_sequence(golden):
     rep = parry_compare(golden, 3)
     rows, _, _ = parry_reference(golden, 3)
     view = rep.rows
     assert len(view) == len(rows) == 34
-    assert view[0] == rows[0]
-    assert view[-1] == rows[-1]
-    assert view[-34] == rows[0]
-    assert view[7:19:3] == rows[7:19:3]
-    assert view[::-1] == rows[::-1]
-    assert view[30:] == rows[30:]
+    assert_rows_match([view[0]], rows[:1])
+    assert_rows_match([view[-1]], rows[-1:])
+    assert_rows_match([view[-34]], rows[:1])
+    assert_rows_match([view[i] for i in range(34)], rows)
+    assert_rows_match(view[7:19:3], rows[7:19:3])
+    assert_rows_match(view[::-1], rows[::-1])
+    assert_rows_match(view[30:], rows[30:])
     assert view[40:] == []
     for i in (34, -35):
         with pytest.raises(IndexError):
             view[i]
     with pytest.raises(TypeError):
         view[0] = rows[1]
-    assert list(reversed(view)) == rows[::-1]
-    assert rows[4] in view
-    assert rep.to_dict()["rows"] == [
-        {"word": list(w), "dp": a, "parry": b, "rel_gap": g}
-        for w, a, b, g in rows
-    ]
+    assert_rows_match(list(reversed(view)), rows[::-1])
+    assert view[4] in view
+    assert rows[0][0] not in view
+    got = rep.to_dict()["rows"]
+    assert [r["word"] for r in got] == [list(w) for w, *_ in rows]
+    assert_rows_match(
+        [(tuple(r["word"]), r["dp"], r["parry"], r["rel_gap"]) for r in got],
+        rows)
 
 
 def test_dp_cache_is_bounded(golden):
@@ -463,6 +507,8 @@ def test_parry_comparison_validation(golden, four, cat):
         parry_compare(four, 2)
     with pytest.raises(ValueError, match="depth must be nonnegative"):
         parry_compare(golden, -1)
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        parry_compare(full_shift(1), 2)
 
 
 # ------------------------------------------------------------- toral measure

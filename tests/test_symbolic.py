@@ -26,7 +26,6 @@ from selfsimilar.symbolic import (
     _below,
     _count_vectors,
     _splice,
-    _word_array,
     agreement_level,
     bi_sequence,
     count_words,
@@ -368,8 +367,8 @@ def test_primitivity_classification(full2, golden, four):
 
 
 @st.composite
-def small_matrices(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def small_matrices(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     rows = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         if not any(rows[i]):
@@ -380,9 +379,9 @@ def small_matrices(draw):
     return tuple(tuple(r) for r in rows)
 
 
-@given(small_matrices())
-def test_primitivity_matches_plain_matrix_powers(rows):
-    m = TransitionMatrix(rows)
+def wielandt_reference(rows):
+    """Whether A^((n-1)^2 + 1) is positive, by plain integer matrix
+    products; once positive a power stays positive, as no row is zero."""
     n = len(rows)
 
     def matmul(a, b):
@@ -391,8 +390,6 @@ def test_primitivity_matches_plain_matrix_powers(rows):
             for i in range(n)
         )
 
-    # positivity of A^((n-1)^2 + 1) decides primitivity; once positive it
-    # stays positive because no row is zero
     power = rows
     positive = all(v for r in power for v in r)
     for _ in range((n - 1) ** 2):
@@ -400,7 +397,26 @@ def test_primitivity_matches_plain_matrix_powers(rows):
             break
         power = matmul(power, rows)
         positive = all(v for r in power for v in r)
-    assert m.primitive == positive
+    return positive
+
+
+@given(small_matrices(max_n=6))
+def test_primitivity_matches_plain_matrix_powers(rows):
+    assert TransitionMatrix(rows).primitive == wielandt_reference(rows)
+
+
+def test_primitivity_on_every_matrix_up_to_three_states():
+    # every 0/1 matrix with no zero row or column, n <= 3: 1 + 7 + 265
+    seen = 0
+    for n in (1, 2, 3):
+        for bits in product((0, 1), repeat=n * n):
+            rows = tuple(bits[i * n:(i + 1) * n] for i in range(n))
+            if not all(map(any, rows)) or not all(map(any, zip(*rows))):
+                continue
+            assert TransitionMatrix(rows).primitive == (
+                wielandt_reference(rows)), rows
+            seen += 1
+    assert seen == 1 + 7 + 265
 
 
 def test_shortest_cycles(golden, four):
@@ -463,16 +479,6 @@ def test_word_enumeration_matches_the_count(rows, length):
             if all(rows[a][b] for a, b in zip(w, w[1:]))
         ]
         assert words == brute
-
-
-def test_word_array_matches_the_enumeration():
-    for sys in (full_shift(2), full_shift(3), golden_mean(), four_symbol()):
-        for length in range(10):
-            arr = _word_array(sys.matrix, length)
-            assert arr.dtype.name == "int8"
-            assert arr.shape == (count_words(sys.matrix, length), length)
-            got = [tuple(w) for w in arr.tolist()]
-            assert got == list(iter_words(sys.matrix, length))
 
 
 def test_count_vectors_are_powers_of_the_matrix(golden, four):

@@ -40,11 +40,9 @@ from pathlib import Path
 from random import Random
 
 from . import __version__
-from . import dimension as _dim
-from . import measure as _meas
-from .core import (_HOLONOMY_DEPTH, _holonomy_reports, _triangle_reports,
-                   verify_self_similar)
-from .symbolic import four_symbol, full_shift, golden_mean, sft_new
+
+# each check imports the library modules it uses when it runs, so a
+# run loads only those, and reads their names at call time
 
 COMMANDS = ("verify", "capacity", "entropy", "fundamental", "triangles",
             "holonomy", "measure", "homogeneity", "all")
@@ -192,22 +190,24 @@ def parse_config(text):
 
 def build_system(cfg):
     kw = {} if cfg.lam is None else {"lam": cfg.lam}
-    if cfg.system == "full-2-shift":
-        return full_shift(2, **kw)
-    if cfg.system == "golden-mean":
-        return golden_mean(**kw)
-    if cfg.system == "four-symbol":
-        return four_symbol(**kw)
     if cfg.system == "cat-map":
         from .torus import cat_map
         return cat_map(**kw)
-    return sft_new(cfg.rows, **kw)
+    from . import symbolic
+    if cfg.system == "full-2-shift":
+        return symbolic.full_shift(2, **kw)
+    if cfg.system == "golden-mean":
+        return symbolic.golden_mean(**kw)
+    if cfg.system == "four-symbol":
+        return symbolic.four_symbol(**kw)
+    return symbolic.sft_new(cfg.rows, **kw)
 
 
 # -- individual checks -------------------------------------------------------
 
 
 def _check_verify(sys_obj, cfg):
+    from .core import verify_self_similar
     if sys_obj.space_kind == "symbolic":
         pairs = sys_obj.sample_pairs(cfg.samples, seed=cfg.seed)
         tol = 0.0
@@ -230,8 +230,9 @@ def _check_verify(sys_obj, cfg):
 
 def _entropy_target(sys_obj):
     """2 h_top where it is known in closed form, else None."""
+    from . import dimension
     try:
-        return 2 * _dim._log_growth(sys_obj)
+        return 2 * dimension._log_growth(sys_obj)
     except ValueError:  # not a primitive matrix
         return None
 
@@ -240,7 +241,8 @@ def _entropy_target(sys_obj):
 def _fundamental(sys_obj, n_max):
     """One capacity fit per system and horizon, which `capacity` and
     `fundamental` both report."""
-    return _dim.check_fundamental(sys_obj, n_max=n_max)
+    from . import dimension
+    return dimension.check_fundamental(sys_obj, n_max=n_max)
 
 
 def _check_capacity(sys_obj, cfg):
@@ -261,7 +263,8 @@ def _check_capacity(sys_obj, cfg):
 
 
 def _check_entropy(sys_obj, cfg):
-    er = _dim.entropy(sys_obj, n_max=cfg.n_max)
+    from . import dimension
+    er = dimension.entropy(sys_obj, n_max=cfg.n_max)
     target = _entropy_target(sys_obj)
     if sys_obj.space_kind == "symbolic":
         tol = 0.01 if target is not None else 0.05
@@ -309,6 +312,7 @@ def _triangle_levels(sys_obj):
 
 
 def _check_triangles(sys_obj, cfg):
+    from .core import _triangle_reports
     if sys_obj.space_kind == "symbolic":
         lo = _triangle_levels(sys_obj)
         pairs = sys_obj.sample_pairs(cfg.samples, seed=cfg.seed,
@@ -334,6 +338,7 @@ def _check_triangles(sys_obj, cfg):
 
 
 def _symbolic_holonomy_quads(sys_obj, count, seed):
+    from .core import _HOLONOMY_DEPTH
     # tails parting at +j put the plaque pair at distance lam**-(j-1), so
     # m = j - 2; straddle the bound's validity threshold lam**(m-1) > 2
     j_in = 4
@@ -366,6 +371,7 @@ def _toral_holonomy_quads(sys_obj, count, seed, scale):
 
 
 def _check_holonomy(sys_obj, cfg):
+    from .core import _holonomy_reports
     if sys_obj.space_kind == "symbolic":
         quads = _symbolic_holonomy_quads(sys_obj, cfg.samples, cfg.seed)
     else:
@@ -400,23 +406,24 @@ def _check_holonomy(sys_obj, cfg):
 
 
 def _check_measure(sys_obj, cfg):
+    from . import measure
     if sys_obj.space_kind != "symbolic":
-        summary = _meas.toral_measure_summary(sys_obj)
+        summary = measure.toral_measure_summary(sys_obj)
         summary.update({
             "tolerance": 1e-12,
             "method": "closed-form",
             "passed": summary["scaling_gap"] <= 1e-12,
         })
         return summary
-    d = _meas.intrinsic_exponent(sys_obj)
+    d = measure.intrinsic_exponent(sys_obj)
     anchor = sys_obj.point(sys_obj.matrix.cycle_word(0))
-    u0 = _meas.hausdorff_estimate(
-        sys_obj, _meas.UnstableWindow(anchor, 0), d, depth=cfg.depth)
-    s0 = _meas.hausdorff_estimate(
-        sys_obj, _meas.StableWindow(anchor, 0), d, depth=cfg.depth)
-    sc = _meas.scaling_check(
-        sys_obj, _meas.UnstableWindow(anchor, 3), d=d, depth=cfg.depth)
-    parry = _meas.parry_compare(sys_obj, 2)
+    u0 = measure.hausdorff_estimate(
+        sys_obj, measure.UnstableWindow(anchor, 0), d, depth=cfg.depth)
+    s0 = measure.hausdorff_estimate(
+        sys_obj, measure.StableWindow(anchor, 0), d, depth=cfg.depth)
+    sc = measure.scaling_check(
+        sys_obj, measure.UnstableWindow(anchor, 3), d=d, depth=cfg.depth)
+    parry = measure.parry_compare(sys_obj, 2)
     ok = (u0.converged and s0.converged and u0.value > 0 and s0.value > 0
           and sc.rel_gap <= 0.03 and parry.max_rel_gap <= 1e-9)
     return {
@@ -436,14 +443,15 @@ def _check_measure(sys_obj, cfg):
 
 
 def _check_homogeneity(sys_obj, cfg):
+    from . import measure
     if sys_obj.space_kind != "symbolic":
         raise ValueError("homogeneity is symbolic-only; the toral intrinsic "
                          "measure is Lebesgue, hence homogeneous")
     rng = Random(cfg.seed)
     count = min(cfg.samples, 20)
     xs = [sys_obj.random_point(rng, window=16) for _ in range(max(count, 2))]
-    rep = _meas.homogeneity_check(sys_obj, xs, n_range=(1, 10),
-                                  depth=cfg.depth)
+    rep = measure.homogeneity_check(sys_obj, xs, n_range=(1, 10),
+                                    depth=cfg.depth)
     # random points realize different symbols at the probed coordinates,
     # so per-n ratios wobble inside a fixed band; flat means no trend
     passed = abs(rep.trend) <= 0.02 and rep.flat_ratio <= 4.0
@@ -557,23 +565,19 @@ def _build_parser():
         description="Self-similar metric experiments on shifts and toral "
                     "maps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} check(s)")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--system", help="system kind "
-                       f"({', '.join(SYSTEM_KINDS)})")
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="expanding factor override")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--samples", type=int, help="pair/point budget")
-        p.add_argument("--scale", type=float, help="sampling scale")
-        p.add_argument("--depth", type=int, help="measure DP depth")
-        p.add_argument("--n-max", dest="n_max", type=int,
-                       help="entropy horizon")
-        p.add_argument("--out", help="also write the report here")
-        p.add_argument("--format", choices=("json", "csv"),
-                       help="report format (default json)")
+    add = parser.add_argument
+    add("command", choices=COMMANDS, help="the check to run, or all of them")
+    add("--config", help="JSON config file")
+    add("--system", help=f"system kind ({', '.join(SYSTEM_KINDS)})")
+    add("--lambda", dest="lam", type=float, help="expanding factor override")
+    add("--seed", type=int, help="RNG seed (default 0)")
+    add("--samples", type=int, help="pair/point budget")
+    add("--scale", type=float, help="sampling scale")
+    add("--depth", type=int, help="measure DP depth")
+    add("--n-max", dest="n_max", type=int, help="entropy horizon")
+    add("--out", help="also write the report here")
+    add("--format", choices=("json", "csv"),
+        help="report format (default json)")
     return parser
 
 

@@ -480,19 +480,15 @@ def _holonomy_reports(sys, quads):
     # one row per step: the plaque pair at steps -1.., each leg at 0..
     above = [np.greater(row, sys.xi) for row in back + legs_p + legs_q]
     pre_ok = (~np.any(above, axis=0)).tolist()
+    if 0.0 in plaques or 0.0 in images:
+        raise ValueError("coincident plaque pair")
+    scales = _holonomy_scales(sys, np.maximum(plaques, images))
+    power = {m: sys.lam ** (m - 1) for m in set(scales)}
     reports = []
-    for d, d_img, ok in zip(plaques, images, pre_ok):
-        if d == 0.0 or d_img == 0.0:
-            raise ValueError("coincident plaque pair")
-        big = max(d, d_img)
-        m = int(math.floor(math.log(sys.xi / big) / math.log(sys.lam)))
-        while sys.xi / sys.lam ** (m + 1) >= big:
-            m += 1
-        while sys.xi / sys.lam ** m < big:
-            m -= 1
+    for d, d_img, ok, m in zip(plaques, images, pre_ok, scales):
         observed = abs(d_img / d - 1.0)
-        in_range = sys.lam ** (m - 1) > 2.0
-        bound = 2.0 / (sys.lam ** (m - 1) - 2.0) if in_range else None
+        in_range = power[m] > 2.0
+        bound = 2.0 / (power[m] - 2.0) if in_range else None
         reports.append(HolonomyReport(
             observed=observed,
             bound=bound,
@@ -502,6 +498,28 @@ def _holonomy_reports(sys, quads):
             precondition_ok=ok,
         ))
     return reports
+
+
+def _holonomy_scales(sys, big):
+    """The integer m with xi/lam**(m+1) < b <= xi/lam**m for every b in
+    the array `big`, from one sorted table of the float thresholds
+    xi / lam ** k over the k that occur."""
+    import numpy as np
+    if not len(big):
+        return []
+    xi, lam, log_lam = sys.xi, sys.lam, math.log(sys.lam)
+    top, bottom = float(big.max()), float(big.min())
+    lo = math.floor(math.log(xi / top) / log_lam)
+    while xi / lam ** lo < top:
+        lo -= 1
+    hi = math.floor(math.log(xi / bottom) / log_lam) + 1
+    while xi / lam ** hi >= bottom:
+        hi += 1
+    # ascending thresholds for k = hi, ..., lo: m is the largest k whose
+    # threshold is >= b, hi less the count of thresholds below b
+    table = np.array([xi / lam ** k for k in range(hi, lo - 1, -1)])
+    below = np.searchsorted(table, big, side="left")
+    return (hi - below).tolist()
 
 
 @dataclass

@@ -291,13 +291,13 @@ class ToralSystem:
         grid the d_k ball around every grid point holds the same index
         offsets: one call over them serves the whole grid.
         """
-        out = None
-        for _, u, v in self._offset_orbit(dx - np.round(dx),
-                                          dy - np.round(dy), k):
-            best = reduce(np.minimum,
-                          (r for _, _, r in self._translates(u, v)))
-            out = best if out is None else np.maximum(out, best)
-        return out
+        orbit = self._offset_orbit(dx - np.round(dx), dy - np.round(dy), k)
+        return reduce(np.maximum, (self._min_norm(u, v) for _, u, v in orbit))
+
+    def _min_norm(self, u, v):
+        """The metric norm of offset arrays u, v at their nearest lattice
+        representatives: the smallest over the nine translates."""
+        return reduce(np.minimum, (r for _, _, r in self._translates(u, v)))
 
     def ball_half_widths(self, radius, k=0):
         """Ambient (x, y) half-widths of the d_k ball of this radius.
@@ -368,12 +368,13 @@ class ToralSystem:
         order of a per-pair loop.  A scale below the roundoff floor of
         that check raises ValueError before drawing.
         """
-        x0, x1, y0, y1 = self._sample_coords(count, scale, seed)
+        x0, x1, y0, y1, _ = self._sample_coords(count, scale, seed)
         return list(zip(zip(x0.tolist(), x1.tolist()),
                         zip(y0.tolist(), y1.tolist())))
 
     def _sample_coords(self, count, scale, seed):
-        """The coordinate arrays x0, x1, y0, y1 of `sample_pairs`."""
+        """The coordinate arrays x0, x1, y0, y1 of `sample_pairs`, and
+        the array of their distances, `offset_norm(y0 - x0, y1 - x1)`."""
         if not scale < self.xi:
             raise ValueError("scale must be below xi")
         if scale <= 0:
@@ -400,7 +401,7 @@ class ToralSystem:
         d = self.offset_norm(y0 - x0, y1 - x1)
         if np.any(np.abs(d - targets) > _SAMPLE_RTOL * targets):
             raise ArithmeticError("sampled pair missed its target distance")
-        return x0, x1, y0, y1
+        return x0, x1, y0, y1, d
 
     # -- construction-time check ------------------------------------------
 
@@ -409,21 +410,27 @@ class ToralSystem:
 
         Checks 2 x 5000 sampled pairs, near xi and at xi/8.  The d_1
         norm is max(d, d o f, d o f^-1), which equals lam * d exactly
-        when one step scales the pair by lam, so the sweep is one
-        `offset_norm` ratio over the pair offsets.
+        when one step scales the pair by lam, so the sweep is one ratio
+        over the pair offsets: d is the sampler's own target check, and
+        only the steps +-1 are searched here.  Returns the worst
+        deviation.
         """
         worst = 0.0
         for scale, seed in ((self.xi * 0.999, 1), (self.xi / 8, 2)):
-            x0, x1, y0, y1 = self._sample_coords(5000, scale, seed)
+            x0, x1, y0, y1, d = self._sample_coords(5000, scale, seed)
             dx, dy = y0 - x0, y1 - x1
-            ratio = self.offset_norm(dx, dy, 1) / (
-                self.lam * self.offset_norm(dx, dy, 0))
-            worst = max(worst, float(np.abs(ratio - 1.0).max()))
+            orbit = self._offset_orbit(dx - np.round(dx), dy - np.round(dy),
+                                       1)
+            next(orbit)  # step 0, whose norm is d
+            d1 = reduce(np.maximum, (self._min_norm(u, v)
+                                     for _, u, v in orbit), d)
+            worst = max(worst, float(np.abs(d1 / (self.lam * d) - 1.0).max()))
         if worst > 1e-9:
             raise ArithmeticError(
                 f"xi={self.xi} fails the one-step identity (dev {worst:.3g}); "
                 "choose a smaller xi"
             )
+        return worst
 
 
 def toral_new(matrix, lam=None, xi=0.05):

@@ -1,5 +1,6 @@
 """Config parsing, the experiment runner, report rendering, and exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -201,13 +202,14 @@ def test_reports_are_byte_deterministic(golden_all_report):
 
 def test_capacity_and_fundamental_share_one_fit(monkeypatch):
     calls = []
-    fit_once = cli._dim.check_fundamental
+    fit_once = selfsimilar.dimension.check_fundamental
 
     def counted(*args, **kw):
         calls.append(args)
         return fit_once(*args, **kw)
 
-    monkeypatch.setattr(cli._dim, "check_fundamental", counted)
+    # cli reads the fit from its module at call time
+    monkeypatch.setattr(selfsimilar.dimension, "check_fundamental", counted)
     cli._fundamental.cache_clear()
     cfg = parse_config(cfg_text(system="full-2-shift", command="all"))
     sys_obj = build_system(cfg)
@@ -345,6 +347,64 @@ def test_exit_two_on_config_problems(tmp_path, capsys):
         assert captured.out == ""
 
 
+def subcommand_parser():
+    """The command line as one subcommand parser per command, each with
+    every option, as a reference for the single parser."""
+    parser = argparse.ArgumentParser(prog="selfsim")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli.COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config")
+        p.add_argument("--system")
+        p.add_argument("--lambda", dest="lam", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--scale", type=float)
+        p.add_argument("--depth", type=int)
+        p.add_argument("--n-max", dest="n_max", type=int)
+        p.add_argument("--out")
+        p.add_argument("--format", choices=("json", "csv"))
+    return parser
+
+
+OPTION_VALUES = {
+    "--config": ["cfg.json"], "--system": ["golden-mean", "sft"],
+    "--lambda": ["2.5", "1e3", "-1", "two"], "--seed": ["7", "-3", "1.5"],
+    "--samples": ["200", "many"], "--scale": ["0.01", "inf"],
+    "--depth": ["4", "4.0"], "--n-max": ["10", ""], "--out": ["r.json"],
+    "--format": ["json", "csv", "xml"], "--sam": ["5"], "--bogus": ["1"],
+}
+
+
+def parse_outcome(parser, argv):
+    """The parsed options, or the exit code argparse stops with."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as e:
+        return e.code
+
+
+def test_every_argv_parses_as_with_subcommand_parsers(capsys):
+    new, old = cli._build_parser(), subcommand_parser()
+    argvs = [[], ["--help"], ["bogus"], ["verify", "all"], ["--seed", "1"]]
+    parsed = 0
+    for command in cli.COMMANDS:
+        argvs += [[command], [command, "--help"], [command, "--seed"],
+                  [command] + [arg for opt, values in OPTION_VALUES.items()
+                               if opt not in ("--sam", "--bogus")
+                               for arg in (opt, values[0])]]
+        argvs += [[command, opt, value]
+                  for opt, values in OPTION_VALUES.items()
+                  for value in values]
+    for argv in argvs:
+        want = parse_outcome(old, argv)
+        assert parse_outcome(new, argv) == want, argv
+        parsed += isinstance(want, dict)
+    capsys.readouterr()
+    # per command: alone, with every option, and 17 valid option values
+    assert parsed == 9 * 19
+
+
 def test_csv_format_via_the_command_line(capsys):
     code = cli.main(["capacity", "--system", "full-2-shift",
                      "--format", "csv"])
@@ -421,6 +481,7 @@ rng = Random(0)
 xs = [g.random_point(rng, window=16) for _ in range(20)]
 assert homogeneity_check(g, xs).c_observed > 1
 assert "numpy" not in sys.modules, "numpy loaded"
+assert "selfsimilar.core" not in sys.modules, "core loaded"
 assert selfsimilar.cat_map().space_kind == "toral"
 assert selfsimilar.torus.ToralSystem is selfsimilar.ToralSystem
 namespace = {}
@@ -432,3 +493,59 @@ print("numpy" in sys.modules)
                           text=True, env=subprocess_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"]
+
+
+PUBLIC = {
+    "core": ["holder_check", "holonomy_deviation", "refine_metric",
+             "stable_contraction_check", "triangle_curve", "triangle_ratio",
+             "verify_self_similar"],
+    "dimension": ["capacity", "check_fundamental", "cov_eps",
+                  "cov_identity_check", "entropy", "ideal_factor",
+                  "local_entropy_homogeneity", "local_unstable_entropy"],
+    "measure": ["Box", "StableWindow", "UnstableWindow", "box_measure",
+                "hausdorff_estimate", "homogeneity_check",
+                "intrinsic_exponent", "parry_compare", "scaling_check",
+                "toral_measure_summary"],
+    "symbolic": ["ShiftSystem", "TransitionMatrix", "bi_sequence",
+                 "count_words", "exact_cov", "four_symbol", "full_shift",
+                 "golden_mean", "iter_words", "parry_measure", "sft_new",
+                 "spectral_radius"],
+    "torus": ["CircleDoubling", "EuclideanTorus", "ToralSystem", "cat_map",
+              "euclidean_base", "toral_new"],
+}
+
+
+def test_modules_load_on_first_use(subprocess_env):
+    # importing the package and its CLI loads no library module; a
+    # refined toral metric loads the two it is built from
+    code = f"""\
+import sys
+import selfsimilar, selfsimilar.cli
+PUBLIC = {PUBLIC!r}
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("selfsimilar."))
+assert loaded() == ["selfsimilar.cli"], loaded()
+assert "numpy" not in sys.modules, "numpy loaded"
+from selfsimilar import cat_map, euclidean_base, refine_metric
+refine_metric(euclidean_base(cat_map()), 1.8, 1e-6)
+print(*loaded())
+names = sorted(n for ns in PUBLIC.values() for n in ns)
+assert selfsimilar.__all__ == ["__version__"] + names
+for mod, ns in PUBLIC.items():
+    module = getattr(selfsimilar, mod)
+    assert module is sys.modules["selfsimilar." + mod]
+    assert all(getattr(selfsimilar, n) is getattr(module, n) for n in ns)
+listed = {{}}
+exec("from selfsimilar import " + ", ".join(selfsimilar.__all__), listed)
+starred = {{}}
+exec("from selfsimilar import *", starred)
+for name in selfsimilar.__all__:
+    assert name in dir(selfsimilar), name
+    assert listed[name] is starred[name] is getattr(selfsimilar, name)
+assert not hasattr(selfsimilar, "_HOLONOMY_DEPTH")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["selfsimilar.cli", "selfsimilar.core",
+                                   "selfsimilar.torus"]

@@ -932,14 +932,52 @@ def test_triangle_batch_is_the_pair_loop(full2, golden, cat):
         assert triangle_curve(sys, buckets).max_deviation == worst
 
 
+class LineDilation:
+    """x -> lam x on the line with the distance |x - y|: every plaque
+    distance is a chosen float, so one can sit on a scale threshold."""
+
+    invertible = True
+    lam, xi = 1.7, 0.3
+
+    def apply(self, x):
+        return self.lam * x
+
+    def apply_inv(self, x):
+        return x / self.lam
+
+    def dist(self, x, y):
+        return abs(y - x)
+
+
+def threshold_quads(line):
+    """Quadruples whose max(d, d_img) is a threshold xi/lam**k of the
+    scale m, or the float next to it on either side, from either pair."""
+    quads = []
+    for k in range(-2, 40):
+        t = line.xi / line.lam ** k
+        for b in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
+            quads += [(0.0, b, 0.0, b), (0.0, b, 0.0, b / 3),
+                      (0.0, b * 0.75, 0.0, b)]
+    return quads
+
+
+def test_holonomy_scale_threshold_belongs_to_the_lower_m():
+    line = LineDilation()
+    reps = _holonomy_reports(line, threshold_quads(line))
+    assert [r.m for r in reps[:9]] == [-2] * 6 + [-3] * 3
+    assert [r.m for r in reps[9 * 30:9 * 31]] == [28] * 6 + [27] * 3
+
+
 def holonomy_inputs(full2, golden, cat):
+    line = LineDilation()
     x = full2.constant(0)
     q, pp = x.with_value(5, 1), x.with_value(-1, 1)
     # the precondition fails on a leg at distance 1 > xi, and on a
     # plaque pair that differs at -3, so leaves xi two steps backward
     bad = [(x, q, pp, full2.triangle_vertex(pp, q)),
            (x, x.with_value(-3, 1), x, x.with_value(-3, 1))]
-    return [(golden, cli._symbolic_holonomy_quads(golden, 150, 2)),
+    return [(line, threshold_quads(line)),
+            (golden, cli._symbolic_holonomy_quads(golden, 150, 2)),
             (full2, list(cli._symbolic_holonomy_quads(full2, 150, 3)) + bad),
             (cat, cli._toral_holonomy_quads(cat, 150, 4,
                                             cat.xi / cat.lam ** 3)),

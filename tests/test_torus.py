@@ -303,6 +303,21 @@ def test_offset_norm_at_step_zero_is_bit_stable(cat):
         assert np.array_equal(cat.offset_norm(dx, dy), array_form(cat, dx, dy))
 
 
+def test_identity_sweep_reads_step_zero_from_the_sampler(cat):
+    # the sweep as two offset_norm calls over each scale's offsets
+    for sys in (cat, cat_map(lam=1.6), toral_new(((3, 1), (2, 1)))):
+        worst = 0.0
+        for scale, seed in ((sys.xi * 0.999, 1), (sys.xi / 8, 2)):
+            x0, x1, y0, y1, d = sys._sample_coords(5000, scale, seed)
+            dx, dy = y0 - x0, y1 - x1
+            assert np.array_equal(d, sys.offset_norm(dx, dy))
+            ratio = sys.offset_norm(dx, dy, 1) / (
+                sys.lam * sys.offset_norm(dx, dy, 0))
+            worst = max(worst, float(np.abs(ratio - 1.0).max()))
+        assert 0.0 < worst <= 1e-9
+        assert sys._validate() == worst
+
+
 def test_offset_orbit_is_the_matrix_power(cat):
     # offsets k/64 stay exact under the matrix, so every step of the
     # recurrence is A**j (y - x) up to a lattice vector, at most 1/2 long

@@ -7,8 +7,6 @@ a metric that satisfies the one-step identity on the nose, stays above
 the base metric, and is Holder equivalent to it.
 """
 
-import math
-
 from selfsimilar.core import holder_check, refine_metric, verify_self_similar
 from selfsimilar.torus import CircleDoubling, cat_map, euclidean_base
 

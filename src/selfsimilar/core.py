@@ -322,13 +322,6 @@ def holder_check(base_dist, refined_dist, samples, k, lam):
     return HolderReport(c=c, alpha=alpha, violations=violations, max_ratio_pair=worst)
 
 
-def bracket(sys, x, y):
-    """Product-structure intersection point, delegated to the system."""
-    if not getattr(sys, "has_bracket", False):
-        raise ValueError("system has no bracket structure")
-    return sys.bracket(x, y)
-
-
 @dataclass
 class TriangleReport:
     a: float

@@ -19,7 +19,7 @@ convention is never ambiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .symbolic import _count_vectors, _parry_data, _window_count, _word_counts
@@ -74,8 +74,6 @@ class CovCount:
     @property
     def value(self):
         return self.lower if self.exact else math.sqrt(self.lower * self.upper)
-
-    to_dict = asdict
 
 
 def _toral_grid(sys, density):
@@ -179,18 +177,6 @@ class CapacityFit:
     dropped: int
     method: str
 
-    @property
-    def value(self):
-        return self.slope
-
-    def to_dict(self):
-        return {
-            "slope": self.slope, "intercept": self.intercept,
-            "residual": self.residual, "scales": list(self.scales),
-            "counts": [float(c) for c in self.counts],
-            "dropped": self.dropped, "method": self.method,
-        }
-
 
 def default_scales(sys):
     if sys.space_kind == "symbolic":
@@ -238,8 +224,6 @@ class EntropyReport:
     gap_two_sided: float
     rows: list = field(repr=False)
     method: str = "exact-symbolic"
-
-    to_dict = asdict
 
 
 def _slope_over_n(rows):
@@ -326,14 +310,6 @@ class FundamentalReport:
     capacity_fit: CapacityFit
     entropy_report: EntropyReport
 
-    def to_dict(self):
-        return {
-            "capacity": self.capacity, "ent": self.ent, "lam": self.lam,
-            "ent_over_log_lam": self.rhs, "rel_gap": self.rel_gap,
-            "capacity_fit": self.capacity_fit.to_dict(),
-            "entropy": self.entropy_report.to_dict(),
-        }
-
 
 def check_fundamental(sys, scales=None, n_max=12):
     """capacity == ent / log lam, both sides estimated independently."""
@@ -356,8 +332,6 @@ class IdentityRow:
     lhs: CovCount
     rhs: CovCount
     consistent: bool
-
-    to_dict = asdict  # lhs and rhs as CovCount.to_dict gives them
 
 
 def cov_identity_check(sys, k_max=6):
@@ -388,8 +362,6 @@ class IdealFactor:
     lam: float | None
     bound_ok: bool | None
 
-    to_dict = asdict
-
 
 def ideal_factor(ent, dim, lam=None):
     """e**(ent/dim), the largest factor the dimension bound permits."""
@@ -418,8 +390,6 @@ class LocalEntropy:
     rows: list
     method: str
 
-    to_dict = asdict
-
 
 def local_unstable_entropy(sys, x, n_max=16):
     """Growth rate of forward refinements of one local unstable set,
@@ -445,8 +415,6 @@ class LocalEntropySpread:
     spread_rel: float
     reference: float
     max_rel_gap: float
-
-    to_dict = asdict
 
 
 def local_entropy_homogeneity(sys, xs, n_max=16):

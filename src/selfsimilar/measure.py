@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -56,13 +56,6 @@ class UnstableWindow:
     anchor: object
     edge: int = 0
 
-    def scale(self, sys):
-        return sys.lam ** -(self.edge + 1)
-
-    @classmethod
-    def at_scale(cls, sys, anchor, scale):
-        return cls(anchor, _edge_at(sys, scale))
-
 
 @dataclass(frozen=True)
 class StableWindow:
@@ -70,13 +63,6 @@ class StableWindow:
 
     anchor: object
     edge: int = 0
-
-    def scale(self, sys):
-        return sys.lam ** -(self.edge + 1)
-
-    @classmethod
-    def at_scale(cls, sys, anchor, scale):
-        return cls(anchor, _edge_at(sys, scale))
 
 
 def _slack(matrix, state):
@@ -146,43 +132,6 @@ class MeasureTree:
     converged: bool
     leaf_diameter: float
     method: str = "cylinder-dp"
-    _dp: object = field(repr=False, default=None)
-    _root_state: int = field(repr=False, default=0)
-
-    def node_value(self, extension=()):
-        """m(w) for the window cylinder extended by `extension`."""
-        if len(extension) > self.depth:
-            raise ValueError("extension deeper than the DP horizon")
-        state = self._root_state
-        edge = self.window.edge
-        for sym in extension:
-            if sym not in self._dp.matrix.successors[state]:
-                return 0.0
-            state = sym
-            edge += 1
-        scale = self._dp.lam ** (-edge * self.d)
-        return scale * self._dp.g(state, self.depth - len(extension))
-
-    def node_true_diameter(self, extension=()):
-        state = self._root_state
-        edge = self.window.edge
-        for sym in extension:
-            if sym not in self._dp.matrix.successors[state]:
-                raise ValueError("inadmissible extension")
-            state = sym
-            edge += 1
-        k = _slack(self._dp.matrix, state)
-        if k is None:
-            return 0.0
-        return self._dp.lam ** -(edge + k)
-
-    def to_dict(self):
-        return {
-            "d": self.d, "depth": self.depth, "value": self.value,
-            "value_deeper": self.value_deeper, "drift": self.drift,
-            "converged": self.converged,
-            "leaf_diameter": self.leaf_diameter, "method": self.method,
-        }
 
 
 def hausdorff_estimate(sys, window, d, depth=12):
@@ -215,7 +164,6 @@ def hausdorff_estimate(sys, window, d, depth=12):
         window=window, d=d, depth=depth, value=value, value_deeper=deeper,
         drift=drift, converged=drift < 0.01,
         leaf_diameter=sys.lam ** -(window.edge + depth),
-        _dp=dp, _root_state=state,
     )
 
 
@@ -239,10 +187,6 @@ class Box:
     def end(self):
         return self.start + len(self.word) - 1
 
-    @classmethod
-    def from_point(cls, x, past_depth, future_depth):
-        return cls(tuple(x.window(-past_depth, future_depth)), -past_depth)
-
 
 @dataclass
 class BoxMeasure:
@@ -253,8 +197,6 @@ class BoxMeasure:
     d: float
     depth: int
     admissible: bool = True
-
-    to_dict = asdict
 
 
 def box_measure(sys, box, d=None, depth=12):
@@ -305,8 +247,6 @@ class ScalingReport:
     side: str
     depth: int
 
-    to_dict = asdict
-
 
 def scaling_check(sys, window, d=None, depth=12):
     """mu^d(f(window)) / mu^d(window) against lam**(+-d).
@@ -348,8 +288,6 @@ class HomogeneityReport:
     eps: float
     d: float
     depth: int
-
-    to_dict = asdict
 
 
 def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,
@@ -454,16 +392,6 @@ class ParryReport:
     max_rel_gap: float
     total_mass: float
     rows: _ParryRows = field(repr=False)
-
-    def to_dict(self):
-        return {
-            "depth": self.depth, "max_rel_gap": self.max_rel_gap,
-            "total_mass": self.total_mass,
-            "rows": [
-                {"word": list(w), "dp": a, "parry": b, "rel_gap": g}
-                for w, a, b, g in self.rows
-            ],
-        }
 
 
 def parry_compare(sys, depth):

@@ -314,25 +314,11 @@ class TransitionMatrix:
                     queue.append(t)
         return None
 
-    def to_json(self):
-        return json.dumps({"rows": [list(r) for r in self.rows]})
-
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
         rows = data["rows"] if isinstance(data, dict) else data
         return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def from_text(cls, text):
-        """Plain-text form: one row per line, entries separated by spaces."""
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(tuple(int(v) for v in line.split()))
-        return cls(tuple(rows))
 
 
 def _count_vectors(matrix):
@@ -434,35 +420,6 @@ def parry_measure(matrix, word):
 
 
 @dataclass(frozen=True)
-class Cylinder:
-    """Finite window of pinned coordinates: word occupies [start, start+len)."""
-
-    start: int
-    word: tuple
-
-    @property
-    def end(self):
-        return self.start + len(self.word) - 1
-
-    def nominal_diam(self, lam):
-        return lam ** -self.end
-
-
-def enumerate_unstable_children(sys, cyl):
-    """Admissible one-symbol forward refinements of an unstable-side window.
-
-    The input pins coordinates start..m; each child pins start..m+1, and
-    its nominal diameter is exactly 1/lam times the parent's.
-    """
-    if not cyl.word:
-        raise ValueError("empty cylinder")
-    return tuple(
-        Cylinder(cyl.start, cyl.word + (s,))
-        for s in sys.matrix.successors[cyl.word[-1]]
-    )
-
-
-@dataclass(frozen=True)
 class ShiftSystem:
     """Two-sided subshift with the exact lam**-T metric.
 
@@ -490,10 +447,6 @@ class ShiftSystem:
     def diameter(self):
         return self.lam
 
-    @property
-    def n_symbols(self):
-        return self.matrix.n
-
     # -- points ------------------------------------------------------
 
     def point(self, left, mid=(), right=None, start=0):
@@ -519,14 +472,6 @@ class ShiftSystem:
         # each tail's wrap edge, then left, mid and right in order
         path = seq.left[-1:] + seq.left + seq.mid + seq.right + seq.right[:1]
         return self.matrix.edges.issuperset(zip(path, path[1:]))
-
-    def set_value(self, x, i, sym):
-        """Admissible single-coordinate change; raises if forbidden."""
-        y = x.with_value(i, sym)
-        self._check_range((sym,))
-        if not self.admissible(y):
-            raise ValueError("forbidden transition")
-        return y
 
     # -- dynamics and metric ------------------------------------------
 

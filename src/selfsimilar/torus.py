@@ -23,7 +23,6 @@ numpy's vectorised loops could round differently from the scalar code
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from random import Random
@@ -40,14 +39,6 @@ def _each(f, a, *args):
     (with any further iterables as further arguments), as an array.
     For the libm functions whose numpy loops can differ in the last bit."""
     return np.fromiter(map(f, a.tolist(), *args), float, a.size)
-
-
-@dataclass(frozen=True)
-class SUCoords:
-    """Signed stable/unstable coordinates of an ambient vector."""
-
-    s: float
-    u: float
 
 
 def _eigen_2x2(m):
@@ -83,7 +74,8 @@ class ToralSystem:
     runs the one-step identity sweep of `_validate`; an xi too large
     for the nine-translate reduction raises ArithmeticError there, and
     a lam so small that xi/8 lies below the smallest sound sampling
-    scale (see `sample_pairs`) raises ValueError.
+    scale (see `sample_pairs`) raises ValueError.  An xi that is not a
+    positive number raises ValueError before the sweep.
     """
 
     space_kind = "toral"
@@ -133,6 +125,8 @@ class ToralSystem:
         self._min_scale = 2 * max(
             (e * w * 2.0**-52 / _SAMPLE_RTOL) ** e
             for e, w in zip((self.e_s, self.e_u), self._su_widths))
+        if not xi > 0:
+            raise ValueError(f"xi={xi} must be a positive number")
         # nine lattice translates are enough only well below the shortest
         # nonzero lattice vector in this metric
         self.injectivity = min(
@@ -156,16 +150,6 @@ class ToralSystem:
     def _su(self, dx, dy):
         B = self._B
         return (B[0][0] * dx + B[0][1] * dy, B[1][0] * dx + B[1][1] * dy)
-
-    def su_split(self, v):
-        return SUCoords(*self._su(float(v[0]), float(v[1])))
-
-    def from_su(self, coords):
-        vs, vu = self.v_stable, self.v_unstable
-        return (
-            coords.s * vs[0] + coords.u * vu[0],
-            coords.s * vs[1] + coords.u * vu[1],
-        )
 
     def _rho(self, s, u):
         return max(abs(s) ** self.e_s, abs(u) ** self.e_u)
@@ -311,10 +295,6 @@ class ToralSystem:
         vs, vu = self.v_stable, self.v_unstable
         return (ext_s * abs(vs[0]) + ext_u * abs(vu[0]),
                 ext_s * abs(vs[1]) + ext_u * abs(vu[1]))
-
-    def min_translate(self, x, y):
-        """Offset y - x + w with the smallest metric norm."""
-        return self._nearest(x, y)[1]
 
     # -- product structure -------------------------------------------------
 

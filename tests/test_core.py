@@ -26,7 +26,6 @@ from selfsimilar.core import (
     VerifyReport,
     _holonomy_reports,
     _triangle_reports,
-    bracket,
     dyn_metric,
     holder_check,
     holonomy_deviation,
@@ -669,12 +668,7 @@ def test_holder_check_is_the_pair_loop(golden, cat, doubling):
 # ------------------------------------------------------------------ brackets
 
 
-def test_bracket_helper_dispatches(golden, doubling):
-    x = golden.constant(0)
-    y = golden.point((0,), (0, 0, 1), (0,), -1)
-    assert bracket(golden, x, y) == golden.bracket(x, y)
-    with pytest.raises(ValueError, match="no bracket structure"):
-        bracket(doubling, 0.1, 0.2)
+def test_bracket_helper_dispatches(doubling):
     one_sided = refine_metric(doubling, 2.0, 1e-6, one_sided=True)
     for sys in (doubling, one_sided):
         with pytest.raises(ValueError, match="no bracket structure"):

@@ -19,6 +19,7 @@ from selfsimilar.measure import (
     StableWindow,
     UnstableWindow,
     _dp,
+    _edge_at,
     box_measure,
     hausdorff_estimate,
     homogeneity_check,
@@ -71,20 +72,11 @@ def anchor_at(sys, state, edge):
 # ------------------------------------------------------------------- windows
 
 
-def test_window_scales(full2):
-    anchor = full2.constant(0)
-    assert UnstableWindow(anchor, 0).scale(full2) == 0.5
-    assert UnstableWindow(anchor, 3).scale(full2) == 2.0**-4
-    assert StableWindow(anchor, 1).scale(full2) == 0.25
-
-
 def test_window_at_scale_rounds_inward(full2):
-    anchor = full2.constant(0)
-    w = UnstableWindow.at_scale(full2, anchor, 0.5)
-    assert w.edge == 0 and w.scale(full2) == 0.5
-    assert UnstableWindow.at_scale(full2, anchor, 0.3).edge == 1
-    assert UnstableWindow.at_scale(full2, anchor, 2.0**-5).edge == 4
-    assert StableWindow.at_scale(full2, anchor, 0.25).edge == 1
+    assert _edge_at(full2, 0.5) == 0
+    assert _edge_at(full2, 0.3) == 1
+    assert _edge_at(full2, 2.0**-5) == 4
+    assert _edge_at(full2, 0.25) == 1
 
 
 # ------------------------------------------------------------ window measures
@@ -191,41 +183,6 @@ def test_stable_side_uses_the_transposed_matrix():
     assert tree.value == pytest.approx(want, rel=1e-12)
 
 
-def test_node_values_satisfy_the_dp_recursion(golden):
-    d = intrinsic_exponent(golden)
-    anchor = golden.constant(0)
-    tree = hausdorff_estimate(golden, UnstableWindow(anchor, 1), d, depth=6)
-
-    def walk(ext, state):
-        if len(ext) >= 3:
-            return
-        kids = golden.matrix.successors[state]
-        child_sum = sum(tree.node_value(ext + (c,)) for c in kids)
-        own = tree.node_true_diameter(ext) ** d
-        assert tree.node_value(ext) == pytest.approx(
-            min(own, child_sum), rel=1e-12
-        )
-        for c in kids:
-            walk(ext + (c,), c)
-
-    walk((), anchor.at(1))
-    assert tree.node_value((1, 1)) == 0.0  # inadmissible extension
-    with pytest.raises(ValueError, match="deeper than the DP horizon"):
-        tree.node_value((0,) * 7)
-    with pytest.raises(ValueError, match="inadmissible extension"):
-        tree.node_true_diameter((1, 1))
-
-
-def test_node_diameters_include_forced_steps():
-    # entering state 1 forces one step (its only successor is 2)
-    rows = ((1, 1, 0), (0, 0, 1), (1, 1, 0))
-    sys = sft_new(rows)
-    anchor = sys.point(sys.matrix.cycle_word(0))
-    tree = hausdorff_estimate(sys, UnstableWindow(anchor, 0), 1.0, depth=5)
-    assert tree.node_true_diameter(()) == 1.0  # state 0 branches at once
-    assert tree.node_true_diameter((1,)) == 2.0**-2  # edge 1 plus one forced
-
-
 # ------------------------------------------------------------------- scaling
 
 
@@ -302,13 +259,6 @@ def test_box_validation(golden, cat):
         box_measure(golden, Box((0, 2), 0))
     with pytest.raises(ValueError, match="closed-form"):
         box_measure(cat, Box((0, 0), 0))
-
-
-def test_box_from_point(golden):
-    x = golden.constant(0)
-    box = Box.from_point(x, 2, 3)
-    assert box == Box((0,) * 6, -2)
-    assert box.end == 3
 
 
 # --------------------------------------------------------------- homogeneity
@@ -486,11 +436,6 @@ def test_parry_rows_are_a_read_only_sequence(golden):
     assert_rows_match(list(reversed(view)), rows[::-1])
     assert view[4] in view
     assert rows[0][0] not in view
-    got = rep.to_dict()["rows"]
-    assert [r["word"] for r in got] == [list(w) for w, *_ in rows]
-    assert_rows_match(
-        [(tuple(r["word"]), r["dp"], r["parry"], r["rel_gap"]) for r in got],
-        rows)
 
 
 def test_dp_cache_is_bounded(golden):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from selfsimilar import cli
 from selfsimilar.symbolic import (
-    Cylinder,
     TransitionMatrix,
     _Rows,
     _below,
@@ -29,11 +28,8 @@ from selfsimilar.symbolic import (
     agreement_level,
     bi_sequence,
     count_words,
-    enumerate_unstable_children,
     exact_cov,
-    four_symbol,
     full_shift,
-    golden_mean,
     iter_words,
     parry_measure,
     sft_new,
@@ -436,10 +432,9 @@ def test_transpose(golden, four):
 
 def test_matrix_serialization_round_trips(golden, four):
     for m in (golden.matrix, four.matrix):
-        assert TransitionMatrix.from_json(m.to_json()) == m
-        assert TransitionMatrix.from_json(json.dumps([list(r) for r in m.rows])) == m
-    text = "# golden mean: the 1 -> 1 edge is forbidden\n1 1\n\n1 0\n"
-    assert TransitionMatrix.from_text(text) == golden.matrix
+        rows = [list(r) for r in m.rows]
+        assert TransitionMatrix.from_json(json.dumps({"rows": rows})) == m
+        assert TransitionMatrix.from_json(json.dumps(rows)) == m
 
 
 # ------------------------------------------------------------ word counting
@@ -567,7 +562,7 @@ def test_system_constants(full2, golden):
     assert full2.xi == 0.5
     assert full2.diameter == 2.0
     assert full2.invertible and full2.has_bracket
-    assert golden.n_symbols == 2
+    assert golden.matrix.n == 2
     assert golden.space_kind == "symbolic"
     with pytest.raises(ValueError, match="must exceed 1"):
         sft_new(((1, 1), (1, 1)), lam=1.0)
@@ -586,8 +581,7 @@ def test_points_respect_the_transition_rule(golden):
     for bad in (lambda: golden.point_through((0, 5, 0), 0),
                 lambda: golden.point_through((-1, 0), 0),
                 lambda: golden.point((0,), (0, 2, 0)),
-                lambda: golden.point((2,)),
-                lambda: golden.set_value(x, 3, 2)):
+                lambda: golden.point((2,))):
         with pytest.raises(ValueError, match="symbol out of range"):
             bad()
 
@@ -625,14 +619,6 @@ def test_points_through_words_match_the_checked_constructor(rows):
             for start in (-4, 0, 3):
                 assert sys.point_through(word, start) == bi_sequence(
                     head, word, tail[1:] + tail[:1], start)
-
-
-def test_set_value_checks_admissibility(golden):
-    x = golden.constant(0)
-    y = golden.set_value(x, 3, 1)
-    assert y.at(3) == 1
-    with pytest.raises(ValueError, match="forbidden transition"):
-        golden.set_value(y, 4, 1)
 
 
 def test_the_shift_dynamics(full2):
@@ -726,17 +712,6 @@ def test_exact_covering_counts(full2, golden):
     assert exact_cov(golden, 0.125) == 89
     with pytest.raises(ValueError, match="eps must be positive"):
         exact_cov(full2, 0.0)
-
-
-def test_unstable_children_refine_by_one_symbol(golden):
-    cyl = Cylinder(0, (0,))
-    kids = enumerate_unstable_children(golden, cyl)
-    assert kids == (Cylinder(0, (0, 0)), Cylinder(0, (0, 1)))
-    assert kids[0].nominal_diam(2.0) == cyl.nominal_diam(2.0) / 2.0
-    only = enumerate_unstable_children(golden, Cylinder(0, (0, 1)))
-    assert only == (Cylinder(0, (0, 1, 0)),)
-    with pytest.raises(ValueError, match="empty cylinder"):
-        enumerate_unstable_children(golden, Cylinder(0, ()))
 
 
 # --------------------------------------------------------- sampling stream

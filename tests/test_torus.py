@@ -82,6 +82,9 @@ def test_construction_rejects_bad_input():
 def test_oversized_xi_is_rejected():
     with pytest.raises(ValueError, match="too large"):
         ToralSystem(((2, 1), (1, 1)), xi=0.3)
+    for xi in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="must be a positive number"):
+            ToralSystem(((2, 1), (1, 1)), xi=xi)
     # below the static bound but far beyond where the nine-translate
     # reduction stays faithful: the construction sweep must catch it
     with pytest.raises(ArithmeticError, match="one-step identity"):
@@ -95,13 +98,13 @@ def test_su_split_round_trip(cat):
     rng = Random(3)
     for _ in range(200):
         v = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        c = cat.su_split(v)
-        back = cat.from_su(c)
-        assert back[0] == pytest.approx(v[0], abs=1e-14)
-        assert back[1] == pytest.approx(v[1], abs=1e-14)
-    c = cat.su_split((0.01, 0.0))
-    assert c.s == pytest.approx(0.005257311121191337, rel=1e-12)
-    assert c.u == pytest.approx(0.008506508083520402, rel=1e-12)
+        s, u = cat._su(*v)
+        vs, vu = cat.v_stable, cat.v_unstable
+        assert s * vs[0] + u * vu[0] == pytest.approx(v[0], abs=1e-14)
+        assert s * vs[1] + u * vu[1] == pytest.approx(v[1], abs=1e-14)
+    s, u = cat._su(0.01, 0.0)
+    assert s == pytest.approx(0.005257311121191337, rel=1e-12)
+    assert u == pytest.approx(0.008506508083520402, rel=1e-12)
 
 
 def test_su_split_diagonalizes_the_matrix(cat):
@@ -110,10 +113,10 @@ def test_su_split_diagonalizes_the_matrix(cat):
     for _ in range(100):
         v = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
         img = (a * v[0] + b * v[1], c * v[0] + d * v[1])
-        before = cat.su_split(v)
-        after = cat.su_split(img)
-        assert after.s == pytest.approx(before.s * cat.eig_stable, abs=1e-14)
-        assert after.u == pytest.approx(before.u * cat.eig_unstable, abs=1e-14)
+        s0, u0 = cat._su(*v)
+        s1, u1 = cat._su(*img)
+        assert s1 == pytest.approx(s0 * cat.eig_stable, abs=1e-14)
+        assert u1 == pytest.approx(u0 * cat.eig_unstable, abs=1e-14)
 
 
 # -------------------------------------------------------------------- metric
@@ -175,7 +178,7 @@ def test_ball_half_widths_bound_the_ball(cat):
 
 
 def test_min_translate_reaches_across_the_seam(cat):
-    delta = cat.min_translate((0.95, 0.2), (0.05, 0.2))
+    delta = cat._nearest((0.95, 0.2), (0.05, 0.2))[1]
     assert delta[0] == pytest.approx(0.1, abs=1e-12)
     assert delta[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -211,11 +214,11 @@ def test_bracket_lands_on_both_lines(cat):
     for x, y in pairs:
         z = cat.bracket(x, y)
         # z on the unstable line of x: the x -> z offset has no stable part
-        off_x = cat.su_split(cat.min_translate(x, z))
-        assert abs(off_x.s) < 1e-12
+        s, _ = cat._su(*cat._nearest(x, z)[1])
+        assert abs(s) < 1e-12
         # z on the stable line of y: the y -> z offset has no unstable part
-        off_y = cat.su_split(cat.min_translate(y, z))
-        assert abs(off_y.u) < 1e-12
+        _, u = cat._su(*cat._nearest(y, z)[1])
+        assert abs(u) < 1e-12
         assert cat.triangle_vertex(x, y) == z
 
 
@@ -233,7 +236,7 @@ NINE = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
 
 
 def two_search_form(sys, x, y):
-    """(dist, min_translate, bracket or None) as two nine-translate
+    """(dist, nearest translate, bracket or None) as two nine-translate
     searches: the metric around the nearest lattice representative of
     y - x, the translate around the raw offset, and a bracket that runs
     both."""
@@ -268,7 +271,7 @@ def test_one_search_matches_the_two_search_form(cat):
     for x, y in pairs:
         d, delta, z = two_search_form(cat, x, y)
         assert cat.dist(x, y) == d
-        assert cat.min_translate(x, y) == delta
+        assert cat._nearest(x, y)[1] == delta
         if z is None:
             with pytest.raises(ValueError, match="bracket domain"):
                 cat.bracket(x, y)
@@ -336,9 +339,9 @@ def test_su_widths_are_the_box_extents():
     # an asymmetric matrix, so the stable and unstable extents differ
     sys = toral_new(((3, 1), (2, 1)))
     w_s, w_u = sys._su_widths
-    corners = [sys.su_split((i, j)) for i in (-1, 1) for j in (-1, 1)]
-    assert max(abs(c.s) for c in corners) == pytest.approx(w_s, rel=1e-15)
-    assert max(abs(c.u) for c in corners) == pytest.approx(w_u, rel=1e-15)
+    corners = [sys._su(float(i), float(j)) for i in (-1, 1) for j in (-1, 1)]
+    assert max(abs(s) for s, _ in corners) == pytest.approx(w_s, rel=1e-15)
+    assert max(abs(u) for _, u in corners) == pytest.approx(w_u, rel=1e-15)
     assert abs(w_s - w_u) > 0.1
 
 

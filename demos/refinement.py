@@ -48,7 +48,7 @@ print(f"  lower-bound violations: {len(hr.violations)}")
 print()
 print("refining an already adapted metric changes nothing:")
 doubling = CircleDoubling()
-again = refine_metric(doubling, 2.0, 1e-9, one_sided=True)
+again = refine_metric(doubling, 2.0, 1e-9)
 worst = 0.0
 for p in doubling.sample_points(300, seed=13):
     q = (p + 0.01) % 1.0

@@ -7,22 +7,20 @@ expansivity threshold `xi`, a `diameter`, an `invertible` flag and
 expose integer `level` arithmetic, which the verifier uses to keep the
 self-similarity check exact.
 
-A system may also carry a private pair batch, called with a list of
-pairs and the steps s to read them at: `_pair_levels(pairs, steps)`
-returns one list of integer levels of (f^s x, f^s y) per step (shift
-systems: one int8 array per side, see `ShiftSystem`), and
-`_pair_dists(pairs, steps)` one array of dist(f^s x, f^s y) per step
-(the self-similar torus, bit for bit equal to its scalar `dist`; the
-Euclidean torus and its two-sided refinement, from the offset orbit).
+A system may also carry private pair batches.  `_pair_levels(pairs,
+steps)` returns one list of integer levels of (f^s x, f^s y) per step s
+(shift systems: one int8 array per side, see `ShiftSystem`).
+`_orbit_dists(pairs, lo, hi)` is the one distance hook: it yields
+(j, the array of dist(f^j x, f^j y)) for lo <= j <= hi.  The
+self-similar torus maps the points as arrays and equals its scalar
+`dist` bit for bit; the Euclidean torus reads its offset orbit; a
+`RefinedSystem` streams its base's hook, without knowing the base's
+norm.  A system with the hook is invertible.
 A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
 bit), which the triangle check reads in one call.
 Sampled shift points come as row-backed sequences (`symbolic._Rows`),
 which `_unzip` and `_zip` split and pair without building a point.
-A base metric may carry `_orbit_dists(pairs, reach)`, which yields
-(j, the array of dist(f^j x, f^j y)) for |j| <= reach; a two-sided
-`RefinedSystem` builds its batch from it, without knowing the base's
-norm.
 
 `_pair_values` is the one orbit reader: `dyn_metric`, the verifier,
 `holder_check` and the triangle, contraction and holonomy checks read
@@ -82,11 +80,12 @@ def _pair_values(sys, pairs, steps, levels=False):
     """dist(f^s x, f^s y) for every pair, one list per step s; with
     `levels`, the integer level instead (systems with `level` only).
 
-    One call to the system's pair batch, `_pair_levels` or else
-    `_pair_dists`; without one, the scalar `dist` (or `level`) of
-    each pair's orbit, every iterate computed once.  Distances from
-    levels are lam**-level in Python floats, as the scalar `dist`.
-    Negative steps on a system without `apply_inv` raise ValueError.
+    One call to the system's pair batch, `_pair_levels` or else the
+    hook `_orbit_dists` over min(steps)..max(steps); without one, the
+    scalar `dist` (or `level`) of each pair's orbit, every iterate
+    computed once.  Distances from levels are lam**-level in Python
+    floats, as the scalar `dist`.  Negative steps on a system without
+    `apply_inv` raise ValueError.
     """
     batch = getattr(sys, "_pair_levels", None)
     if batch is not None:
@@ -96,9 +95,10 @@ def _pair_values(sys, pairs, steps, levels=False):
         # one float per distinct level (lam**-inf is 0.0)
         dist = {lev: sys.lam ** -lev for lev in set().union(*out)}
         return [[dist[lev] for lev in row] for row in out]
-    batch = None if levels else getattr(sys, "_pair_dists", None)
+    batch = None if levels else getattr(sys, "_orbit_dists", None)
     if batch is not None:
-        return [a.tolist() for a in batch(pairs, steps)]
+        terms = dict(batch(pairs, min(steps), max(steps)))
+        return [terms[s].tolist() for s in steps]
     value = sys.level if levels else sys.dist
     walks = [(sys.apply, range(1, max(steps) + 1))]
     if min(steps) < 0:
@@ -185,70 +185,66 @@ class RefinedSystem:
     """Truncated sup-refinement of an adapted base metric.
 
     dist(x, y) = max over the window |i| <= N of base.dist(f^i x, f^i y)
-    divided by lam**|i|; one-sided bases use i >= 0 only.  The window N
-    is chosen so the dropped terms are below `tol`, which makes the
-    returned values exact whenever the true supremum exceeds
+    divided by lam**|i|; a base that is not invertible uses i >= 0 only.
+    The window N is chosen so the dropped terms are below `tol`, which
+    makes the returned values exact whenever the true supremum exceeds
     diameter/lam**N (always the case at the scales the verifier uses).
 
-    Over a base with `_orbit_dists` (the Euclidean torus), a two-sided
-    refinement has a pair batch: the base follows the offset y - x under
-    the matrix, not the two points, so it never subtracts two nearby
-    mapped points.  Against the exact rational orbit of the same float
-    points it is within 4e-16 relative at pair scales 2e-2, 1e-3 and
-    1e-5, where the scalar `dist` is off by up to 4e-14, 9e-13 and
-    8e-11.  One-sided refinements and other bases use the scalar
-    `dist` pair by pair.
+    Over a base with the hook `_orbit_dists` (either toral metric, or a
+    refinement of one), the refinement has the hook too and reads every
+    orbit in one batch.  The Euclidean base follows the offset y - x
+    under the matrix, not the two points, so it never subtracts two
+    nearby mapped points.  Against the exact rational orbit of the same
+    float points it is within 4e-16 relative at pair scales 2e-2, 1e-3
+    and 1e-5, where the scalar `dist` is off by up to 4e-14, 9e-13 and
+    8e-11.  Other bases use the scalar `dist` pair by pair.
     """
 
-    def __init__(self, base, lam, tol, one_sided=False):
-        if not lam > 1:
+    def __init__(self, base, lam, tol):
+        if not 1 < lam < math.inf:
             raise ValueError("expanding factor must exceed 1")
-        if not tol > 0:
+        if not 0 < tol < math.inf:
             raise ValueError("tol must be positive")
         if not math.isfinite(base.diameter):
             raise ValueError("base metric must be bounded")
         self.base = base
         self.lam = float(lam)
         self.tol = float(tol)
-        self.one_sided = one_sided
         self.window = max(
             0, math.ceil(math.log(base.diameter / tol) / math.log(lam))
         )
         self.xi = base.xi
         self.diameter = base.diameter
-        self.invertible = (not one_sided) and base.invertible
+        self.invertible = base.invertible
         self.has_bracket = getattr(base, "has_bracket", False)
         self.tol_default = max(tol, 1e-12)
         self.space_kind = "wrapped-base-metric"
-        # the pair batch, for a two-sided refinement of a base with one
-        self._pair_dists = self._orbit_pair_dists if (
-            self.invertible and hasattr(base, "_orbit_dists")) else None
+        if getattr(base, "_orbit_dists", None) is None:
+            self._orbit_dists = None  # no hook: `dist` pair by pair
 
     def apply(self, x):
         return self.base.apply(x)
 
     def apply_inv(self, x):
-        if self.one_sided:
+        if not self.invertible:
             raise ValueError("one-sided system has no inverse")
         return self.base.apply_inv(x)
 
-    def _orbit_pair_dists(self, pairs, steps):
-        """dist(f^s x, f^s y) for every pair, one array per step s.
+    def _orbit_dists(self, pairs, lo, hi):
+        """Yield (j, dist(f^j x, f^j y) for every pair), lo <= j <= hi.
 
-        The base yields every dist(f^j x, f^j y) out to
-        |j| <= window + max|s|; a running maximum per step keeps max
-        over |i| <= window of the term at s + i divided by lam**|i|, so
-        one pass serves steps 0 and +-1.
+        The base's hook yields its terms over lo - window..hi + window,
+        one step at a time; each goes into a running maximum for every
+        step s within the window of j, divided by lam**|j - s|, so the
+        memory is one array per step.
         """
         import numpy as np
         n = self.window
-        best = [np.zeros(len(pairs)) for _ in steps]
-        reach = n + max(abs(s) for s in steps)
-        for j, term in self.base._orbit_dists(pairs, reach):
-            for acc, s in zip(best, steps):
-                if abs(j - s) <= n:
-                    np.maximum(acc, term / self.lam ** abs(j - s), out=acc)
-        return best
+        best = {s: np.zeros(len(pairs)) for s in range(lo, hi + 1)}
+        for j, term in self.base._orbit_dists(pairs, lo - n, hi + n):
+            for s in range(max(lo, j - n), min(hi, j + n) + 1):
+                np.maximum(best[s], term / self.lam ** abs(j - s), out=best[s])
+        yield from best.items()
 
     def dist(self, x, y):
         best = self.base.dist(x, y)
@@ -256,26 +252,20 @@ class RefinedSystem:
         for i in range(1, self.window + 1):
             fx, fy = self.base.apply(fx), self.base.apply(fy)
             best = max(best, self.base.dist(fx, fy) / self.lam ** i)
-        if not self.one_sided:
+        if self.invertible:
             bx, by = x, y
             for i in range(1, self.window + 1):
                 bx, by = self.base.apply_inv(bx), self.base.apply_inv(by)
                 best = max(best, self.base.dist(bx, by) / self.lam ** i)
         return best
 
-    def bracket(self, x, y):
-        return self.base.bracket(x, y)
-
     def triangle_vertex(self, x, y):
         return self.base.triangle_vertex(x, y)
 
-    def sample_points(self, count, seed=0):
-        return self.base.sample_points(count, seed)
 
-
-def refine_metric(base, lam, tol, one_sided=False):
+def refine_metric(base, lam, tol):
     """Sup-refinement returning a self-similar system at factor lam."""
-    return RefinedSystem(base, lam, tol, one_sided)
+    return RefinedSystem(base, lam, tol)
 
 
 @dataclass
@@ -463,56 +453,36 @@ def _holonomy_reports(sys, quads):
     `_pair_values` call each for the plaque pairs (p, q) followed
     backward, the projected pairs (pp, qq) and each side's legs followed
     forward.  The first coincident plaque pair raises."""
-    import numpy as np
     depth = range(_HOLONOMY_DEPTH + 1)
     p, q, pp, qq = _unzip(quads, 4)
     plaques, *back = _pair_values(sys, _zip(p, q), tuple(-j for j in depth))
     (images,) = _pair_values(sys, _zip(pp, qq), (0,))
     legs_p = _pair_values(sys, _zip(p, pp), tuple(depth))
     legs_q = _pair_values(sys, _zip(q, qq), tuple(depth))
-    # one row per step: the plaque pair at steps -1.., each leg at 0..
-    above = [np.greater(row, sys.xi) for row in back + legs_p + legs_q]
-    pre_ok = (~np.any(above, axis=0)).tolist()
-    if 0.0 in plaques or 0.0 in images:
-        raise ValueError("coincident plaque pair")
-    scales = _holonomy_scales(sys, np.maximum(plaques, images))
-    power = {m: sys.lam ** (m - 1) for m in set(scales)}
+    # each quadruple's plaque pair at steps -1.., and each leg at 0..
+    orbits = zip(*back, *legs_p, *legs_q)
     reports = []
-    for d, d_img, ok, m in zip(plaques, images, pre_ok, scales):
+    for d, d_img, orbit in zip(plaques, images, orbits):
+        if d == 0.0 or d_img == 0.0:
+            raise ValueError("coincident plaque pair")
+        big = max(d, d_img)
+        m = math.floor(math.log(sys.xi / big) / math.log(sys.lam))
+        while sys.xi / sys.lam ** (m + 1) >= big:
+            m += 1
+        while sys.xi / sys.lam ** m < big:
+            m -= 1
         observed = abs(d_img / d - 1.0)
-        in_range = power[m] > 2.0
-        bound = 2.0 / (power[m] - 2.0) if in_range else None
+        in_range = sys.lam ** (m - 1) > 2.0
+        bound = 2.0 / (sys.lam ** (m - 1) - 2.0) if in_range else None
         reports.append(HolonomyReport(
             observed=observed,
             bound=bound,
             m=m,
             in_range=in_range,
             within_bound=(observed <= bound) if in_range else None,
-            precondition_ok=ok,
+            precondition_ok=not any(v > sys.xi for v in orbit),
         ))
     return reports
-
-
-def _holonomy_scales(sys, big):
-    """The integer m with xi/lam**(m+1) < b <= xi/lam**m for every b in
-    the array `big`, from one sorted table of the float thresholds
-    xi / lam ** k over the k that occur."""
-    import numpy as np
-    if not len(big):
-        return []
-    xi, lam, log_lam = sys.xi, sys.lam, math.log(sys.lam)
-    top, bottom = float(big.max()), float(big.min())
-    lo = math.floor(math.log(xi / top) / log_lam)
-    while xi / lam ** lo < top:
-        lo -= 1
-    hi = math.floor(math.log(xi / bottom) / log_lam) + 1
-    while xi / lam ** hi >= bottom:
-        hi += 1
-    # ascending thresholds for k = hi, ..., lo: m is the largest k whose
-    # threshold is >= b, hi less the count of thresholds below b
-    table = np.array([xi / lam ** k for k in range(hi, lo - 1, -1)])
-    below = np.searchsorted(table, big, side="left")
-    return (hi - below).tolist()
 
 
 @dataclass

@@ -303,6 +303,8 @@ def homogeneity_check(sys, xs, n_range=(1, 10), delta=None, eps=None,
                          "intrinsic measure is Lebesgue, hence homogeneous")
     if not xs:
         raise ValueError("need at least one base point")
+    if not 0 <= n_range[0] <= n_range[1]:
+        raise ValueError("n_range must satisfy 0 <= lo <= hi")
     if delta is None:
         delta = sys.xi / sys.lam
     if eps is None:

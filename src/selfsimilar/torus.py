@@ -10,15 +10,17 @@ because the eigencoordinates transform exactly by the eigenvalues.
 Both metrics here depend on the offset y - x only, and f^j y - f^j x =
 A^j (y - x) mod Z^2: a scalar distance is one nine-translate search
 (`_nearest`), and every d_k norm and Euclidean array of distances reads
-one offset recurrence (`ToralSystem._offset_orbit`).  The self-similar
-metric's pair batches instead run the nine-translate search on arrays
-of points, so that they equal the scalar methods bit for bit:
-`ToralSystem._pair_dists` maps the points as `apply` does and equals
-`dist`, and `ToralSystem._pair_brackets` reads the unstable coordinate
-of the same picked translate and equals `bracket`.  The samplers draw
-the same `Random` stream as a per-pair loop, in one array.  Whatever
-numpy's vectorised loops could round differently from the scalar code
-(cos, sin, powers) goes through the libm function elementwise.
+one offset recurrence (`ToralSystem._offset_orbit`).  Each metric has
+one orbit hook, `_orbit_dists(pairs, lo, hi)`, which core reads: it
+yields the array of dist(f^j x, f^j y) for lo <= j <= hi.  The
+Euclidean hook reads the offset recurrence.  The self-similar hook
+instead runs the nine-translate search on arrays of points mapped as
+`apply` maps them, so that it equals the scalar `dist` bit for bit;
+`ToralSystem._pair_brackets` reads the unstable coordinate of the same
+picked translate and equals `bracket`.  The samplers draw the same
+`Random` stream as a per-pair loop, in one array.  Whatever numpy's
+vectorised loops could round differently from the scalar code (cos,
+sin, powers) goes through the libm function elementwise.
 """
 from __future__ import annotations
 
@@ -196,9 +198,10 @@ class ToralSystem:
             yield s, t, np.maximum(np.abs(s) ** self.e_s,
                                    np.abs(t) ** self.e_u)
 
-    def _pair_dists(self, pairs, steps):
-        """Pair batch: one array of dist(f^s x, f^s y) per step s, equal
-        bit for bit to the scalar `dist` of the iterates.
+    def _orbit_dists(self, pairs, lo, hi):
+        """The orbit hook: yield (j, dist(f^j x, f^j y) for every pair)
+        for lo <= j <= hi, equal bit for bit to the scalar `dist` of the
+        iterates.
 
         The points are mapped as arrays by `apply` and `apply_inv`
         (np.remainder is Python's float %), and one nine-translate
@@ -212,19 +215,19 @@ class ToralSystem:
         pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
         # (first coordinates, second coordinates), each with columns x, y
         p = pts[..., 0], pts[..., 1]
-        norms = {0: self._nearest_norms(*p)[0]} if 0 in steps else {}
-        for move, js in ((self.apply, range(1, max(steps) + 1)),
-                         (self.apply_inv, range(-1, min(steps) - 1, -1))):
+        if lo <= 0 <= hi:
+            yield 0, self._nearest_norms(*p)[0]
+        for move, js in ((self.apply, range(1, hi + 1)),
+                         (self.apply_inv, range(-1, lo - 1, -1))):
             q = p
             for j in js:
                 q = move(q)
-                if j in steps:
-                    norms[j] = self._nearest_norms(*q)[0]
-        return [norms[s] for s in steps]
+                if lo <= j <= hi:
+                    yield j, self._nearest_norms(*q)[0]
 
     def _nearest_norms(self, X, Y):
         """(norms, t, ties) for every row's points (X[i, 0], Y[i, 0]) and
-        (X[i, 1], Y[i, 1]), by the array search of `_pair_dists`: each
+        (X[i, 1], Y[i, 1]), by the array search of `_orbit_dists`: each
         row's `dist`, the unstable coordinate of the translate the array
         search picked, and the rows whose two best translates lie within
         1e-12 relative (their norms come from the scalar `_nearest`)."""
@@ -429,9 +432,8 @@ class EuclideanTorus:
     sqrt((mu^2 + mu^-2)/2), so it serves as the base of a genuinely
     nontrivial sup-refinement.  The bracket delegates to the eigenline
     geometry, which does not depend on the metric.  The offsets of a
-    pair's orbit come from the geometry's `_offset_orbit`; `_orbit_dists`
-    takes np.hypot of each, and the pair batch `_pair_dists` and the
-    refinement's batch read from it.
+    pair's orbit come from the geometry's `_offset_orbit`, and the orbit
+    hook `_orbit_dists` takes np.hypot of each.
     """
 
     space_kind = "toral"
@@ -440,6 +442,8 @@ class EuclideanTorus:
     tol_default = 1e-9
 
     def __init__(self, base, xi=0.02):
+        if not 0 < xi < math.inf:
+            raise ValueError(f"xi={xi} must be a positive finite number")
         self.geometry = base
         self.xi = xi
         self.diameter = math.sqrt(2) / 2
@@ -456,22 +460,17 @@ class EuclideanTorus:
         return math.hypot(*(_nearest_offset(a, b, round(b - a))
                             for a, b in zip(x, y)))
 
-    def _orbit_dists(self, pairs, reach):
-        """Yield (j, dist(f^j x, f^j y) for every pair) over the
-        geometry's `_offset_orbit`, j = 0, +-1, ..., +-reach; step 0
-        starts from each pair's nearest offset, as `dist` does."""
+    def _orbit_dists(self, pairs, lo, hi):
+        """The orbit hook: yield (j, dist(f^j x, f^j y) for every pair)
+        for lo <= j <= hi, over the geometry's `_offset_orbit`.  Step 0
+        starts from each pair's nearest offset, as `dist` does, and is
+        within one rounding (np.hypot against math.hypot) of it."""
         pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
         du, dv = (_nearest_offset(w[:, 0], w[:, 1], np.round(w[:, 1] - w[:, 0]))
                   for w in (pts[..., 0], pts[..., 1]))
-        for j, u, v in self.geometry._offset_orbit(du, dv, reach):
-            yield j, np.hypot(u, v)
-
-    def _pair_dists(self, pairs, steps):
-        """Pair batch: one array of dist(f^s x, f^s y) per step s, from
-        the offset orbit.  At step 0 each entry is within one rounding
-        (np.hypot against math.hypot) of the scalar `dist`."""
-        terms = dict(self._orbit_dists(pairs, max(abs(s) for s in steps)))
-        return [terms[s] for s in steps]
+        for j, u, v in self.geometry._offset_orbit(du, dv, max(-lo, hi)):
+            if lo <= j <= hi:
+                yield j, np.hypot(u, v)
 
     def bracket(self, x, y):
         return self.geometry.bracket(x, y)
@@ -481,9 +480,6 @@ class EuclideanTorus:
 
     def triangle_vertex(self, x, y):
         return self.geometry.triangle_vertex(x, y)
-
-    def sample_points(self, count, seed=0):
-        return self.geometry.sample_points(count, seed)
 
     def sample_pairs(self, count, scale, seed=0):
         """Pairs at Euclidean distance in [scale/2, scale], random headings.

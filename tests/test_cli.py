@@ -495,6 +495,28 @@ print("numpy" in sys.modules)
     assert proc.stdout.split() == ["True"]
 
 
+def test_shift_checks_on_built_points_leave_numpy_unloaded(subprocess_env):
+    # pairs that are not sampled rows take the scalar levels, and the
+    # holonomy scale and precondition are plain Python
+    code = """\
+import sys
+from selfsimilar import (golden_mean, holonomy_deviation, triangle_ratio,
+                         verify_self_similar)
+g = golden_mean()
+x = g.constant(0)
+q, pp = x.with_value(5, 1), x.with_value(-3, 1)
+assert verify_self_similar(g, [(x, q), (x, pp)]).passed
+assert triangle_ratio(g, x, q).ratio == 1.0
+rep = holonomy_deviation(g, x, q, pp, g.triangle_vertex(pp, q))
+assert rep.precondition_ok and rep.in_range and rep.observed == 0.0
+print("numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 PUBLIC = {
     "core": ["holder_check", "holonomy_deviation", "refine_metric",
              "stable_contraction_check", "triangle_curve", "triangle_ratio",

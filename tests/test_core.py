@@ -25,6 +25,7 @@ from selfsimilar.core import (
     TriangleReport,
     VerifyReport,
     _holonomy_reports,
+    _pair_values,
     _triangle_reports,
     dyn_metric,
     holder_check,
@@ -208,10 +209,12 @@ def test_verification_of_the_toral_metric(cat):
 
 
 def test_refinement_parameter_validation(euclid):
-    with pytest.raises(ValueError, match="must exceed 1"):
-        refine_metric(euclid, 1.0, 1e-6)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        refine_metric(euclid, 1.8, 0.0)
+    for lam in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="must exceed 1"):
+            refine_metric(euclid, lam, 1e-6)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            refine_metric(euclid, 1.8, tol)
 
     class Unbounded:
         diameter = math.inf
@@ -240,7 +243,7 @@ def test_refinement_window_tracks_the_tolerance(euclid, refined_euclid):
 
 
 def test_refining_an_adapted_metric_changes_nothing(doubling):
-    refined = refine_metric(doubling, 2.0, 1e-9, one_sided=True)
+    refined = refine_metric(doubling, 2.0, 1e-9)
     rng = Random(23)
     for _ in range(300):
         x, y = rng.random(), rng.random()
@@ -253,7 +256,7 @@ def test_refining_an_adapted_metric_changes_nothing(doubling):
 def test_refined_clipped_arc_at_lam_two_stays_below_the_clip(doubling):
     # every term min(2**i a, 0.3) / 2**i is at most a, so the sup is a itself
     trunc = TruncatedArc()
-    refined = refine_metric(trunc, 2.0, 1e-9, one_sided=True)
+    refined = refine_metric(trunc, 2.0, 1e-9)
     for x, y in circle_pairs(29):
         assert refined.dist(x, y) == trunc.dist(x, y)
     rep = holder_check(trunc.dist, refined.dist, circle_pairs(29), k=2.0, lam=2.0)
@@ -266,7 +269,7 @@ def test_refined_clipped_arc_at_root_two_is_a_square_root(doubling):
     # closed form: the sup sits within 2**(1/4) of sqrt(0.3 * arc), so the
     # Holder exponent against k = 2 is exactly one half
     trunc = TruncatedArc()
-    refined = refine_metric(trunc, math.sqrt(2.0), 1e-6, one_sided=True)
+    refined = refine_metric(trunc, math.sqrt(2.0), 1e-6)
     pairs = circle_pairs(31)
     rep = holder_check(trunc.dist, refined.dist, pairs, k=2.0, lam=math.sqrt(2.0))
     assert rep.alpha == pytest.approx(0.5, rel=1e-12)
@@ -356,6 +359,13 @@ def exact_refined(refined, x, y, steps):
             for s in steps]
 
 
+def hook(sys, pairs, steps):
+    """The arrays of the orbit hook at each step s, read over
+    min(steps)..max(steps)."""
+    terms = dict(sys._orbit_dists(pairs, min(steps), max(steps)))
+    return [terms[s] for s in steps]
+
+
 def scalar_steps(sys, dist, x, y, steps):
     """dist(f^s x, f^s y) by the scalar maps, for s in steps."""
     out = []
@@ -371,7 +381,7 @@ def scalar_steps(sys, dist, x, y, steps):
 @settings(deadline=None)
 @given(toral_pairs())
 def test_refined_batch_follows_the_exact_orbit(refined_euclid, pairs):
-    batch = refined_euclid._pair_dists(pairs, STEPS)
+    batch = hook(refined_euclid, pairs, STEPS)
     for i, (x, y) in enumerate(pairs):
         want = exact_refined(refined_euclid, x, y, STEPS)
         for got, w in zip((b[i] for b in batch), want):
@@ -381,7 +391,7 @@ def test_refined_batch_follows_the_exact_orbit(refined_euclid, pairs):
 @settings(deadline=None, max_examples=30)
 @given(toral_pairs())
 def test_refined_batch_agrees_with_the_scalar_metric(refined_euclid, pairs):
-    batch = refined_euclid._pair_dists(pairs, STEPS)
+    batch = hook(refined_euclid, pairs, STEPS)
     for i, (x, y) in enumerate(pairs):
         want = scalar_steps(refined_euclid, refined_euclid.dist, x, y, STEPS)
         for got, w in zip((b[i] for b in batch), want):
@@ -391,7 +401,7 @@ def test_refined_batch_agrees_with_the_scalar_metric(refined_euclid, pairs):
 @settings(deadline=None)
 @given(toral_pairs())
 def test_euclidean_batch_follows_the_exact_orbit(euclid, pairs):
-    batch = euclid._pair_dists(pairs, STEPS)
+    batch = hook(euclid, pairs, STEPS)
     for i, (x, y) in enumerate(pairs):
         terms = exact_terms(euclid.geometry, x, y, 1)
         scalar = scalar_steps(euclid, euclid.dist, x, y, STEPS)
@@ -405,8 +415,8 @@ def test_euclidean_batch_follows_the_exact_orbit(euclid, pairs):
 @settings(deadline=None)
 @given(toral_pairs())
 def test_domination_is_exact_on_the_batch_path(euclid, refined_euclid, pairs):
-    (b,) = euclid._pair_dists(pairs, (0,))
-    (r,) = refined_euclid._pair_dists(pairs, (0,))
+    (b,) = hook(euclid, pairs, (0,))
+    (r,) = hook(refined_euclid, pairs, (0,))
     assert (r >= b).all()
     rep = holder_check(euclid.dist, refined_euclid.dist, pairs, k=3.0, lam=1.8)
     assert rep.violations == []
@@ -419,7 +429,7 @@ def test_straddling_pairs_keep_every_bit(euclid):
     y = ((x[0] - 1e-5) % 1.0, 0.5)
     exact = Fraction(y[0]) - Fraction(x[0]) - 1
     assert euclid.dist(x, y) == abs(float(exact))
-    assert euclid._pair_dists([(x, y)], (0,))[0][0] == abs(float(exact))
+    assert hook(euclid, [(x, y)], (0,))[0][0] == abs(float(exact))
 
 
 def test_batch_path_keeps_rejections_and_errors(euclid, refined_euclid):
@@ -473,11 +483,7 @@ def loop_holder(base_dist, refined_dist, samples, k, lam):
                         max_ratio_pair=worst)
 
 
-def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling, euclid,
-                                                    cat):
-    assert refine_metric(euclid, 1.8, 1e-6, one_sided=True)._pair_dists is None
-    # the toral metric has an offset orbit but no `_orbit_dists`
-    assert refine_metric(cat, 1.8, 1e-6)._pair_dists is None
+def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling):
     warped = PowerWarp(full2)
     pairs = full2.sample_pairs(100, seed=4)
     coincident = list(pairs) + [(full2.constant(0),) * 2]
@@ -489,11 +495,11 @@ def test_systems_without_a_batch_keep_the_pair_loop(full2, doubling, euclid,
     trunc = TruncatedArc()
     arcs = circle_pairs(29)
     for base, lam in ((trunc, math.sqrt(2.0)), (doubling, 2.0)):
-        refined = refine_metric(base, lam, 1e-6, one_sided=True)
-        assert refined._pair_dists is None
+        refined = refine_metric(base, lam, 1e-6)
+        assert refined._orbit_dists is None
         assert holder_check(base.dist, refined.dist, arcs, k=2.0, lam=lam) \
             == loop_holder(base.dist, refined.dist, arcs, 2.0, lam)
-    refined = refine_metric(doubling, 2.0, 1e-9, one_sided=True)
+    refined = refine_metric(doubling, 2.0, 1e-9)
     with pytest.raises(ValueError, match="no inverse"):
         verify_self_similar(refined, arcs)
 
@@ -518,28 +524,53 @@ class SupNormTorus:
     def dist(self, x, y):
         return max(abs(b - a - round(b - a)) for a, b in zip(x, y))
 
-    def _orbit_dists(self, pairs, reach):
+    def _orbit_dists(self, pairs, lo, hi):
         pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
         d = pts[:, 1] - pts[:, 0]
         d -= np.round(d)
-        for j, u, v in self.geometry._offset_orbit(d[:, 0], d[:, 1], reach):
-            yield j, np.maximum(np.abs(u), np.abs(v))
+        orbit = self.geometry._offset_orbit(d[:, 0], d[:, 1], max(-lo, hi))
+        for j, u, v in orbit:
+            if lo <= j <= hi:
+                yield j, np.maximum(np.abs(u), np.abs(v))
 
 
 def test_refined_batch_reads_the_base_norm(cat, euclid, refined_euclid):
     refined = refine_metric(SupNormTorus(cat), 1.8, 1e-6)
     for scale, seed in ((2e-2, 43), (1e-2, 44)):
         pairs = euclid.sample_pairs(150, scale, seed=seed)
-        batch = refined._pair_dists(pairs, STEPS)
+        batch = hook(refined, pairs, STEPS)
         for i, (x, y) in enumerate(pairs):
             want = scalar_steps(refined, refined.dist, x, y, STEPS)
             for got, w in zip((b[i] for b in batch), want):
                 assert got == pytest.approx(w, rel=1e-12)
     # a Euclidean batch would be larger: the orbit's offsets are off-axis
     pairs = euclid.sample_pairs(20, 1e-2, seed=45)
-    (sup,) = refined._pair_dists(pairs, (0,))
-    (euc,) = refined_euclid._pair_dists(pairs, (0,))
+    (sup,) = hook(refined, pairs, (0,))
+    (euc,) = hook(refined_euclid, pairs, (0,))
     assert (sup < euc).all()
+
+
+def test_the_orbit_hook_reads_its_step_range(cat, euclid, refined_euclid):
+    # steps that skip 0 or leave gaps, against the scalar maps: bit for
+    # bit on the self-similar torus, to roundoff elsewhere (a scalar
+    # refinement maps apply_inv(p) forward again)
+    refined_cat = refine_metric(cat, 1.8, 1e-6)
+    pairs = euclid.sample_pairs(12, 1e-2, seed=53)
+    for sys, rel in ((cat, 0.0), (euclid, 1e-9), (refined_euclid, 1e-9),
+                     (refined_cat, 1e-9)):
+        for steps in ((2, 3), (-3, -1), (0, 2), (-2, 0, 3)):
+            lo, hi = min(steps), max(steps)
+            assert sorted(j for j, _ in sys._orbit_dists(pairs, lo, hi)) \
+                == list(range(lo, hi + 1))
+            got = zip(*_pair_values(sys, pairs, steps))
+            for row, (x, y) in zip(got, pairs):
+                want = scalar_steps(sys, sys.dist, x, y, steps)
+                assert list(row) == pytest.approx(want, rel=rel, abs=0.0)
+    # a refinement of a refinement streams its base's hook too
+    twice, few = refine_metric(refined_euclid, 1.8, 1e-3), pairs[:4]
+    for row, (x, y) in zip(zip(*_pair_values(twice, few, STEPS)), few):
+        want = scalar_steps(twice, twice.dist, x, y, STEPS)
+        assert list(row) == pytest.approx(want, rel=1e-9)
 
 
 # the orbit checks as the per-pair loops they replace, as references
@@ -610,7 +641,7 @@ def orbit_check_inputs(golden, cat, doubling):
             t.append((p, ((p[0] + r * vec[0]) % 1.0, (p[1] + r * vec[1]) % 1.0)))
     t += [(t[0][0], t[0][0]), ((0.0, 0.0), (0.5, 0.5))]
     c = circle_pairs(31, per_scale=3) + [(0.3, 0.3), (0.1, 0.6)]
-    one_sided = refine_metric(doubling, 2.0, 1e-6, one_sided=True)
+    one_sided = refine_metric(doubling, 2.0, 1e-6)
     return [(golden, g), (cat, t), (doubling, c), (one_sided, c[::4])]
 
 
@@ -634,7 +665,7 @@ def test_orbit_checks_are_the_pair_loops(golden, cat, doubling):
 
 
 def test_contraction_on_a_system_without_an_inverse(doubling):
-    one_sided = refine_metric(doubling, 2.0, 1e-6, one_sided=True)
+    one_sided = refine_metric(doubling, 2.0, 1e-6)
     for sys in (doubling, one_sided):
         with pytest.raises(ValueError, match="coincident points"):
             stable_contraction_check(sys, 0.3, 0.3, side="unstable")
@@ -669,7 +700,7 @@ def test_holder_check_is_the_pair_loop(golden, cat, doubling):
 
 
 def test_bracket_helper_dispatches(doubling):
-    one_sided = refine_metric(doubling, 2.0, 1e-6, one_sided=True)
+    one_sided = refine_metric(doubling, 2.0, 1e-6)
     for sys in (doubling, one_sided):
         with pytest.raises(ValueError, match="no bracket structure"):
             triangle_ratio(sys, 0.1, 0.1001)

@@ -313,6 +313,11 @@ def test_homogeneity_validation(golden, four, cat):
         homogeneity_check(four, [four.point(four.matrix.cycle_word(0))])
     with pytest.raises(ValueError, match="DP depth must be nonnegative"):
         homogeneity_check(golden, [golden.constant(0)], depth=-1)
+    for n_range in ((5, 1), (-3, 2), (-1, -1)):
+        with pytest.raises(ValueError, match="0 <= lo <= hi"):
+            homogeneity_check(golden, [golden.constant(0)], n_range=n_range)
+    rep = homogeneity_check(golden, [golden.constant(0)], n_range=(0, 0))
+    assert [row["n"] for row in rep.rows] == [0]
 
 
 # ---------------------------------------------------------- parry comparison

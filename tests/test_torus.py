@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsimilar.core import DynMode, _pair_values, dyn_metric
+from selfsimilar.core import (DynMode, _pair_values, dyn_metric,
+                              verify_self_similar)
 from selfsimilar.torus import (
     EuclideanTorus,
     ToralSystem,
@@ -431,7 +432,7 @@ def test_near_ties_take_the_scalar_search(cat, monkeypatch):
         return nearest(self, x, y)
 
     monkeypatch.setattr(ToralSystem, "_nearest", spy)
-    (got,) = cat._pair_dists(pairs, (0,))
+    ((_, got),) = cat._orbit_dists(pairs, 0, 0)
     assert calls == ties
     assert got.tolist() == want
 
@@ -584,10 +585,17 @@ def test_euclidean_bracket_delegates_to_the_geometry(cat, euclid):
     assert euclid._pair_brackets(pairs) == cat._pair_brackets(pairs)
 
 
-def test_euclidean_base_helper(cat):
+def test_euclidean_base_helper(cat, euclid, refined_euclid):
     e = euclidean_base(cat, xi=0.03)
     assert isinstance(e, EuclideanTorus)
     assert e.xi == 0.03
+    for xi in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be a positive finite"):
+            euclidean_base(cat, xi=xi)
+    # the default xi rejects every pair above it
+    pairs = euclid.sample_pairs(50, 0.2, seed=3)
+    rep = verify_self_similar(refined_euclid, pairs)
+    assert len(rep.rejected) == 50 and not rep.passed
 
 
 # ------------------------------------------------------------ circle doubling

@@ -38,8 +38,7 @@ for n in range(1, 11):
     pts.append(golden.point((0,), (1,) + (0,) * (n + 1) + (1,), (0,), -1))
 rep = homogeneity_check(golden, pts)
 print(f"  c_observed {rep.c_observed:.12f}  phi^2 = {PHI**2:.12f}")
-print(f"  flat ratio {rep.flat_ratio}  trend {rep.trend:+.1e}  "
-      f"passed {rep.passed}")
+print(f"  flat ratio {rep.flat_ratio}  trend {rep.trend:+.1e}")
 for row in rep.rows[:3]:
     print(f"    n={row['n']}  max {row['max_mass']:.6f}  "
           f"min {row['min_mass']:.6f}  ratio {row['ratio']:.9f}")

@@ -210,19 +210,17 @@ def _check_verify(sys_obj, cfg):
     from .core import verify_self_similar
     if sys_obj.space_kind == "symbolic":
         pairs = sys_obj.sample_pairs(cfg.samples, seed=cfg.seed)
-        tol = 0.0
     else:
         scale = cfg.scale if cfg.scale is not None else 0.01
         pairs = sys_obj.sample_pairs(cfg.samples, scale, seed=cfg.seed)
-        tol = 1e-9
-    rep = verify_self_similar(sys_obj, pairs, tol=tol)
+    rep = verify_self_similar(sys_obj, pairs)
     return {
         "checked": rep.checked,
         "rejected": len(rep.rejected),
         "max_rel_deviation": rep.max_rel_deviation,
         "mean_rel_deviation": rep.mean_rel_deviation,
         "exact": rep.exact,
-        "tolerance": tol,
+        "tolerance": rep.tol,
         "method": "one-step-identity",
         "passed": rep.passed,
     }
@@ -317,23 +315,21 @@ def _check_triangles(sys_obj, cfg):
         lo = _triangle_levels(sys_obj)
         pairs = sys_obj.sample_pairs(cfg.samples, seed=cfg.seed,
                                      levels=(lo, lo + 6))
-        tol = 0.0
     else:
         scale = cfg.scale if cfg.scale is not None else (
             sys_obj.xi / (4 * sys_obj.lam))
         if scale > sys_obj.xi / (2 * sys_obj.lam):
             raise ValueError("triangle scale must be <= xi/(2 lam)")
         pairs = sys_obj.sample_pairs(cfg.samples, scale, seed=cfg.seed)
-        tol = 1e-9
     worst = 0.0
     for rep in _triangle_reports(sys_obj, pairs):
         worst = max(worst, abs(rep.ratio - 1.0))
     return {
         "pairs": len(pairs),
         "max_ratio_deviation": worst,
-        "tolerance": tol,
+        "tolerance": sys_obj.tol_default,
         "method": "bracket-triangle",
-        "passed": worst <= tol,
+        "passed": worst <= sys_obj.tol_default,
     }
 
 

@@ -2,10 +2,10 @@
 
 Works against a small structural protocol rather than a base class: a
 system carries apply/apply_inv, dist, the expanding factor `lam`, the
-expansivity threshold `xi`, a `diameter`, an `invertible` flag and
-(optionally) bracket/triangle_vertex.  Symbolic systems additionally
-expose integer `level` arithmetic, which the verifier uses to keep the
-self-similarity check exact.
+expansivity threshold `xi`, a `diameter`, an `invertible` flag, the
+verifier's `tol_default` and (optionally) bracket/triangle_vertex.
+Symbolic systems additionally expose integer `level` arithmetic, which
+the verifier uses to keep the self-similarity check exact.
 
 A system may also carry private pair batches.  `_pair_levels(pairs,
 steps)` returns one list of integer levels of (f^s x, f^s y) per step s
@@ -136,6 +136,12 @@ def _zip(a, b):
     return list(zip(a, b)) if joined is None else joined
 
 
+def _need_lam(sys):
+    if not hasattr(sys, "lam"):
+        raise ValueError(f"{type(sys).__name__} has no lam: the check needs "
+                         "a self-similar system, such as a refinement of it")
+
+
 def verify_self_similar(sys, pairs, tol=None):
     """Check max{dist(f p, f q), dist(f^-1 p, f^-1 q)} = lam * dist(p, q).
 
@@ -144,8 +150,8 @@ def verify_self_similar(sys, pairs, tol=None):
     verified exactly; float systems report relative deviations.  Either
     way the values come from one `_pair_values` call.
     """
-    if tol is None:
-        tol = getattr(sys, "tol_default", 1e-9)
+    _need_lam(sys)
+    tol = sys.tol_default if tol is None else tol
     exact = hasattr(sys, "level")
     rejected = []
     devs = []
@@ -335,6 +341,7 @@ def _triangle_reports(sys, pairs):
     """`triangle_ratio` of every pair, from one `_pair_values` call for
     the hypotenuses and one for each side of the legs.  The first pair
     that fails, in input order, raises what `triangle_ratio` would."""
+    _need_lam(sys)
     if not getattr(sys, "has_bracket", hasattr(sys, "triangle_vertex")):
         raise ValueError("system has no bracket structure")
     (hyps,) = _pair_values(sys, pairs, (0,))
@@ -389,6 +396,7 @@ def stable_contraction_check(sys, x, y, side="stable", n_max=10):
     n = 1..n_max; a pair drifting above xi at some iterate is a
     precondition violation and is flagged with the first bad n.
     """
+    _need_lam(sys)
     sign = {"stable": 1, "unstable": -1}.get(side)
     steps = [0] if sign is None else [sign * n for n in range(n_max + 1)]
     # without an inverse the backward walk raises, but only after the
@@ -453,6 +461,7 @@ def _holonomy_reports(sys, quads):
     `_pair_values` call each for the plaque pairs (p, q) followed
     backward, the projected pairs (pp, qq) and each side's legs followed
     forward.  The first coincident plaque pair raises."""
+    _need_lam(sys)
     depth = range(_HOLONOMY_DEPTH + 1)
     p, q, pp, qq = _unzip(quads, 4)
     plaques, *back = _pair_values(sys, _zip(p, q), tuple(-j for j in depth))

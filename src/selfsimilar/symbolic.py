@@ -13,7 +13,6 @@ set.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -226,8 +225,7 @@ class TransitionMatrix:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = tuple(tuple(r) for r in self.rows)
         n = len(rows)
         if not 1 <= n <= 64:
             raise ValueError("matrix must have between 1 and 64 states")
@@ -239,6 +237,8 @@ class TransitionMatrix:
             raise ValueError("zero row: every state needs a successor")
         if any(not any(c) for c in zip(*rows)):
             raise ValueError("zero column: every state needs a predecessor")
+        rows = tuple(tuple(map(int, r)) for r in rows)  # 0.5 failed above
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self):
@@ -313,12 +313,6 @@ class TransitionMatrix:
                     parent[t] = u
                     queue.append(t)
         return None
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        rows = data["rows"] if isinstance(data, dict) else data
-        return cls(tuple(tuple(r) for r in rows))
 
 
 def _count_vectors(matrix):
@@ -431,7 +425,7 @@ class ShiftSystem:
     lam: float = 2.0
 
     def __post_init__(self):
-        if not self.lam > 1:
+        if not 1 < self.lam < INF:
             raise ValueError("expanding factor must exceed 1")
 
     space_kind = "symbolic"
@@ -717,12 +711,7 @@ def golden_mean(lam=2.0):
 
 def four_symbol(lam=2.0):
     """Reducible 4-state example: states 2,3 absorb the forward orbit."""
-    from importlib import resources
-
-    text = resources.files("selfsimilar.fixtures").joinpath(
-        "four_symbol.json"
-    ).read_text()
-    return sft_new(TransitionMatrix.from_json(text), lam)
+    return sft_new(((1,) * 4, (1,) * 4, (0, 0, 1, 1), (0, 0, 1, 1)), lam)
 
 
 def _window_count(sys, eps, k=0):

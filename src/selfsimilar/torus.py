@@ -86,6 +86,8 @@ class ToralSystem:
     tol_default = 1e-9
 
     def __init__(self, matrix, lam=None, xi=0.05):
+        if any(v % 1 for r in matrix for v in r):  # not truncated by int()
+            raise ValueError("matrix entries must be integers")
         rows = tuple(tuple(int(v) for v in r) for r in matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("matrix must be 2x2")
@@ -191,10 +193,8 @@ class ToralSystem:
         """Yield (s, t, norm) for each of the nine nearest lattice
         translates of the offset arrays u, v, in `_NINE` order: the su
         coordinates of the translate and its metric norm."""
-        B = self._B
         for wx, wy in _NINE:
-            s = B[0][0] * (u + wx) + B[0][1] * (v + wy)
-            t = B[1][0] * (u + wx) + B[1][1] * (v + wy)
+            s, t = self._su(u + wx, v + wy)
             yield s, t, np.maximum(np.abs(s) ** self.e_s,
                                    np.abs(t) ** self.e_u)
 
@@ -430,10 +430,10 @@ class EuclideanTorus:
 
     Not self-similar; adapted below its xi for any lam up to
     sqrt((mu^2 + mu^-2)/2), so it serves as the base of a genuinely
-    nontrivial sup-refinement.  The bracket delegates to the eigenline
-    geometry, which does not depend on the metric.  The offsets of a
-    pair's orbit come from the geometry's `_offset_orbit`, and the orbit
-    hook `_orbit_dists` takes np.hypot of each.
+    nontrivial sup-refinement.  The triangle vertex delegates to the
+    eigenline geometry, which does not depend on the metric.  The
+    offsets of a pair's orbit come from the geometry's `_offset_orbit`,
+    and the orbit hook `_orbit_dists` takes np.hypot of each.
     """
 
     space_kind = "toral"
@@ -471,12 +471,6 @@ class EuclideanTorus:
         for j, u, v in self.geometry._offset_orbit(du, dv, max(-lo, hi)):
             if lo <= j <= hi:
                 yield j, np.hypot(u, v)
-
-    def bracket(self, x, y):
-        return self.geometry.bracket(x, y)
-
-    def _pair_brackets(self, pairs):
-        return self.geometry._pair_brackets(pairs)
 
     def triangle_vertex(self, x, y):
         return self.geometry.triangle_vertex(x, y)

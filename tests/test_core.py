@@ -445,6 +445,23 @@ def test_batch_path_keeps_rejections_and_errors(euclid, refined_euclid):
         holder_check(euclid.dist, refined_euclid.dist, pairs, k=3.0, lam=1.8)
 
 
+def test_checks_on_a_base_without_lam_ask_for_a_refinement(euclid,
+                                                         refined_euclid):
+    # the Euclidean base carries no expanding factor; each check says so
+    # before it reads a pair, so points that cannot be read never are
+    pairs = euclid.sample_pairs(5, 1e-3, seed=1)
+    calls = (lambda: verify_self_similar(euclid, pairs),
+             lambda: verify_self_similar(euclid, [(None, None)]),
+             lambda: triangle_ratio(euclid, *pairs[0]),
+             lambda: triangle_ratio(euclid, None, None),
+             lambda: holonomy_deviation(euclid, None, None, None, None),
+             lambda: stable_contraction_check(euclid, None, None))
+    for call in calls:
+        with pytest.raises(ValueError, match="needs a self-similar system"):
+            call()
+    assert verify_self_similar(refined_euclid, pairs, tol=1e-6).passed
+
+
 def loop_verify(sys, pairs, tol):
     """The per-pair verifier of the float path, as a reference."""
     rejected, devs, worst = [], [], None

@@ -272,7 +272,6 @@ def test_homogeneity_on_the_full_shift(full2):
     assert rep.c_observed == 1.0
     assert rep.flat_ratio == 1.0
     assert rep.trend == 0.0
-    assert rep.passed
 
 
 def test_homogeneity_constant_on_crafted_golden_points(golden):
@@ -286,9 +285,8 @@ def test_homogeneity_constant_on_crafted_golden_points(golden):
     assert rep.c_observed == pytest.approx(PHI**2, abs=1e-9)
     assert rep.flat_ratio <= 1.0 + 1e-9
     assert abs(rep.trend) < 1e-12
-    assert rep.passed
+    assert math.isfinite(rep.c_observed)
     assert len(rep.rows) == 10
-    assert rep.delta == rep.eps == golden.xi / golden.lam
 
 
 def test_homogeneity_on_random_golden_points(golden):
@@ -307,8 +305,6 @@ def test_homogeneity_validation(golden, four, cat):
         homogeneity_check(cat, [(0.1, 0.2)])
     with pytest.raises(ValueError, match="at least one base point"):
         homogeneity_check(golden, [])
-    with pytest.raises(ValueError, match="below xi"):
-        homogeneity_check(golden, [golden.constant(0)], delta=0.5)
     with pytest.raises(ValueError, match="primitive"):
         homogeneity_check(four, [four.point(four.matrix.cycle_word(0))])
     with pytest.raises(ValueError, match="DP depth must be nonnegative"):

@@ -66,6 +66,11 @@ def test_lam_below_the_cap_rescales_the_exponents():
 def test_construction_rejects_bad_input():
     with pytest.raises(ValueError, match="matrix must be 2x2"):
         ToralSystem(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # a fractional entry is rejected, not truncated to the cat map
+    for m in (((2, 1.9), (1, 1)), ((2.5, 1), (1, 1)), ((2, 1), (1, math.inf))):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            toral_new(m)
+    assert ToralSystem(((2.0, True), (1, 1.0))).matrix == cat_map().matrix
     with pytest.raises(ValueError, match="determinant"):
         ToralSystem(((2, 0), (0, 2)))
     with pytest.raises(ValueError, match="unit circle"):
@@ -581,8 +586,7 @@ def test_euclidean_sampling(euclid):
 def test_euclidean_bracket_delegates_to_the_geometry(cat, euclid):
     pairs = euclid.sample_pairs(50, 0.01, seed=19)
     for x, y in pairs:
-        assert euclid.bracket(x, y) == cat.bracket(x, y)
-    assert euclid._pair_brackets(pairs) == cat._pair_brackets(pairs)
+        assert euclid.triangle_vertex(x, y) == cat.bracket(x, y)
 
 
 def test_euclidean_base_helper(cat, euclid, refined_euclid):

@@ -7,6 +7,7 @@ and unstable window masses reproduce the Parry (maximal entropy) chain.
 """
 
 import math
+from itertools import islice
 
 from selfsimilar.measure import (
     Box,
@@ -69,7 +70,7 @@ print()
 print("== against the Parry chain ==")
 rep = parry_compare(golden, 2)
 print(f"  depth 2: {len(rep.rows)} words, max rel gap {rep.max_rel_gap:.2e}")
-for word, dp, parry, gap in rep.rows[:4]:
+for word, dp, parry, gap in islice(rep.rows, 4):
     print(f"    {''.join(map(str, word))}  dp {dp:.9f}  parry {parry:.9f}")
 rep8 = parry_compare(golden, 8)
 print(f"  depth 8: {len(rep8.rows)} words, max rel gap {rep8.max_rel_gap:.2e}")

@@ -293,7 +293,7 @@ def _check_fundamental(sys_obj, cfg):
     return {
         "capacity": rep.capacity,
         "ent": rep.ent,
-        "log_lam": math.log(rep.lam),
+        "log_lam": math.log(sys_obj.lam),
         "ent_over_log_lam": rep.rhs,
         "rel_gap": rep.rel_gap,
         "tolerance": tol,
@@ -418,7 +418,7 @@ def _check_measure(sys_obj, cfg):
     s0 = measure.hausdorff_estimate(
         sys_obj, measure.StableWindow(anchor, 0), d, depth=cfg.depth)
     sc = measure.scaling_check(
-        sys_obj, measure.UnstableWindow(anchor, 3), d=d, depth=cfg.depth)
+        sys_obj, measure.UnstableWindow(anchor, 3), depth=cfg.depth)
     parry = measure.parry_compare(sys_obj, 2)
     ok = (u0.converged and s0.converged and u0.value > 0 and s0.value > 0
           and sc.rel_gap <= 0.03 and parry.max_rel_gap <= 1e-9)
@@ -446,8 +446,7 @@ def _check_homogeneity(sys_obj, cfg):
     rng = Random(cfg.seed)
     count = min(cfg.samples, 20)
     xs = [sys_obj.random_point(rng, window=16) for _ in range(max(count, 2))]
-    rep = measure.homogeneity_check(sys_obj, xs, n_range=(1, 10),
-                                    depth=cfg.depth)
+    rep = measure.homogeneity_check(sys_obj, xs, depth=cfg.depth)
     # random points realize different symbols at the probed coordinates,
     # so per-n ratios wobble inside a fixed band; flat means no trend
     passed = abs(rep.trend) <= 0.02 and rep.flat_ratio <= 4.0

@@ -324,7 +324,6 @@ class TriangleReport:
     b: float
     c0: float
     ratio: float
-    scale: float
 
 
 def triangle_ratio(sys, x, y):
@@ -374,8 +373,7 @@ def _triangle_reports(sys, pairs):
         m = max(a, b)
         if m == 0.0:
             raise ValueError("degenerate triangle: both legs vanish")
-        reports.append(TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m,
-                                      scale=c0))
+        reports.append(TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m))
     if failure is not None:
         raise failure
     return reports

@@ -132,7 +132,7 @@ def _greedy(n, ta, tb):
 
 
 def _toral_cov_bounds(sys, eps, k=0):
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if eps > sys.diameter * sys.lam ** k:
         return CovCount(eps, 1, 1, False, "greedy-upper/packing-lower", k)
@@ -174,7 +174,6 @@ class CapacityFit:
     residual: float
     scales: list
     counts: list
-    dropped: int
     method: str
 
 
@@ -184,20 +183,15 @@ def default_scales(sys):
     return [0.16 * 2.0 ** (-j / 2) for j in range(8)]
 
 
-def capacity(sys, scales=None):
-    """Least-squares box-dimension fit over a geometric scale grid.
+def capacity(sys):
+    """Least-squares box-dimension fit over the descending geometric grid
+    of `default_scales`: 11 scales on a shift, 8 on the torus.
 
     The two largest scales are excluded as transient; the residual of
     the surviving fit is reported, not hidden.
     """
-    drop = 2
-    if scales is None:
-        scales = default_scales(sys)
-    if len(scales) < 4:
-        raise ValueError("need at least 4 scales")
-    scales = sorted(scales, reverse=True)
-    entries = [cov_eps(sys, e) for e in scales]
-    kept = entries[drop:]
+    entries = [cov_eps(sys, e) for e in default_scales(sys)]
+    kept = entries[2:]
     counts = [c.value for c in kept]
     if len(set(counts)) == 1:
         raise ValueError("degenerate fit: all covering counts equal")
@@ -207,8 +201,7 @@ def capacity(sys, scales=None):
     return CapacityFit(
         slope=slope, intercept=inter, residual=rms,
         scales=[c.eps for c in entries],
-        counts=[c.value for c in entries],
-        dropped=drop, method=entries[0].method,
+        counts=[c.value for c in entries], method=entries[0].method,
     )
 
 
@@ -304,21 +297,20 @@ def entropy(sys, n_max=12):
 class FundamentalReport:
     capacity: float
     ent: float
-    lam: float
     rhs: float
     rel_gap: float
     capacity_fit: CapacityFit
     entropy_report: EntropyReport
 
 
-def check_fundamental(sys, scales=None, n_max=12):
+def check_fundamental(sys, n_max=12):
     """capacity == ent / log lam, both sides estimated independently."""
-    fit = capacity(sys, scales)
+    fit = capacity(sys)
     ent_rep = entropy(sys, n_max=n_max)
     rhs = ent_rep.ent / math.log(sys.lam)
     gap = abs(fit.slope - rhs) / max(abs(rhs), 1e-300)
     return FundamentalReport(
-        capacity=fit.slope, ent=ent_rep.ent, lam=sys.lam, rhs=rhs,
+        capacity=fit.slope, ent=ent_rep.ent, rhs=rhs,
         rel_gap=gap, capacity_fit=fit, entropy_report=ent_rep,
     )
 
@@ -370,9 +362,9 @@ def ideal_factor(ent, dim, lam=None):
             "dim 0: totally disconnected space, the ideal factor is "
             "unbounded (lam_sup = +inf)"
         )
-    if dim < 0:
+    if not dim > 0:
         raise ValueError("dim must be a positive integer")
-    if ent < 0:
+    if not ent >= 0:
         raise ValueError("entropy must be non-negative")
     ideal = math.exp(ent / dim)
     ok = None

@@ -23,20 +23,18 @@ same depth, since no normalization convention is given.
 Both masses of a depth-k box depend only on its end states, so the
 Parry comparison runs over the n**2 end-state classes weighted by
 their exact word counts, in memory O(n**2) at any depth; its rows, one
-per admissible word, are a lazy view over the class table.  The module
-runs without numpy.
+per admissible word, are iterated in word order from the class table.
+The module runs without numpy.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from .dimension import _log_growth, _lsq
-from .symbolic import _count_vectors, _parry_data, iter_words
+from .symbolic import _parry_data, _word_counts, iter_words
 
 
 def _edge_at(sys, scale):
@@ -85,8 +83,6 @@ class _SideDP:
 
     def __init__(self, matrix, lam, d):
         self.matrix = matrix
-        self.lam = lam
-        self.d = d
         self.shrink = lam ** -d
         g0 = []
         for s in range(matrix.n):
@@ -123,22 +119,18 @@ def _dp(matrix, lam, d):
 class MeasureTree:
     """Result of the cylinder DP on one local window."""
 
-    window: object
-    d: float
-    depth: int
     value: float
     value_deeper: float
     drift: float
     converged: bool
     leaf_diameter: float
-    method: str = "cylinder-dp"
 
 
 def hausdorff_estimate(sys, window, d, depth=12):
     """DP value of mu^d on a stable or unstable window, with a depth
     drift check: the estimate at depth and depth + 2 must agree within
     1% to be flagged converged."""
-    if d <= 0:
+    if not 0 < d < math.inf:
         raise ValueError("dimension exponent must be positive")
     if sys.space_kind != "symbolic":
         raise ValueError("cylinder DP needs a symbolic system; toral "
@@ -161,8 +153,7 @@ def hausdorff_estimate(sys, window, d, depth=12):
     deeper = scale * dp.g(state, depth + 2)
     drift = abs(value - deeper) / value if value > 0 else 0.0
     return MeasureTree(
-        window=window, d=d, depth=depth, value=value, value_deeper=deeper,
-        drift=drift, converged=drift < 0.01,
+        value=value, value_deeper=deeper, drift=drift, converged=drift < 0.01,
         leaf_diameter=sys.lam ** -(window.edge + depth),
     )
 
@@ -194,13 +185,12 @@ class BoxMeasure:
     unstable: float
     product: float
     plaque_gap: float
-    d: float
-    depth: int
     admissible: bool = True
 
 
-def box_measure(sys, box, d=None, depth=12):
-    """Product of the stable and unstable window measures of the box."""
+def box_measure(sys, box):
+    """Product of the stable and unstable window measures of the box, at
+    the intrinsic exponent and DP depth 12."""
     if not isinstance(box, Box):
         raise TypeError("box must be a Box")
     if sys.space_kind != "symbolic":
@@ -210,16 +200,15 @@ def box_measure(sys, box, d=None, depth=12):
     n = sys.matrix.n
     if any(not 0 <= s < n for s in box.word):
         raise ValueError("box word has out-of-range symbols")
-    if d is None:
-        d = intrinsic_exponent(sys)
+    d = intrinsic_exponent(sys)
     ok = all(sys.matrix.rows[a][b] for a, b in zip(box.word, box.word[1:]))
     if not ok:
-        return BoxMeasure(0.0, 0.0, 0.0, 0.0, d, depth, admissible=False)
+        return BoxMeasure(0.0, 0.0, 0.0, 0.0, admissible=False)
     a = -box.start
     b = box.end
     anchor = sys.point_through(box.word, box.start)
-    unstable = hausdorff_estimate(sys, UnstableWindow(anchor, b), d, depth)
-    stable = hausdorff_estimate(sys, StableWindow(anchor, a), d, depth)
+    unstable = hausdorff_estimate(sys, UnstableWindow(anchor, b), d)
+    stable = hausdorff_estimate(sys, StableWindow(anchor, a), d)
 
     # holonomy independence: recompute the unstable factor from a
     # plaque with a different past whenever the matrix offers one (the
@@ -227,12 +216,11 @@ def box_measure(sys, box, d=None, depth=12):
     gap = 0.0
     for t in sys.matrix.predecessors[box.word[0]]:
         shifted = sys.point_through((t,) + box.word, box.start - 1)
-        other = hausdorff_estimate(sys, UnstableWindow(shifted, b), d, depth)
+        other = hausdorff_estimate(sys, UnstableWindow(shifted, b), d)
         gap = max(gap, abs(other.value - unstable.value))
     return BoxMeasure(
         stable=stable.value, unstable=unstable.value,
-        product=stable.value * unstable.value,
-        plaque_gap=gap, d=d, depth=depth,
+        product=stable.value * unstable.value, plaque_gap=gap,
     )
 
 
@@ -245,17 +233,16 @@ class ScalingReport:
     expected: float
     rel_gap: float
     side: str
-    depth: int
 
 
-def scaling_check(sys, window, d=None, depth=12):
-    """mu^d(f(window)) / mu^d(window) against lam**(+-d).
+def scaling_check(sys, window, depth=12):
+    """mu^d(f(window)) / mu^d(window) against lam**(+-d), at the
+    intrinsic exponent d.
 
     f shifts an unstable window's edge down by one (measure grows by
     lam**d) and a stable window's edge up by one (shrinks by lam**d).
     """
-    if d is None:
-        d = intrinsic_exponent(sys)
+    d = intrinsic_exponent(sys)
     before = hausdorff_estimate(sys, window, d, depth).value
     image_anchor = sys.apply(window.anchor)
     if isinstance(window, UnstableWindow):
@@ -270,7 +257,7 @@ def scaling_check(sys, window, d=None, depth=12):
     ratio = after / before
     return ScalingReport(
         ratio=ratio, expected=expected,
-        rel_gap=abs(ratio - expected) / expected, side=side, depth=depth,
+        rel_gap=abs(ratio - expected) / expected, side=side,
     )
 
 
@@ -284,11 +271,11 @@ class HomogeneityReport:
     flat_ratio: float
     trend: float
     d: float
-    depth: int
 
 
-def homogeneity_check(sys, xs, n_range=(1, 10), depth=12):
-    """Ratios of product masses of the forward boxes C^n across points.
+def homogeneity_check(sys, xs, depth=12):
+    """Ratios of product masses of the forward boxes C^n, n = 1..10,
+    across points, at the intrinsic exponent d.
 
     C^n is the box with stable window at xi/lam and unstable window at
     xi/lam**(n+1).  The constant c_observed is the largest mass ratio
@@ -299,8 +286,6 @@ def homogeneity_check(sys, xs, n_range=(1, 10), depth=12):
                          "intrinsic measure is Lebesgue, hence homogeneous")
     if not xs:
         raise ValueError("need at least one base point")
-    if not 0 <= n_range[0] <= n_range[1]:
-        raise ValueError("n_range must satisfy 0 <= lo <= hi")
     d = intrinsic_exponent(sys)
     dp_u = _dp(sys.matrix, sys.lam, d)
     dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
@@ -313,7 +298,7 @@ def homogeneity_check(sys, xs, n_range=(1, 10), depth=12):
         v_u = lam ** (-e_u * d) * dp_u.g(x.at(e_u), depth)
         return v_s * v_u
 
-    ns = range(n_range[0], n_range[1] + 1)
+    ns = range(1, 11)
     rows = []
     ratios = []
     for n in ns:
@@ -321,61 +306,35 @@ def homogeneity_check(sys, xs, n_range=(1, 10), depth=12):
         hi, lo = max(masses), min(masses)
         rows.append({"n": n, "max_mass": hi, "min_mass": lo, "ratio": hi / lo})
         ratios.append(hi / lo)
-    if len(ratios) > 1:
-        trend, _, _ = _lsq(ns, [math.log(r) for r in ratios])
-    else:
-        trend = 0.0
+    trend, _, _ = _lsq(ns, [math.log(r) for r in ratios])
     return HomogeneityReport(
         c_observed=max(ratios), rows=rows,
-        flat_ratio=max(ratios) / min(ratios), trend=trend, d=d, depth=depth,
+        flat_ratio=max(ratios) / min(ratios), trend=trend, d=d,
     )
 
 
 # -- Parry comparison --------------------------------------------------------
 
 
-class _ParryRows(Sequence):
-    """Read-only rows (word, dp, parry, rel_gap), one per admissible word
-    of the given length in `iter_words` order, with the values that
-    `table` holds for the word's end states.  Item i is the word of rank i,
-    unranked with the suffix counts of `_count_vectors`; iteration walks
-    `iter_words`; a slice gives a list.
+class _ParryRows:
+    """Rows (word, dp, parry, rel_gap), one per admissible word of the
+    given length in `iter_words` order, with the values that `table`
+    holds for the word's end states; the length is the exact word count.
     """
 
     def __init__(self, matrix, length, table):
         self._matrix, self._length, self._table = matrix, length, table
-        # _suffix[k][s]: the words of length k + 1 that start at s
-        self._suffix = list(islice(_count_vectors(matrix), length))
-        # indexing a range works past sys.maxsize, where len() stops
-        self._ranks = range(sum(self._suffix[-1]))
 
     def __len__(self):
-        return len(self._ranks)
-
-    def _row(self, word):
-        return (word, *self._table[word[0], word[-1]])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in self._ranks[i]]
-        i = self._ranks[i]
-        word, options = [], range(self._matrix.n)
-        for counts in reversed(self._suffix):
-            for s in options:
-                if i < counts[s]:
-                    break
-                i -= counts[s]
-            word.append(s)
-            options = self._matrix.successors[s]
-        return self._row(tuple(word))
+        return _word_counts(self._matrix, self._length)[-1]
 
     def __iter__(self):
-        return map(self._row, iter_words(self._matrix, self._length))
+        for word in iter_words(self._matrix, self._length):
+            yield (word, *self._table[word[0], word[-1]])
 
 
 @dataclass
 class ParryReport:
-    depth: int
     max_rel_gap: float
     total_mass: float
     rows: _ParryRows = field(repr=False)
@@ -392,7 +351,7 @@ def parry_compare(sys, depth):
     exact sum of count times class mass, rounded once (math.fsum of the
     per-word masses, bit for bit), and the worst gap is taken over the
     classes that hold a word.  The report's rows are one per word, read
-    from the class table on access.
+    from the class table as they are iterated.
     """
     if sys.space_kind != "symbolic":
         raise ValueError("parry comparison is symbolic-only")
@@ -423,7 +382,7 @@ def parry_compare(sys, depth):
         parry = pi[a] * v[b] / (v[a] * rho ** (length - 1))
         table[a, b] = (m / total, parry, abs(m / total - parry) / parry)
     worst = max(gap for _, _, gap in table.values())
-    return ParryReport(depth=depth, max_rel_gap=worst, total_mass=total,
+    return ParryReport(max_rel_gap=worst, total_mass=total,
                        rows=_ParryRows(matrix, length, table))
 
 

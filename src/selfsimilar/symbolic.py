@@ -624,6 +624,8 @@ class ShiftSystem:
         are kept, and stall past 64 count + 1024 rows.  Every draw comes
         from one `Random(seed)`, through `_below`."""
         import numpy as np
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         rng = Random(seed)
         parts = [[np.zeros((0, 2 * reach + 1), dtype=np.int8)] * (
             1 + len(cuts))]
@@ -722,7 +724,7 @@ def _window_count(sys, eps, k=0):
     count is the number of admissible words of length 2w+1 with
     w = min{w >= 0 : lam**(k-w) < eps}.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if eps > sys.diameter * sys.lam ** k:
         return 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import repeat
+from numbers import Real
 from random import Random
 
 import numpy as np
@@ -41,6 +42,15 @@ def _each(f, a, *args):
     (with any further iterables as further arguments), as an array.
     For the libm functions whose numpy loops can differ in the last bit."""
     return np.fromiter(map(f, a.tolist(), *args), float, a.size)
+
+
+def _draws(count, seed, width):
+    """The (width, count) array of `Random(seed)` draws that a loop
+    making `count` items of `width` draws each takes, in its order."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return np.fromiter(iter(Random(seed).random, -1.0), float,
+                       width * count).reshape(count, width).T
 
 
 def _eigen_2x2(m):
@@ -86,7 +96,8 @@ class ToralSystem:
     tol_default = 1e-9
 
     def __init__(self, matrix, lam=None, xi=0.05):
-        if any(v % 1 for r in matrix for v in r):  # not truncated by int()
+        # int() would truncate a fraction and parse a string: reject both
+        if any(not isinstance(v, Real) or v % 1 for r in matrix for v in r):
             raise ValueError("matrix entries must be integers")
         rows = tuple(tuple(int(v) for v in r) for r in matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
@@ -338,8 +349,8 @@ class ToralSystem:
     # -- sampling ------------------------------------------------------------
 
     def sample_points(self, count, seed=0):
-        rng = Random(seed)
-        return [(rng.random(), rng.random()) for _ in range(count)]
+        x0, x1 = _draws(count, seed, 2)
+        return list(zip(x0.tolist(), x1.tolist()))
 
     def sample_pairs(self, count, scale, seed=0):
         """Seeded pairs with dist in [scale/2, scale], stratified in angle.
@@ -367,9 +378,7 @@ class ToralSystem:
                 f"scale {scale:.6g} is below {self._min_scale:.6g}, the "
                 "smallest at which double roundoff lets a sampled pair "
                 "hit its target distance")
-        rng = Random(seed)
-        jitter, frac, x0, x1 = np.fromiter(
-            iter(rng.random, -1.0), float, 4 * count).reshape(count, 4).T
+        jitter, frac, x0, x1 = _draws(count, seed, 4)
         theta = 2 * math.pi * (np.arange(count) + jitter) / count
         targets = scale * (0.5 + 0.5 * frac)
         cs, sn = _each(math.cos, theta), _each(math.sin, theta)
@@ -482,9 +491,7 @@ class EuclideanTorus:
         per-pair loop."""
         if not 0 < scale < 0.25:
             raise ValueError("scale must sit below the injectivity radius")
-        rng = Random(seed)
-        turn, frac, x0, x1 = np.fromiter(
-            iter(rng.random, -1.0), float, 4 * count).reshape(count, 4).T
+        turn, frac, x0, x1 = _draws(count, seed, 4)
         theta = 2 * math.pi * turn
         r = scale * (0.5 + 0.5 * frac)
         y0 = np.remainder(x0 + r * _each(math.cos, theta), 1.0)
@@ -527,5 +534,4 @@ class CircleDoubling:
         return min(d, 1.0 - d)
 
     def sample_points(self, count, seed=0):
-        rng = Random(seed)
-        return [rng.random() for _ in range(count)]
+        return _draws(count, seed, 1)[0].tolist()

@@ -732,7 +732,6 @@ def test_triangles_close_exactly_on_shift_spaces(full2, golden):
             rep = triangle_ratio(sys, x, y)
             assert rep.ratio == 1.0
             assert rep.c0 == max(rep.a, rep.b)
-            assert rep.scale == rep.c0
 
 
 def test_triangles_with_both_legs_alive(full2):
@@ -910,7 +909,7 @@ def scalar_triangle(sys, x, y):
     a, b = sys.dist(x, z), sys.dist(z, y)
     if max(a, b) == 0.0:
         raise ValueError("degenerate triangle: both legs vanish")
-    return TriangleReport(a=a, b=b, c0=c0, ratio=c0 / max(a, b), scale=c0)
+    return TriangleReport(a=a, b=b, c0=c0, ratio=c0 / max(a, b))
 
 
 def scalar_holonomy(sys, p, q, pp, qq):

@@ -71,6 +71,10 @@ def test_construction_rejects_bad_input():
         with pytest.raises(ValueError, match="entries must be integers"):
             toral_new(m)
     assert ToralSystem(((2.0, True), (1, 1.0))).matrix == cat_map().matrix
+    # an entry that is not a real number gets the same error
+    for m in ((("2", "1"), ("1", "1")), ((2, 1), (1, None)), ((2, 1j), (1, 1))):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            ToralSystem(m)
     with pytest.raises(ValueError, match="determinant"):
         ToralSystem(((2, 0), (0, 2)))
     with pytest.raises(ValueError, match="unit circle"):
@@ -540,6 +544,16 @@ def test_samplers_draw_as_the_pair_loops(index, monkeypatch):
             for scale in (1e-6, 1e-3, 0.2):
                 got = euclid.sample_pairs(count, scale, seed=seed)
                 assert got == loop_euclidean_pairs(count, scale, seed)
+
+
+def test_samplers_reject_a_negative_count(golden, cat, euclid, doubling):
+    samplers = (golden.sample_pairs, lambda n: cat.sample_pairs(n, 0.01),
+                cat.sample_points, lambda n: euclid.sample_pairs(n, 0.01),
+                doubling.sample_points)
+    for sample in samplers:
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample(-1)
+        assert len(sample(0)) == 0
 
 
 @pytest.mark.parametrize(

@@ -351,52 +351,71 @@ def _symbolic_holonomy_quads(sys_obj, count, seed):
 
 
 def _toral_holonomy_quads(sys_obj, count, seed, scale):
-    rng = Random(seed)
-    vs, vu = sys_obj.v_stable, sys_obj.v_unstable
-    leg = sys_obj.xi / 4
-    plaques = []
-    for p in sys_obj.sample_points(count, seed=seed):
-        t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
-        s = leg * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
-        q = ((p[0] + t * vu[0]) % 1.0, (p[1] + t * vu[1]) % 1.0)
-        pp = ((p[0] + s * vs[0]) % 1.0, (p[1] + s * vs[1]) % 1.0)
-        plaques.append((p, q, pp))
-    # qq = triangle_vertex(pp, q) of every quadruple, in one batch
-    corners = sys_obj._pair_brackets([(pp, q) for _, q, pp in plaques])
-    return [(p, q, pp, qq) for (p, q, pp), qq in zip(plaques, corners)]
+    """Quadruples (p, q, pp, qq) as toral rows: p = `sample_points`,
+    q = p + t v_u and pp = p + s v_s (wrapped), qq = triangle_vertex(pp, q),
+    with t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1)) and
+    s the same with xi / 4 for scale, drawn as a per-quadruple loop would."""
+    from .torus import _PointRows
+    (p,) = sys_obj.sample_points(count, seed=seed).cols
+    u, sign = _signed_draws(seed, count)
+    t = scale * (0.25 + 0.75 * u[0]) * sign[0]
+    s = sys_obj.xi / 4 * (0.25 + 0.75 * u[1]) * sign[1]
+    q = (p + t[:, None] * sys_obj.v_unstable) % 1.0
+    pp = (p + s[:, None] * sys_obj.v_stable) % 1.0
+    (qq,) = sys_obj._pair_brackets(_PointRows((pp, q))).cols
+    return _PointRows((p, q, pp, qq))
+
+
+def _signed_draws(seed, count):
+    """(u, sign): arrays of the first and second `random()` and
+    `choice((-1, 1))` of each item of a loop drawing random, choice,
+    random, choice per item from Random(seed), replayed from its 32-bit
+    words (`randbytes`) as CPython reads them: `random()` takes a, b as
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and `choice` one word w per
+    try, taking index w >> 30, and tries again while that is 2 or 3."""
+    import numpy as np
+    need = 8 * count + 64  # eight words per item on average
+    while True:
+        words = np.frombuffer(Random(seed).randbytes(4 * need), "<u4")
+        top, at, pos = (words >> 31).tolist(), [], 0
+        try:  # each draw: random() at pos, then choice's tries
+            for _ in range(2 * count):
+                start, pos = pos, pos + 2
+                while top[pos]:  # w >> 30 is 2 or 3: try again
+                    pos += 1
+                at += start, pos
+                pos += 1
+            break
+        except IndexError:  # the words ran out: draw more
+            need *= 2
+    rand, pick = np.array(at, dtype=np.intp).reshape(count, 2, 2).T
+    u = ((words[rand] >> 5) * 2.0**26 + (words[rand + 1] >> 6)) / 2.0**53
+    return u, (words[pick] >> 30).astype(np.int64) * 2 - 1
 
 
 def _check_holonomy(sys_obj, cfg):
-    from .core import _holonomy_reports
+    from .core import _holonomy_columns
     if sys_obj.space_kind == "symbolic":
         quads = _symbolic_holonomy_quads(sys_obj, cfg.samples, cfg.seed)
     else:
         scale = cfg.scale if cfg.scale is not None else (
             sys_obj.xi / sys_obj.lam ** 3)
         quads = _toral_holonomy_quads(sys_obj, cfg.samples, cfg.seed, scale)
-    in_range = 0
-    violations = 0
-    rejected = 0
-    worst = 0.0
-    for rep in _holonomy_reports(sys_obj, quads):
-        if not rep.precondition_ok:
-            rejected += 1
-            continue
-        if not rep.in_range:
-            continue
-        in_range += 1
-        worst = max(worst, rep.observed)
-        if not rep.within_bound:
-            violations += 1
+    observed, _, _, in_range, within, pre_ok = _holonomy_columns(sys_obj,
+                                                                  quads)
+    counted = [(o, w) for o, r, w, ok in zip(observed, in_range, within,
+                                             pre_ok) if r and ok]
+    violations = sum(not w for _, w in counted)
+    rejected = pre_ok.count(False)
     return {
         "quadruples": len(quads),
-        "in_range": in_range,
+        "in_range": len(counted),
         "rejected": rejected,
         "violations": violations,
-        "max_observed": worst,
+        "max_observed": max((o for o, _ in counted), default=0.0),
         "tolerance": "2/(lam**(m-1) - 2) per quadruple",
         "method": "plaque-holonomy",
-        "passed": in_range > 0 and violations == 0
+        "passed": bool(counted) and violations == 0
         and rejected <= len(quads) // 2,
     }
 

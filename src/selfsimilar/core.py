@@ -19,8 +19,9 @@ norm.  A system with the hook is invertible.
 A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
 bit), which the triangle check reads in one call.
-Sampled shift points come as row-backed sequences (`symbolic._Rows`),
-which `_unzip` and `_zip` split and pair without building a point.
+Sampled points come as row-backed sequences (`symbolic._Rows`,
+`torus._PointRows`), which `_unzip` and `_zip` split and pair without
+building a point, and which the pair batches read as arrays.
 
 `_pair_values` is the one orbit reader: `dyn_metric`, the verifier,
 `holder_check` and the triangle, contraction and holonomy checks read
@@ -28,12 +29,14 @@ every level or distance through it.  It makes one batch call per pair
 set, or runs the scalar `dist` (or `level`) pair by pair on systems
 without a batch; the scalar methods, `RefinedSystem.dist` among them,
 stay the reference.  A backward walk on a system without `apply_inv`
-raises ValueError.
+raises ValueError.  The holonomy check reads one column per report
+field (`_holonomy_columns`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 _MODES = ("two_sided", "forward", "backward")
 
@@ -122,7 +125,8 @@ def _pair_values(sys, pairs, steps, levels=False):
 
 def _unzip(items, k):
     """The k slots of a sequence of k-tuples, one sequence each; sampled
-    shift points (`symbolic._Rows`) hand out their row arrays."""
+    points (`symbolic._Rows`, `torus._PointRows`) hand out their row
+    arrays."""
     columns = getattr(items, "columns", None)
     if columns is not None:
         return columns()
@@ -130,8 +134,8 @@ def _unzip(items, k):
 
 
 def _zip(a, b):
-    """The pairs (a[i], b[i]); two sequences of sampled shift points
-    pair up their row arrays, without building a point."""
+    """The pairs (a[i], b[i]); two sequences of sampled points of one
+    kind pair up their row arrays, without building a point."""
     joined = a.zip(b) if hasattr(a, "zip") else None
     return list(zip(a, b)) if joined is None else joined
 
@@ -455,10 +459,17 @@ def holonomy_deviation(sys, p, q, pp, qq):
 
 
 def _holonomy_reports(sys, quads):
-    """`holonomy_deviation` of every quadruple (p, q, pp, qq), from one
-    `_pair_values` call each for the plaque pairs (p, q) followed
-    backward, the projected pairs (pp, qq) and each side's legs followed
-    forward.  The first coincident plaque pair raises."""
+    """`holonomy_deviation` of every quadruple (p, q, pp, qq)."""
+    columns = _holonomy_columns(sys, quads)
+    return [HolonomyReport(*row) for row in zip(*columns)]
+
+
+def _holonomy_columns(sys, quads):
+    """The `HolonomyReport` fields, a list each over the quadruples, from
+    one `_pair_values` call for the plaque pairs (p, q) followed
+    backward, the projected pairs (pp, qq), and each side's legs followed
+    forward.  Each power lam**k is taken once.  Any coincident plaque
+    pair raises."""
     _need_lam(sys)
     depth = range(_HOLONOMY_DEPTH + 1)
     p, q, pp, qq = _unzip(quads, 4)
@@ -466,30 +477,28 @@ def _holonomy_reports(sys, quads):
     (images,) = _pair_values(sys, _zip(pp, qq), (0,))
     legs_p = _pair_values(sys, _zip(p, pp), tuple(depth))
     legs_q = _pair_values(sys, _zip(q, qq), tuple(depth))
-    # each quadruple's plaque pair at steps -1.., and each leg at 0..
-    orbits = zip(*back, *legs_p, *legs_q)
-    reports = []
-    for d, d_img, orbit in zip(plaques, images, orbits):
-        if d == 0.0 or d_img == 0.0:
-            raise ValueError("coincident plaque pair")
-        big = max(d, d_img)
-        m = math.floor(math.log(sys.xi / big) / math.log(sys.lam))
-        while sys.xi / sys.lam ** (m + 1) >= big:
+    if 0.0 in plaques or 0.0 in images:
+        raise ValueError("coincident plaque pair")
+    lam, xi = sys.lam, sys.xi
+    power = lru_cache(maxsize=None)(lambda k: lam ** k)
+    ms = []
+    for big in map(max, plaques, images):
+        m = math.floor(math.log(xi / big) / math.log(lam))
+        while xi / power(m + 1) >= big:
             m += 1
-        while sys.xi / sys.lam ** m < big:
+        while xi / power(m) < big:
             m -= 1
-        observed = abs(d_img / d - 1.0)
-        in_range = sys.lam ** (m - 1) > 2.0
-        bound = 2.0 / (sys.lam ** (m - 1) - 2.0) if in_range else None
-        reports.append(HolonomyReport(
-            observed=observed,
-            bound=bound,
-            m=m,
-            in_range=in_range,
-            within_bound=(observed <= bound) if in_range else None,
-            precondition_ok=not any(v > sys.xi for v in orbit),
-        ))
-    return reports
+        ms.append(m)
+    observed = [abs(d_img / d - 1.0) for d, d_img in zip(plaques, images)]
+    in_range = [power(m - 1) > 2.0 for m in ms]
+    bound = [2.0 / (power(m - 1) - 2.0) if ok else None
+             for m, ok in zip(ms, in_range)]
+    within = [o <= b if ok else None
+              for o, b, ok in zip(observed, bound, in_range)]
+    # the largest distance of each quadruple's orbit: its plaque pair at
+    # steps -1.., and each leg at 0..
+    pre_ok = [v <= xi for v in map(max, *back, *legs_p, *legs_q)]
+    return observed, bound, ms, in_range, within, pre_ok
 
 
 @dataclass

@@ -14,15 +14,14 @@ for the cover and its negative for the packing; it runs row by row.
 Entropy follows the two-sided convention: covers refine under
 max_{|k| <= n} dist(f^k x, f^k y), which doubles the standard
 (one-sided) value.  Reports carry ent, ent+, ent-, and ent/2 so the
-convention is never ambiguous.
+convention is never ambiguous.  The shift branches import the helpers
+of `symbolic` they use, so a toral run never loads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-
-from .symbolic import _count_vectors, _parry_data, _window_count, _word_counts
 
 
 def _unstable_mu(sys, what):
@@ -37,6 +36,7 @@ def _log_growth(sys):
     """ent/2: log rho for a shift (primitive matrix only), log |mu_u| for
     a toral automorphism."""
     if sys.space_kind == "symbolic":
+        from .symbolic import _parry_data
         return math.log(_parry_data(sys.matrix)[0])
     return math.log(_unstable_mu(sys, "growth rate"))
 
@@ -157,6 +157,7 @@ def cov_eps(sys, eps, k=0):
     density eps/4; other systems raise ValueError.
     """
     if hasattr(sys, "matrix") and sys.space_kind == "symbolic":
+        from .symbolic import _window_count
         n = _window_count(sys, eps, k)
         return CovCount(eps, n, n, True, "exact-symbolic", k)
     if not hasattr(sys, "offset_norm"):
@@ -242,6 +243,7 @@ def _entropy_report(two, fwd, bwd, method):
 
 
 def _symbolic_entropy(sys, ns):
+    from .symbolic import _word_counts
     # xi = 1/lam, so a d_n-ball of diameter < xi pins window n + 2
     words = _word_counts(sys.matrix, 2 * ns[-1] + 5)
     words_t = _word_counts(sys.matrix.transpose(), ns[-1] + 5)
@@ -362,7 +364,7 @@ def ideal_factor(ent, dim, lam=None):
             "dim 0: totally disconnected space, the ideal factor is "
             "unbounded (lam_sup = +inf)"
         )
-    if not dim > 0:
+    if not (dim > 0 and dim % 1 == 0):  # inf % 1 is NaN
         raise ValueError("dim must be a positive integer")
     if not ent >= 0:
         raise ValueError("entropy must be non-negative")
@@ -390,6 +392,7 @@ def local_unstable_entropy(sys, x, n_max=16):
         raise ValueError("n_max too small for a slope")
     ns = range(3, n_max + 1)
     if sys.space_kind == "symbolic":
+        from .symbolic import _count_vectors
         state = x.at(0)
         counts = [v[state]
                   for v in islice(_count_vectors(sys.matrix), 1, n_max + 1)]

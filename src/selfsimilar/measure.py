@@ -24,17 +24,22 @@ Both masses of a depth-k box depend only on its end states, so the
 Parry comparison runs over the n**2 end-state classes weighted by
 their exact word counts, in memory O(n**2) at any depth; its rows, one
 per admissible word, are iterated in word order from the class table.
-The module runs without numpy.
+The module runs without numpy; `symbolic` and `fractions` are imported
+by the shift-only functions, so a toral run loads neither.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .dimension import _log_growth, _lsq
-from .symbolic import _parry_data, _word_counts, iter_words
+
+
+def _need_int_depth(depth):
+    """ValueError unless the DP depth is an int (a bool is not)."""
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValueError(f"depth must be an integer, not {depth!r}")
 
 
 def _edge_at(sys, scale):
@@ -137,6 +142,7 @@ def hausdorff_estimate(sys, window, d, depth=12):
                          "measures are closed-form, see toral_measure_summary")
     if not sys.matrix.primitive:
         raise ValueError("hausdorff estimation needs a primitive matrix")
+    _need_int_depth(depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if isinstance(window, UnstableWindow):
@@ -242,6 +248,7 @@ def scaling_check(sys, window, depth=12):
     f shifts an unstable window's edge down by one (measure grows by
     lam**d) and a stable window's edge up by one (shrinks by lam**d).
     """
+    _need_int_depth(depth)
     d = intrinsic_exponent(sys)
     before = hausdorff_estimate(sys, window, d, depth).value
     image_anchor = sys.apply(window.anchor)
@@ -286,6 +293,7 @@ def homogeneity_check(sys, xs, depth=12):
                          "intrinsic measure is Lebesgue, hence homogeneous")
     if not xs:
         raise ValueError("need at least one base point")
+    _need_int_depth(depth)
     d = intrinsic_exponent(sys)
     dp_u = _dp(sys.matrix, sys.lam, d)
     dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
@@ -326,9 +334,11 @@ class _ParryRows:
         self._matrix, self._length, self._table = matrix, length, table
 
     def __len__(self):
+        from .symbolic import _word_counts
         return _word_counts(self._matrix, self._length)[-1]
 
     def __iter__(self):
+        from .symbolic import iter_words
         for word in iter_words(self._matrix, self._length):
             yield (word, *self._table[word[0], word[-1]])
 
@@ -357,8 +367,12 @@ def parry_compare(sys, depth):
         raise ValueError("parry comparison is symbolic-only")
     if not sys.matrix.primitive:
         raise ValueError("parry comparison needs a mixing (primitive) SFT")
+    _need_int_depth(depth)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    from fractions import Fraction
+
+    from .symbolic import _parry_data
     matrix, n, length = sys.matrix, sys.matrix.n, 2 * depth + 1
     d = intrinsic_exponent(sys)
     if d <= 0:  # one state, no entropy: every box mass is 0

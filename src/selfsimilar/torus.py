@@ -18,13 +18,16 @@ instead runs the nine-translate search on arrays of points mapped as
 `apply` maps them, so that it equals the scalar `dist` bit for bit;
 `ToralSystem._pair_brackets` reads the unstable coordinate of the same
 picked translate and equals `bracket`.  The samplers draw the same
-`Random` stream as a per-pair loop, in one array.  Whatever numpy's
-vectorised loops could round differently from the scalar code (cos,
-sin, powers) goes through the libm function elementwise.
+`Random` stream as a per-pair loop, in one array, and return
+`_PointRows`, one (N, 2) array per tuple slot, which the hooks read as
+they are.  Whatever numpy's vectorised loops could round differently
+from the scalar code (cos, sin, powers) goes through the libm function
+elementwise.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import reduce
 from itertools import repeat
 from numbers import Real
@@ -51,6 +54,46 @@ def _draws(count, seed, width):
         raise ValueError("count must be nonnegative")
     return np.fromiter(iter(Random(seed).random, -1.0), float,
                        width * count).reshape(count, width).T
+
+
+class _PointRows(Sequence):
+    """Read-only sequence of toral points, or of tuples of them, as
+    `symbolic._Rows`: one (N, 2) float array per tuple slot, item i the
+    tuple of the points (of Python floats) in row i of each array."""
+
+    def __init__(self, cols):
+        self.cols = tuple(cols)
+
+    def __len__(self):
+        return len(self.cols[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _PointRows(a[i] for a in self.cols)
+        points = tuple(tuple(a[i].tolist()) for a in self.cols)
+        return points if len(points) > 1 else points[0]
+
+    def columns(self):
+        return tuple(_PointRows((a,)) for a in self.cols)
+
+    def zip(self, other):
+        """This sequence's slots, then other's if it holds toral rows."""
+        return (_PointRows(self.cols + other.cols)
+                if isinstance(other, _PointRows) else None)
+
+
+def _coords(pairs):
+    """(x, y) of a pair sequence, each point as a (2, N) array of its
+    coordinates, the form `apply` maps."""
+    if isinstance(pairs, _PointRows):
+        return tuple(a.T for a in pairs.cols)
+    return tuple(np.array(pairs, dtype=float).reshape(-1, 2, 2)
+                 .transpose(1, 2, 0))
+
+
+def _at(point, i):
+    """Row i of a point in the form of `_coords`, as Python floats."""
+    return point[0][i].item(), point[1][i].item()
 
 
 def _eigen_2x2(m):
@@ -223,26 +266,24 @@ class ToralSystem:
         other, where that bit could change the pick, goes through the
         scalar `_nearest`.
         """
-        pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
-        # (first coordinates, second coordinates), each with columns x, y
-        p = pts[..., 0], pts[..., 1]
+        x, y = _coords(pairs)
         if lo <= 0 <= hi:
-            yield 0, self._nearest_norms(*p)[0]
+            yield 0, self._nearest_norms(x, y)[0]
         for move, js in ((self.apply, range(1, hi + 1)),
                          (self.apply_inv, range(-1, lo - 1, -1))):
-            q = p
+            u, v = x, y
             for j in js:
-                q = move(q)
+                u, v = move(u), move(v)
                 if lo <= j <= hi:
-                    yield j, self._nearest_norms(*q)[0]
+                    yield j, self._nearest_norms(u, v)[0]
 
-    def _nearest_norms(self, X, Y):
-        """(norms, t, ties) for every row's points (X[i, 0], Y[i, 0]) and
-        (X[i, 1], Y[i, 1]), by the array search of `_orbit_dists`: each
-        row's `dist`, the unstable coordinate of the translate the array
-        search picked, and the rows whose two best translates lie within
-        1e-12 relative (their norms come from the scalar `_nearest`)."""
-        dx, dy = X[:, 1] - X[:, 0], Y[:, 1] - Y[:, 0]
+    def _nearest_norms(self, x, y):
+        """(norms, t, ties) for the points x, y (as `_coords` gives them)
+        of every row, by the array search of `_orbit_dists`: each row's
+        `dist`, the unstable coordinate of the translate the array search
+        picked, and the rows whose two best translates lie within 1e-12
+        relative (their norms come from the scalar `_nearest`)."""
+        dx, dy = y[0] - x[0], y[1] - x[1]
         # the first smallest norm and the smallest of the others, with
         # the su coordinates of the first, as the scalar strict-< scan
         best = second = bs = bt = np.inf
@@ -252,12 +293,17 @@ class ToralSystem:
             best, bs, bt = (np.where(closer, new, old) for new, old in
                             ((r, best), (s, bs), (t, bt)))
         ties = np.flatnonzero(second <= best * (1 + 1e-12)).tolist()
-        # builtin pow is the scalar `**`; the max of two floats is exact
-        norms = np.maximum(_each(pow, np.abs(bs), repeat(self.e_s)),
-                           _each(pow, np.abs(bt), repeat(self.e_u)))
+        # builtin pow is the scalar `**`: numpy's, within a few ulps of
+        # it, picks the side of the max, and a row within 1e-12 takes both
+        a, b = np.abs(bs), np.abs(bt)
+        pa, pb = a ** self.e_s, b ** self.e_u
+        on_s, on_t = pb <= pa * (1 + 1e-12), pa <= pb * (1 + 1e-12)
+        norms = np.zeros(len(a))
+        norms[on_s] = _each(pow, a[on_s], repeat(self.e_s))
+        norms[on_t] = np.maximum(norms[on_t],
+                                 _each(pow, b[on_t], repeat(self.e_u)))
         for i in ties:
-            x, y = zip(X[i].tolist(), Y[i].tolist())
-            norms[i] = self._nearest(x, y)[0]
+            norms[i] = self._nearest(_at(x, i), _at(y, i))[0]
         return norms, bt, ties
 
     def _offset_orbit(self, du, dv, reach):
@@ -331,17 +377,16 @@ class ToralSystem:
         goes through the scalar `bracket`; a pair outside the domain
         raises its error.
         """
-        pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
-        X, Y = pts[..., 0], pts[..., 1]
-        norms, t, ties = self._nearest_norms(X, Y)
+        x, y = _coords(pairs)
+        norms, t, ties = self._nearest_norms(x, y)
         if np.any(norms >= self.xi):
             raise ValueError("pair outside the bracket domain")
         vu = self.v_unstable
-        out = list(zip(np.remainder(X[:, 0] + t * vu[0], 1.0).tolist(),
-                       np.remainder(Y[:, 0] + t * vu[1], 1.0).tolist()))
+        out = np.column_stack((np.remainder(x[0] + t * vu[0], 1.0),
+                               np.remainder(x[1] + t * vu[1], 1.0)))
         for i in ties:
-            out[i] = self.bracket(*pairs[i])
-        return out
+            out[i] = self.bracket(_at(x, i), _at(y, i))
+        return _PointRows((out,))
 
     def triangle_vertex(self, x, y):
         return self.bracket(x, y)
@@ -349,8 +394,7 @@ class ToralSystem:
     # -- sampling ------------------------------------------------------------
 
     def sample_points(self, count, seed=0):
-        x0, x1 = _draws(count, seed, 2)
-        return list(zip(x0.tolist(), x1.tolist()))
+        return _PointRows((_draws(count, seed, 2).T,))
 
     def sample_pairs(self, count, scale, seed=0):
         """Seeded pairs with dist in [scale/2, scale], stratified in angle.
@@ -363,8 +407,8 @@ class ToralSystem:
         that check raises ValueError before drawing.
         """
         x0, x1, y0, y1, _ = self._sample_coords(count, scale, seed)
-        return list(zip(zip(x0.tolist(), x1.tolist()),
-                        zip(y0.tolist(), y1.tolist())))
+        return _PointRows((np.column_stack((x0, x1)),
+                           np.column_stack((y0, y1))))
 
     def _sample_coords(self, count, scale, seed):
         """The coordinate arrays x0, x1, y0, y1 of `sample_pairs`, and
@@ -474,9 +518,8 @@ class EuclideanTorus:
         for lo <= j <= hi, over the geometry's `_offset_orbit`.  Step 0
         starts from each pair's nearest offset, as `dist` does, and is
         within one rounding (np.hypot against math.hypot) of it."""
-        pts = np.array(pairs, dtype=float).reshape(-1, 2, 2)
-        du, dv = (_nearest_offset(w[:, 0], w[:, 1], np.round(w[:, 1] - w[:, 0]))
-                  for w in (pts[..., 0], pts[..., 1]))
+        x, y = _coords(pairs)
+        du, dv = (_nearest_offset(a, b, np.round(b - a)) for a, b in zip(x, y))
         for j, u, v in self.geometry._offset_orbit(du, dv, max(-lo, hi)):
             if lo <= j <= hi:
                 yield j, np.hypot(u, v)
@@ -496,8 +539,8 @@ class EuclideanTorus:
         r = scale * (0.5 + 0.5 * frac)
         y0 = np.remainder(x0 + r * _each(math.cos, theta), 1.0)
         y1 = np.remainder(x1 + r * _each(math.sin, theta), 1.0)
-        return list(zip(zip(x0.tolist(), x1.tolist()),
-                        zip(y0.tolist(), y1.tolist())))
+        return _PointRows((np.column_stack((x0, x1)),
+                           np.column_stack((y0, y1))))
 
 
 def _nearest_offset(a, b, k):

@@ -9,6 +9,7 @@ sqrt(0.3 * arc), pinning the Holder data.
 """
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 from random import Random
 
@@ -24,6 +25,7 @@ from selfsimilar.core import (
     HolonomyReport,
     TriangleReport,
     VerifyReport,
+    _holonomy_columns,
     _holonomy_reports,
     _pair_values,
     _triangle_reports,
@@ -36,7 +38,7 @@ from selfsimilar.core import (
     triangle_ratio,
     verify_self_similar,
 )
-from selfsimilar.torus import CircleDoubling
+from selfsimilar.torus import CircleDoubling, cat_map, toral_new
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -433,7 +435,7 @@ def test_straddling_pairs_keep_every_bit(euclid):
 
 
 def test_batch_path_keeps_rejections_and_errors(euclid, refined_euclid):
-    pairs = euclid.sample_pairs(20, 1e-3, seed=5)
+    pairs = list(euclid.sample_pairs(20, 1e-3, seed=5))
     x = pairs[3][0]
     far = ((x[0] + 0.3) % 1.0, x[1])
     pairs[3] = (x, x)
@@ -650,7 +652,7 @@ def orbit_check_inputs(golden, cat, doubling):
     zero = golden.constant(0)
     g += [(g[0][0], g[0][0]), (zero, zero.with_value(0, 1))]
     rng = Random(37)
-    t = cat.sample_pairs(40, cat.xi / 3, seed=5)
+    t = list(cat.sample_pairs(40, cat.xi / 3, seed=5))
     for vec in (cat.v_stable, cat.v_unstable):
         for _ in range(10):
             p = (rng.random(), rng.random())
@@ -1046,7 +1048,7 @@ def test_toral_holonomy_quads_are_the_pair_loop(cat):
     for count, seed, scale in ((0, 0, 1e-3), (1, 3, 1e-3),
                                (300, 4, cat.xi / cat.lam ** 3),
                                (1500, 104729, cat.xi / cat.lam)):
-        assert (cli._toral_holonomy_quads(cat, count, seed, scale)
+        assert (list(cli._toral_holonomy_quads(cat, count, seed, scale))
                 == loop_toral_holonomy_quads(cat, count, seed, scale))
     # unstable legs up to 2 xi leave the bracket domain on both paths
     want = first_error(lambda: loop_toral_holonomy_quads(cat, 300, 1,
@@ -1054,6 +1056,28 @@ def test_toral_holonomy_quads_are_the_pair_loop(cat):
     assert want == (ValueError, "pair outside the bracket domain")
     assert first_error(
         lambda: cli._toral_holonomy_quads(cat, 300, 1, 2 * cat.xi)) == want
+
+
+def test_holonomy_columns_are_the_quadruple_reports(cat):
+    rng = Random(11)
+    for sys in (cat, cat_map(2.0), toral_new(((3, 1), (2, 1)))):
+        quads = [quad for k in (3, 6) for quad in cli._toral_holonomy_quads(
+            sys, 150, k, sys.xi / sys.lam ** k)]
+        # random points: plaques and legs far above xi, out of range and
+        # failing the precondition
+        quads[100:100] = [tuple((rng.random(), rng.random())
+                                for _ in range(4)) for _ in range(30)]
+        reps = [holonomy_deviation(sys, *quad) for quad in quads]
+        assert reps == [scalar_holonomy(sys, *quad) for quad in quads]
+        assert list(zip(*_holonomy_columns(sys, quads))) == [
+            astuple(r) for r in reps]
+        assert {r.precondition_ok for r in reps} == {True, False}
+        assert {r.in_range for r in reps} == {True, False}
+        p, q, pp, qq = quads[7]
+        quads[200] = (p, p, pp, qq)
+        for run in (lambda: _holonomy_columns(sys, quads),
+                    lambda: holonomy_deviation(sys, p, p, pp, qq)):
+            assert first_error(run) == (ValueError, "coincident plaque pair")
 
 
 def test_holonomy_batch_is_the_pair_loop(full2, golden, cat):
@@ -1071,7 +1095,7 @@ def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden, cat):
     rigged = RiggedWarp(full2, broken=[good[3]], hubbed=[good[1]])
     # on the torus: a coincident pair, and a pair above xi/(2 lam) but
     # inside the bracket domain
-    t_good = cat.sample_pairs(6, cat.xi / (4 * cat.lam), seed=7)
+    t_good = list(cat.sample_pairs(6, cat.xi / (4 * cat.lam), seed=7))
     t_same = (t_good[0][0], t_good[0][0])
     (t_wide,) = cat.sample_pairs(1, cat.xi * 0.9, seed=8)
     assert cat.xi / (2 * cat.lam) < cat.dist(*t_wide) < cat.xi

@@ -341,8 +341,10 @@ def test_ideal_factor_validation():
         ideal_factor(1.0, 0)
     with pytest.raises(ValueError, match="positive integer"):
         ideal_factor(1.0, -2)
-    with pytest.raises(ValueError, match="positive integer"):
-        ideal_factor(1.0, math.nan)
+    for dim in (math.nan, 1.5, math.inf):
+        with pytest.raises(ValueError, match="positive integer"):
+            ideal_factor(1.0, dim)
+    assert ideal_factor(1.0, 2.0).lam_ideal == math.exp(0.5)
     for ent in (-0.5, math.nan):
         with pytest.raises(ValueError, match="non-negative"):
             ideal_factor(ent, 2)

@@ -13,7 +13,8 @@ stalled the one-symbol flip sampler of earlier versions; the tail
 redraw samples it, and both sft cases run the sampled checks.
 The cat-map-2000 and golden-mean-2000 cases set their own samples and
 seed: they are `selfsim all --system NAME --samples 2000 --seed 0`,
-the inputs of the torus-cover and shift-sampled benchmark workloads.
+the inputs of the torus-cover and shift-sampled benchmark workloads;
+cat-map-2000-104729 is torus-cover's second seed.
 
 A change that moves any reported number, however little, fails here;
 if it is meant to, regenerate the files with the command above and say
@@ -40,6 +41,8 @@ CASES = {
                              [1, 0, 0, 0]]},
     # the benchmark's torus-cover and shift-sampled inputs
     "cat-map-2000": {"system": "cat-map", "samples": 2000, "seed": 0},
+    "cat-map-2000-104729": {"system": "cat-map", "samples": 2000,
+                            "seed": 104729},
     "golden-mean-2000": {"system": "golden-mean", "samples": 2000,
                          "seed": 0},
 }

@@ -432,6 +432,23 @@ def test_parry_comparison_validation(golden, four, cat):
         parry_compare(full_shift(1), 2)
 
 
+def test_a_depth_that_is_not_an_int_is_rejected_first(golden, monkeypatch):
+    d = intrinsic_exponent(golden)
+    w = UnstableWindow(golden.constant(0), 0)
+    calls = [lambda depth: hausdorff_estimate(golden, w, d, depth),
+             lambda depth: scaling_check(golden, w, depth),
+             lambda depth: homogeneity_check(golden, [golden.constant(0)],
+                                             depth),
+             lambda depth: parry_compare(golden, depth)]
+    # no DP table is built and no exponent computed before the check
+    monkeypatch.setattr("selfsimilar.measure._dp", None)
+    monkeypatch.setattr("selfsimilar.measure.intrinsic_exponent", None)
+    for call in calls:
+        for depth in (1.5, 2.5, 3.0, math.nan, math.inf, True, "3", None):
+            with pytest.raises(ValueError, match="depth must be an integer"):
+                call(depth)
+
+
 # ------------------------------------------------------------- toral measure
 
 

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsimilar.core import (DynMode, _pair_values, dyn_metric,
-                              verify_self_similar)
+from selfsimilar import cli
+from selfsimilar.core import (DynMode, _pair_values, _unzip, _zip,
+                              dyn_metric, verify_self_similar)
 from selfsimilar.torus import (
     EuclideanTorus,
     ToralSystem,
@@ -208,8 +209,10 @@ def test_sampled_pairs_hit_the_requested_scale(cat):
     for x, y in pairs:
         d = cat.dist(x, y)
         assert 0.01 * (1 - 1e-9) <= d <= 0.02 * (1 + 1e-9)
-    assert cat.sample_pairs(5, 0.02, seed=1) == cat.sample_pairs(5, 0.02, seed=1)
-    assert cat.sample_pairs(5, 0.02, seed=1) != cat.sample_pairs(5, 0.02, seed=2)
+    assert (list(cat.sample_pairs(5, 0.02, seed=1))
+            == list(cat.sample_pairs(5, 0.02, seed=1)))
+    assert (list(cat.sample_pairs(5, 0.02, seed=1))
+            != list(cat.sample_pairs(5, 0.02, seed=2)))
     with pytest.raises(ValueError, match="below xi"):
         cat.sample_pairs(5, 0.05)
     with pytest.raises(ValueError, match="must be positive"):
@@ -393,7 +396,7 @@ def toral_pair_sets(draw):
     scale = math.exp(draw(st.floats(math.log(1e-4),
                                     math.log(sys.xi * 0.999))))
     seed = draw(st.integers(0, 2**16))
-    pairs = sys.sample_pairs(draw(st.integers(1, 30)), scale, seed=seed)
+    pairs = list(sys.sample_pairs(draw(st.integers(1, 30)), scale, seed=seed))
     rng = Random(seed)
     pairs += [((rng.random(), rng.random()), (rng.random(), rng.random()))
               for _ in range(draw(st.integers(0, 10)))]
@@ -423,14 +426,14 @@ def test_pair_batch_is_the_scalar_path_on_2200_pairs(cat):
     steps = (0, 2, -1)
     got = _pair_values(cat, pairs, steps)
     assert got == _pair_values(ScalarOnly(cat), pairs, steps)
-    assert cat._pair_brackets(pairs) == [cat.bracket(*p) for p in pairs]
+    assert list(cat._pair_brackets(pairs)) == [cat.bracket(*p) for p in pairs]
 
 
 def test_near_ties_take_the_scalar_search(cat, monkeypatch):
     # the offsets 1/2 and 1/2 + 2**-45 along x: the translates on either
     # side of the seam have equal norms, and norms 6e-14 apart
     ties = [((0.25, 0.3), (0.75, 0.3)), ((0.25, 0.3), (0.75 + 2**-45, 0.3))]
-    pairs = cat.sample_pairs(20, 1e-2, seed=3)
+    pairs = list(cat.sample_pairs(20, 1e-2, seed=3))
     pairs[5:5] = ties
     want = [cat.dist(x, y) for x, y in pairs]
     calls = []
@@ -454,7 +457,7 @@ def test_near_ties_take_the_scalar_search(cat, monkeypatch):
 def test_bracket_batch_is_the_scalar_bracket(case):
     sys, pairs = case
     pairs = [p for p in pairs if sys.dist(*p) < sys.xi]
-    got = sys._pair_brackets(pairs)
+    got = list(sys._pair_brackets(pairs))
     assert got == [sys.bracket(*p) for p in pairs]
     assert all(type(v) is float for z in got for v in z)
 
@@ -466,7 +469,7 @@ def test_near_ties_take_the_scalar_bracket(cat, monkeypatch):
     wide = copy.copy(cat)
     wide.xi = 10.0
     ties = [((0.25, 0.3), (0.75, 0.3)), ((0.25, 0.3), (0.75 + 2**-45, 0.3))]
-    pairs = cat.sample_pairs(20, 1e-2, seed=3)
+    pairs = list(cat.sample_pairs(20, 1e-2, seed=3))
     pairs[5:5] = ties
     want = [wide.bracket(x, y) for x, y in pairs]
     calls = []
@@ -477,7 +480,7 @@ def test_near_ties_take_the_scalar_bracket(cat, monkeypatch):
         return bracket(self, x, y)
 
     monkeypatch.setattr(ToralSystem, "bracket", spy)
-    assert wide._pair_brackets(pairs) == want
+    assert list(wide._pair_brackets(pairs)) == want
     assert calls == ties
 
 
@@ -486,7 +489,7 @@ def test_a_pair_outside_the_domain_raises_the_scalar_error(cat):
     assert cat.dist(*far) >= cat.xi
     with pytest.raises(ValueError) as scalar:
         cat.bracket(*far)
-    pairs = cat.sample_pairs(2100, 1e-2, seed=4)
+    pairs = list(cat.sample_pairs(2100, 1e-2, seed=4))
     for at in (17, 1027):
         with pytest.raises(ValueError) as batch:
             cat._pair_brackets(pairs[:at] + [far] + pairs[at:])
@@ -537,13 +540,88 @@ def test_samplers_draw_as_the_pair_loops(index, monkeypatch):
     for count in (0, 1, 7, 300):
         for seed in (0, 5, 104729):
             for scale in (sys._min_scale, 1e-6, 1e-3, sys.xi * 0.999):
-                got = sys.sample_pairs(count, scale, seed=seed)
+                got = list(sys.sample_pairs(count, scale, seed=seed))
                 assert got == loop_sample_pairs(sys, count, scale, seed)
                 assert all(type(v) is float
                            for pair in got for pt in pair for v in pt)
             for scale in (1e-6, 1e-3, 0.2):
-                got = euclid.sample_pairs(count, scale, seed=seed)
+                got = list(euclid.sample_pairs(count, scale, seed=seed))
                 assert got == loop_euclidean_pairs(count, scale, seed)
+
+
+def test_point_rows_read_as_the_pair_list(cat, euclid):
+    for got, want in ((cat.sample_pairs(7, 1e-2, seed=3),
+                       loop_sample_pairs(cat, 7, 1e-2, 3)),
+                      (euclid.sample_pairs(7, 1e-2, seed=3),
+                       loop_euclidean_pairs(7, 1e-2, 3))):
+        assert len(got) == 7
+        assert [got[i] for i in range(-7, 7)] == want + want
+        assert list(got[2:5]) == want[2:5]
+        assert list(got[::-2]) == want[::-2]
+        assert list(got) == want
+        assert list(reversed(got)) == want[::-1]
+        assert all(type(v) is float for pair in got for pt in pair for v in pt)
+        assert all(type(v) is float for i in range(7) for v in got[i][1])
+        for i in (7, -8):
+            with pytest.raises(IndexError):
+                got[i]
+        xs, ys = _unzip(got, 2)
+        assert list(xs) == [x for x, _ in want]
+        assert list(ys) == [y for _, y in want]
+        assert list(_zip(ys, xs)) == [(y, x) for x, y in want]
+        assert list(got[3:].zip(got[:4])) == [a + b for a, b in
+                                              zip(want[3:], want)]
+        assert xs.zip([(0.5, 0.5)] * 7) is None
+    points = cat.sample_points(5, seed=2)
+    rng = Random(2)
+    want = [(rng.random(), rng.random()) for _ in range(5)]
+    assert list(points) == want
+    assert [points[-1], *points[1:3]] == [want[-1], *want[1:3]]
+    assert all(type(v) is float for pt in points for v in pt)
+
+
+def test_hooks_read_rows_as_the_pair_list(cat, euclid):
+    for rows in (cat.sample_pairs(300, 1e-2, seed=9),
+                 euclid.sample_pairs(300, 1e-2, seed=9)):
+        pairs = list(rows)
+        for sys in (cat, euclid):
+            got = list(sys._orbit_dists(rows, -3, 4))
+            want = list(sys._orbit_dists(pairs, -3, 4))
+            assert [j for j, _ in got] == [j for j, _ in want]
+            assert all(a.tolist() == b.tolist()
+                       for (_, a), (_, b) in zip(got, want))
+        assert list(cat._pair_brackets(rows)) == list(
+            cat._pair_brackets(pairs))
+
+
+def loop_holonomy_quads(sys, count, seed, scale):
+    """The per-quadruple loop of the CLI's toral holonomy sampler, with
+    tuple points, `rng.choice` signs and the scalar bracket, as a
+    reference."""
+    points, rng = Random(seed), Random(seed)
+    vs, vu = sys.v_stable, sys.v_unstable
+    leg = sys.xi / 4
+    quads = []
+    for _ in range(count):
+        p = (points.random(), points.random())
+        t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
+        s = leg * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
+        q = ((p[0] + t * vu[0]) % 1.0, (p[1] + t * vu[1]) % 1.0)
+        pp = ((p[0] + s * vs[0]) % 1.0, (p[1] + s * vs[1]) % 1.0)
+        quads.append((p, q, pp, sys.bracket(pp, q)))
+    return quads
+
+
+@pytest.mark.parametrize("index", range(len(MATRICES)))
+def test_holonomy_quads_draw_as_the_quadruple_loop(index):
+    sys = automorphism(index)
+    scale = sys.xi / sys.lam ** 3
+    for count in (0, 1, 7, 300):
+        for seed in (0, 5, 104729):
+            got = cli._toral_holonomy_quads(sys, count, seed, scale)
+            assert list(got) == loop_holonomy_quads(sys, count, seed, scale)
+            assert all(type(v) is float
+                       for quad in got for pt in quad for v in pt)
 
 
 def test_samplers_reject_a_negative_count(golden, cat, euclid, doubling):

@@ -351,46 +351,21 @@ def _symbolic_holonomy_quads(sys_obj, count, seed):
 
 
 def _toral_holonomy_quads(sys_obj, count, seed, scale):
-    """Quadruples (p, q, pp, qq) as toral rows: p = `sample_points`,
-    q = p + t v_u and pp = p + s v_s (wrapped), qq = triangle_vertex(pp, q),
-    with t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1)) and
-    s the same with xi / 4 for scale, drawn as a per-quadruple loop would."""
+    """Quadruples (p, q, pp, qq) as toral rows, from row i of
+    `uniforms(count, seed, 6)`: p, u_t, sign_t, u_s, sign_s.  q = p + t v_u
+    and pp = p + s v_s (wrapped), qq = triangle_vertex(pp, q), with
+    t = scale * (0.25 + 0.75 * u_t), negated if sign_t < 0.5, and s the
+    same with xi / 4 for scale."""
+    from ._streams import uniforms
     from .torus import _PointRows
-    (p,) = sys_obj.sample_points(count, seed=seed).cols
-    u, sign = _signed_draws(seed, count)
-    t = scale * (0.25 + 0.75 * u[0]) * sign[0]
-    s = sys_obj.xi / 4 * (0.25 + 0.75 * u[1]) * sign[1]
+    draws = uniforms(count, seed, 6)
+    p, u_t, sign_t, u_s, sign_s = draws[:, :2], *draws[:, 2:].T
+    t = scale * (0.25 + 0.75 * u_t) * (2.0 * (sign_t >= 0.5) - 1.0)
+    s = sys_obj.xi / 4 * (0.25 + 0.75 * u_s) * (2.0 * (sign_s >= 0.5) - 1.0)
     q = (p + t[:, None] * sys_obj.v_unstable) % 1.0
     pp = (p + s[:, None] * sys_obj.v_stable) % 1.0
     (qq,) = sys_obj._pair_brackets(_PointRows((pp, q))).cols
     return _PointRows((p, q, pp, qq))
-
-
-def _signed_draws(seed, count):
-    """(u, sign): arrays of the first and second `random()` and
-    `choice((-1, 1))` of each item of a loop drawing random, choice,
-    random, choice per item from Random(seed), replayed from its 32-bit
-    words (`randbytes`) as CPython reads them: `random()` takes a, b as
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and `choice` one word w per
-    try, taking index w >> 30, and tries again while that is 2 or 3."""
-    import numpy as np
-    need = 8 * count + 64  # eight words per item on average
-    while True:
-        words = np.frombuffer(Random(seed).randbytes(4 * need), "<u4")
-        top, at, pos = (words >> 31).tolist(), [], 0
-        try:  # each draw: random() at pos, then choice's tries
-            for _ in range(2 * count):
-                start, pos = pos, pos + 2
-                while top[pos]:  # w >> 30 is 2 or 3: try again
-                    pos += 1
-                at += start, pos
-                pos += 1
-            break
-        except IndexError:  # the words ran out: draw more
-            need *= 2
-    rand, pick = np.array(at, dtype=np.intp).reshape(count, 2, 2).T
-    u = ((words[rand] >> 5) * 2.0**26 + (words[rand + 1] >> 6)) / 2.0**53
-    return u, (words[pick] >> 30).astype(np.int64) * 2 - 1
 
 
 def _check_holonomy(sys_obj, cfg):

@@ -19,9 +19,9 @@ norm.  A system with the hook is invertible.
 A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
 bit), which the triangle check reads in one call.
-Sampled points come as row-backed sequences (`symbolic._Rows`,
-`torus._PointRows`), which `_unzip` and `_zip` split and pair without
-building a point, and which the pair batches read as arrays.
+Samplers draw through `_streams`, one chunk-keyed scheme, and return
+row-backed sequences (`symbolic._Rows`, `torus._PointRows`): `_unzip`
+and `_zip` split and pair their arrays, and the pair batches read them.
 
 `_pair_values` is the one orbit reader: `dyn_metric`, the verifier,
 `holder_check` and the triangle, contraction and holonomy checks read

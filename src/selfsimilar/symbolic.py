@@ -20,7 +20,8 @@ from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import lcm
 from operator import or_
-from random import Random
+
+from ._streams import CHUNK, below, chunk_rngs
 
 INF = math.inf
 
@@ -149,20 +150,6 @@ def _splice(past, mid, future, lo):
     left = past.window(lo - len(past.left), lo - 1)
     right = future.window(hi, hi + len(future.right) - 1)
     return _absorb(left, mid, right, lo)
-
-
-def _below(rng, counts):
-    """One uniform draw from range(c) per c >= 1 of the int64 array
-    `counts`: a 32-bit word of `rng.randbytes`, redrawn while at or above
-    the largest multiple of c below 2**32, modulo c (exactly uniform)."""
-    import numpy as np
-    u = np.frombuffer(rng.randbytes(4 * len(counts)), "<u4").astype(np.int64)
-    limit = (1 << 32) - (1 << 32) % counts
-    redo = np.flatnonzero(u >= limit)
-    while redo.size:
-        u[redo] = np.frombuffer(rng.randbytes(4 * redo.size), "<u4")
-        redo = redo[u[redo] >= limit[redo]]
-    return u % counts
 
 
 class _Rows(Sequence):
@@ -620,40 +607,39 @@ class ShiftSystem:
         predecessors) out to each end, and per cut (lo, hi, side) a copy
         that leaves it at coordinate side * r, r uniform in lo..hi (side
         0: either side), for another option there and walks on.  Rows
-        with no such option are dropped; bulk rounds go on until `count`
-        are kept, and stall past 64 count + 1024 rows.  Every draw comes
-        from one `Random(seed)`, through `_below`."""
+        with no such option are dropped.  Chunk k of the seed draws
+        CHUNK candidates, a column at a time through `below`, and the
+        rows kept are read in chunk order: the first rows are the same
+        at every count.  It stalls past 64 count + 1024 candidates."""
         import numpy as np
         if count < 0:
             raise ValueError("count must be nonnegative")
-        rng = Random(seed)
+        budget = 64 * count + 1024
         parts = [[np.zeros((0, 2 * reach + 1), dtype=np.int8)] * (
             1 + len(cuts))]
-        have = drawn = 0
-        while have < count:
-            budget = 64 * count + 1024 - drawn
-            if budget <= 0:
+        have = 0
+        for k, rng in enumerate(chunk_rngs(seed)):
+            if have >= count:
+                break
+            if k * CHUNK >= budget:
                 raise ArithmeticError("sampling stalled; matrix too rigid")
-            # twice the rows needed at the acceptance seen so far
-            m = min(budget, 16 + 2 * (count - have) * max(drawn, 1)
-                    // max(have, 1))
-            x = np.empty((m, 2 * reach + 1), dtype=np.int8)
-            x[:, reach] = _below(rng, np.full(m, self.matrix.n))
-            every, ok = np.arange(m), np.ones(m, dtype=bool)
+            x = np.empty((CHUNK, 2 * reach + 1), dtype=np.int8)
+            x[:, reach] = below(rng, np.full(CHUNK, self.matrix.n))
+            every, ok = np.arange(CHUNK), np.ones(CHUNK, dtype=bool)
             for sign in (1, -1):
-                self._walk_on(rng, x, sign, every, np.zeros(m, dtype=int))
+                self._walk_on(rng, x, sign, every, np.zeros(CHUNK, dtype=int))
             rows = [x]
             for lo, hi, side in cuts:
-                r = lo + _below(rng, np.full(m, hi - lo + 1))
-                sides = np.full(m, side) if side else (
-                    2 * _below(rng, np.full(m, 2)) - 1)
+                r = lo + below(rng, np.full(CHUNK, hi - lo + 1))
+                sides = np.full(CHUNK, side) if side else (
+                    2 * below(rng, np.full(CHUNK, 2)) - 1)
                 rows.append(x.copy())
                 for sign in (1, -1):
                     at = np.flatnonzero(sides == sign)
                     ok[at] &= self._branch(rng, rows[-1], sign, at, r[at])
+            ok[budget - k * CHUNK:] = False  # candidates past the budget
             parts.append([a[ok] for a in rows])
             have += int(ok.sum())
-            drawn += m
         return _Rows(self, tuple(np.concatenate(col)[:count]
                                  for col in zip(*parts)), reach)
 
@@ -667,7 +653,7 @@ class ShiftSystem:
         ok = alts > 0
         rows, r, prev, old = rows[ok], r[ok], prev[ok], old[ok]
         # options ascend: skip old by stepping past every option below it
-        pick = _below(rng, alts[ok])
+        pick = below(rng, alts[ok])
         half[rows, r] = table[prev, pick + (table[prev, pick] >= old)]
         self._walk_on(rng, x, sign, rows, r)
         return ok
@@ -680,7 +666,7 @@ class ShiftSystem:
         for t in range(1, half.shape[1]):
             live = rows[r < t]
             cur = half[live, t - 1]
-            half[live, t] = table[cur, _below(rng, degree[cur])]
+            half[live, t] = table[cur, below(rng, degree[cur])]
 
     def _row_point(self, row, start):
         """`point_through` the list `row` of a sampled row at `start`,

@@ -17,12 +17,11 @@ Euclidean hook reads the offset recurrence.  The self-similar hook
 instead runs the nine-translate search on arrays of points mapped as
 `apply` maps them, so that it equals the scalar `dist` bit for bit;
 `ToralSystem._pair_brackets` reads the unstable coordinate of the same
-picked translate and equals `bracket`.  The samplers draw the same
-`Random` stream as a per-pair loop, in one array, and return
-`_PointRows`, one (N, 2) array per tuple slot, which the hooks read as
-they are.  Whatever numpy's vectorised loops could round differently
-from the scalar code (cos, sin, powers) goes through the libm function
-elementwise.
+picked translate and equals `bracket`.  The samplers read item i from
+row i of `_streams.uniforms` and return `_PointRows`, one (N, 2) array
+per tuple slot, which the hooks read as they are.  Whatever numpy's
+vectorised loops could round differently from the scalar code (cos,
+sin, powers) goes through the libm function elementwise.
 """
 from __future__ import annotations
 
@@ -31,9 +30,10 @@ from collections.abc import Sequence
 from functools import reduce
 from itertools import repeat
 from numbers import Real
-from random import Random
 
 import numpy as np
+
+from ._streams import uniforms
 
 _NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 # relative tolerance of `ToralSystem.sample_pairs` on each pair's target
@@ -45,15 +45,6 @@ def _each(f, a, *args):
     (with any further iterables as further arguments), as an array.
     For the libm functions whose numpy loops can differ in the last bit."""
     return np.fromiter(map(f, a.tolist(), *args), float, a.size)
-
-
-def _draws(count, seed, width):
-    """The (width, count) array of `Random(seed)` draws that a loop
-    making `count` items of `width` draws each takes, in its order."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return np.fromiter(iter(Random(seed).random, -1.0), float,
-                       width * count).reshape(count, width).T
 
 
 class _PointRows(Sequence):
@@ -394,17 +385,17 @@ class ToralSystem:
     # -- sampling ------------------------------------------------------------
 
     def sample_points(self, count, seed=0):
-        return _PointRows((_draws(count, seed, 2).T,))
+        return _PointRows((uniforms(count, seed, 2),))
 
     def sample_pairs(self, count, scale, seed=0):
         """Seeded pairs with dist in [scale/2, scale], stratified in angle.
 
         The offset direction sweeps the stable/unstable mixture circle in
         jittered strata; the radius is solved exactly, then every pair
-        is checked against its target in one `offset_norm` call.  Each
-        pair takes four draws (angle jitter, target, x0, x1), in the
-        order of a per-pair loop.  A scale below the roundoff floor of
-        that check raises ValueError before drawing.
+        is checked against its target in one `offset_norm` call.  Pair i
+        reads row i of `uniforms(count, seed, 4)` (angle jitter, target,
+        x0, x1); the strata depend on `count`, the draws do not.  A
+        scale below the roundoff floor of that check raises ValueError.
         """
         x0, x1, y0, y1, _ = self._sample_coords(count, scale, seed)
         return _PointRows((np.column_stack((x0, x1)),
@@ -422,7 +413,7 @@ class ToralSystem:
                 f"scale {scale:.6g} is below {self._min_scale:.6g}, the "
                 "smallest at which double roundoff lets a sampled pair "
                 "hit its target distance")
-        jitter, frac, x0, x1 = _draws(count, seed, 4)
+        jitter, frac, x0, x1 = uniforms(count, seed, 4).T
         theta = 2 * math.pi * (np.arange(count) + jitter) / count
         targets = scale * (0.5 + 0.5 * frac)
         cs, sn = _each(math.cos, theta), _each(math.sin, theta)
@@ -530,11 +521,11 @@ class EuclideanTorus:
     def sample_pairs(self, count, scale, seed=0):
         """Pairs at Euclidean distance in [scale/2, scale], random headings.
 
-        Four draws per pair (heading, radius, x0, x1), in the order of a
-        per-pair loop."""
+        Pair i reads row i of `uniforms(count, seed, 4)`: heading,
+        radius, x0, x1."""
         if not 0 < scale < 0.25:
             raise ValueError("scale must sit below the injectivity radius")
-        turn, frac, x0, x1 = _draws(count, seed, 4)
+        turn, frac, x0, x1 = uniforms(count, seed, 4).T
         theta = 2 * math.pi * turn
         r = scale * (0.5 + 0.5 * frac)
         y0 = np.remainder(x0 + r * _each(math.cos, theta), 1.0)
@@ -577,4 +568,4 @@ class CircleDoubling:
         return min(d, 1.0 - d)
 
     def sample_points(self, count, seed=0):
-        return _draws(count, seed, 1)[0].tolist()
+        return uniforms(count, seed, 1)[:, 0].tolist()

@@ -6,7 +6,6 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
-from random import Random
 
 import pytest
 
@@ -510,31 +509,6 @@ def test_toral_runs_leave_the_shift_modules_unloaded(subprocess_env):
     assert proc.stdout.split() == ["False", "False", "True"]
 
 
-def test_signed_draws_replay_the_random_stream(monkeypatch):
-    # the words come from one randbytes call, or from a second, larger
-    # one when the first falls short, which happens on some of these seeds
-    sizes = []
-
-    class Spy(Random):
-        def randbytes(self, n):
-            sizes.append(n)
-            return super().randbytes(n)
-
-    monkeypatch.setattr(cli, "Random", Spy)
-    calls = 0
-    for count, seeds in ((0, (0,)), (1, (0, 5)), (500, (0, 5, 104729)),
-                         (2000, range(20))):
-        for seed in seeds:
-            rng = Random(seed)
-            want = [(rng.random(), rng.choice((-1, 1)), rng.random(),
-                     rng.choice((-1, 1))) for _ in range(count)]
-            (u1, u2), (s1, s2) = cli._signed_draws(seed, count)
-            calls += 1
-            assert list(zip(u1.tolist(), s1.tolist(), u2.tolist(),
-                            s2.tolist())) == want
-    assert calls < len(sizes)
-
-
 def test_shift_checks_on_built_points_leave_numpy_unloaded(subprocess_env):
     # pairs that are not sampled rows take the scalar levels, and the
     # holonomy scale and precondition are plain Python
@@ -609,5 +583,5 @@ assert not hasattr(selfsimilar, "_HOLONOMY_DEPTH")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=subprocess_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["selfsimilar.cli", "selfsimilar.core",
-                                   "selfsimilar.torus"]
+    assert proc.stdout.split() == ["selfsimilar._streams", "selfsimilar.cli",
+                                   "selfsimilar.core", "selfsimilar.torus"]

@@ -1028,36 +1028,6 @@ def holonomy_inputs(full2, golden, cat):
              list(cli._symbolic_holonomy_quads(full2, 150, 5)) + bad)]
 
 
-def loop_toral_holonomy_quads(sys, count, seed, scale):
-    """The per-quadruple loop of the toral holonomy sampler, as a
-    reference: one scalar `triangle_vertex` per quadruple."""
-    rng = Random(seed)
-    vs, vu = sys.v_stable, sys.v_unstable
-    leg = sys.xi / 4
-    quads = []
-    for p in sys.sample_points(count, seed=seed):
-        t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
-        s = leg * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
-        q = ((p[0] + t * vu[0]) % 1.0, (p[1] + t * vu[1]) % 1.0)
-        pp = ((p[0] + s * vs[0]) % 1.0, (p[1] + s * vs[1]) % 1.0)
-        quads.append((p, q, pp, sys.triangle_vertex(pp, q)))
-    return quads
-
-
-def test_toral_holonomy_quads_are_the_pair_loop(cat):
-    for count, seed, scale in ((0, 0, 1e-3), (1, 3, 1e-3),
-                               (300, 4, cat.xi / cat.lam ** 3),
-                               (1500, 104729, cat.xi / cat.lam)):
-        assert (list(cli._toral_holonomy_quads(cat, count, seed, scale))
-                == loop_toral_holonomy_quads(cat, count, seed, scale))
-    # unstable legs up to 2 xi leave the bracket domain on both paths
-    want = first_error(lambda: loop_toral_holonomy_quads(cat, 300, 1,
-                                                         2 * cat.xi))
-    assert want == (ValueError, "pair outside the bracket domain")
-    assert first_error(
-        lambda: cli._toral_holonomy_quads(cat, 300, 1, 2 * cat.xi)) == want
-
-
 def test_holonomy_columns_are_the_quadruple_reports(cat):
     rng = Random(11)
     for sys in (cat, cat_map(2.0), toral_new(((3, 1), (2, 1)))):

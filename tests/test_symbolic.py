@@ -19,10 +19,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
+from selfsimilar._streams import below
 from selfsimilar.symbolic import (
     TransitionMatrix,
     _Rows,
-    _below,
     _count_vectors,
     _splice,
     agreement_level,
@@ -784,15 +784,15 @@ class QueuedWords:
 def test_below_redraws_the_rejected_words():
     # a word is rejected at or above (1 << 32) - (1 << 32) % c: for c = 3
     # and 7 that is only the top 1 and 4 words, for c = 3 << 30 it is c
-    # itself, and for c = 1 no word
+    # itself, and c = 1 takes no word
     big = 3 << 30
     counts = np.array([3, big, 7, big, 1], dtype=np.int64)
     top = (1 << 32) - 1
-    rng = QueuedWords([top, big + 5, 10, top, top],  # rows 0, 1, 3 rejected
+    rng = QueuedWords([top, big + 5, 10, top],  # rows 0, 1, 3 rejected
                       [7, top - 1, 4],  # row 1 again
                       [big - 1])
-    got = _below(rng, counts)
-    assert rng.asked == [20, 12, 4] and not rng.rounds
+    got = below(rng, counts)
+    assert rng.asked == [16, 12, 4] and not rng.rounds
     assert got.tolist() == [7 % 3, big - 1, 10 % 7, 4, 0]
 
 

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
+from selfsimilar._streams import uniforms
 from selfsimilar.core import (DynMode, _pair_values, _unzip, _zip,
                               dyn_metric, verify_self_similar)
 from selfsimilar.torus import (
@@ -497,33 +498,32 @@ def test_a_pair_outside_the_domain_raises_the_scalar_error(cat):
 
 
 def loop_sample_pairs(sys, count, scale, seed):
-    """The per-pair loop of the self-similar sampler, as a reference."""
-    rng = Random(seed)
+    """The self-similar sampler as a per-pair loop over the rows of
+    `uniforms`, as a reference."""
     vs, vu = sys.v_stable, sys.v_unstable
     out = []
-    for k in range(count):
-        theta = 2 * math.pi * (k + rng.random()) / count
-        target = scale * (0.5 + 0.5 * rng.random())
+    for k, (jitter, frac, x0, x1) in enumerate(
+            uniforms(count, seed, 4).tolist()):
+        theta = 2 * math.pi * (k + jitter) / count
+        target = scale * (0.5 + 0.5 * frac)
         cs, sn = math.cos(theta), math.sin(theta)
         c_s = (target ** (1.0 / sys.e_s) / abs(cs)) if cs else math.inf
         c_u = (target ** (1.0 / sys.e_u) / abs(sn)) if sn else math.inf
         c = min(c_s, c_u)
         off = (c * (cs * vs[0] + sn * vu[0]), c * (cs * vs[1] + sn * vu[1]))
-        x = (rng.random(), rng.random())
-        out.append((x, ((x[0] + off[0]) % 1.0, (x[1] + off[1]) % 1.0)))
+        out.append(((x0, x1), ((x0 + off[0]) % 1.0, (x1 + off[1]) % 1.0)))
     return out
 
 
 def loop_euclidean_pairs(count, scale, seed):
-    """The per-pair loop of the Euclidean sampler, as a reference."""
-    rng = Random(seed)
+    """The Euclidean sampler as a per-pair loop over the rows of
+    `uniforms`, as a reference."""
     out = []
-    for _ in range(count):
-        theta = 2 * math.pi * rng.random()
-        r = scale * (0.5 + 0.5 * rng.random())
-        x = (rng.random(), rng.random())
-        out.append((x, ((x[0] + r * math.cos(theta)) % 1.0,
-                        (x[1] + r * math.sin(theta)) % 1.0)))
+    for turn, frac, x0, x1 in uniforms(count, seed, 4).tolist():
+        theta = 2 * math.pi * turn
+        r = scale * (0.5 + 0.5 * frac)
+        out.append(((x0, x1), ((x0 + r * math.cos(theta)) % 1.0,
+                               (x1 + r * math.sin(theta)) % 1.0)))
     return out
 
 
@@ -573,8 +573,7 @@ def test_point_rows_read_as_the_pair_list(cat, euclid):
                                               zip(want[3:], want)]
         assert xs.zip([(0.5, 0.5)] * 7) is None
     points = cat.sample_points(5, seed=2)
-    rng = Random(2)
-    want = [(rng.random(), rng.random()) for _ in range(5)]
+    want = [tuple(p) for p in uniforms(5, 2, 2).tolist()]
     assert list(points) == want
     assert [points[-1], *points[1:3]] == [want[-1], *want[1:3]]
     assert all(type(v) is float for pt in points for v in pt)
@@ -595,33 +594,44 @@ def test_hooks_read_rows_as_the_pair_list(cat, euclid):
 
 
 def loop_holonomy_quads(sys, count, seed, scale):
-    """The per-quadruple loop of the CLI's toral holonomy sampler, with
-    tuple points, `rng.choice` signs and the scalar bracket, as a
-    reference."""
-    points, rng = Random(seed), Random(seed)
+    """The CLI's toral holonomy sampler as a per-quadruple loop over the
+    rows of `uniforms`, with tuple points, one sign per uniform and the
+    scalar bracket, as a reference."""
     vs, vu = sys.v_stable, sys.v_unstable
     leg = sys.xi / 4
     quads = []
-    for _ in range(count):
-        p = (points.random(), points.random())
-        t = scale * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
-        s = leg * (0.25 + 0.75 * rng.random()) * rng.choice((-1, 1))
-        q = ((p[0] + t * vu[0]) % 1.0, (p[1] + t * vu[1]) % 1.0)
-        pp = ((p[0] + s * vs[0]) % 1.0, (p[1] + s * vs[1]) % 1.0)
-        quads.append((p, q, pp, sys.bracket(pp, q)))
+    for p0, p1, u_t, sign_t, u_s, sign_s in uniforms(count, seed,
+                                                      6).tolist():
+        t = scale * (0.25 + 0.75 * u_t) * (1 if sign_t >= 0.5 else -1)
+        s = leg * (0.25 + 0.75 * u_s) * (1 if sign_s >= 0.5 else -1)
+        q = ((p0 + t * vu[0]) % 1.0, (p1 + t * vu[1]) % 1.0)
+        pp = ((p0 + s * vs[0]) % 1.0, (p1 + s * vs[1]) % 1.0)
+        quads.append(((p0, p1), q, pp, sys.bracket(pp, q)))
     return quads
+
+
+def first_error(run):
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
 
 
 @pytest.mark.parametrize("index", range(len(MATRICES)))
 def test_holonomy_quads_draw_as_the_quadruple_loop(index):
     sys = automorphism(index)
-    scale = sys.xi / sys.lam ** 3
-    for count in (0, 1, 7, 300):
+    for count in (0, 1, 7, 300, 1500):
         for seed in (0, 5, 104729):
-            got = cli._toral_holonomy_quads(sys, count, seed, scale)
-            assert list(got) == loop_holonomy_quads(sys, count, seed, scale)
-            assert all(type(v) is float
-                       for quad in got for pt in quad for v in pt)
+            for scale in (1e-3, sys.xi / sys.lam ** 3, sys.xi / sys.lam):
+                got = cli._toral_holonomy_quads(sys, count, seed, scale)
+                assert list(got) == loop_holonomy_quads(sys, count, seed,
+                                                        scale)
+                assert all(type(v) is float
+                           for quad in got for pt in quad for v in pt)
+    # unstable legs up to 2 xi leave the bracket domain on both paths
+    want = first_error(lambda: loop_holonomy_quads(sys, 300, 1, 2 * sys.xi))
+    assert want == (ValueError, "pair outside the bracket domain")
+    assert first_error(
+        lambda: cli._toral_holonomy_quads(sys, 300, 1, 2 * sys.xi)) == want
 
 
 def test_samplers_reject_a_negative_count(golden, cat, euclid, doubling):

@@ -25,19 +25,16 @@ same config and seed give byte-identical output except the
 with nested payload keys joined by dots and list indices as keys; it
 omits wall clock entirely.
 """
-from __future__ import annotations
-
 import argparse
-import csv
 import functools
 import io
 import json
 import math
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from . import __version__
 
@@ -52,8 +49,7 @@ _REQUIRED = ("system", "command")
 _CAT_LAM_SUP = (3 + math.sqrt(5)) / 2
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     system: str
     command: str
     lam: float | None = None
@@ -99,8 +95,7 @@ def _validate(data):
         if "lam" in data:
             errors.append("give either lam or lambda, not both")
         data["lam"] = data.pop("lambda")
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    for key in sorted(set(data) - known):
+    for key in sorted(set(data) - set(ExperimentConfig._fields)):
         errors.append(f"unknown config key: {key}")
     for key in _REQUIRED:
         if key not in data:
@@ -501,7 +496,7 @@ def run(config):
     return {
         "tool": "selfsim",
         "version": __version__,
-        "config": asdict(config),
+        "config": config._asdict(),
         "results": results,
         "passed": all(r.get("passed", False) for r in results.values()),
         "wall_clock_s": round(time.perf_counter() - t0, 6),
@@ -531,6 +526,7 @@ def _flatten(prefix, value, rows):
 
 
 def render_csv(report):
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check", "key", "value"])

@@ -32,27 +32,27 @@ stay the reference.  A backward walk on a system without `apply_inv`
 raises ValueError.  The holonomy check reads one column per report
 field (`_holonomy_columns`).
 """
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 _MODES = ("two_sided", "forward", "backward")
 
 
-@dataclass(frozen=True)
-class DynMode:
+class DynMode(NamedTuple("DynMode", [("kind", str), ("n", int)])):
     """Orbit window for dynamical metrics: two_sided, forward or backward."""
 
-    kind: str = "two_sided"
-    n: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _MODES:
+    def __new__(cls, kind="two_sided", n=0):
+        if kind not in _MODES:
             raise ValueError(f"kind must be one of {_MODES}")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("window size must be nonnegative")
+        return super().__new__(cls, kind, n)
+
+    def __eq__(self, other):  # equal only to values of its own type
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__  # __ne__ via __eq__
 
 
 def dyn_metric(sys, x, y, mode):
@@ -67,8 +67,7 @@ def dyn_metric(sys, x, y, mode):
     return max(row[0] for row in _pair_values(sys, [(x, y)], steps))
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checked: int
     rejected: list
     max_rel_deviation: float
@@ -278,8 +277,7 @@ def refine_metric(base, lam, tol):
     return RefinedSystem(base, lam, tol)
 
 
-@dataclass
-class HolderReport:
+class HolderReport(NamedTuple):
     c: float
     alpha: float
     violations: list
@@ -322,8 +320,7 @@ def holder_check(base_dist, refined_dist, samples, k, lam):
     return HolderReport(c=c, alpha=alpha, violations=violations, max_ratio_pair=worst)
 
 
-@dataclass
-class TriangleReport:
+class TriangleReport(NamedTuple):
     a: float
     b: float
     c0: float
@@ -383,8 +380,7 @@ def _triangle_reports(sys, pairs):
     return reports
 
 
-@dataclass
-class ContractionReport:
+class ContractionReport(NamedTuple):
     ratios: list
     max_deviation: float
     precondition_ok: bool
@@ -430,8 +426,7 @@ def stable_contraction_check(sys, x, y, side="stable", n_max=10):
     )
 
 
-@dataclass
-class HolonomyReport:
+class HolonomyReport(NamedTuple):
     observed: float
     bound: float | None
     m: int
@@ -501,8 +496,7 @@ def _holonomy_columns(sys, quads):
     return observed, bound, ms, in_range, within, pre_ok
 
 
-@dataclass
-class TriangleCurve:
+class TriangleCurve(NamedTuple):
     scales: list
     max_deviation: list
 

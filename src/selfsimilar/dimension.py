@@ -17,11 +17,9 @@ max_{|k| <= n} dist(f^k x, f^k y), which doubles the standard
 convention is never ambiguous.  The shift branches import the helpers
 of `symbolic` they use, so a toral run never loads it.
 """
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 
 def _unstable_mu(sys, what):
@@ -60,8 +58,7 @@ def _lsq(xs, ys):
 # -- covering counts ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CovCount:
+class CovCount(NamedTuple):
     """One covering-number evaluation; exact counts have lower == upper."""
 
     eps: float
@@ -168,8 +165,7 @@ def cov_eps(sys, eps, k=0):
 # -- capacity --------------------------------------------------------------
 
 
-@dataclass
-class CapacityFit:
+class CapacityFit(NamedTuple):
     slope: float
     intercept: float
     residual: float
@@ -209,14 +205,13 @@ def capacity(sys):
 # -- entropy ---------------------------------------------------------------
 
 
-@dataclass
-class EntropyReport:
+class EntropyReport(NamedTuple):
     ent: float
     ent_plus: float
     ent_minus: float
     standard: float
     gap_two_sided: float
-    rows: list = field(repr=False)
+    rows: list
     method: str = "exact-symbolic"
 
 
@@ -295,8 +290,7 @@ def entropy(sys, n_max=12):
 # -- the fundamental equation ---------------------------------------------
 
 
-@dataclass
-class FundamentalReport:
+class FundamentalReport(NamedTuple):
     capacity: float
     ent: float
     rhs: float
@@ -320,8 +314,7 @@ def check_fundamental(sys, n_max=12):
 # -- covering identity ------------------------------------------------------
 
 
-@dataclass
-class IdentityRow:
+class IdentityRow(NamedTuple):
     k: int
     lhs: CovCount
     rhs: CovCount
@@ -348,8 +341,7 @@ def cov_identity_check(sys, k_max=6):
 # -- ideal expanding factor --------------------------------------------------
 
 
-@dataclass
-class IdealFactor:
+class IdealFactor(NamedTuple):
     lam_ideal: float
     ent: float
     dim: int
@@ -378,34 +370,41 @@ def ideal_factor(ent, dim, lam=None):
 # -- local unstable entropy --------------------------------------------------
 
 
-@dataclass
-class LocalEntropy:
+class LocalEntropy(NamedTuple):
     estimate: float
     rows: list
     method: str
 
 
-def local_unstable_entropy(sys, x, n_max=16):
-    """Growth rate of forward refinements of one local unstable set,
-    fitted over n = 3..n_max."""
+def _local_entropies(sys, xs, n_max):
+    """`local_unstable_entropy` of every point of xs, from one walk of
+    the forward count vectors; points at one state share one fit."""
     if n_max < 5:
         raise ValueError("n_max too small for a slope")
     ns = range(3, n_max + 1)
     if sys.space_kind == "symbolic":
         from .symbolic import _count_vectors
-        state = x.at(0)
-        counts = [v[state]
-                  for v in islice(_count_vectors(sys.matrix), 1, n_max + 1)]
-        rows = [(n, math.log(counts[n - 1])) for n in ns]
-        return LocalEntropy(_slope_over_n(rows), rows, "forward-word-counts")
+        vecs = list(islice(_count_vectors(sys.matrix), 1, n_max + 1))
+        states, fits = [x.at(0) for x in xs], {}
+        for s in set(states):
+            rows = [(n, math.log(vecs[n - 1][s])) for n in ns]
+            fits[s] = LocalEntropy(_slope_over_n(rows), rows,
+                                   "forward-word-counts")
+        return [fits[s] for s in states]
     mu = _unstable_mu(sys, "local unstable entropy")
     # arc of u-length L stretches to L * mu**n, cut into unit-L pieces
     rows = [(n, math.log(math.ceil(mu ** n))) for n in ns]
-    return LocalEntropy(_slope_over_n(rows), rows, "unstable-arc-growth")
+    fit = LocalEntropy(_slope_over_n(rows), rows, "unstable-arc-growth")
+    return [fit for _ in xs]
 
 
-@dataclass
-class LocalEntropySpread:
+def local_unstable_entropy(sys, x, n_max=16):
+    """Growth rate of forward refinements of one local unstable set,
+    fitted over n = 3..n_max."""
+    return _local_entropies(sys, [x], n_max)[0]
+
+
+class LocalEntropySpread(NamedTuple):
     estimates: list
     spread_rel: float
     reference: float
@@ -414,7 +413,7 @@ class LocalEntropySpread:
 
 def local_entropy_homogeneity(sys, xs, n_max=16):
     """Local unstable entropy across base points against ent/2."""
-    ests = [local_unstable_entropy(sys, x, n_max).estimate for x in xs]
+    ests = [e.estimate for e in _local_entropies(sys, xs, n_max)]
     ref = _log_growth(sys)
     spread = (max(ests) - min(ests)) / ref
     gap = max(abs(e - ref) for e in ests) / ref

@@ -24,14 +24,12 @@ Both masses of a depth-k box depend only on its end states, so the
 Parry comparison runs over the n**2 end-state classes weighted by
 their exact word counts, in memory O(n**2) at any depth; its rows, one
 per admissible word, are iterated in word order from the class table.
-The module runs without numpy; `symbolic` and `fractions` are imported
-by the shift-only functions, so a toral run loads neither.
+The module runs without numpy; `symbolic` is imported by the
+shift-only functions, so a toral run does not load it.
 """
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dimension import _log_growth, _lsq
 
@@ -48,8 +46,7 @@ def _edge_at(sys, scale):
     return math.ceil(math.log(1.0 / scale) / math.log(sys.lam) - 1e-12) - 1
 
 
-@dataclass(frozen=True)
-class UnstableWindow:
+class UnstableWindow(NamedTuple):
     """Points sharing the anchor's coordinates at every i <= edge.
 
     The window at scale parameter lam**-(edge+1): edge 0 is the
@@ -59,13 +56,22 @@ class UnstableWindow:
     anchor: object
     edge: int = 0
 
+    def __eq__(self, other):  # equal only to values of its own type
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-@dataclass(frozen=True)
-class StableWindow:
+    __ne__, __hash__ = object.__ne__, tuple.__hash__  # __ne__ via __eq__
+
+
+class StableWindow(NamedTuple):
     """Points sharing the anchor's coordinates at every i >= -edge."""
 
     anchor: object
     edge: int = 0
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__
 
 
 def _slack(matrix, state):
@@ -120,8 +126,7 @@ def _dp(matrix, lam, d):
     return _SideDP(matrix, lam, d)
 
 
-@dataclass
-class MeasureTree:
+class MeasureTree(NamedTuple):
     """Result of the cylinder DP on one local window."""
 
     value: float
@@ -172,21 +177,24 @@ def intrinsic_exponent(sys):
 # -- boxes -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Two-sided cylinder: word occupies [start, start + len - 1] and
     must span coordinate 0 so the stable/unstable split is defined."""
 
     word: tuple
     start: int
 
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__
+
     @property
     def end(self):
         return self.start + len(self.word) - 1
 
 
-@dataclass
-class BoxMeasure:
+class BoxMeasure(NamedTuple):
     stable: float
     unstable: float
     product: float
@@ -233,8 +241,7 @@ def box_measure(sys, box):
 # -- scaling -----------------------------------------------------------------
 
 
-@dataclass
-class ScalingReport:
+class ScalingReport(NamedTuple):
     ratio: float
     expected: float
     rel_gap: float
@@ -271,8 +278,7 @@ def scaling_check(sys, window, depth=12):
 # -- homogeneity -------------------------------------------------------------
 
 
-@dataclass
-class HomogeneityReport:
+class HomogeneityReport(NamedTuple):
     c_observed: float
     rows: list
     flat_ratio: float
@@ -343,11 +349,10 @@ class _ParryRows:
             yield (word, *self._table[word[0], word[-1]])
 
 
-@dataclass
-class ParryReport:
+class ParryReport(NamedTuple):
     max_rel_gap: float
     total_mass: float
-    rows: _ParryRows = field(repr=False)
+    rows: _ParryRows
 
 
 def parry_compare(sys, depth):
@@ -370,8 +375,6 @@ def parry_compare(sys, depth):
     _need_int_depth(depth)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    from fractions import Fraction
-
     from .symbolic import _parry_data
     matrix, n, length = sys.matrix, sys.matrix.n, 2 * depth + 1
     d = intrinsic_exponent(sys)
@@ -387,8 +390,11 @@ def parry_compare(sys, depth):
                    for b in range(n)] for row in counts]
     masses = {(a, b): scale * g_s[a] * g_u[b] for a in range(n)
               for b in range(n) if counts[a][b]}
-    total = float(sum(Fraction(m) * counts[a][b]
-                      for (a, b), m in masses.items()))
+    # each mass is p / 2**k: one integer sum over the largest 2**k
+    ratios = {ab: m.as_integer_ratio() for ab, m in masses.items()}
+    q_max = max(q for _, q in ratios.values())
+    total = sum(p * (q_max // q) * counts[a][b]
+                for (a, b), (p, q) in ratios.items()) / q_max
 
     rho, v, pi = _parry_data(matrix)
     table = {}

@@ -11,15 +11,13 @@ metric arithmetic stays exact.  The shift acts to the left:
 common stable set and sequences sharing a past lie on a common unstable
 set.
 """
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import lcm
 from operator import or_
+from typing import NamedTuple
 
 from ._streams import CHUNK, below, chunk_rngs
 
@@ -32,8 +30,7 @@ def _minimal_period(word):
                 if word[d:] + word[:d] == word)
 
 
-@dataclass(frozen=True)
-class BiSequence:
+class BiSequence(NamedTuple):
     """Eventually periodic bi-infinite sequence in canonical form.
 
     Coordinates below `start` follow the periodic word `left` (phase
@@ -48,6 +45,11 @@ class BiSequence:
     mid: tuple
     right: tuple
     start: int
+
+    def __eq__(self, other):  # equal only to values of its own type
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__  # __ne__ via __eq__
 
     @property
     def end(self):
@@ -205,14 +207,11 @@ def agreement_level(a, b):
     return INF
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
     """0/1 transition matrix of a subshift, at most 64 states."""
 
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
+    def __new__(cls, rows):
+        rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if not 1 <= n <= 64:
             raise ValueError("matrix must have between 1 and 64 states")
@@ -225,7 +224,12 @@ class TransitionMatrix:
         if any(not any(c) for c in zip(*rows)):
             raise ValueError("zero column: every state needs a predecessor")
         rows = tuple(tuple(map(int, r)) for r in rows)  # 0.5 failed above
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__
 
     @property
     def n(self):
@@ -400,20 +404,23 @@ def parry_measure(matrix, word):
     return mass
 
 
-@dataclass(frozen=True)
-class ShiftSystem:
+class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
+                                              ("lam", float)])):
     """Two-sided subshift with the exact lam**-T metric.
 
     Conforms to the metric-system protocol used across the package:
     apply/apply_inv, dist, lam, xi, diameter, bracket.
     """
 
-    matrix: TransitionMatrix
-    lam: float = 2.0
-
-    def __post_init__(self):
-        if not 1 < self.lam < INF:
+    def __new__(cls, matrix, lam=2.0):
+        if not 1 < lam < INF:
             raise ValueError("expanding factor must exceed 1")
+        return super().__new__(cls, matrix, lam)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__
 
     space_kind = "symbolic"
     invertible = True

@@ -23,8 +23,6 @@ per tuple slot, which the hooks read as they are.  Whatever numpy's
 vectorised loops could round differently from the scalar code (cos,
 sin, powers) goes through the libm function elementwise.
 """
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 from functools import reduce

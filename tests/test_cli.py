@@ -5,7 +5,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -221,7 +220,7 @@ def test_capacity_and_fundamental_share_one_fit(monkeypatch):
     assert cap["rel_gap"] == abs(cap["capacity"] - cap["ent_over_log_lam"]) \
         / cap["ent_over_log_lam"]
     # another system or horizon gets its own fit
-    cli._check_capacity(build_system(cfg), replace(cfg, n_max=10))
+    cli._check_capacity(build_system(cfg), cfg._replace(n_max=10))
     assert len(calls) == 2
 
 
@@ -493,6 +492,53 @@ print("numpy" in sys.modules)
                           text=True, env=subprocess_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"]
+
+
+# the exact-measure benchmark's library steps, then `selfsim measure`
+_EXACT_STEPS = """\
+from random import Random
+from selfsimilar import (UnstableWindow, cov_identity_check, entropy,
+                         full_shift, golden_mean, hausdorff_estimate,
+                         homogeneity_check, intrinsic_exponent,
+                         local_entropy_homogeneity, parry_compare,
+                         scaling_check)
+f3, g, f2 = full_shift(3), golden_mean(), full_shift(2)
+rng = Random(0)
+xs_g = [g.random_point(rng, window=16) for _ in range(20)]
+xs_3 = [f3.random_point(rng, window=16) for _ in range(20)]
+assert len(parry_compare(f3, 5).rows) == 3 ** 11
+assert len(parry_compare(g, 10).rows) == 28657
+for sys_ in (f2, f3, g):
+    w = UnstableWindow(sys_.constant(0), 0)
+    hausdorff_estimate(sys_, w, intrinsic_exponent(sys_), 12)
+    scaling_check(sys_, UnstableWindow(sys_.constant(0), 3))
+for sys_, xs in ((f3, xs_3), (g, xs_g)):
+    homogeneity_check(sys_, xs)
+    entropy(sys_, n_max=64)
+    assert all(r.consistent for r in cov_identity_check(sys_, k_max=12))
+    local_entropy_homogeneity(sys_, xs[:10], n_max=64)
+"""
+_CLI_MEASURE = """\
+import contextlib, io
+from selfsimilar import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["measure", "--system", "golden-mean"]) == 0
+"""
+
+
+@pytest.mark.parametrize("steps", [_EXACT_STEPS, _CLI_MEASURE],
+                         ids=["exact-measure", "cli-measure"])
+def test_shift_measure_runs_load_no_record_or_csv_modules(subprocess_env,
+                                                          steps):
+    # each of these costs milliseconds at start-up: dataclasses loads
+    # inspect, fractions loads decimal
+    code = ("import sys\nbefore = set(sys.modules)\n" + steps
+            + "print(sorted({'dataclasses', 'inspect', 'fractions',"
+            " 'decimal', 'csv'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_toral_runs_leave_the_shift_modules_unloaded(subprocess_env):

@@ -9,7 +9,6 @@ sqrt(0.3 * arc), pinning the Holder data.
 """
 
 import math
-from dataclasses import astuple
 from fractions import Fraction
 from random import Random
 
@@ -127,6 +126,7 @@ def test_mode_validation():
         DynMode("sideways", 2)
     with pytest.raises(ValueError, match="nonnegative"):
         DynMode("forward", -1)
+    assert DynMode() == DynMode("two_sided", 0)
 
 
 def test_dynamical_metric_windows(full2):
@@ -674,11 +674,9 @@ def test_orbit_checks_are_the_pair_loops(golden, cat, doubling):
                     lambda: loop_dyn_metric(sys, x, y, mode))
             for side in ("stable", "unstable", "middle"):
                 for n_max in (0, 6):
+                    # a report is the tuple of its fields
                     rep = outcome(lambda: stable_contraction_check(
                         sys, x, y, side=side, n_max=n_max))
-                    if not isinstance(rep, tuple):
-                        rep = (rep.ratios, rep.max_deviation,
-                               rep.precondition_ok, rep.first_bad_n)
                     assert rep == outcome(lambda: loop_contraction(
                         sys, x, y, side, n_max))
 
@@ -1040,7 +1038,7 @@ def test_holonomy_columns_are_the_quadruple_reports(cat):
         reps = [holonomy_deviation(sys, *quad) for quad in quads]
         assert reps == [scalar_holonomy(sys, *quad) for quad in quads]
         assert list(zip(*_holonomy_columns(sys, quads))) == [
-            astuple(r) for r in reps]
+            tuple(r) for r in reps]
         assert {r.precondition_ok for r in reps} == {True, False}
         assert {r.in_range for r in reps} == {True, False}
         p, q, pp, qq = quads[7]

@@ -29,7 +29,7 @@ from selfsimilar.dimension import (
     local_entropy_homogeneity,
     local_unstable_entropy,
 )
-from selfsimilar.symbolic import count_words, exact_cov, full_shift
+from selfsimilar.symbolic import count_words, exact_cov, full_shift, sft_new
 from selfsimilar.torus import toral_new
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -386,6 +386,22 @@ def test_local_entropy_on_the_cat_map(cat):
 def test_local_entropy_needs_a_window(full2):
     with pytest.raises(ValueError, match="too small for a slope"):
         local_unstable_entropy(full2, full2.constant(0), n_max=3)
+
+
+def test_homogeneity_estimates_are_the_per_point_fits(golden, cat):
+    # one count walk serves every point, each taking its own state's fit
+    sft3 = sft_new([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    rng = Random(5)
+    for sys in (golden, sft3):
+        xs = [sys.random_point(rng) for _ in range(12)]
+        assert {x.at(0) for x in xs} == set(range(sys.matrix.n))
+        want = [local_unstable_entropy(sys, x, 24).estimate for x in xs]
+        assert len(set(want)) == sys.matrix.n
+        assert local_entropy_homogeneity(sys, xs, 24).estimates == want
+        assert local_entropy_homogeneity(sys, iter(xs), 24).estimates == want
+    xs = [(0.3, 0.7), (0.1, 0.2)]
+    want = [local_unstable_entropy(cat, x, 24).estimate for x in xs]
+    assert local_entropy_homogeneity(cat, iter(xs), 24).estimates == want
 
 
 def test_local_entropy_is_homogeneous(full2, golden):

@@ -89,3 +89,22 @@ def test_an_idle_import_is_found():
                      "    return random.random(), math.pi, loads\n")
     assert idle_imports(tree) == []
     assert idle_local_imports(tree) == [(2, "math"), (4, "loads")]
+
+
+def test_the_package_imports_neither_dataclasses_nor_fractions():
+    # each costs milliseconds at start-up: dataclasses loads inspect and
+    # ast, fractions loads decimal; records are NamedTuples instead
+    found = []
+    for p in FILES:
+        if p.relative_to(ROOT).parts[0] != "src":
+            continue
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(p.name, node.lineno) for name in names
+                      if name.split(".")[0] in ("dataclasses", "fractions")]
+    assert found == []

@@ -8,8 +8,10 @@ g(0) = 1, g(1) = 1/phi, so window masses are Perron weights and box
 conditionals reproduce the Parry transition probabilities.
 """
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -29,6 +31,8 @@ from selfsimilar.measure import (
     toral_measure_summary,
 )
 from selfsimilar.symbolic import (
+    ShiftSystem,
+    TransitionMatrix,
     count_words,
     full_shift,
     iter_words,
@@ -382,6 +386,43 @@ def test_parry_comparison_equals_the_scalar_formulas(golden):
         word, dp_mass, parry_mass, gap = next(iter(rep.rows))
         assert all(type(s) is int for s in word)
         assert all(type(v) is float for v in (dp_mass, parry_mass, gap))
+
+
+def primitive_matrices(n):
+    """Every primitive 0/1 matrix with n states."""
+    for bits in itertools.product((0, 1), repeat=n * n):
+        try:
+            matrix = TransitionMatrix([bits[i * n:i * n + n]
+                                       for i in range(n)])
+        except ValueError:  # a zero row or column
+            continue
+        if matrix.primitive:
+            yield matrix
+
+
+def test_parry_total_is_the_exact_class_sum_rounded_once():
+    # the class masses as parry_compare forms them, summed as Fractions;
+    # one state is primitive only as [[1]], which has no entropy
+    seen = 0
+    for matrix in (m for n in (2, 3) for m in primitive_matrices(n)):
+        sys, n = ShiftSystem(matrix), matrix.n
+        d = intrinsic_exponent(sys)
+        g_u = _dp(matrix, sys.lam, d).table(32)
+        g_s = _dp(matrix.transpose(), sys.lam, d).table(32)
+        power = [[int(a == b) for b in range(n)] for a in range(n)]
+        for depth in range(13):
+            scale = sys.lam ** (-2 * depth * d)
+            exact = sum(Fraction(scale * g_s[a] * g_u[b]) * power[a][b]
+                        for a in range(n) for b in range(n))
+            total = parry_compare(sys, depth).total_mass
+            assert total.hex() == float(exact).hex(), (matrix, depth)
+            for _ in range(2):  # A**(2 * depth) counts the class words
+                power = [[sum(row[c] * matrix.rows[c][b] for c in range(n))
+                          for b in range(n)] for row in power]
+        seen += 1
+    assert seen == 142
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        parry_compare(sft_new([[1]]), 0)
 
 
 def test_parry_comparison_at_depth_6_on_the_full_3_shift():

@@ -10,14 +10,14 @@ import inspect
 import selfsimilar
 
 SIGNATURES = {
-    "Box": "(word: 'tuple', start: 'int') -> None",
+    "Box": "(word: tuple, start: int)",
     "CircleDoubling": "()",
     "EuclideanTorus": "(base, xi=0.02)",
-    "ShiftSystem": "(matrix: 'TransitionMatrix', lam: 'float' = 2.0) -> None",
-    "StableWindow": "(anchor: 'object', edge: 'int' = 0) -> None",
+    "ShiftSystem": "(matrix, lam=2.0)",
+    "StableWindow": "(anchor: object, edge: int = 0)",
     "ToralSystem": "(matrix, lam=None, xi=0.05)",
-    "TransitionMatrix": "(rows: 'tuple') -> None",
-    "UnstableWindow": "(anchor: 'object', edge: 'int' = 0) -> None",
+    "TransitionMatrix": "(rows)",
+    "UnstableWindow": "(anchor: object, edge: int = 0)",
     "bi_sequence": "(left, mid=(), right=None, start=0)",
     "box_measure": "(sys, box)",
     "capacity": "(sys)",

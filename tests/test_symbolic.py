@@ -20,8 +20,19 @@ from hypothesis import strategies as st
 
 from selfsimilar import cli
 from selfsimilar._streams import below
+from selfsimilar.core import DynMode
+from selfsimilar.measure import (
+    Box,
+    StableWindow,
+    UnstableWindow,
+    _dp,
+    hausdorff_estimate,
+    intrinsic_exponent,
+)
 from selfsimilar.symbolic import (
+    ShiftSystem,
     TransitionMatrix,
+    _parry_data,
     _Rows,
     _count_vectors,
     _splice,
@@ -30,6 +41,7 @@ from selfsimilar.symbolic import (
     count_words,
     exact_cov,
     full_shift,
+    golden_mean,
     iter_words,
     parry_measure,
     sft_new,
@@ -350,6 +362,9 @@ def test_successor_and_predecessor_tables(golden, four):
     assert golden.matrix.predecessors == ((0, 1), (0,))
     assert four.matrix.successors[2] == (2, 3)
     assert four.matrix.predecessors[0] == (0, 1)
+    # computed once, then kept on the instance
+    assert golden.matrix.successors is golden.matrix.successors
+    assert "predecessors" in vars(golden.matrix)
 
 
 def test_primitivity_classification(full2, golden, four):
@@ -890,3 +905,57 @@ def test_sampled_sequences_are_read_only_views(full2):
     x, y = pairs.columns()
     assert list(x.zip(y)) == list(pairs)
     assert x.zip([1, 2]) is None
+
+
+# ------------------------------------------------------------- value types
+
+
+def _golden_point():
+    return golden_mean().point_through((0, 1), 0)
+
+
+# each builds its value anew on every call
+VALUE_BUILDS = {
+    "BiSequence": lambda: bi_sequence((0, 1), (1, 1), (0,), -2),
+    "TransitionMatrix": lambda: TransitionMatrix([[1, 1], [1, 0]]),
+    "ShiftSystem": lambda: ShiftSystem(TransitionMatrix([[1, 1], [1, 0]])),
+    "UnstableWindow": lambda: UnstableWindow(_golden_point(), 2),
+    "StableWindow": lambda: StableWindow(_golden_point(), 2),
+    "Box": lambda: Box((0, 1, 0), -1),
+    "DynMode": lambda: DynMode("forward", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_BUILDS))
+def test_value_types_are_equal_by_value_and_by_type(name):
+    x, y = VALUE_BUILDS[name](), VALUE_BUILDS[name]()
+    assert type(x).__name__ == name and x is not y
+    assert x == y and not x != y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+    # the same field values in a plain tuple are another value
+    plain = tuple(x)
+    assert x != plain and plain != x and not x == plain and not plain == x
+    with pytest.raises(AttributeError):
+        setattr(x, x._fields[0], y[0])
+
+
+def test_windows_on_the_two_sides_differ():
+    a = golden_mean().constant(0)
+    u, s = UnstableWindow(a, 0), StableWindow(a, 0)
+    assert u != s and s != u and not u == s
+    assert len({u, s, UnstableWindow(a, 0)}) == 2
+
+
+def test_rebuilt_systems_hit_the_matrix_caches():
+    # _parry_data is unbounded: a miss per rebuilt matrix would grow it
+    def use():
+        g = golden_mean()
+        d = intrinsic_exponent(g)
+        for _ in range(2):
+            _parry_data(g.matrix.transpose())
+            hausdorff_estimate(g, StableWindow(g.constant(0), 1), d)
+    use()
+    before = _parry_data.cache_info().misses, _dp.cache_info().misses
+    use()
+    assert (_parry_data.cache_info().misses, _dp.cache_info().misses) == \
+        before

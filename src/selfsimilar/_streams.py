@@ -5,8 +5,10 @@ Items come in chunks of CHUNK, and chunk k of a seed draws from its own
 through SHA-512, alike in every version).  So item i depends only on
 the seed and i // CHUNK: the first N items are the same at every count
 >= N.  numpy loads on first draw, so the shift measure path never does.
+Every sampler returns its items as `Rows`.
 """
 import itertools
+from collections.abc import Sequence
 from random import Random
 
 CHUNK = 4096
@@ -44,3 +46,36 @@ def below(rng, counts):
         out[at] = u % c
         at = at[u >= (1 << 32) - (1 << 32) % c]
     return out
+
+
+class Rows(Sequence):
+    """Read-only sequence of sampled points, or of tuples of them.
+
+    `cols` holds one (N, width) array per tuple slot, and item i is the
+    tuple of `point(a[i])` over them (one array: the point itself), so a
+    point is built only on access; the pair batches read the arrays.
+    """
+
+    def __init__(self, cols, point):
+        self.cols, self.point = tuple(cols), point
+
+    def __len__(self):
+        return len(self.cols[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Rows((a[i] for a in self.cols), self.point)
+        points = tuple(self.point(a[i]) for a in self.cols)
+        return points if len(points) > 1 else points[0]
+
+    def columns(self):
+        """One sequence of points per tuple slot."""
+        return tuple(Rows((a,), self.point) for a in self.cols)
+
+    def zip(self, other):
+        """The tuples of this sequence's slots and then other's, when
+        other holds rows of the same builder and width; else None."""
+        if (isinstance(other, Rows) and other.point == self.point
+                and other.cols[0].shape[1] == self.cols[0].shape[1]):
+            return Rows(self.cols + other.cols, self.point)
+        return None

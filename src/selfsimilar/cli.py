@@ -25,7 +25,6 @@ same config and seed give byte-identical output except the
 with nested payload keys joined by dots and list indices as keys; it
 omits wall clock entirely.
 """
-import argparse
 import functools
 import io
 import json
@@ -351,16 +350,16 @@ def _toral_holonomy_quads(sys_obj, count, seed, scale):
     and pp = p + s v_s (wrapped), qq = triangle_vertex(pp, q), with
     t = scale * (0.25 + 0.75 * u_t), negated if sign_t < 0.5, and s the
     same with xi / 4 for scale."""
-    from ._streams import uniforms
-    from .torus import _PointRows
+    from ._streams import Rows, uniforms
+    from .torus import _point
     draws = uniforms(count, seed, 6)
     p, u_t, sign_t, u_s, sign_s = draws[:, :2], *draws[:, 2:].T
     t = scale * (0.25 + 0.75 * u_t) * (2.0 * (sign_t >= 0.5) - 1.0)
     s = sys_obj.xi / 4 * (0.25 + 0.75 * u_s) * (2.0 * (sign_s >= 0.5) - 1.0)
     q = (p + t[:, None] * sys_obj.v_unstable) % 1.0
     pp = (p + s[:, None] * sys_obj.v_stable) % 1.0
-    (qq,) = sys_obj._pair_brackets(_PointRows((pp, q))).cols
-    return _PointRows((p, q, pp, qq))
+    (qq,) = sys_obj._pair_brackets(Rows((pp, q), _point)).cols
+    return Rows((p, q, pp, qq), _point)
 
 
 def _check_holonomy(sys_obj, cfg):
@@ -545,6 +544,7 @@ def render_csv(report):
 
 
 def _build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Self-similar metric experiments on shifts and toral "

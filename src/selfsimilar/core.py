@@ -20,8 +20,8 @@ A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
 bit), which the triangle check reads in one call.
 Samplers draw through `_streams`, one chunk-keyed scheme, and return
-row-backed sequences (`symbolic._Rows`, `torus._PointRows`): `_unzip`
-and `_zip` split and pair their arrays, and the pair batches read them.
+its row-backed sequences, `_streams.Rows`: `_unzip` and `_zip` split
+and pair their arrays, and the pair batches read them.
 
 `_pair_values` is the one orbit reader: `dyn_metric`, the verifier,
 `holder_check` and the triangle, contraction and holonomy checks read
@@ -124,8 +124,7 @@ def _pair_values(sys, pairs, steps, levels=False):
 
 def _unzip(items, k):
     """The k slots of a sequence of k-tuples, one sequence each; sampled
-    points (`symbolic._Rows`, `torus._PointRows`) hand out their row
-    arrays."""
+    points (`_streams.Rows`) hand out their row arrays."""
     columns = getattr(items, "columns", None)
     if columns is not None:
         return columns()
@@ -133,8 +132,8 @@ def _unzip(items, k):
 
 
 def _zip(a, b):
-    """The pairs (a[i], b[i]); two sequences of sampled points of one
-    kind pair up their row arrays, without building a point."""
+    """The pairs (a[i], b[i]); two `_streams.Rows` of one builder and
+    width pair up their row arrays, without building a point."""
     joined = a.zip(b) if hasattr(a, "zip") else None
     return list(zip(a, b)) if joined is None else joined
 

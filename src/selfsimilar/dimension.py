@@ -414,6 +414,8 @@ class LocalEntropySpread(NamedTuple):
 def local_entropy_homogeneity(sys, xs, n_max=16):
     """Local unstable entropy across base points against ent/2."""
     ests = [e.estimate for e in _local_entropies(sys, xs, n_max)]
+    if not ests:
+        raise ValueError("need at least one base point")
     ref = _log_growth(sys)
     spread = (max(ests) - min(ests)) / ref
     gap = max(abs(e - ref) for e in ests) / ref

@@ -117,9 +117,6 @@ class _SideDP:
             self.tables.append(nxt)
         return self.tables[depth]
 
-    def g(self, state, depth):
-        return self.table(depth)[state]
-
 
 @lru_cache(maxsize=32)
 def _dp(matrix, lam, d):
@@ -160,8 +157,8 @@ def hausdorff_estimate(sys, window, d, depth=12):
         raise TypeError("window must be UnstableWindow or StableWindow")
     dp = _dp(matrix, sys.lam, d)
     scale = sys.lam ** (-window.edge * d)
-    value = scale * dp.g(state, depth)
-    deeper = scale * dp.g(state, depth + 2)
+    value = scale * dp.table(depth)[state]
+    deeper = scale * dp.table(depth + 2)[state]
     drift = abs(value - deeper) / value if value > 0 else 0.0
     return MeasureTree(
         value=value, value_deeper=deeper, drift=drift, converged=drift < 0.01,
@@ -308,8 +305,8 @@ def homogeneity_check(sys, xs, depth=12):
 
     def mass(x, n):
         e_u = e_s + n
-        v_s = lam ** (-e_s * d) * dp_s.g(x.at(-e_s), depth)
-        v_u = lam ** (-e_u * d) * dp_u.g(x.at(e_u), depth)
+        v_s = lam ** (-e_s * d) * dp_s.table(depth)[x.at(-e_s)]
+        v_u = lam ** (-e_u * d) * dp_u.table(depth)[x.at(e_u)]
         return v_s * v_u
 
     ns = range(1, 11)

@@ -12,14 +12,13 @@ common stable set and sequences sharing a past lie on a common unstable
 set.
 """
 import math
-from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import lcm
 from operator import or_
 from typing import NamedTuple
 
-from ._streams import CHUNK, below, chunk_rngs
+from ._streams import CHUNK, Rows, below, chunk_rngs
 
 INF = math.inf
 
@@ -152,41 +151,6 @@ def _splice(past, mid, future, lo):
     left = past.window(lo - len(past.left), lo - 1)
     right = future.window(hi, hi + len(future.right) - 1)
     return _absorb(left, mid, right, lo)
-
-
-class _Rows(Sequence):
-    """Read-only sequence of sampled points, or of tuples of them.
-
-    `cols` holds one (N, 2 origin + 1) int8 array per tuple slot, column
-    `origin` being coordinate 0.  Item i is the tuple of the points that
-    row i of each array spells (one array: the point), built on access
-    by `ShiftSystem._row_point`; the shift batches read the arrays.
-    """
-
-    def __init__(self, system, cols, origin):
-        self.system, self.cols, self.origin = system, cols, origin
-
-    def __len__(self):
-        return len(self.cols[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Rows(self.system, tuple(a[i] for a in self.cols),
-                         self.origin)
-        points = tuple(self.system._row_point(a[i].tolist(), -self.origin)
-                       for a in self.cols)
-        return points if len(points) > 1 else points[0]
-
-    def columns(self):
-        """One sequence of points per tuple slot."""
-        return tuple(_Rows(self.system, (a,), self.origin) for a in self.cols)
-
-    def zip(self, other):
-        """The tuples of this sequence's slots and then other's, when
-        other holds rows with the same origin; else None."""
-        if isinstance(other, _Rows) and other.origin == self.origin:
-            return _Rows(self.system, self.cols + other.cols, self.origin)
-        return None
 
 
 def agreement_level(a, b):
@@ -480,14 +444,15 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
 
     def _pair_levels(self, pairs, steps):
         """The pair batch: level(f^s x, f^s y) for every pair, one list
-        per step s.  Sampled pairs (`_Rows` over [-w, w], every |s| < w)
+        per step s.  Its sampled pairs (`Rows` over [-w, w], every |s| < w)
         read their rows: the level is t - 1 for the first t at which they
         differ at coordinate s + t or s - t.  Rows with no difference
         within t <= w - |s| are math.inf if equal (equal rows spell equal
         points), else they take the scalar level, as any other pairs do.
         """
-        w = getattr(pairs, "origin", 0)
-        if not (isinstance(pairs, _Rows) and max(map(abs, steps)) < w):
+        own = isinstance(pairs, Rows) and pairs.point == self._row_point
+        w = pairs.cols[0].shape[1] // 2 if own else 0
+        if not max(map(abs, steps)) < w:
             return [[agreement_level(x.shift(s), y.shift(s))
                      for x, y in pairs] for s in steps]
         import numpy as np
@@ -531,19 +496,19 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         return self.bracket(y, x)
 
     def _pair_brackets(self, pairs):
-        """`triangle_vertex(x, y)` of every pair.  Sampled pairs splice
-        their rows, x's columns below coordinate 0 and y's from 0 on,
-        into a `_Rows` of points: its ends are x's and y's, so each
-        built point is the scalar vertex."""
-        if not isinstance(pairs, _Rows):
+        """`triangle_vertex(x, y)` of every pair.  Its sampled pairs
+        splice their rows, x's columns below coordinate 0 and y's from 0
+        on, into `Rows` of points: its ends are x's and y's, so each built
+        point is the scalar vertex."""
+        if not (isinstance(pairs, Rows) and pairs.point == self._row_point):
             return [self.triangle_vertex(x, y) for x, y in pairs]
         import numpy as np
         xs, ys = pairs.cols
-        c = pairs.origin
+        c = xs.shape[1] // 2
         if (xs[:, c] != ys[:, c]).any():
             raise ValueError("bracket needs agreement at coordinate 0")
-        return _Rows(self, (np.concatenate((xs[:, :c], ys[:, c:]), axis=1),),
-                     c)
+        return Rows((np.concatenate((xs[:, :c], ys[:, c:]), axis=1),),
+                    self._row_point)
 
     # -- sampling -------------------------------------------------------
 
@@ -647,8 +612,8 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
             ok[budget - k * CHUNK:] = False  # candidates past the budget
             parts.append([a[ok] for a in rows])
             have += int(ok.sum())
-        return _Rows(self, tuple(np.concatenate(col)[:count]
-                                 for col in zip(*parts)), reach)
+        return Rows((np.concatenate(col)[:count] for col in zip(*parts)),
+                    self._row_point)
 
     def _branch(self, rng, x, sign, rows, r):
         """Rows `rows` of x take another option than theirs at coordinate
@@ -675,11 +640,11 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
             cur = half[live, t - 1]
             half[live, t] = table[cur, below(rng, degree[cur])]
 
-    def _row_point(self, row, start):
-        """`point_through` the list `row` of a sampled row at `start`,
-        once each end on no cycle is followed through first predecessors
-        (successors) to one that is."""
-        A = self.matrix
+    def _row_point(self, row):
+        """The point a sampled row spells, its middle column coordinate
+        0: `point_through` the row, once each end on no cycle is followed
+        through first predecessors (successors) to one that is."""
+        A, row, start = self.matrix, row.tolist(), -(len(row) // 2)
         while A._cycles[row[0]] is None:
             row, start = [A.predecessors[row[0]][0]] + row, start - 1
         while A._cycles[row[-1]] is None:

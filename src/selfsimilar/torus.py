@@ -18,20 +18,19 @@ instead runs the nine-translate search on arrays of points mapped as
 `apply` maps them, so that it equals the scalar `dist` bit for bit;
 `ToralSystem._pair_brackets` reads the unstable coordinate of the same
 picked translate and equals `bracket`.  The samplers read item i from
-row i of `_streams.uniforms` and return `_PointRows`, one (N, 2) array
-per tuple slot, which the hooks read as they are.  Whatever numpy's
-vectorised loops could round differently from the scalar code (cos,
-sin, powers) goes through the libm function elementwise.
+row i of `_streams.uniforms` and return `_streams.Rows` of `_point`,
+one (N, 2) array per tuple slot, read by the hooks as they are.  Whatever
+numpy's vectorised loops could round differently from the scalar code
+(cos, sin, powers) goes through the libm function elementwise.
 """
 import math
-from collections.abc import Sequence
 from functools import reduce
 from itertools import repeat
 from numbers import Real
 
 import numpy as np
 
-from ._streams import uniforms
+from ._streams import Rows, uniforms
 
 _NINE = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 # relative tolerance of `ToralSystem.sample_pairs` on each pair's target
@@ -45,36 +44,15 @@ def _each(f, a, *args):
     return np.fromiter(map(f, a.tolist(), *args), float, a.size)
 
 
-class _PointRows(Sequence):
-    """Read-only sequence of toral points, or of tuples of them, as
-    `symbolic._Rows`: one (N, 2) float array per tuple slot, item i the
-    tuple of the points (of Python floats) in row i of each array."""
-
-    def __init__(self, cols):
-        self.cols = tuple(cols)
-
-    def __len__(self):
-        return len(self.cols[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _PointRows(a[i] for a in self.cols)
-        points = tuple(tuple(a[i].tolist()) for a in self.cols)
-        return points if len(points) > 1 else points[0]
-
-    def columns(self):
-        return tuple(_PointRows((a,)) for a in self.cols)
-
-    def zip(self, other):
-        """This sequence's slots, then other's if it holds toral rows."""
-        return (_PointRows(self.cols + other.cols)
-                if isinstance(other, _PointRows) else None)
+def _point(row):
+    """The toral point of a sampled row: a tuple of Python floats."""
+    return tuple(row.tolist())
 
 
 def _coords(pairs):
     """(x, y) of a pair sequence, each point as a (2, N) array of its
     coordinates, the form `apply` maps."""
-    if isinstance(pairs, _PointRows):
+    if isinstance(pairs, Rows) and pairs.point is _point:
         return tuple(a.T for a in pairs.cols)
     return tuple(np.array(pairs, dtype=float).reshape(-1, 2, 2)
                  .transpose(1, 2, 0))
@@ -375,7 +353,7 @@ class ToralSystem:
                                np.remainder(x[1] + t * vu[1], 1.0)))
         for i in ties:
             out[i] = self.bracket(_at(x, i), _at(y, i))
-        return _PointRows((out,))
+        return Rows((out,), _point)
 
     def triangle_vertex(self, x, y):
         return self.bracket(x, y)
@@ -383,7 +361,7 @@ class ToralSystem:
     # -- sampling ------------------------------------------------------------
 
     def sample_points(self, count, seed=0):
-        return _PointRows((uniforms(count, seed, 2),))
+        return Rows((uniforms(count, seed, 2),), _point)
 
     def sample_pairs(self, count, scale, seed=0):
         """Seeded pairs with dist in [scale/2, scale], stratified in angle.
@@ -396,8 +374,8 @@ class ToralSystem:
         scale below the roundoff floor of that check raises ValueError.
         """
         x0, x1, y0, y1, _ = self._sample_coords(count, scale, seed)
-        return _PointRows((np.column_stack((x0, x1)),
-                           np.column_stack((y0, y1))))
+        return Rows((np.column_stack((x0, x1)), np.column_stack((y0, y1))),
+                    _point)
 
     def _sample_coords(self, count, scale, seed):
         """The coordinate arrays x0, x1, y0, y1 of `sample_pairs`, and
@@ -528,8 +506,8 @@ class EuclideanTorus:
         r = scale * (0.5 + 0.5 * frac)
         y0 = np.remainder(x0 + r * _each(math.cos, theta), 1.0)
         y1 = np.remainder(x1 + r * _each(math.sin, theta), 1.0)
-        return _PointRows((np.column_stack((x0, x1)),
-                           np.column_stack((y0, y1))))
+        return Rows((np.column_stack((x0, x1)), np.column_stack((y0, y1))),
+                    _point)
 
 
 def _nearest_offset(a, b, k):

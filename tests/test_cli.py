@@ -460,6 +460,24 @@ def test_shift_runs_leave_numpy_random_unloaded(subprocess_env):
     assert proc.stdout.split() == ["True", "False"]
 
 
+def test_importing_the_cli_loads_no_argument_parser(subprocess_env):
+    # argparse (and the gettext it loads) is imported when `main` builds
+    # its parser; a bad argument still stops with argparse's exit code 2
+    code = ("import contextlib, io, sys\nbefore = set(sys.modules)\n"
+            "from selfsimilar import cli\n"
+            "print(sorted({'argparse', 'gettext'}"
+            " & (set(sys.modules) - before)))\n"
+            "try:\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        cli.main(['bogus'])\n"
+            "except SystemExit as e:\n"
+            "    print(e.code, 'argparse' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "2", "True"]
+
+
 def test_shift_measure_runs_leave_numpy_unloaded(subprocess_env):
     # numpy is imported by the array kernels only: sampling, the torus and
     # the toral covers; the exact shift measure path runs without it

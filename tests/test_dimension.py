@@ -404,6 +404,14 @@ def test_homogeneity_estimates_are_the_per_point_fits(golden, cat):
     assert local_entropy_homogeneity(cat, iter(xs), 24).estimates == want
 
 
+@pytest.mark.parametrize("xs", [[], iter(())], ids=["list", "iterator"])
+def test_local_entropy_homogeneity_needs_a_base_point(xs, golden, cat):
+    # as `homogeneity_check` says it, not max()'s empty-sequence error
+    for sys in (golden, cat):
+        with pytest.raises(ValueError, match="^need at least one base point$"):
+            local_entropy_homogeneity(sys, xs)
+
+
 def test_local_entropy_is_homogeneous(full2, golden):
     rng = Random(3)
     xs = [golden.random_point(rng) for _ in range(10)]

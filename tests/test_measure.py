@@ -347,8 +347,8 @@ def parry_reference(sys, depth, dp_depth=32):
     dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
     scale = sys.lam ** (-2 * depth * d)
     words = list(iter_words(sys.matrix, 2 * depth + 1))
-    masses = [scale * dp_s.g(w[0], dp_depth) * dp_u.g(w[-1], dp_depth)
-              for w in words]
+    g_s, g_u = dp_s.table(dp_depth), dp_u.table(dp_depth)
+    masses = [scale * g_s[w[0]] * g_u[w[-1]] for w in words]
     total = math.fsum(masses)
     rows, worst = [], 0.0
     for w, m in zip(words, masses):

@@ -1,6 +1,6 @@
 """The chunk-keyed draw scheme that every sampler reads: its key and bit
-layout, prefix stability at every count, uniform choices, and no word
-drawn for a forced step."""
+layout, prefix stability at every count, uniform choices, no word drawn
+for a forced step, and `Rows`, the one sequence every sampler returns."""
 
 import ast
 from pathlib import Path
@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from selfsimilar import _streams, cli, symbolic
-from selfsimilar._streams import CHUNK, below, uniforms
-from selfsimilar.symbolic import sft_new
+from selfsimilar._streams import CHUNK, Rows, below, uniforms
+from selfsimilar.symbolic import agreement_level, golden_mean, sft_new
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "selfsimilar"
 COUNTS = (100, 101, CHUNK + 1, 3 * CHUNK)
@@ -217,3 +217,63 @@ def test_a_rigid_matrix_stalls_after_the_budget(monkeypatch):
                            match="^sampling stalled; matrix too rigid$"):
             cycle.sample_pairs(count, seed=0)
         assert len(drawing) == -(-(64 * count + 1024) // CHUNK)
+
+
+def test_slices_and_columns_keep_the_builder(golden, cat):
+    for rows in (golden.sample_pairs(8, seed=1), cat.sample_pairs(8, 1e-3),
+                 cli._symbolic_holonomy_quads(golden, 8, 1)):
+        assert isinstance(rows, Rows)
+        assert rows[2:5].point == rows.point
+        assert list(rows[2:5]) == list(rows)[2:5]
+        slots = rows.columns()
+        assert all(c.point == rows.point for c in slots)
+        assert list(zip(*slots)) == list(rows)
+
+
+def test_zip_joins_rows_of_one_builder_and_width(golden, cat):
+    x, y = golden.sample_pairs(5, seed=1).columns()
+    assert list(x.zip(y)) == list(zip(x, y))
+    wider, _ = golden.sample_pairs(5, seed=1, levels=(1, 4)).columns()
+    other, _ = golden_mean().sample_pairs(5, seed=1).columns()
+    toral, _ = cat.sample_pairs(5, 1e-3).columns()
+    assert len(wider.cols[0][0]) != len(x.cols[0][0])
+    assert len(other.cols[0][0]) == len(x.cols[0][0])
+    for a, b in ((x, wider), (wider, x), (x, other), (other, x), (x, toral),
+                 (toral, x), (x, [(0, 1)] * 5)):
+        assert a.zip(b) is None
+
+
+def test_another_systems_rows_take_the_scalar_levels(golden, monkeypatch):
+    # a second golden-mean object builds points of its own, so it reads
+    # the first one's pairs point by point, to the same levels
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return agreement_level(a, b)
+
+    monkeypatch.setattr(symbolic, "agreement_level", counted)
+    pairs, steps = golden.sample_pairs(40, seed=3), (0, 1, -1)
+    scalar = [[agreement_level(x.shift(s), y.shift(s)) for x, y in pairs]
+              for s in steps]
+    assert golden._pair_levels(pairs, steps) == scalar
+    assert len(calls) < len(pairs)  # the row path reads the arrays
+    calls.clear()
+    assert golden_mean()._pair_levels(pairs, steps) == scalar
+    assert len(calls) == len(pairs) * len(steps)
+    assert golden_mean()._pair_brackets(pairs) == list(
+        golden._pair_brackets(pairs))
+
+
+def sequence_subclasses(path):
+    """Names of the classes in a source file with a base named Sequence."""
+    return [node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(b, "id", getattr(b, "attr", None)) == "Sequence"
+                    for b in node.bases)]
+
+
+def test_rows_is_the_only_sequence_class():
+    found = [(p.name, name) for p in sorted(SRC.glob("*.py"))
+             for name in sequence_subclasses(p)]
+    assert found == [("_streams.py", "Rows")]

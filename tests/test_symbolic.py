@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
-from selfsimilar._streams import below
+from selfsimilar._streams import Rows, below
 from selfsimilar.core import DynMode
 from selfsimilar.measure import (
     Box,
@@ -33,7 +33,6 @@ from selfsimilar.symbolic import (
     ShiftSystem,
     TransitionMatrix,
     _parry_data,
-    _Rows,
     _count_vectors,
     _splice,
     agreement_level,
@@ -269,9 +268,8 @@ def test_batch_levels_equal_the_scalar_scan(pairs, steps):
     x = shift3.constant(0)
     pairs = pairs + [(x, x.with_value(0, 1)), (x, x.with_value(-W, 1)),
                      (x, x.with_value(W, 1)), (x, x)]
-    rows = _Rows(shift3, tuple(
-        np.array([p[k].window(-W, W) for p in pairs], dtype=np.int8)
-        for k in (0, 1)), W)
+    rows = Rows((np.array([p[k].window(-W, W) for p in pairs], dtype=np.int8)
+                 for k in (0, 1)), shift3._row_point)
     spelled = list(rows)
     batch = shift3._pair_levels(rows, steps)
     assert len(batch) == len(steps)
@@ -310,7 +308,7 @@ def test_row_levels_past_the_scanned_columns(full2):
     ys = xs.copy()
     ys[0, 6] = 1
     ys[1, 0] = 1
-    pairs = _Rows(full2, (xs, ys), 3)
+    pairs = Rows((xs, ys), full2._row_point)
     steps = (0, 1, -1, 2)
     assert full2._pair_levels(pairs, steps) == [
         [agreement_level(x.shift(s), y.shift(s)) for x, y in pairs]

@@ -106,22 +106,22 @@ def _greedy(n, ta, tb):
     """Points picked on the n x n grid, in raster order, when picking
     an unmarked point p marks every point p + (ta, tb) mod n.
 
-    Row by row: the row is scanned as a list, marking only the offsets
-    that land in the same row, then one fancy-index assignment marks
-    every other row for all of the row's picks.
+    Row by row: `find` jumps to each free column of the row's bytearray,
+    marking the same-row offsets ahead of each pick, then one fancy-index
+    assignment marks every other row for all of the row's picks.
     """
     import numpy as np
     marked = np.zeros((n, n), dtype=bool)
-    same = set((tb[ta % n == 0] % n).tolist())
+    same = sorted(set((tb[ta % n == 0] % n).tolist()) - {0})
     count = 0
     for i in range(n):
-        row = marked[i].tolist()
-        picks = []
-        for j in range(n):
-            if not row[j]:
-                picks.append(j)
-                for b in same:
-                    row[(j + b) % n] = True
+        row, picks, j = bytearray(marked[i]), [], -1
+        while (j := row.find(0, j + 1)) >= 0:
+            picks.append(j)
+            for b in same:
+                if j + b >= n:
+                    break
+                row[j + b] = 1
         if picks:
             marked[(i + ta) % n, (np.array(picks)[:, None] + tb) % n] = True
         count += len(picks)

@@ -17,11 +17,14 @@ Euclidean hook reads the offset recurrence.  The self-similar hook
 instead runs the nine-translate search on arrays of points mapped as
 `apply` maps them, so that it equals the scalar `dist` bit for bit;
 `ToralSystem._pair_brackets` reads the unstable coordinate of the same
-picked translate and equals `bracket`.  The samplers read item i from
-row i of `_streams.uniforms` and return `_streams.Rows` of `_point`,
-one (N, 2) array per tuple slot, read by the hooks as they are.  Whatever
-numpy's vectorised loops could round differently from the scalar code
-(cos, sin, powers) goes through the libm function elementwise.
+picked translate and equals `bracket`.  The array searches take the
+centre translate of each row with norm at most injectivity/4, where
+subadditivity puts every other translate 3 times farther (`_search`).
+The samplers read item i from row i of `_streams.uniforms` and return
+`_streams.Rows` of `_point`, one (N, 2) array per tuple slot, read by
+the hooks as they are.  Whatever numpy's vectorised loops could round
+differently from the scalar code (cos, sin, powers) goes through the
+libm function elementwise.
 """
 import math
 from functools import reduce
@@ -210,14 +213,38 @@ class ToralSystem:
     def dist(self, x, y):
         return self._nearest(x, y)[0]
 
+    def _su_norm(self, u, v):
+        s, t = self._su(u, v)
+        return s, t, np.maximum(np.abs(s) ** self.e_s, np.abs(t) ** self.e_u)
+
     def _translates(self, u, v):
-        """Yield (s, t, norm) for each of the nine nearest lattice
-        translates of the offset arrays u, v, in `_NINE` order: the su
-        coordinates of the translate and its metric norm."""
-        for wx, wy in _NINE:
-            s, t = self._su(u + wx, v + wy)
-            yield s, t, np.maximum(np.abs(s) ** self.e_s,
-                                   np.abs(t) ** self.e_u)
+        """`_su_norm` of the nine nearest translates, in `_NINE` order."""
+        return (self._su_norm(u + wx, v + wy) for wx, wy in _NINE)
+
+    def _search(self, u, v):
+        """(norm, second, s, t) of offset arrays u, v at their nearest
+        lattice representatives, as the strict-< scan over the nine
+        translates finds them: the smallest norm, the smallest other one
+        (inf where the centre is certified), and the su coordinates of
+        the first smallest.  Only rows with centre norm > injectivity/4
+        are scanned: for e <= 1, |a + b|**e <= |a|**e + |b|**e, so the
+        norm is subadditive and every other translate v + w has norm >=
+        injectivity - norm(v) >= 3 norm(v): the scan picks the centre,
+        far from a 1e-12 tie.  The factor 3 covers e <= 1 + 2.1e-12 (the
+        constructor's bound) and any few-ulp gap between numpy's power
+        and the scalar one."""
+        s, t, best = self._su_norm(u, v)
+        second = np.full_like(best, np.inf)
+        far = best > self.injectivity / 4
+        if far.any():
+            r1 = r2 = s1 = t1 = np.inf
+            for ws, wt, r in self._translates(u[far], v[far]):
+                closer = r < r1
+                r2 = np.where(closer, r1, np.minimum(r2, r))
+                r1, s1, t1 = (np.where(closer, new, old) for new, old in
+                              ((r, r1), (ws, s1), (wt, t1)))
+            best[far], second[far], s[far], t[far] = r1, r2, s1, t1
+        return best, second, s, t
 
     def _orbit_dists(self, pairs, lo, hi):
         """The orbit hook: yield (j, dist(f^j x, f^j y) for every pair)
@@ -225,13 +252,12 @@ class ToralSystem:
         iterates.
 
         The points are mapped as arrays by `apply` and `apply_inv`
-        (np.remainder is Python's float %), and one nine-translate
-        search over the arrays picks each pair's translate.  Its norm is
-        then taken with builtin `pow`, the scalar `**`, because numpy's
-        vectorised power can differ from it in the last bit.  A pair
-        whose two best translates lie within 1e-12 relative of each
-        other, where that bit could change the pick, goes through the
-        scalar `_nearest`.
+        (np.remainder is Python's float %), and one array search picks
+        each pair's translate.  Its norm is then taken with builtin
+        `pow`, the scalar `**`, because numpy's vectorised power can
+        differ from it in the last bit.  A pair whose two best translates
+        lie within 1e-12 relative of each other, where that bit could
+        change the pick, goes through the scalar `_nearest`.
         """
         x, y = _coords(pairs)
         if lo <= 0 <= hi:
@@ -246,19 +272,12 @@ class ToralSystem:
 
     def _nearest_norms(self, x, y):
         """(norms, t, ties) for the points x, y (as `_coords` gives them)
-        of every row, by the array search of `_orbit_dists`: each row's
-        `dist`, the unstable coordinate of the translate the array search
-        picked, and the rows whose two best translates lie within 1e-12
-        relative (their norms come from the scalar `_nearest`)."""
+        of every row, by `_search` (the centre up to injectivity/4): each
+        row's `dist`, the unstable coordinate of the picked translate, and
+        the rows within 1e-12 of a tie, whose norms come from `_nearest`."""
         dx, dy = y[0] - x[0], y[1] - x[1]
-        # the first smallest norm and the smallest of the others, with
-        # the su coordinates of the first, as the scalar strict-< scan
-        best = second = bs = bt = np.inf
-        for s, t, r in self._translates(dx - np.round(dx), dy - np.round(dy)):
-            closer = r < best
-            second = np.where(closer, best, np.minimum(second, r))
-            best, bs, bt = (np.where(closer, new, old) for new, old in
-                            ((r, best), (s, bs), (t, bt)))
+        best, second, bs, bt = self._search(dx - np.round(dx),
+                                            dy - np.round(dy))
         ties = np.flatnonzero(second <= best * (1 + 1e-12)).tolist()
         # builtin pow is the scalar `**`: numpy's, within a few ulps of
         # it, picks the side of the max, and a row within 1e-12 takes both
@@ -295,20 +314,21 @@ class ToralSystem:
         """d_k norm of offset arrays y - x (k=0: the metric itself).
 
         The max over |j| <= k of the metric of each offset of
-        `_offset_orbit`, minimised over its nine nearest translates.
-        That is the true d_k well below the injectivity scale and an
-        overestimate otherwise, which keeps cover and packing decisions
-        sound.  The metric is translation-invariant, so on a regular
-        grid the d_k ball around every grid point holds the same index
-        offsets: one call over them serves the whole grid.
+        `_offset_orbit`, minimised over its nine nearest translates by
+        `_min_norm` (the centre itself up to injectivity/4).  That is the
+        true d_k well below the injectivity scale and an overestimate
+        otherwise, which keeps cover and packing decisions sound.  The
+        metric is translation-invariant, so on a regular grid the d_k
+        ball around every grid point holds the same index offsets: one
+        call over them serves the whole grid.
         """
         orbit = self._offset_orbit(dx - np.round(dx), dy - np.round(dy), k)
         return reduce(np.maximum, (self._min_norm(u, v) for _, u, v in orbit))
 
     def _min_norm(self, u, v):
         """The metric norm of offset arrays u, v at their nearest lattice
-        representatives: the smallest over the nine translates."""
-        return reduce(np.minimum, (r for _, _, r in self._translates(u, v)))
+        representatives: `_search`, the centre's up to injectivity/4."""
+        return self._search(u, v)[0]
 
     def ball_half_widths(self, radius, k=0):
         """Ambient (x, y) half-widths of the d_k ball of this radius.

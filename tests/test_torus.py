@@ -9,12 +9,12 @@ anchor every expected value here.
 import copy
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
@@ -24,6 +24,7 @@ from selfsimilar.core import (DynMode, _pair_values, _unzip, _zip,
 from selfsimilar.torus import (
     EuclideanTorus,
     ToralSystem,
+    _coords,
     cat_map,
     euclidean_base,
     toral_new,
@@ -295,18 +296,27 @@ def test_one_search_matches_the_two_search_form(cat):
     assert brackets >= 1600
 
 
+def nine_translate_scan(sys, u, v):
+    """(norm, t, second) for offset arrays u, v at their nearest lattice
+    representatives, by a strict-< scan over all nine translates, none
+    skipped: the smallest norm, the unstable coordinate of the first
+    translate that attains it, and the smallest norm of the others."""
+    B = sys._B
+    best = second = bt = np.inf
+    for wx, wy in NINE:
+        s = B[0][0] * (u + wx) + B[0][1] * (v + wy)
+        t = B[1][0] * (u + wx) + B[1][1] * (v + wy)
+        r = np.maximum(np.abs(s) ** sys.e_s, np.abs(t) ** sys.e_u)
+        closer = r < best
+        second = np.where(closer, best, np.minimum(second, r))
+        best, bt = np.where(closer, r, best), np.where(closer, t, bt)
+    return best, bt, second
+
+
 def array_form(sys, dx, dy):
     """offset_norm at k=0 as one array pass over the nine translates of
     the nearest lattice representative."""
-    B = sys._B
-    vx, vy = dx - np.round(dx), dy - np.round(dy)
-    best = None
-    for wx, wy in NINE:
-        s = B[0][0] * (vx + wx) + B[0][1] * (vy + wy)
-        u = B[1][0] * (vx + wx) + B[1][1] * (vy + wy)
-        r = np.maximum(np.abs(s) ** sys.e_s, np.abs(u) ** sys.e_u)
-        best = r if best is None else np.minimum(best, r)
-    return best
+    return nine_translate_scan(sys, dx - np.round(dx), dy - np.round(dy))[0]
 
 
 def test_offset_norm_at_step_zero_is_bit_stable(cat):
@@ -448,6 +458,153 @@ def test_near_ties_take_the_scalar_search(cat, monkeypatch):
     ((_, got),) = cat._orbit_dists(pairs, 0, 0)
     assert calls == ties
     assert got.tolist() == want
+
+
+# ------------------------------------------------ certified centre translate
+
+
+@lru_cache(maxsize=None)
+def boundary_system(index):
+    """`automorphism(index)`, and one past the end of `MATRICES` the cat
+    map at lam = 2, whose exponents lie below 1."""
+    if index < len(MATRICES):
+        return automorphism(index)
+    return toral_new(MATRICES[0], lam=2.0)
+
+
+def offset_at(sys, r, theta):
+    """The offset whose su coordinates point along theta at norm r."""
+    cs, sn = math.cos(theta), math.sin(theta)
+    c = min(r ** (1 / sys.e_s) / abs(cs) if cs else math.inf,
+            r ** (1 / sys.e_u) / abs(sn) if sn else math.inf)
+    vs, vu = sys.v_stable, sys.v_unstable
+    return c * cs * vs[0] + c * sn * vu[0], c * cs * vs[1] + c * sn * vu[1]
+
+
+def centre_norm(sys, u, v):
+    """The norm of offset arrays u, v themselves, by numpy's power."""
+    s, t = sys._su(u, v)
+    return np.maximum(np.abs(s) ** sys.e_s, np.abs(t) ** sys.e_u)
+
+
+HALF_LATTICE = [(i / 2, j / 2) for i, j in NINE if i or j]
+
+
+@st.composite
+def boundary_rows(draw):
+    """(system, pairs): offsets anywhere in [-1/2, 1/2]^2, at a centre
+    norm within 1e-12 relative of injectivity/4 on either side, at 0.45
+    to 0.65 of the injectivity radius, where the centre first loses to
+    another translate, and at the half-lattice points (within 2**-45),
+    where two translates tie."""
+    sys = boundary_system(draw(st.integers(0, len(MATRICES))))
+    pairs = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(("square", "quarter", "band", "tie")))
+        x = draw(st.tuples(unit, unit))
+        if kind == "square":
+            off = draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+        elif kind == "tie":
+            # dyadic points keep the half-lattice offsets exact
+            x = tuple(draw(st.integers(0, 63)) / 64 for _ in x)
+            hx, hy = draw(st.sampled_from(HALF_LATTICE))
+            off = (hx + draw(st.sampled_from((0.0, 2**-45, -2**-45))), hy)
+        else:
+            r = (sys.injectivity / 4 * (1 + draw(st.floats(-1e-12, 1e-12)))
+                 if kind == "quarter"
+                 else sys.injectivity * draw(st.floats(0.45, 0.65)))
+            off = offset_at(sys, r, draw(st.floats(0.0, 2 * math.pi)))
+        pairs.append((x, ((x[0] + off[0]) % 1.0, (x[1] + off[1]) % 1.0)))
+    return sys, pairs
+
+
+# no explain phase: tracing the variants of a failing example here takes
+# minutes and hundreds of MB, where the shrunk example takes a second
+@settings(deadline=None, max_examples=300,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(boundary_rows())
+def test_certified_centre_is_the_nine_translate_scan(case):
+    sys, pairs = case
+    x, y = _coords(pairs)
+    dx, dy = y[0] - x[0], y[1] - x[1]
+    u, v = dx - np.round(dx), dy - np.round(dy)
+    best, bt, second = nine_translate_scan(sys, u, v)
+    norms, t, ties = sys._nearest_norms(x, y)
+    assert ties == np.flatnonzero(second <= best * (1 + 1e-12)).tolist()
+    assert np.array_equal(t, bt)
+    nearest = [sys._nearest(*pair) for pair in pairs]
+    assert norms.tolist() == [r for r, _ in nearest]
+    assert all(t[i] == sys._su(*delta)[1]
+               for i, (_, delta) in enumerate(nearest) if i not in ties)
+    assert np.array_equal(sys._min_norm(u, v), best)
+    norm, other, _, picked_t = sys._search(u, v)
+    far = centre_norm(sys, u, v) > sys.injectivity / 4
+    assert np.array_equal(norm, best) and np.array_equal(picked_t, bt)
+    assert np.array_equal(other[far], second[far])
+    assert np.all(other[~far] == np.inf)
+    for k in (0, 1, 2):
+        want = reduce(np.maximum, (nine_translate_scan(sys, a, b)[0]
+                                   for _, a, b in sys._offset_orbit(u, v, k)))
+        assert np.array_equal(sys.offset_norm(dx, dy, k), want)
+
+
+def test_certified_rows_skip_the_nine_translate_scan(cat, monkeypatch,
+                                                     capsys):
+    searched, scanned, other, inside = [], [], [], []
+    nearest_norms = ToralSystem._nearest_norms
+    translates = ToralSystem._translates
+
+    def spy_nearest_norms(self, x, y):
+        searched.append(x[0].size)
+        inside.append(True)
+        try:
+            return nearest_norms(self, x, y)
+        finally:
+            inside.pop()
+
+    def spy_translates(self, u, v):
+        (scanned if inside else other).append(u.size)
+        return translates(self, u, v)
+
+    monkeypatch.setattr(ToralSystem, "_nearest_norms", spy_nearest_norms)
+    monkeypatch.setattr(ToralSystem, "_translates", spy_translates)
+    argv = ["all", "--system", "cat-map", "--samples", "2000", "--seed", "0"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # every pair the run searches lies below injectivity/4
+    assert sum(searched) == 54000
+    assert sum(scanned) == 0
+    # far random pairs: exactly the rows past injectivity/4 are scanned
+    rng = Random(37)
+    pairs = [((rng.random(), rng.random()), (rng.random(), rng.random()))
+             for _ in range(500)]
+    x, y = _coords(pairs)
+    dx, dy = y[0] - x[0], y[1] - x[1]
+    centre = centre_norm(cat, dx - np.round(dx), dy - np.round(dy))
+    far = int((centre > cat.injectivity / 4).sum())
+    assert 0 < far < 500
+    scanned.clear()
+    other.clear()
+    cat._nearest_norms(x, y)
+    cat.offset_norm(dx, dy)
+    assert scanned == [far]
+    assert other == [far]
+
+
+@pytest.mark.parametrize("index", range(len(MATRICES)))
+def test_the_certificate_holds_at_the_largest_accepted_lam(index):
+    sys = toral_new(MATRICES[index], lam=automorphism(index).lam * (1 + 1e-12))
+    assert max(sys.e_s, sys.e_u) <= 1 + 1e-9
+    u, v = np.random.default_rng(index).uniform(-0.5, 0.5, (2, 20000))
+    best, bt, second = nine_translate_scan(sys, u, v)
+    centre = centre_norm(sys, u, v)
+    near = centre <= sys.injectivity / 4
+    assert 1000 < near.sum() < 19000
+    assert np.array_equal(best[near], centre[near])
+    # the margin: every other translate at least 3 times farther
+    assert np.all(second[near] >= 3 * (1 - 1e-9) * best[near])
+    norm, _, _, t = sys._search(u, v)
+    assert np.array_equal(norm, best) and np.array_equal(t, bt)
 
 
 # ------------------------------------------------ bracket batch, samplers

@@ -265,6 +265,8 @@ def _check_entropy(sys_obj, cfg):
     if target is None:
         # non-mixing matrix: no closed form, check internal consistency
         gap = er.gap_two_sided / er.ent if er.ent > 0 else 0.0
+    elif target == 0.0:
+        raise ValueError("entropy target 2 log rho is 0: no relative gap")
     else:
         gap = abs(er.ent - target) / target
     return {

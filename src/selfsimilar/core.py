@@ -23,48 +23,16 @@ Samplers draw through `_streams`, one chunk-keyed scheme, and return
 its row-backed sequences, `_streams.Rows`: `_unzip` and `_zip` split
 and pair their arrays, and the pair batches read them.
 
-`_pair_values` is the one orbit reader: `dyn_metric`, the verifier,
-`holder_check` and the triangle, contraction and holonomy checks read
-every level or distance through it.  It makes one batch call per pair
-set, or runs the scalar `dist` (or `level`) pair by pair on systems
-without a batch; the scalar methods, `RefinedSystem.dist` among them,
-stay the reference.  A backward walk on a system without `apply_inv`
-raises ValueError.  The holonomy check reads one column per report
-field (`_holonomy_columns`).
+`_pair_values` is the one orbit reader: the verifier, `holder_check`
+and the triangle, contraction and holonomy checks read every level or
+distance through it.  It makes one batch call per pair set, or runs the
+scalar `dist` (or `level`) pair by pair on systems without a batch; the
+scalar methods, `RefinedSystem.dist` among them, stay the reference.
+A backward walk on a system without `apply_inv` raises ValueError.  The
+holonomy check reads one column per report field (`_holonomy_columns`).
 """
 import math
-from functools import lru_cache
 from typing import NamedTuple
-
-_MODES = ("two_sided", "forward", "backward")
-
-
-class DynMode(NamedTuple("DynMode", [("kind", str), ("n", int)])):
-    """Orbit window for dynamical metrics: two_sided, forward or backward."""
-
-    def __new__(cls, kind="two_sided", n=0):
-        if kind not in _MODES:
-            raise ValueError(f"kind must be one of {_MODES}")
-        if n < 0:
-            raise ValueError("window size must be nonnegative")
-        return super().__new__(cls, kind, n)
-
-    def __eq__(self, other):  # equal only to values of its own type
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    __ne__, __hash__ = object.__ne__, tuple.__hash__  # __ne__ via __eq__
-
-
-def dyn_metric(sys, x, y, mode):
-    """max of dist over the orbit window selected by `mode`."""
-    steps = [0]
-    if mode.kind in ("two_sided", "forward"):
-        steps += range(1, mode.n + 1)
-    if mode.kind in ("two_sided", "backward"):
-        if not sys.invertible:
-            raise ValueError("backward window needs an invertible system")
-        steps += range(-1, -mode.n - 1, -1)
-    return max(row[0] for row in _pair_values(sys, [(x, y)], steps))
 
 
 class VerifyReport(NamedTuple):
@@ -395,20 +363,15 @@ def stable_contraction_check(sys, x, y, side="stable", n_max=10):
     """
     _need_lam(sys)
     sign = {"stable": 1, "unstable": -1}.get(side)
-    steps = [0] if sign is None else [sign * n for n in range(n_max + 1)]
-    # without an inverse the backward walk raises, but only after the
-    # pair's own checks, as a step-by-step walk would
-    walk = sign != -1 or sys.invertible
-    d0, *ds = (row[0] for row in
-               _pair_values(sys, [(x, y)], steps if walk else [0]))
+    ((d0,),) = _pair_values(sys, [(x, y)], (0,))
     if d0 == 0.0:
         raise ValueError("coincident points")
     if d0 > sys.xi:
         return ContractionReport([], math.inf, False, 0)
     if sign is None:
         raise ValueError("side must be 'stable' or 'unstable'")
-    if not walk:
-        _, *ds = (row[0] for row in _pair_values(sys, [(x, y)], steps))
+    steps = [sign * n for n in range(1, n_max + 1)]
+    ds = [d for (d,) in _pair_values(sys, [(x, y)], steps)] if steps else []
     ratios = []
     first_bad = None
     for n, d in enumerate(ds, 1):
@@ -462,8 +425,7 @@ def _holonomy_columns(sys, quads):
     """The `HolonomyReport` fields, a list each over the quadruples, from
     one `_pair_values` call for the plaque pairs (p, q) followed
     backward, the projected pairs (pp, qq), and each side's legs followed
-    forward.  Each power lam**k is taken once.  Any coincident plaque
-    pair raises."""
+    forward.  Any coincident plaque pair raises."""
     _need_lam(sys)
     depth = range(_HOLONOMY_DEPTH + 1)
     p, q, pp, qq = _unzip(quads, 4)
@@ -474,18 +436,17 @@ def _holonomy_columns(sys, quads):
     if 0.0 in plaques or 0.0 in images:
         raise ValueError("coincident plaque pair")
     lam, xi = sys.lam, sys.xi
-    power = lru_cache(maxsize=None)(lambda k: lam ** k)
     ms = []
     for big in map(max, plaques, images):
         m = math.floor(math.log(xi / big) / math.log(lam))
-        while xi / power(m + 1) >= big:
+        while xi / lam ** (m + 1) >= big:
             m += 1
-        while xi / power(m) < big:
+        while xi / lam ** m < big:
             m -= 1
         ms.append(m)
     observed = [abs(d_img / d - 1.0) for d, d_img in zip(plaques, images)]
-    in_range = [power(m - 1) > 2.0 for m in ms]
-    bound = [2.0 / (power(m - 1) - 2.0) if ok else None
+    in_range = [lam ** (m - 1) > 2.0 for m in ms]
+    bound = [2.0 / (lam ** (m - 1) - 2.0) if ok else None
              for m, ok in zip(ms, in_range)]
     within = [o <= b if ok else None
               for o, b, ok in zip(observed, bound, in_range)]

@@ -240,12 +240,11 @@ def _entropy_report(two, fwd, bwd, method):
 def _symbolic_entropy(sys, ns):
     from .symbolic import _word_counts
     # xi = 1/lam, so a d_n-ball of diameter < xi pins window n + 2
+    # A and its transpose count the same words: backward reads forward
     words = _word_counts(sys.matrix, 2 * ns[-1] + 5)
-    words_t = _word_counts(sys.matrix.transpose(), ns[-1] + 5)
     two = [(n, math.log(words[2 * n + 5])) for n in ns]
     fwd = [(n, math.log(words[n + 5])) for n in ns]
-    bwd = [(n, math.log(words_t[n + 5])) for n in ns]
-    return _entropy_report(two, fwd, bwd, "exact-symbolic")
+    return _entropy_report(two, fwd, fwd, "exact-symbolic")
 
 
 def _toral_entropy(sys, ns):

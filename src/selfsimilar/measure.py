@@ -195,7 +195,6 @@ class BoxMeasure(NamedTuple):
     stable: float
     unstable: float
     product: float
-    plaque_gap: float
     admissible: bool = True
 
 
@@ -212,27 +211,13 @@ def box_measure(sys, box):
     if any(not 0 <= s < n for s in box.word):
         raise ValueError("box word has out-of-range symbols")
     d = intrinsic_exponent(sys)
-    ok = all(sys.matrix.rows[a][b] for a, b in zip(box.word, box.word[1:]))
-    if not ok:
-        return BoxMeasure(0.0, 0.0, 0.0, 0.0, admissible=False)
-    a = -box.start
-    b = box.end
+    if not sys.matrix.allows(box.word):
+        return BoxMeasure(0.0, 0.0, 0.0, admissible=False)
     anchor = sys.point_through(box.word, box.start)
-    unstable = hausdorff_estimate(sys, UnstableWindow(anchor, b), d)
-    stable = hausdorff_estimate(sys, StableWindow(anchor, a), d)
-
-    # holonomy independence: recompute the unstable factor from a
-    # plaque with a different past whenever the matrix offers one (the
-    # matrix is primitive here, so every state lies on a cycle)
-    gap = 0.0
-    for t in sys.matrix.predecessors[box.word[0]]:
-        shifted = sys.point_through((t,) + box.word, box.start - 1)
-        other = hausdorff_estimate(sys, UnstableWindow(shifted, b), d)
-        gap = max(gap, abs(other.value - unstable.value))
-    return BoxMeasure(
-        stable=stable.value, unstable=unstable.value,
-        product=stable.value * unstable.value, plaque_gap=gap,
-    )
+    unstable = hausdorff_estimate(sys, UnstableWindow(anchor, box.end), d)
+    stable = hausdorff_estimate(sys, StableWindow(anchor, -box.start), d)
+    return BoxMeasure(stable=stable.value, unstable=unstable.value,
+                      product=stable.value * unstable.value)
 
 
 # -- scaling -----------------------------------------------------------------
@@ -298,6 +283,8 @@ def homogeneity_check(sys, xs, depth=12):
         raise ValueError("need at least one base point")
     _need_int_depth(depth)
     d = intrinsic_exponent(sys)
+    if d <= 0:  # one state, no entropy: every mass is 0
+        raise ValueError("dimension exponent must be positive")
     dp_u = _dp(sys.matrix, sys.lam, d)
     dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
     lam = sys.lam

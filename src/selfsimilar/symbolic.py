@@ -203,11 +203,9 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
     def successors(self):
         return tuple(tuple(j for j, v in enumerate(r) if v) for r in self.rows)
 
-    @cached_property
-    def edges(self):
-        """The allowed transitions, as a frozenset of (a, b) pairs."""
-        return frozenset((a, b) for a, nxt in enumerate(self.successors)
-                         for b in nxt)
+    def allows(self, word):
+        """Whether every transition a -> b of the word is allowed."""
+        return all(self.rows[a][b] for a, b in zip(word, word[1:]))
 
     @cached_property
     def predecessors(self):
@@ -358,9 +356,8 @@ def parry_measure(matrix, word):
         raise ValueError("symbol out of range")
     if not word:
         return 1.0
-    for a, b in zip(word, word[1:]):
-        if not matrix.rows[a][b]:
-            return 0.0
+    if not matrix.allows(word):
+        return 0.0
     rho, v, pi = _parry_data(matrix)
     mass = pi[word[0]]
     for a, b in zip(word, word[1:]):
@@ -423,7 +420,7 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
     def admissible(self, seq):
         # each tail's wrap edge, then left, mid and right in order
         path = seq.left[-1:] + seq.left + seq.mid + seq.right + seq.right[:1]
-        return self.matrix.edges.issuperset(zip(path, path[1:]))
+        return self.matrix.allows(path)
 
     # -- dynamics and metric ------------------------------------------
 

@@ -9,11 +9,20 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import selfsimilar
 from selfsimilar.core import refine_metric
 from selfsimilar.symbolic import four_symbol, full_shift, golden_mean
 from selfsimilar.torus import CircleDoubling, cat_map, euclidean_base
+
+# every property test leaves out the explain phase: on a failing example
+# it traces variants for minutes and hundreds of MB, where the shrunk
+# example alone takes a second.  It changes only how a failure is
+# reported, never which examples run.
+settings.register_profile(
+    "no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 @pytest.fixture(scope="session")

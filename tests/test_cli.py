@@ -11,6 +11,7 @@ import pytest
 import selfsimilar
 from selfsimilar import cli
 from selfsimilar.cli import ConfigError, build_system, parse_config, run
+from selfsimilar.measure import homogeneity_check
 
 
 def cfg_text(**kw):
@@ -306,6 +307,37 @@ def test_exit_one_when_a_check_fails(capsys):
     assert res["passed"] is False
     assert res["error"].startswith("homogeneity:")
     assert out["passed"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["triangles", "--system", "cat-map", "--scale", "0.05"],
+     "triangles: triangle scale must be <= xi/(2 lam)"),
+    (["homogeneity", "--system", "cat-map"],
+     "homogeneity: homogeneity is symbolic-only"),
+])
+def test_toral_checks_report_what_they_cannot_run(capsys, argv, message):
+    assert cli.main(argv) == 1
+    res = json.loads(capsys.readouterr().out)["results"][argv[0]]
+    assert res["passed"] is False
+    assert res["error"].startswith(message)
+
+
+def test_a_one_state_shift_fails_without_dividing_by_zero():
+    # [[1]] is a valid config with no entropy: every check fails, and
+    # the two that divided by its zero target or exponent name it
+    rep = run(parse_config(cfg_text(system="sft", command="all",
+                                    rows=[[1]], samples=50)))
+    errors = {name: res["error"] for name, res in rep["results"].items()}
+    assert not any("division by zero" in e for e in errors.values())
+    assert errors["entropy"] == (
+        "entropy: entropy target 2 log rho is 0: no relative gap")
+    assert errors["homogeneity"] == (
+        "homogeneity: dimension exponent must be positive")
+    assert not rep["passed"]
+    one = build_system(parse_config(cfg_text(system="sft", command="all",
+                                             rows=[[1]])))
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        homogeneity_check(one, [one.constant(0)])
 
 
 def test_exit_two_on_config_problems(tmp_path, capsys):

@@ -14,12 +14,11 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
 from selfsimilar.core import (
-    DynMode,
     HolderReport,
     HolonomyReport,
     TriangleReport,
@@ -28,7 +27,6 @@ from selfsimilar.core import (
     _holonomy_reports,
     _pair_values,
     _triangle_reports,
-    dyn_metric,
     holder_check,
     holonomy_deviation,
     refine_metric,
@@ -118,35 +116,12 @@ def circle_pairs(seed, per_scale=40, scale_exps=range(2, 14)):
     return pairs
 
 
-# ----------------------------------------------------------- dyn_metric
-
-
-def test_mode_validation():
-    with pytest.raises(ValueError, match="kind must be one of"):
-        DynMode("sideways", 2)
-    with pytest.raises(ValueError, match="nonnegative"):
-        DynMode("forward", -1)
-    assert DynMode() == DynMode("two_sided", 0)
-
-
-def test_dynamical_metric_windows(full2):
-    x = full2.constant(0)
-    y = x.with_value(6, 1)
-    base = full2.dist(x, y)
-    for n in range(0, 5):
-        assert dyn_metric(full2, x, y, DynMode("two_sided", n)) == base * 2.0**n
-        assert dyn_metric(full2, x, y, DynMode("forward", n)) == base * 2.0**n
-        assert dyn_metric(full2, x, y, DynMode("backward", n)) == base
-    z = x.with_value(-6, 1)
-    assert dyn_metric(full2, x, z, DynMode("backward", 3)) == full2.dist(x, z) * 8.0
+# ------------------------------------------------------------ backward walks
 
 
 def test_backward_window_needs_invertibility(doubling):
-    with pytest.raises(ValueError, match="invertible"):
-        dyn_metric(doubling, 0.125, 0.1875, DynMode("backward", 1))
-    assert dyn_metric(doubling, 0.125, 0.1875, DynMode("forward", 1)) == 0.125
-    # the other orbit readers that walk backward, on a system with no
-    # apply_inv at all
+    # the orbit readers that walk backward, on a system with no apply_inv
+    # at all
     message = "backward window needs an invertible system"
     with pytest.raises(ValueError, match=message):
         verify_self_similar(doubling, [(0.1, 0.11)])
@@ -380,6 +355,14 @@ def scalar_steps(sys, dist, x, y, steps):
     return out
 
 
+def test_property_tests_leave_out_the_explain_phase():
+    # the conftest profile reaches every @settings below, which names
+    # other fields only
+    assert Phase.explain not in settings.default.phases
+    assert Phase.explain not in settings(deadline=None).phases
+    assert Phase.shrink in settings(deadline=None).phases
+
+
 @settings(deadline=None)
 @given(toral_pairs())
 def test_refined_batch_follows_the_exact_orbit(refined_euclid, pairs):
@@ -594,23 +577,6 @@ def test_the_orbit_hook_reads_its_step_range(cat, euclid, refined_euclid):
 
 # the orbit checks as the per-pair loops they replace, as references
 
-def loop_dyn_metric(sys, x, y, mode):
-    best = sys.dist(x, y)
-    if mode.kind in ("two_sided", "forward"):
-        fx, fy = x, y
-        for _ in range(mode.n):
-            fx, fy = sys.apply(fx), sys.apply(fy)
-            best = max(best, sys.dist(fx, fy))
-    if mode.kind in ("two_sided", "backward"):
-        if not sys.invertible:
-            raise ValueError("backward window needs an invertible system")
-        bx, by = x, y
-        for _ in range(mode.n):
-            bx, by = sys.apply_inv(bx), sys.apply_inv(by)
-            best = max(best, sys.dist(bx, by))
-    return best
-
-
 def loop_contraction(sys, x, y, side, n_max):
     d0 = sys.dist(x, y)
     if d0 == 0.0:
@@ -665,13 +631,8 @@ def orbit_check_inputs(golden, cat, doubling):
 
 
 def test_orbit_checks_are_the_pair_loops(golden, cat, doubling):
-    modes = [DynMode(kind, n) for kind in ("two_sided", "forward", "backward")
-             for n in (0, 3)]
     for sys, pairs in orbit_check_inputs(golden, cat, doubling):
         for x, y in pairs:
-            for mode in modes:
-                assert outcome(lambda: dyn_metric(sys, x, y, mode)) == outcome(
-                    lambda: loop_dyn_metric(sys, x, y, mode))
             for side in ("stable", "unstable", "middle"):
                 for n_max in (0, 6):
                     # a report is the tuple of its fields

@@ -221,7 +221,6 @@ def test_scaling_on_the_golden_mean(golden):
 def test_box_measure_on_the_full_shift(full2):
     bm = box_measure(full2, Box((0, 0, 0), -1))
     assert (bm.stable, bm.unstable, bm.product) == (0.5, 0.5, 0.25)
-    assert bm.plaque_gap == 0.0
     assert bm.admissible
 
 
@@ -230,7 +229,22 @@ def test_box_measure_on_the_golden_mean(golden):
     assert bm.stable == pytest.approx(1.0 / PHI, abs=1e-11)
     assert bm.unstable == pytest.approx(1.0 / PHI, abs=1e-11)
     assert bm.product == pytest.approx(PHI**-2, abs=1e-11)
-    assert bm.plaque_gap == 0.0
+
+
+def test_unstable_factor_does_not_see_the_plaque_past(golden):
+    # the window measure reads only the edge state: re-anchoring a box's
+    # word behind each of its predecessors leaves the unstable factor
+    sft3 = sft_new(((0, 1, 0), (0, 0, 1), (1, 1, 0)))
+    for sys in (golden, sft3):
+        d, A = intrinsic_exponent(sys), sys.matrix
+        for word in (w for n in (1, 2, 3) for w in iter_words(A, n)):
+            for start in range(1 - len(word), 1):
+                box = Box(word, start)
+                unstable = box_measure(sys, box).unstable
+                for t in A.predecessors[word[0]]:
+                    other = sys.point_through((t,) + word, start - 1)
+                    window = UnstableWindow(other, box.end)
+                    assert hausdorff_estimate(sys, window, d).value == unstable
 
 
 def test_box_conditionals_are_parry_probabilities(golden):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from selfsimilar import cli
 from selfsimilar._streams import Rows, below
-from selfsimilar.core import DynMode
 from selfsimilar.measure import (
     Box,
     StableWindow,
@@ -34,6 +33,7 @@ from selfsimilar.symbolic import (
     TransitionMatrix,
     _parry_data,
     _count_vectors,
+    _word_counts,
     _splice,
     agreement_level,
     bi_sequence,
@@ -421,17 +421,21 @@ def test_primitivity_matches_plain_matrix_powers(rows):
     assert TransitionMatrix(rows).primitive == wielandt_reference(rows)
 
 
-def test_primitivity_on_every_matrix_up_to_three_states():
-    # every 0/1 matrix with no zero row or column, n <= 3: 1 + 7 + 265
-    seen = 0
+def every_matrix():
+    """Every 0/1 matrix with no zero row or column, n <= 3."""
     for n in (1, 2, 3):
         for bits in product((0, 1), repeat=n * n):
             rows = tuple(bits[i * n:(i + 1) * n] for i in range(n))
-            if not all(map(any, rows)) or not all(map(any, zip(*rows))):
-                continue
-            assert TransitionMatrix(rows).primitive == (
-                wielandt_reference(rows)), rows
-            seen += 1
+            if all(map(any, rows)) and all(map(any, zip(*rows))):
+                yield rows
+
+
+def test_primitivity_on_every_matrix_up_to_three_states():
+    seen = 0
+    for rows in every_matrix():
+        assert TransitionMatrix(rows).primitive == (
+            wielandt_reference(rows)), rows
+        seen += 1
     assert seen == 1 + 7 + 265
 
 
@@ -463,6 +467,14 @@ def test_word_counts_follow_the_fibonacci_recursion(golden):
     assert count_words(golden.matrix, 5) == 13
     assert count_words(golden.matrix, 11) == 233
     assert count_words(golden.matrix, 13) == 610
+
+
+def test_a_matrix_and_its_transpose_count_the_same_words():
+    # 1^T (A^T)^k 1 = 1^T A^k 1, so the backward entropy reads the forward
+    # counts
+    for rows in every_matrix():
+        m = TransitionMatrix(rows)
+        assert _word_counts(m, 12) == _word_counts(m.transpose(), 12), rows
 
 
 def test_word_counts_on_the_full_shift(full2):
@@ -598,6 +610,9 @@ def test_points_respect_the_transition_rule(golden):
                 lambda: golden.point((2,))):
         with pytest.raises(ValueError, match="symbol out of range"):
             bad()
+    dead_end = sft_new(((1, 1, 0), (0, 0, 1), (0, 0, 1)))  # 1 is on no cycle
+    with pytest.raises(ValueError, match="word has no bi-infinite extension"):
+        dead_end.point_through((1, 2), 0)
 
 
 def edge_admissible(sys, seq):
@@ -621,6 +636,10 @@ def test_admissibility_is_the_edge_rule(rows, left, mid, right, start):
     sys = sft_new(rows)
     x = bi_sequence(left, mid, right, start)
     assert sys.admissible(x) == edge_admissible(sys, x)
+    # `allows` on a word: whether the word is one of the admissible ones
+    for w in (left, mid, right):
+        assert sys.matrix.allows(w) == (w in set(iter_words(sys.matrix,
+                                                            len(w))))
 
 
 @pytest.mark.parametrize("rows", THREE_STATE)
@@ -726,6 +745,9 @@ def test_exact_covering_counts(full2, golden):
     assert exact_cov(golden, 0.125) == 89
     with pytest.raises(ValueError, match="eps must be positive"):
         exact_cov(full2, 0.0)
+    # at lam 1.0001, lam**-w < 1e-5 needs w near 115,000: past the cap
+    with pytest.raises(ArithmeticError, match="eps too small for float"):
+        exact_cov(sft_new(((1, 1), (1, 0)), lam=1.0001), 1e-5)
 
 
 # --------------------------------------------------------- sampling stream
@@ -920,7 +942,6 @@ VALUE_BUILDS = {
     "UnstableWindow": lambda: UnstableWindow(_golden_point(), 2),
     "StableWindow": lambda: StableWindow(_golden_point(), 2),
     "Box": lambda: Box((0, 1, 0), -1),
-    "DynMode": lambda: DynMode("forward", 3),
 }
 
 

@@ -23,7 +23,7 @@ _MODULES = {
              "stable_contraction_check", "triangle_curve", "triangle_ratio",
              "verify_self_similar"),
     "dimension": ("capacity", "check_fundamental", "cov_eps",
-                  "cov_identity_check", "entropy", "ideal_factor",
+                  "cov_identity_check", "entropy",
                   "local_entropy_homogeneity", "local_unstable_entropy"),
     "measure": ("Box", "StableWindow", "UnstableWindow", "box_measure",
                 "hausdorff_estimate", "homogeneity_check",

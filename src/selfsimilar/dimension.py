@@ -337,35 +337,6 @@ def cov_identity_check(sys, k_max=6):
     return rows
 
 
-# -- ideal expanding factor --------------------------------------------------
-
-
-class IdealFactor(NamedTuple):
-    lam_ideal: float
-    ent: float
-    dim: int
-    lam: float | None
-    bound_ok: bool | None
-
-
-def ideal_factor(ent, dim, lam=None):
-    """e**(ent/dim), the largest factor the dimension bound permits."""
-    if dim == 0:
-        raise ValueError(
-            "dim 0: totally disconnected space, the ideal factor is "
-            "unbounded (lam_sup = +inf)"
-        )
-    if not (dim > 0 and dim % 1 == 0):  # inf % 1 is NaN
-        raise ValueError("dim must be a positive integer")
-    if not ent >= 0:
-        raise ValueError("entropy must be non-negative")
-    ideal = math.exp(ent / dim)
-    ok = None
-    if lam is not None:
-        ok = dim * math.log(lam) <= ent + 1e-12
-    return IdealFactor(ideal, ent, dim, lam, ok)
-
-
 # -- local unstable entropy --------------------------------------------------
 
 

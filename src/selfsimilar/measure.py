@@ -85,42 +85,30 @@ def _slack(matrix, state):
     return len(seen)
 
 
-class _SideDP:
-    """Scale-free cylinder DP for one side of the shift.
+@lru_cache(maxsize=32)
+def _dp(matrix, lam, d, depth):
+    """Scale-free cylinder DP for one side of the shift: the tables
+    g(., depth) and g(., depth + 2), computed holding one table at a time.
 
     g(s, r) is the measure of a window with edge state s, in units of
     lam**(-edge*d); g(s, 0) is the true-diameter leaf value.
     """
+    if depth < 0:
+        raise ValueError("DP depth must be nonnegative")
+    shrink = lam ** -d
+    g0 = []
+    for s in range(matrix.n):
+        k = _slack(matrix, s)
+        g0.append(0.0 if k is None else lam ** (-k * d))
 
-    def __init__(self, matrix, lam, d):
-        self.matrix = matrix
-        self.shrink = lam ** -d
-        g0 = []
-        for s in range(matrix.n):
-            k = _slack(matrix, s)
-            g0.append(0.0 if k is None else lam ** (-k * d))
-        self.tables = [g0]
+    def step(prev):
+        return [min(g0[s], shrink * sum(prev[c] for c in matrix.successors[s]))
+                for s in range(matrix.n)]
 
-    def table(self, depth):
-        """g(s, depth) for every state s."""
-        if depth < 0:
-            raise ValueError("DP depth must be nonnegative")
-        while len(self.tables) <= depth:
-            prev = self.tables[-1]
-            g0 = self.tables[0]
-            nxt = [
-                min(g0[s],
-                    self.shrink * sum(prev[c]
-                                      for c in self.matrix.successors[s]))
-                for s in range(self.matrix.n)
-            ]
-            self.tables.append(nxt)
-        return self.tables[depth]
-
-
-@lru_cache(maxsize=32)
-def _dp(matrix, lam, d):
-    return _SideDP(matrix, lam, d)
+    g = g0
+    for _ in range(depth):
+        g = step(g)
+    return tuple(g), tuple(step(step(g)))  # cached: read-only
 
 
 class MeasureTree(NamedTuple):
@@ -155,10 +143,8 @@ def hausdorff_estimate(sys, window, d, depth=12):
         state = window.anchor.at(-window.edge)
     else:
         raise TypeError("window must be UnstableWindow or StableWindow")
-    dp = _dp(matrix, sys.lam, d)
     scale = sys.lam ** (-window.edge * d)
-    value = scale * dp.table(depth)[state]
-    deeper = scale * dp.table(depth + 2)[state]
+    value, deeper = (scale * g[state] for g in _dp(matrix, sys.lam, d, depth))
     drift = abs(value - deeper) / value if value > 0 else 0.0
     return MeasureTree(
         value=value, value_deeper=deeper, drift=drift, converged=drift < 0.01,
@@ -285,15 +271,15 @@ def homogeneity_check(sys, xs, depth=12):
     d = intrinsic_exponent(sys)
     if d <= 0:  # one state, no entropy: every mass is 0
         raise ValueError("dimension exponent must be positive")
-    dp_u = _dp(sys.matrix, sys.lam, d)
-    dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
+    g_u = _dp(sys.matrix, sys.lam, d, depth)[0]
+    g_s = _dp(sys.matrix.transpose(), sys.lam, d, depth)[0]
     lam = sys.lam
     e_s = _edge_at(sys, sys.xi / lam)
 
     def mass(x, n):
         e_u = e_s + n
-        v_s = lam ** (-e_s * d) * dp_s.table(depth)[x.at(-e_s)]
-        v_u = lam ** (-e_u * d) * dp_u.table(depth)[x.at(e_u)]
+        v_s = lam ** (-e_s * d) * g_s[x.at(-e_s)]
+        v_u = lam ** (-e_u * d) * g_u[x.at(e_u)]
         return v_s * v_u
 
     ns = range(1, 11)
@@ -317,15 +303,15 @@ def homogeneity_check(sys, xs, depth=12):
 class _ParryRows:
     """Rows (word, dp, parry, rel_gap), one per admissible word of the
     given length in `iter_words` order, with the values that `table`
-    holds for the word's end states; the length is the exact word count.
+    holds for the word's end states; `count` is the exact word count.
     """
 
-    def __init__(self, matrix, length, table):
+    def __init__(self, matrix, length, table, count):
         self._matrix, self._length, self._table = matrix, length, table
+        self._count = count
 
     def __len__(self):
-        from .symbolic import _word_counts
-        return _word_counts(self._matrix, self._length)[-1]
+        return self._count
 
     def __iter__(self):
         from .symbolic import iter_words
@@ -359,14 +345,14 @@ def parry_compare(sys, depth):
     _need_int_depth(depth)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    from .symbolic import _parry_data
+    from .symbolic import _parry_mass
     matrix, n, length = sys.matrix, sys.matrix.n, 2 * depth + 1
     d = intrinsic_exponent(sys)
     if d <= 0:  # one state, no entropy: every box mass is 0
         raise ValueError("dimension exponent must be positive")
     dp_depth = 32
-    g_u = _dp(matrix, sys.lam, d).table(dp_depth)
-    g_s = _dp(matrix.transpose(), sys.lam, d).table(dp_depth)
+    g_u = _dp(matrix, sys.lam, d, dp_depth)[0]
+    g_s = _dp(matrix.transpose(), sys.lam, d, dp_depth)[0]
     scale = sys.lam ** (-2 * depth * d)
     counts = [[int(a == b) for b in range(n)] for a in range(n)]
     for _ in range(2 * depth):
@@ -380,14 +366,14 @@ def parry_compare(sys, depth):
     total = sum(p * (q_max // q) * counts[a][b]
                 for (a, b), (p, q) in ratios.items()) / q_max
 
-    rho, v, pi = _parry_data(matrix)
     table = {}
     for (a, b), m in masses.items():
-        parry = pi[a] * v[b] / (v[a] * rho ** (length - 1))
+        parry = _parry_mass(matrix, a, b, length)
         table[a, b] = (m / total, parry, abs(m / total - parry) / parry)
     worst = max(gap for _, _, gap in table.values())
+    words = sum(map(sum, counts))
     return ParryReport(max_rel_gap=worst, total_mass=total,
-                       rows=_ParryRows(matrix, length, table))
+                       rows=_ParryRows(matrix, length, table, words))
 
 
 # -- toral closed form -------------------------------------------------------

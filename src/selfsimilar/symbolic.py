@@ -358,11 +358,14 @@ def parry_measure(matrix, word):
         return 1.0
     if not matrix.allows(word):
         return 0.0
+    return _parry_mass(matrix, word[0], word[-1], len(word))
+
+
+def _parry_mass(matrix, a, b, length):
+    """Parry mass of any admissible word of the given length from state
+    a to state b: pi[a] times the steps v[y] / (rho v[x]), telescoped."""
     rho, v, pi = _parry_data(matrix)
-    mass = pi[word[0]]
-    for a, b in zip(word, word[1:]):
-        mass *= v[b] / (rho * v[a])
-    return mass
+    return pi[a] * v[b] / (v[a] * rho ** (length - 1))
 
 
 class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
@@ -579,10 +582,14 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         with no such option are dropped.  Chunk k of the seed draws
         CHUNK candidates, a column at a time through `below`, and the
         rows kept are read in chunk order: the first rows are the same
-        at every count.  It stalls past 64 count + 1024 candidates."""
+        at every count.  It stalls past 64 count + 1024 candidates, and
+        before any when no state has a second successor (side 1) or
+        predecessor (side -1) on a cut's side (side 0: on either)."""
         import numpy as np
         if count < 0:
             raise ValueError("count must be nonnegative")
+        fwd, bwd = (degree.max() > 1 for _, degree in self.matrix._steps)
+        rigid = not all((fwd or bwd, fwd, bwd)[side] for _, _, side in cuts)
         budget = 64 * count + 1024
         parts = [[np.zeros((0, 2 * reach + 1), dtype=np.int8)] * (
             1 + len(cuts))]
@@ -590,7 +597,7 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         for k, rng in enumerate(chunk_rngs(seed)):
             if have >= count:
                 break
-            if k * CHUNK >= budget:
+            if rigid or k * CHUNK >= budget:
                 raise ArithmeticError("sampling stalled; matrix too rigid")
             x = np.empty((CHUNK, 2 * reach + 1), dtype=np.int8)
             x[:, reach] = below(rng, np.full(CHUNK, self.matrix.n))

@@ -315,7 +315,7 @@ class ToralSystem:
 
         The max over |j| <= k of the metric of each offset of
         `_offset_orbit`, minimised over its nine nearest translates by
-        `_min_norm` (the centre itself up to injectivity/4).  That is the
+        `_search` (the centre itself up to injectivity/4).  That is the
         true d_k well below the injectivity scale and an overestimate
         otherwise, which keeps cover and packing decisions sound.  The
         metric is translation-invariant, so on a regular grid the d_k
@@ -323,12 +323,7 @@ class ToralSystem:
         call over them serves the whole grid.
         """
         orbit = self._offset_orbit(dx - np.round(dx), dy - np.round(dy), k)
-        return reduce(np.maximum, (self._min_norm(u, v) for _, u, v in orbit))
-
-    def _min_norm(self, u, v):
-        """The metric norm of offset arrays u, v at their nearest lattice
-        representatives: `_search`, the centre's up to injectivity/4."""
-        return self._search(u, v)[0]
+        return reduce(np.maximum, (self._search(u, v)[0] for _, u, v in orbit))
 
     def ball_half_widths(self, radius, k=0):
         """Ambient (x, y) half-widths of the d_k ball of this radius.
@@ -445,7 +440,7 @@ class ToralSystem:
             orbit = self._offset_orbit(dx - np.round(dx), dy - np.round(dy),
                                        1)
             next(orbit)  # step 0, whose norm is d
-            d1 = reduce(np.maximum, (self._min_norm(u, v)
+            d1 = reduce(np.maximum, (self._search(u, v)[0]
                                      for _, u, v in orbit), d)
             worst = max(worst, float(np.abs(d1 / (self.lam * d) - 1.0).max()))
         if worst > 1e-9:

@@ -333,6 +333,8 @@ def test_a_one_state_shift_fails_without_dividing_by_zero():
         "entropy: entropy target 2 log rho is 0: no relative gap")
     assert errors["homogeneity"] == (
         "homogeneity: dimension exponent must be positive")
+    for name in ("verify", "triangles", "holonomy"):
+        assert errors[name] == f"{name}: sampling stalled; matrix too rigid"
     assert not rep["passed"]
     one = build_system(parse_config(cfg_text(system="sft", command="all",
                                              rows=[[1]])))
@@ -632,7 +634,7 @@ PUBLIC = {
              "stable_contraction_check", "triangle_curve", "triangle_ratio",
              "verify_self_similar"],
     "dimension": ["capacity", "check_fundamental", "cov_eps",
-                  "cov_identity_check", "entropy", "ideal_factor",
+                  "cov_identity_check", "entropy",
                   "local_entropy_homogeneity", "local_unstable_entropy"],
     "measure": ["Box", "StableWindow", "UnstableWindow", "box_measure",
                 "hausdorff_estimate", "homogeneity_check",

@@ -25,7 +25,6 @@ from selfsimilar.dimension import (
     cov_identity_check,
     default_scales,
     entropy,
-    ideal_factor,
     local_entropy_homogeneity,
     local_unstable_entropy,
 )
@@ -320,34 +319,6 @@ def test_covering_identity_on_the_torus(cat):
         assert row.consistent
         assert row.lhs.lower <= row.lhs.upper
         assert not row.lhs.exact
-
-
-# --------------------------------------------------------------- ideal factor
-
-
-def test_ideal_factor_closed_forms():
-    f = ideal_factor(2.0 * LOG2, 2)
-    assert f.lam_ideal == pytest.approx(2.0, rel=1e-14)
-    assert f.lam is None and f.bound_ok is None
-    assert ideal_factor(2.0 * LOG2, 2, lam=2.0).bound_ok is True
-    assert ideal_factor(2.0 * LOG2, 2, lam=2.1).bound_ok is False
-    f = ideal_factor(2.0 * math.log(PHI**2), 2, lam=PHI**2)
-    assert f.lam_ideal == pytest.approx(PHI**2, rel=1e-12)
-    assert f.bound_ok is True
-
-
-def test_ideal_factor_validation():
-    with pytest.raises(ValueError, match="unbounded"):
-        ideal_factor(1.0, 0)
-    with pytest.raises(ValueError, match="positive integer"):
-        ideal_factor(1.0, -2)
-    for dim in (math.nan, 1.5, math.inf):
-        with pytest.raises(ValueError, match="positive integer"):
-            ideal_factor(1.0, dim)
-    assert ideal_factor(1.0, 2.0).lam_ideal == math.exp(0.5)
-    for ent in (-0.5, math.nan):
-        with pytest.raises(ValueError, match="non-negative"):
-            ideal_factor(ent, 2)
 
 
 # -------------------------------------------------------------- local entropy

@@ -9,6 +9,7 @@ conditionals reproduce the Parry transition probabilities.
 """
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +17,7 @@ from random import Random
 
 import pytest
 
+from selfsimilar.cli import parse_config, run
 from selfsimilar.measure import (
     Box,
     StableWindow,
@@ -33,10 +35,10 @@ from selfsimilar.measure import (
 from selfsimilar.symbolic import (
     ShiftSystem,
     TransitionMatrix,
+    _parry_data,
     count_words,
     full_shift,
     iter_words,
-    parry_measure,
     sft_new,
 )
 
@@ -174,8 +176,12 @@ def test_dp_matches_the_plain_recursion(rows, d_list):
                         sys, UnstableWindow(anchor, edge), d, depth
                     )
                     # the recursion's diameters carry the edge offset already
-                    want = mass_brute(sys.matrix, sys.lam, d, state, edge, depth)
-                    assert tree.value == pytest.approx(want, rel=1e-12, abs=1e-300)
+                    for got, k in ((tree.value, depth),
+                                   (tree.value_deeper, depth + 2)):
+                        want = mass_brute(sys.matrix, sys.lam, d, state,
+                                          edge, k)
+                        assert got == pytest.approx(want, rel=1e-12,
+                                                    abs=1e-300)
 
 
 def test_stable_side_uses_the_transposed_matrix():
@@ -186,6 +192,8 @@ def test_stable_side_uses_the_transposed_matrix():
     tree = hausdorff_estimate(sys, StableWindow(anchor, 2), 1.0, depth=6)
     want = mass_brute(sys.matrix.transpose(), sys.lam, 1.0, 1, 2, 6)
     assert tree.value == pytest.approx(want, rel=1e-12)
+    want = mass_brute(sys.matrix.transpose(), sys.lam, 1.0, 1, 2, 8)
+    assert tree.value_deeper == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------------- scaling
@@ -351,22 +359,31 @@ def test_box_masses_match_the_parry_measure(golden):
     assert len(rep.rows) == count_words(golden.matrix, 17)
 
 
+def parry_steps(matrix, word):
+    """Parry mass of an admissible word as the product of its steps:
+    pi[word[0]] times v[b] / (rho v[a]) for each step a -> b."""
+    rho, v, pi = _parry_data(matrix)
+    mass = pi[word[0]]
+    for a, b in zip(word, word[1:]):
+        mass *= v[b] / (rho * v[a])
+    return mass
+
+
 def parry_reference(sys, depth, dp_depth=32):
     """Per-word scalar rows, total mass and worst gap of the comparison:
     every admissible word, its DP mass from the tables, the total as
-    math.fsum (correctly rounded) and the Parry mass as parry_measure's
-    product of steps."""
+    math.fsum (correctly rounded) and the Parry mass as the product of
+    steps."""
     d = intrinsic_exponent(sys)
-    dp_u = _dp(sys.matrix, sys.lam, d)
-    dp_s = _dp(sys.matrix.transpose(), sys.lam, d)
+    g_u = _dp(sys.matrix, sys.lam, d, dp_depth)[0]
+    g_s = _dp(sys.matrix.transpose(), sys.lam, d, dp_depth)[0]
     scale = sys.lam ** (-2 * depth * d)
     words = list(iter_words(sys.matrix, 2 * depth + 1))
-    g_s, g_u = dp_s.table(dp_depth), dp_u.table(dp_depth)
     masses = [scale * g_s[w[0]] * g_u[w[-1]] for w in words]
     total = math.fsum(masses)
     rows, worst = [], 0.0
     for w, m in zip(words, masses):
-        p = parry_measure(sys.matrix, w)
+        p = parry_steps(sys.matrix, w)
         gap = abs(m / total - p) / p
         worst = max(worst, gap)
         rows.append((w, m / total, p, gap))
@@ -421,8 +438,8 @@ def test_parry_total_is_the_exact_class_sum_rounded_once():
     for matrix in (m for n in (2, 3) for m in primitive_matrices(n)):
         sys, n = ShiftSystem(matrix), matrix.n
         d = intrinsic_exponent(sys)
-        g_u = _dp(matrix, sys.lam, d).table(32)
-        g_s = _dp(matrix.transpose(), sys.lam, d).table(32)
+        g_u = _dp(matrix, sys.lam, d, 32)[0]
+        g_s = _dp(matrix.transpose(), sys.lam, d, 32)[0]
         power = [[int(a == b) for b in range(n)] for a in range(n)]
         for depth in range(13):
             scale = sys.lam ** (-2 * depth * d)
@@ -471,9 +488,31 @@ def test_parry_rows_are_sized_and_in_word_order(golden):
 
 def test_dp_cache_is_bounded(golden):
     for i in range(100):
-        _dp(golden.matrix, golden.lam, 0.5 + i / 1000)
+        _dp(golden.matrix, golden.lam, 0.5 + i / 1000, 12)
     assert _dp.cache_info().currsize <= 32
     assert _dp.cache_info().maxsize == 32
+
+
+def measure_peak(depth):
+    """Tracemalloc peak of a golden-mean `measure` run at this depth,
+    its DP tables computed afresh."""
+    cfg = parse_config(json.dumps({"system": "golden-mean",
+                                   "command": "measure", "depth": depth}))
+    _dp.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["results"]["measure"]["passed"]
+    return peak
+
+
+def test_measure_memory_is_flat_in_the_depth():
+    # the DP holds its running table, not every table down to the depth
+    measure_peak(12)  # loads the modules the run imports
+    assert measure_peak(100_000) - measure_peak(12) <= 1 << 20
 
 
 def test_parry_comparison_validation(golden, four, cat):

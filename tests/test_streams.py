@@ -198,10 +198,8 @@ def test_only_the_stream_module_and_the_homogeneity_walk_make_a_random():
                              ("cli.py", "_check_homogeneity")]
 
 
-def test_a_rigid_matrix_stalls_after_the_budget(monkeypatch):
-    # the 3-cycle has no choice anywhere, so every candidate row is
-    # dropped: the chunks that draw hold the first 64 count + 1024 rows
-    cycle = sft_new(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+def spy_on_drawing(monkeypatch):
+    """The chunk streams that draw a word, in the order they first do."""
     drawing = []
 
     class Spy(Random):
@@ -211,11 +209,34 @@ def test_a_rigid_matrix_stalls_after_the_budget(monkeypatch):
             return super().randbytes(n)
 
     monkeypatch.setattr(_streams, "Random", Spy)
+    return drawing
+
+
+@pytest.mark.parametrize("rows", [((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+                                  ((0, 1), (1, 0)), ((1,),)])
+def test_a_rigid_matrix_stalls_before_drawing(rows, monkeypatch):
+    # no state has a second successor or predecessor, so no pair can
+    # part: the stall is read from the degree tables, not from draws
+    drawing = spy_on_drawing(monkeypatch)
+    for count in (1, 48, 49, 100):
+        with pytest.raises(ArithmeticError,
+                           match="^sampling stalled; matrix too rigid$"):
+            sft_new(rows).sample_pairs(count, seed=0)
+        assert drawing == []
+
+
+def test_a_stall_that_is_not_rigid_draws_the_whole_budget(monkeypatch):
+    # state 0 has two successors and state 2 two predecessors, but a row
+    # at 0 before its forward cut is at 0 on its whole past, where the
+    # backward cut finds one predecessor: no quadruple is ever kept, so
+    # the chunks that draw hold the first 64 count + 1024 rows
+    shift = sft_new(((1, 1, 0), (0, 0, 1), (0, 0, 1)))
+    drawing = spy_on_drawing(monkeypatch)
     for count in (1, 48, 49, 100):
         drawing.clear()
         with pytest.raises(ArithmeticError,
                            match="^sampling stalled; matrix too rigid$"):
-            cycle.sample_pairs(count, seed=0)
+            cli._symbolic_holonomy_quads(shift, count, 0)
         assert len(drawing) == -(-(64 * count + 1024) // CHUNK)
 
 

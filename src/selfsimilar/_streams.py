@@ -4,8 +4,13 @@ Items come in chunks of CHUNK, and chunk k of a seed draws from its own
 `Random`, seeded with the bytes f"{seed}:{k}" (CPython seeds bytes
 through SHA-512, alike in every version).  So item i depends only on
 the seed and i // CHUNK: the first N items are the same at every count
->= N.  numpy loads on first draw, so the shift measure path never does.
-Every sampler returns its items as `Rows`.
+>= N.  A shift walk draws k steps per block b < D**k, D the lcm of its
+side's option counts and k the largest with D**k <= 256: one randbytes
+byte (its low bits) when D is a power of two, else `below(D**k)`.
+Digit j of b, base D and least significant first, takes option
+digit * count // D at step j; a side with D > 256 draws `below` each
+step's own count.  numpy loads on first draw, so the shift measure path
+never does.  Every sampler returns its items as `Rows`.
 """
 import itertools
 from collections.abc import Sequence

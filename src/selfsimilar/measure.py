@@ -88,7 +88,8 @@ def _slack(matrix, state):
 @lru_cache(maxsize=32)
 def _dp(matrix, lam, d, depth):
     """Scale-free cylinder DP for one side of the shift: the tables
-    g(., depth) and g(., depth + 2), computed holding one table at a time.
+    g(., depth) and g(., depth + 2), holding one table at a time, up to
+    the first step that returns its input (every later one would too).
 
     g(s, r) is the measure of a window with edge state s, in units of
     lam**(-edge*d); g(s, 0) is the true-diameter leaf value.
@@ -107,7 +108,9 @@ def _dp(matrix, lam, d, depth):
 
     g = g0
     for _ in range(depth):
-        g = step(g)
+        g, prev = step(g), g
+        if g == prev:
+            break
     return tuple(g), tuple(step(step(g)))  # cached: read-only
 
 

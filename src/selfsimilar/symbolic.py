@@ -245,6 +245,30 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
             out.append((table, degree))
         return tuple(out)
 
+    @cached_property
+    def _blocks(self):
+        """The block walk tables, forward then backward: (paths, size, k).
+        D is the lcm of the side's degrees, k <= 8 the largest with size
+        = D**k <= 256, and paths[s, b, j] the state j + 1 steps from s when
+        digit j of b (base D, least significant first) picks option
+        digit * deg // D: each option takes D / deg digits.  D > 256:
+        size 0, k 1 and the option table, for a draw below each degree."""
+        import numpy as np
+        out = []
+        for table, degree in self._steps:
+            base = lcm(*degree.tolist())
+            k = next((k for k in range(8, 0, -1) if base ** k <= 256), 0)
+            # row j: digit j of every block; deg | D, so digit * deg // D
+            # is digit // (D / deg)
+            digits = np.indices((base,) * k).reshape(k, base ** k)[::-1]
+            cur, steps = np.arange(self.n)[:, None], []
+            for digit in digits:
+                cur = table[cur, digit // (base // degree[cur])]
+                steps.append(cur)
+            out.append((np.stack(steps, 2), base ** k, k) if k
+                       else (table[:, :, None], 0, 1))
+        return tuple(out)
+
     def transpose(self):
         return TransitionMatrix(tuple(zip(*self.rows)))
 
@@ -580,7 +604,9 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         that leaves it at coordinate side * r, r uniform in lo..hi (side
         0: either side), for another option there and walks on.  Rows
         with no such option are dropped.  Chunk k of the seed draws
-        CHUNK candidates, a column at a time through `below`, and the
+        CHUNK candidates: the start states, cut columns, sides and
+        options through `below`, and each walk k columns per table
+        lookup (`_walk_on`; k = 8 on golden-mean, k = 5 at D = 3).  The
         rows kept are read in chunk order: the first rows are the same
         at every count.  It stalls past 64 count + 1024 candidates, and
         before any when no state has a second successor (side 1) or
@@ -636,13 +662,31 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
 
     def _walk_on(self, rng, x, sign, rows, r):
         """Rows `rows` of x walk from coordinate sign * r[i] out to their
-        end, to a uniform successor (sign 1) or predecessor per step."""
-        table, degree = self.matrix._steps[sign < 0]
+        end, to a uniform successor (sign 1) or predecessor per step, k
+        steps (one k-byte item of `_blocks` paths) per lookup.  The rows
+        of one start column draw their blocks in one call, row by row: a
+        byte each, its low bits the block, when D**k is a power of two,
+        else `below(D**k)`; D > 256 draws below each degree per step."""
+        import numpy as np
+        paths, size, k = self.matrix._blocks[sign < 0]
+        degree = self.matrix._steps[sign < 0][1]
+        steps = paths.reshape(-1, k).view(np.dtype((np.void, k)))[:, 0]
         half = x[:, x.shape[1] // 2::sign]
-        for t in range(1, half.shape[1]):
-            live = rows[r < t]
-            cur = half[live, t - 1]
-            half[live, t] = table[cur, below(rng, degree[cur])]
+        end = half.shape[1]
+        for t in np.flatnonzero(np.bincount(r)).tolist():
+            group, blocks = rows[r == t], -(-(end - 1 - t) // k)
+            if size & (size - 1):
+                digits = below(rng, np.full(len(group) * blocks, size))
+            elif size:
+                digits = np.frombuffer(rng.randbytes(len(group) * blocks),
+                                       np.uint8) & (size - 1)
+            path = np.empty((len(group), blocks), steps.dtype)
+            walked, cur = path.view(np.int8), half[group, t]
+            for b in range(blocks):
+                pick = digits[b::blocks] if size else below(rng, degree[cur])
+                path[:, b] = steps[cur.astype(np.intp) * paths.shape[1] + pick]
+                cur = walked[:, b * k + k - 1]
+            half[group, t + 1:] = walked[:, :end - 1 - t]
 
     def _row_point(self, row):
         """The point a sampled row spells, its middle column coordinate

@@ -493,6 +493,25 @@ def test_dp_cache_is_bounded(golden):
     assert _dp.cache_info().maxsize == 32
 
 
+def test_dp_stops_at_a_fixed_table(golden, monkeypatch):
+    # the golden-mean leaf table is a fixed point of the step, so depth
+    # 10**6 takes one step to see the repeat, then the two of the deeper
+    # table: each step takes one min per state
+    d, dp = intrinsic_exponent(golden), _dp.__wrapped__
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return min(*args)
+
+    monkeypatch.setattr("selfsimilar.measure.min", counted, raising=False)
+    for matrix in (golden.matrix, golden.matrix.transpose()):
+        want = dp(matrix, golden.lam, d, 12)
+        calls.clear()
+        assert dp(matrix, golden.lam, d, 10**6) == want
+        assert len(calls) == 3 * matrix.n
+
+
 def measure_peak(depth):
     """Tracemalloc peak of a golden-mean `measure` run at this depth,
     its DP tables computed afresh."""

@@ -1,8 +1,9 @@
 """The chunk-keyed draw scheme that every sampler reads: its key and bit
-layout, prefix stability at every count, uniform choices, no word drawn
-for a forced step, and `Rows`, the one sequence every sampler returns."""
+layout, prefix stability at every count, uniform choices, one draw per
+walk group, and `Rows`, the one sequence every sampler returns."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -125,28 +126,38 @@ def test_below_is_uniform_for_each_option_count(c):
     assert np.all(np.abs(freq - n / c) <= 5 * np.sqrt(n / c * (1 - 1 / c)))
 
 
-def test_forced_steps_draw_no_word(golden, monkeypatch):
-    # on golden-mean state 1 has one successor and one predecessor, and
-    # a redraw from state 0 has one alternative: those steps are forced
-    asked, counts = [], []
+def test_walks_draw_once_per_side_and_start_column(golden, monkeypatch):
+    # a golden-mean pair chunk (levels 1..8: columns 0..11 each way; D = 2,
+    # so k = 8 steps per byte) draws the start states, each side's first
+    # walk, the cut columns and the sides, then one call per (side, r)
+    # group of the rows that part at column r, a byte per row for every
+    # 8 of its 11 - r steps, forced or not; the redraw at r has one
+    # option left on golden-mean, which takes no word
+    asked = {}
 
     class Spy(Random):
         def randbytes(self, n):
-            asked.append(n)
+            asked.setdefault(self, []).append(n)
             return super().randbytes(n)
 
-    def spy_below(rng, c):
-        counts.append(c.copy())
-        return below(rng, c)
-
     monkeypatch.setattr(_streams, "Random", Spy)
-    monkeypatch.setattr(symbolic, "below", spy_below)
-    golden.sample_pairs(2000, seed=0)
-    c = np.concatenate(counts)
-    # every count is a power of two, which no word is redrawn for
-    assert set(c.tolist()) == {1, 2, 8}
-    assert (c == 1).sum() > 0.1 * len(c)
-    assert sum(asked) == 4 * int((c > 1).sum())
+    xs, ys = golden.sample_pairs(CHUNK, seed=0).cols
+    first = next(iter(asked.values()))  # chunk 0's calls, in order
+    assert first[:5] == [4 * CHUNK, 2 * CHUNK, 2 * CHUNK, 4 * CHUNK,
+                         4 * CHUNK]
+    groups = [(side, r) for side in (1, -1) for r in range(2, 10)]
+    assert len(first) == 5 + len(groups)
+    blocks = [-(-(11 - r) // 8) for _, r in groups]
+    assert all(n % b == 0 for n, b in zip(first[5:], blocks))
+    sizes = {g: n // b for g, n, b in zip(groups, first[5:], blocks)}
+    # the rows chunk 0 keeps come first; each parts at its group's column
+    kept, c = sum(sizes.values()), xs.shape[1] // 2
+    parted = Counter()
+    for x, y in zip(xs[:kept], ys[:kept]):
+        t = np.flatnonzero(x != y)[[0, -1]] - c
+        parted[(1, t[0]) if t[0] > 0 else (-1, -t[-1])] += 1
+    assert parted == sizes
+    assert sum(first) == 68691
 
 
 def test_no_draw_of_a_toral_quadruple_is_read_twice(cat):

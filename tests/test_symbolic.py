@@ -8,6 +8,7 @@ exact arithmetic in Q(sqrt 5) and never touches library code.
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -889,6 +890,72 @@ def test_tail_redraws_give_admissible_pairs_and_quadruples(rows):
     for p, q, pp, qq in quads:
         assert all(sys.admissible(z) for z in (p, q, pp, qq))
         assert qq == sys.triangle_vertex(pp, q)
+
+
+def walk_counts(options, s, k, base):
+    """Each k-step walk from s, with the number of its digit blocks:
+    the product of base / deg over the states it steps from."""
+    if k == 0:
+        return Counter({(): 1})
+    out = Counter()
+    for t in options[s]:
+        for walk, c in walk_counts(options, t, k - 1, base).items():
+            out[(t,) + walk] = c * base // len(options[s])
+    return out
+
+
+def check_block_tables(rows):
+    """Each side's paths hold every k-step walk from s, in row s, as
+    often as its digit blocks say, with D the lcm of the degrees and k
+    the largest with D**k <= 256; a side with D > 256 lists each
+    state's options once, for a draw below its degree."""
+    matrix = TransitionMatrix(rows)
+    for options, (paths, size, k) in zip(
+            (matrix.successors, matrix.predecessors), matrix._blocks):
+        base = math.lcm(*map(len, options))
+        if base > 256:
+            assert (size, k) == (0, 1)
+            for s, opts in enumerate(options):
+                assert paths[s, :len(opts), 0].tolist() == list(opts)
+            continue
+        assert k == max(j for j in range(1, 9) if base ** j <= 256)
+        assert size == base ** k and paths.shape == (matrix.n, size, k)
+        for s in range(matrix.n):
+            assert Counter(map(tuple, paths[s].tolist())) == walk_counts(
+                options, s, k, base)
+
+
+# D = 2 (golden-mean), 3 (full-3), 4 (four-symbol), 6 (degrees 2 and 3),
+# and 280 forward (degrees 5, 7 and 8) with 168 backward
+BLOCK_MATRICES = (
+    ((1, 1), (1, 0)),
+    ((1, 1, 1),) * 3,
+    ((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1)),
+    ((1, 1, 0), (1, 1, 1), (1, 0, 1)),
+    ((1,) * 5 + (0,) * 3, (1,) * 7 + (0,), *((1,) * 8,) * 6),
+)
+
+
+@pytest.mark.parametrize("rows", BLOCK_MATRICES)
+def test_block_tables_walk_each_path_as_often_as_its_digits(rows):
+    check_block_tables(rows)
+    sys = sft_new(rows)
+    check_sampled_pairs(sys, sys.sample_pairs(60, 5, (1, 8)), 60, (1, 8))
+    for p, q, pp, qq in cli._symbolic_holonomy_quads(sys, 40, 5):
+        assert all(sys.admissible(z) for z in (p, q, pp, qq))
+        assert qq == sys.triangle_vertex(pp, q)
+
+
+def test_block_tables_of_every_primitive_matrix_up_to_three_states():
+    for rows in every_matrix():
+        if TransitionMatrix(rows).primitive:
+            check_block_tables(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices(max_n=6))
+def test_block_tables_of_matrices_up_to_six_states(rows):
+    check_block_tables(rows)
 
 
 def test_pair_brackets_splice_the_scalar_vertices(golden, four):

@@ -8,8 +8,7 @@ Symbolic systems additionally expose integer `level` arithmetic, which
 the verifier uses to keep the self-similarity check exact.
 
 A system may also carry private pair batches.  `_pair_levels(pairs,
-steps)` returns one list of integer levels of (f^s x, f^s y) per step s
-(shift systems: one int8 array per side, see `ShiftSystem`).
+steps)` returns one list of integer levels of (f^s x, f^s y) per step s.
 `_orbit_dists(pairs, lo, hi)` is the one distance hook: it yields
 (j, the array of dist(f^j x, f^j y)) for lo <= j <= hi.  The
 self-similar torus maps the points as arrays and equals its scalar
@@ -18,7 +17,9 @@ self-similar torus maps the points as arrays and equals its scalar
 norm.  A system with the hook is invertible.
 A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
-bit), which the triangle check reads in one call.
+bit), which the triangle check reads in one call.  Either batch returns
+None for pairs it does not take (a shift system takes only its own
+sampled rows, within their reach), and the check runs its scalar loop.
 Samplers draw through `_streams`, one chunk-keyed scheme, and return
 its row-backed sequences, `_streams.Rows`: `_unzip` and `_zip` split
 and pair their arrays, and the pair batches read them.
@@ -26,7 +27,7 @@ and pair their arrays, and the pair batches read them.
 `_pair_values` is the one orbit reader: the verifier, `holder_check`
 and the triangle, contraction and holonomy checks read every level or
 distance through it.  It makes one batch call per pair set, or runs the
-scalar `dist` (or `level`) pair by pair on systems without a batch; the
+scalar `dist` (or `level`) pair by pair where no batch takes them; the
 scalar methods, `RefinedSystem.dist` among them, stay the reference.
 A backward walk on a system without `apply_inv` raises ValueError.  The
 holonomy check reads one column per report field (`_holonomy_columns`).
@@ -51,15 +52,15 @@ def _pair_values(sys, pairs, steps, levels=False):
     `levels`, the integer level instead (systems with `level` only).
 
     One call to the system's pair batch, `_pair_levels` or else the
-    hook `_orbit_dists` over min(steps)..max(steps); without one, the
-    scalar `dist` (or `level`) of each pair's orbit, every iterate
-    computed once.  Distances from levels are lam**-level in Python
-    floats, as the scalar `dist`.  Negative steps on a system without
-    `apply_inv` raise ValueError.
+    hook `_orbit_dists` over min(steps)..max(steps); without one, or
+    where `_pair_levels` returns None, the scalar `dist` (or `level`)
+    of each pair's orbit, every iterate computed once.  Distances from
+    levels are lam**-level in Python floats, as the scalar `dist`.
+    Negative steps on a system without `apply_inv` raise ValueError.
     """
     batch = getattr(sys, "_pair_levels", None)
-    if batch is not None:
-        out = batch(pairs, steps)
+    out = None if batch is None else batch(pairs, steps)
+    if out is not None:
         if levels:
             return out
         # one float per distinct level (lam**-inf is 0.0)
@@ -323,9 +324,9 @@ def _triangle_reports(sys, pairs):
             cut = i
             break
     batch = getattr(sys, "_pair_brackets", None)
-    if batch is not None:  # c0 <= xi/(2 lam) < xi: inside the domain
-        vertices = batch(pairs[:cut])
-    else:
+    # c0 <= xi/(2 lam) < xi: inside the domain
+    vertices = None if batch is None else batch(pairs[:cut])
+    if vertices is None:
         vertices = []
         for x, y in pairs[:cut]:
             try:
@@ -412,13 +413,8 @@ def holonomy_deviation(sys, p, q, pp, qq):
     2/(lam**(m-1) - 2) whenever lam**(m-1) > 2; smaller m is reported as
     out of range.
     """
-    return _holonomy_reports(sys, [(p, q, pp, qq)])[0]
-
-
-def _holonomy_reports(sys, quads):
-    """`holonomy_deviation` of every quadruple (p, q, pp, qq)."""
-    columns = _holonomy_columns(sys, quads)
-    return [HolonomyReport(*row) for row in zip(*columns)]
+    columns = _holonomy_columns(sys, [(p, q, pp, qq)])
+    return HolonomyReport(*(column[0] for column in columns))
 
 
 def _holonomy_columns(sys, quads):

@@ -231,10 +231,18 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
         return tuple(self.cycle_word(s) for s in range(self.n))
 
     @cached_property
-    def _steps(self):
+    def _walks(self):
         """The batch walk tables, forward (successors) then backward
-        (predecessors): each state's options, ascending and padded with
-        -1, as an (n, max degree) int8 array, and the int64 degrees."""
+        (predecessors): per side (table, degree, paths, size, k).  Row s
+        of the int8 table holds state s's options, ascending and padded
+        with -1, and degree[s] (int64) counts them.  D is the lcm of the
+        side's degrees, k <= 8 the largest with size = D**k <= 256, and
+        paths[s, b, j] the state j + 1 steps from s when digit j of b
+        (base D, least significant first) picks option digit * deg // D:
+        each option takes D / deg digits, so a uniform block walks k
+        uniform steps.  A block is one randbytes byte, its low bits, when
+        D**k is a power of two, else `below(D**k)`.  D > 256: size 0, k 1
+        and the option table as paths, for a draw below each degree."""
         import numpy as np
         out = []
         for options in (self.successors, self.predecessors):
@@ -242,20 +250,6 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
             table = np.full((self.n, degree.max()), -1, dtype=np.int8)
             for s, opts in enumerate(options):
                 table[s, :len(opts)] = opts
-            out.append((table, degree))
-        return tuple(out)
-
-    @cached_property
-    def _blocks(self):
-        """The block walk tables, forward then backward: (paths, size, k).
-        D is the lcm of the side's degrees, k <= 8 the largest with size
-        = D**k <= 256, and paths[s, b, j] the state j + 1 steps from s when
-        digit j of b (base D, least significant first) picks option
-        digit * deg // D: each option takes D / deg digits.  D > 256:
-        size 0, k 1 and the option table, for a draw below each degree."""
-        import numpy as np
-        out = []
-        for table, degree in self._steps:
             base = lcm(*degree.tolist())
             k = next((k for k in range(8, 0, -1) if base ** k <= 256), 0)
             # row j: digit j of every block; deg | D, so digit * deg // D
@@ -265,8 +259,8 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
             for digit in digits:
                 cur = table[cur, digit // (base // degree[cur])]
                 steps.append(cur)
-            out.append((np.stack(steps, 2), base ** k, k) if k
-                       else (table[:, :, None], 0, 1))
+            out.append((table, degree, np.stack(steps, 2), base ** k, k)
+                       if k else (table, degree, table[:, :, None], 0, 1))
         return tuple(out)
 
     def transpose(self):
@@ -468,17 +462,17 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
 
     def _pair_levels(self, pairs, steps):
         """The pair batch: level(f^s x, f^s y) for every pair, one list
-        per step s.  Its sampled pairs (`Rows` over [-w, w], every |s| < w)
-        read their rows: the level is t - 1 for the first t at which they
-        differ at coordinate s + t or s - t.  Rows with no difference
-        within t <= w - |s| are math.inf if equal (equal rows spell equal
-        points), else they take the scalar level, as any other pairs do.
+        per step s, when the pairs are this system's sampled rows (`Rows`
+        over [-w, w]) and every |s| < w; else None.  The level is t - 1
+        for the first t at which the rows differ at coordinate s + t or
+        s - t.  Rows with no difference within t <= w - |s| are math.inf
+        if equal (equal rows spell equal points), else they take the
+        scalar level.
         """
         own = isinstance(pairs, Rows) and pairs.point == self._row_point
         w = pairs.cols[0].shape[1] // 2 if own else 0
         if not max(map(abs, steps)) < w:
-            return [[agreement_level(x.shift(s), y.shift(s))
-                     for x, y in pairs] for s in steps]
+            return None
         import numpy as np
         xs, ys = pairs.cols
         differ = xs != ys
@@ -520,12 +514,12 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         return self.bracket(y, x)
 
     def _pair_brackets(self, pairs):
-        """`triangle_vertex(x, y)` of every pair.  Its sampled pairs
-        splice their rows, x's columns below coordinate 0 and y's from 0
-        on, into `Rows` of points: its ends are x's and y's, so each built
-        point is the scalar vertex."""
+        """`triangle_vertex(x, y)` of every pair, when the pairs are this
+        system's sampled rows; else None.  The rows splice, x's columns
+        below coordinate 0 and y's from 0 on, into `Rows` of points: its
+        ends are x's and y's, so each built point is the scalar vertex."""
         if not (isinstance(pairs, Rows) and pairs.point == self._row_point):
-            return [self.triangle_vertex(x, y) for x, y in pairs]
+            return None
         import numpy as np
         xs, ys = pairs.cols
         c = xs.shape[1] // 2
@@ -564,21 +558,27 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
     def point_through(self, word, start):
         """Admissible point whose window [start, start + len(word)) is
         `word`, with periodic tails on the shortest cycles at its ends.
+        An end on no cycle is first followed through first predecessors
+        (successors) to a state on one: such a walk always reaches a
+        cycle, since every state has a predecessor and a successor.
 
-        The left tail tiles the cycle at word[0], so its wrap edge feeds
-        word[0]; the right tail is the cycle at word[-1] rotated one
-        step, so it starts one step past word[-1].  A shortest cycle
-        has minimal period (a shorter period would close a shorter
-        cycle), so both tails are canonical as they stand.
+        The left tail tiles the cycle at the first state, so its wrap
+        edge feeds it; the right tail is the cycle at the last state
+        rotated one step, so it starts one step past it.  A shortest
+        cycle has minimal period (a shorter period would close a
+        shorter cycle), so both tails are canonical as they stand.
         """
         word = tuple(word)
         if not word:
             raise ValueError("word must be nonempty")
         self._check_range(word)
-        cycles = self.matrix._cycles
+        A = self.matrix
+        cycles = A._cycles
+        while cycles[word[0]] is None:
+            word, start = (A.predecessors[word[0]][0],) + word, start - 1
+        while cycles[word[-1]] is None:
+            word += (A.successors[word[-1]][0],)
         head, tail = cycles[word[0]], cycles[word[-1]]
-        if head is None or tail is None:
-            raise ValueError("word has no bi-infinite extension")
         return self._checked(_absorb(head, word, tail[1:] + tail[:1], start))
 
     def sample_pairs(self, count, seed=0, levels=(1, 8)):
@@ -605,16 +605,16 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         0: either side), for another option there and walks on.  Rows
         with no such option are dropped.  Chunk k of the seed draws
         CHUNK candidates: the start states, cut columns, sides and
-        options through `below`, and each walk k columns per table
-        lookup (`_walk_on`; k = 8 on golden-mean, k = 5 at D = 3).  The
-        rows kept are read in chunk order: the first rows are the same
-        at every count.  It stalls past 64 count + 1024 candidates, and
-        before any when no state has a second successor (side 1) or
-        predecessor (side -1) on a cut's side (side 0: on either)."""
+        options through `below`, and each walk in blocks of `_walks`
+        (`_walk_on`).  The rows kept are read in chunk order: the first
+        rows are the same at every count.  It stalls past 64 count +
+        1024 candidates, and before any when no state has a second
+        successor (side 1) or predecessor (side -1) on a cut's side
+        (side 0: on either)."""
         import numpy as np
         if count < 0:
             raise ValueError("count must be nonnegative")
-        fwd, bwd = (degree.max() > 1 for _, degree in self.matrix._steps)
+        fwd, bwd = (degree.max() > 1 for _, degree, *_ in self.matrix._walks)
         rigid = not all((fwd or bwd, fwd, bwd)[side] for _, _, side in cuts)
         budget = 64 * count + 1024
         parts = [[np.zeros((0, 2 * reach + 1), dtype=np.int8)] * (
@@ -648,7 +648,7 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
     def _branch(self, rng, x, sign, rows, r):
         """Rows `rows` of x take another option than theirs at coordinate
         sign * r[i] and walk on; returns which of them had one."""
-        table, degree = self.matrix._steps[sign < 0]
+        table, degree, *_ = self.matrix._walks[sign < 0]
         half = x[:, x.shape[1] // 2::sign]  # column t: coordinate sign * t
         prev, old = half[rows, r - 1], half[rows, r]
         alts = degree[prev] - 1
@@ -663,13 +663,11 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
     def _walk_on(self, rng, x, sign, rows, r):
         """Rows `rows` of x walk from coordinate sign * r[i] out to their
         end, to a uniform successor (sign 1) or predecessor per step, k
-        steps (one k-byte item of `_blocks` paths) per lookup.  The rows
-        of one start column draw their blocks in one call, row by row: a
-        byte each, its low bits the block, when D**k is a power of two,
-        else `below(D**k)`; D > 256 draws below each degree per step."""
+        steps (one k-byte item of the `_walks` paths) per lookup.  The
+        rows of one start column draw their blocks in one call, row by
+        row."""
         import numpy as np
-        paths, size, k = self.matrix._blocks[sign < 0]
-        degree = self.matrix._steps[sign < 0][1]
+        _, degree, paths, size, k = self.matrix._walks[sign < 0]
         steps = paths.reshape(-1, k).view(np.dtype((np.void, k)))[:, 0]
         half = x[:, x.shape[1] // 2::sign]
         end = half.shape[1]
@@ -690,14 +688,8 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
 
     def _row_point(self, row):
         """The point a sampled row spells, its middle column coordinate
-        0: `point_through` the row, once each end on no cycle is followed
-        through first predecessors (successors) to one that is."""
-        A, row, start = self.matrix, row.tolist(), -(len(row) // 2)
-        while A._cycles[row[0]] is None:
-            row, start = [A.predecessors[row[0]][0]] + row, start - 1
-        while A._cycles[row[-1]] is None:
-            row = row + [A.successors[row[-1]][0]]
-        return self.point_through(row, start)
+        0."""
+        return self.point_through(row.tolist(), -(len(row) // 2))
 
 
 def sft_new(rows, lam=2.0):

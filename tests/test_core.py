@@ -24,7 +24,6 @@ from selfsimilar.core import (
     TriangleReport,
     VerifyReport,
     _holonomy_columns,
-    _holonomy_reports,
     _pair_values,
     _triangle_reports,
     holder_check,
@@ -963,9 +962,15 @@ def threshold_quads(line):
     return quads
 
 
+def holonomy_reports(sys, quads):
+    """The `HolonomyReport` of every quadruple, from one column read."""
+    return [HolonomyReport(*row)
+            for row in zip(*_holonomy_columns(sys, quads))]
+
+
 def test_holonomy_scale_threshold_belongs_to_the_lower_m():
     line = LineDilation()
-    reps = _holonomy_reports(line, threshold_quads(line))
+    reps = holonomy_reports(line, threshold_quads(line))
     assert [r.m for r in reps[:9]] == [-2] * 6 + [-3] * 3
     assert [r.m for r in reps[9 * 30:9 * 31]] == [28] * 6 + [27] * 3
 
@@ -1012,7 +1017,7 @@ def test_holonomy_columns_are_the_quadruple_reports(cat):
 def test_holonomy_batch_is_the_pair_loop(full2, golden, cat):
     for sys, quads in holonomy_inputs(full2, golden, cat):
         want = [scalar_holonomy(sys, *quad) for quad in quads]
-        assert _holonomy_reports(sys, quads) == want
+        assert holonomy_reports(sys, quads) == want
         assert [holonomy_deviation(sys, *quad) for quad in quads] == want
     assert [r.precondition_ok for r in want[-2:]] == [False, False]
 
@@ -1060,6 +1065,6 @@ def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden, cat):
     quads[4] = (p, p, pp, qq)
     quads[9] = (p, q, pp, pp)
     want = first_error(lambda: [scalar_holonomy(golden, *qd) for qd in quads])
-    assert first_error(lambda: _holonomy_reports(golden, quads)) == want
+    assert first_error(lambda: _holonomy_columns(golden, quads)) == want
     assert want == (ValueError, "coincident plaque pair")
 

@@ -12,6 +12,7 @@ import pytest
 
 from selfsimilar import _streams, cli, symbolic
 from selfsimilar._streams import CHUNK, Rows, below, uniforms
+from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.symbolic import agreement_level, golden_mean, sft_new
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "selfsimilar"
@@ -276,8 +277,9 @@ def test_zip_joins_rows_of_one_builder_and_width(golden, cat):
 
 
 def test_another_systems_rows_take_the_scalar_levels(golden, monkeypatch):
-    # a second golden-mean object builds points of its own, so it reads
-    # the first one's pairs point by point, to the same levels
+    # a second golden-mean object builds points of its own, so its
+    # batches take none of the first one's pairs: core reads them point
+    # by point, to the same levels and vertices
     calls = []
 
     def counted(a, b):
@@ -290,11 +292,18 @@ def test_another_systems_rows_take_the_scalar_levels(golden, monkeypatch):
               for s in steps]
     assert golden._pair_levels(pairs, steps) == scalar
     assert len(calls) < len(pairs)  # the row path reads the arrays
+    other = golden_mean()
+    assert other._pair_levels(pairs, steps) is None
+    assert other._pair_brackets(pairs) is None
     calls.clear()
-    assert golden_mean()._pair_levels(pairs, steps) == scalar
+    assert _pair_values(other, pairs, steps, levels=True) == scalar
     assert len(calls) == len(pairs) * len(steps)
-    assert golden_mean()._pair_brackets(pairs) == list(
+    # pairs at levels >= 3 lie below the triangle scale xi/(2 lam)
+    pairs = golden.sample_pairs(40, seed=3, levels=(3, 8))
+    assert [other.triangle_vertex(x, y) for x, y in pairs] == list(
         golden._pair_brackets(pairs))
+    assert _triangle_reports(other, pairs) == _triangle_reports(golden,
+                                                                pairs)
 
 
 def sequence_subclasses(path):

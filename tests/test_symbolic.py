@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from selfsimilar import cli
 from selfsimilar._streams import Rows, below
+from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.measure import (
     Box,
     StableWindow,
@@ -289,16 +290,28 @@ def test_batch_levels_equal_the_scalar_scan(pairs, steps):
 
 
 def test_batch_levels_past_the_window_and_of_equal_points(full2):
+    """Pairs that are not sampled rows, and rows read at a step past
+    their reach, are no batch's: `_pair_values` takes their scalar
+    levels."""
     x = full2.constant(0)
     periodic = full2.point((0, 1))
     pairs = [(x, x), (x, x.with_value(40, 1)), (x, x.with_value(-3, 1)),
              (periodic, periodic.shift(1)), (periodic, x),
              (periodic, full2.point((1, 0)).shift(1))]
-    assert full2._pair_levels(pairs, (0, 1, -1)) == [
+    assert full2._pair_levels(pairs, (0, 1, -1)) is None
+    assert _pair_values(full2, pairs, (0, 1, -1), levels=True) == [
         [math.inf, 39, 2, -1, 0, math.inf],
         [math.inf, 38, 3, -1, -1, math.inf],
         [math.inf, 40, 1, -1, -1, math.inf],
     ]
+    # rows over [-3, 3]: the second differs only at coordinate 3
+    xs = np.zeros((2, 7), dtype=np.int8)
+    ys = xs.copy()
+    ys[1, 6] = 1
+    rows = Rows((xs, ys), full2._row_point)
+    assert full2._pair_levels(rows, (0, 3)) is None
+    assert _pair_values(full2, rows, (0, 3), levels=True) == [
+        [math.inf, 2], [math.inf, -1]]
 
 
 def test_row_levels_past_the_scanned_columns(full2):
@@ -611,9 +624,26 @@ def test_points_respect_the_transition_rule(golden):
                 lambda: golden.point((2,))):
         with pytest.raises(ValueError, match="symbol out of range"):
             bad()
-    dead_end = sft_new(((1, 1, 0), (0, 0, 1), (0, 0, 1)))  # 1 is on no cycle
-    with pytest.raises(ValueError, match="word has no bi-infinite extension"):
-        dead_end.point_through((1, 2), 0)
+    # 1 is on no cycle: an end there follows its first predecessor 0
+    # (successor 2) to a cycle
+    dead_end = sft_new(((1, 1, 0), (0, 0, 1), (0, 0, 1)))
+    for word, start in (((1, 2), 0), ((1,), 0), ((0, 1), -1)):
+        assert dead_end.point_through(word, start) == dead_end.point(
+            (0,), (1,), (2,))
+
+
+def test_every_short_word_lies_on_a_point():
+    """Every admissible word of length 1 to 3, at starts -1 and 0, is
+    the window of an admissible point, also where an end of the word
+    lies on no cycle."""
+    for rows in every_matrix():
+        sys = sft_new(rows)
+        for length in (1, 2, 3):
+            for word in iter_words(sys.matrix, length):
+                for start in (-1, 0):
+                    x = sys.point_through(word, start)
+                    assert sys.admissible(x)
+                    assert x.window(start, start + length - 1) == word
 
 
 def edge_admissible(sys, seq):
@@ -905,13 +935,19 @@ def walk_counts(options, s, k, base):
 
 
 def check_block_tables(rows):
-    """Each side's paths hold every k-step walk from s, in row s, as
-    often as its digit blocks say, with D the lcm of the degrees and k
-    the largest with D**k <= 256; a side with D > 256 lists each
-    state's options once, for a draw below its degree."""
+    """Each side's `_walks` lists every state's options, ascending and
+    padded with -1, with their count, and its paths hold every k-step
+    walk from s, in row s, as often as its digit blocks say, with D the
+    lcm of the degrees and k the largest with D**k <= 256; a side with
+    D > 256 lists each state's options once, for a draw below its
+    degree."""
     matrix = TransitionMatrix(rows)
-    for options, (paths, size, k) in zip(
-            (matrix.successors, matrix.predecessors), matrix._blocks):
+    for options, (table, degree, paths, size, k) in zip(
+            (matrix.successors, matrix.predecessors), matrix._walks):
+        assert degree.tolist() == list(map(len, options))
+        for s, opts in enumerate(options):
+            assert table[s].tolist() == [*opts] + [-1] * (
+                table.shape[1] - len(opts))
         base = math.lcm(*map(len, options))
         if base > 256:
             assert (size, k) == (0, 1)
@@ -959,12 +995,19 @@ def test_block_tables_of_matrices_up_to_six_states(rows):
 
 
 def test_pair_brackets_splice_the_scalar_vertices(golden, four):
+    """Sampled rows splice to the scalar vertices; a list of pairs is
+    no batch's, and the triangle check takes its scalar vertices, to
+    the same reports."""
     for sys in (golden, four):
         pairs = sys.sample_pairs(200, seed=9, levels=(1, 6))
         vertices = sys._pair_brackets(pairs)
         assert list(vertices) == [sys.triangle_vertex(x, y)
                                   for x, y in pairs]
-        assert sys._pair_brackets(list(pairs)) == list(vertices)
+        assert sys._pair_brackets(list(pairs)) is None
+        # levels >= 3: below the triangle scale xi/(2 lam)
+        near = sys.sample_pairs(200, seed=9, levels=(3, 6))
+        assert _triangle_reports(sys, list(near)) == _triangle_reports(
+            sys, near)
     # first points of two samples, paired: some differ at coordinate 0
     zero = golden.constant(0)
     a, _ = golden.sample_pairs(20, seed=1).columns()
@@ -972,7 +1015,7 @@ def test_pair_brackets_splice_the_scalar_vertices(golden, four):
     with pytest.raises(ValueError, match="agreement at coordinate 0"):
         golden._pair_brackets(a.zip(b))
     with pytest.raises(ValueError, match="agreement at coordinate 0"):
-        golden._pair_brackets([(zero, zero.with_value(0, 1))])
+        golden.triangle_vertex(zero, zero.with_value(0, 1))
 
 
 def test_samplers_stall_without_a_branching_state():

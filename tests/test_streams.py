@@ -3,6 +3,7 @@ layout, prefix stability at every count, uniform choices, one draw per
 walk group, and `Rows`, the one sequence every sampler returns."""
 
 import ast
+import hashlib
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -13,7 +14,8 @@ import pytest
 from selfsimilar import _streams, cli, symbolic
 from selfsimilar._streams import CHUNK, Rows, below, uniforms
 from selfsimilar.core import _pair_values, _triangle_reports
-from selfsimilar.symbolic import agreement_level, golden_mean, sft_new
+from selfsimilar.symbolic import (agreement_level, full_shift, golden_mean,
+                                  sft_new)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "selfsimilar"
 COUNTS = (100, 101, CHUNK + 1, 3 * CHUNK)
@@ -318,3 +320,116 @@ def test_rows_is_the_only_sequence_class():
     found = [(p.name, name) for p in sorted(SRC.glob("*.py"))
              for name in sequence_subclasses(p)]
     assert found == [("_streams.py", "Rows")]
+
+
+# the matrices whose sampled rows are pinned: D = 2 (golden-mean), 3, 4,
+# 6 and 280 forward with 168 backward (test_symbolic.BLOCK_MATRICES), the
+# two sft golden configs, and full-17, whose walk keys (state, digit)
+# number 17 * 17 > 256
+STREAM_MATRICES = {
+    "golden-mean": ((1, 1), (1, 0)),
+    "full-3": ((1, 1, 1),) * 3,
+    "four-symbol": ((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1)),
+    "degrees-2-3": ((1, 1, 0), (1, 1, 1), (1, 0, 1)),
+    "degrees-5-7-8": ((1,) * 5 + (0,) * 3, (1,) * 7 + (0,),
+                      *((1,) * 8,) * 6),
+    "sft-3": ((0, 1, 0), (0, 0, 1), (1, 1, 0)),
+    "sft-4": ((0, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 0, 0, 0)),
+    "full-17": ((1,) * 17,) * 17,
+}
+# per (matrix, seed): the slot digests of sample_pairs(5000, seed), then
+# of cli._symbolic_holonomy_quads(sys, 5000, seed)
+SLOT_DIGESTS = {
+    ("golden-mean", 0): (
+        ("90e2156fef50b241", "19b4bea887c1f49f"),
+        ("425c4b45712076e8", "e43ef00055aaced9", "e199c7ee342e7a2f",
+         "4bf43bcb1ef32d3e")),
+    ("golden-mean", 7): (
+        ("337dcdfeafc9b8c2", "36b71540658afaa0"),
+        ("650e6cc962bf05aa", "bd189879386a00ec", "4ca0ad2748a9aec6",
+         "2f167cbfade76624")),
+    ("full-3", 0): (
+        ("dff3d3fd3a9a66d4", "a24f369e5f4c8f0f"),
+        ("30314de1945e2ce9", "c630a98a0a7453c8", "586aa2dcf055f920",
+         "879b0173ffc7e495")),
+    ("full-3", 7): (
+        ("d52341b0582a8cd5", "8f5e7c39330d3eaf"),
+        ("870f56d5a43a8150", "d896dc7c5a9b11b9", "ee714408a9bff223",
+         "677bfe0b8500b0a0")),
+    ("four-symbol", 0): (
+        ("b469cb4f9a5e3c49", "9d2ccbaaf8c6b13d"),
+        ("baf0fdfcb9a7f1e2", "51212e8b01156948", "254299d01e85c18f",
+         "c40f8d82f96cbcad")),
+    ("four-symbol", 7): (
+        ("5a96d4fd5fe2cf10", "bf9a0307776cb88f"),
+        ("fbbbdfe9ab5f3ec1", "4986dfba7e8ee9fa", "a3df8756260a58b7",
+         "1188daef8e7c40c8")),
+    ("degrees-2-3", 0): (
+        ("c400440ed6ae16b7", "4c3a3926c6b53858"),
+        ("871f08f193e70bfe", "3f2fea44baaa8dc2", "9731529928b924c1",
+         "50d4d3d4139e2476")),
+    ("degrees-2-3", 7): (
+        ("b235df9fe269aec0", "c011ea0d910b8e5e"),
+        ("61a0dcbad1c7a68f", "9615732a3345d62d", "d915d581edfb4e2c",
+         "e367647750b4aada")),
+    ("degrees-5-7-8", 0): (
+        ("36d04d90c8db2dbe", "9f82c5dba85c6fb5"),
+        ("6a438928fd5fbba4", "57261bb341124225", "97a4f820af356eca",
+         "0c675a010bd930a9")),
+    ("degrees-5-7-8", 7): (
+        ("bc9caf0aebdd6c98", "cad11ff7b0ef7927"),
+        ("7230a0681f44b64a", "5b09c634d0a81cf4", "321a68bc79bb9b14",
+         "3de22fc96edc32df")),
+    ("sft-3", 0): (
+        ("940c04a31495c8f4", "4c37d5a6622922e7"),
+        ("e005a2dae1895cd5", "e59638ece83c1368", "a7e96a1a26b2345e",
+         "4ce09c656ea22f73")),
+    ("sft-3", 7): (
+        ("315cdae6c91009ba", "a19fd86a63002d10"),
+        ("a1eece0467c8fa71", "a734afeb88626f26", "e7011fdc200dfa07",
+         "adf07336a0c23a11")),
+    ("sft-4", 0): (
+        ("bdb94841fc538546", "a60e126a185c8d05"),
+        ("ffe400008e592c52", "fbe8a3a41319ad98", "afeb241412f81a47",
+         "f85240cad4fd7c3c")),
+    ("sft-4", 7): (
+        ("97c9e987ef2d2554", "1803fee915795e04"),
+        ("938c21c9e6ce2be8", "533e750365a79575", "42fdc745d49a4ba3",
+         "e409ab2aa1e14169")),
+    ("full-17", 0): (
+        ("513517bf8d7ec5cc", "9716926b477af6d3"),
+        ("19cff5f28db15a7b", "455f402aa6b61797", "54a109e10735f331",
+         "fcc128402522d429")),
+    ("full-17", 7): (
+        ("f20f88d11ce310e3", "2d088ea7f8ccfb4a"),
+        ("460c0a73e3c83b66", "bae785e1c8eb392c", "2c58899fe3598b6f",
+         "03b3b3168e4edc05")),
+}
+
+
+def slot_digests(rows):
+    """The first 16 hex digits of the sha256 of each slot's rows, read
+    row by row, one byte a state."""
+    return tuple(hashlib.sha256(b"".join(bytes(a[i]) for i in range(len(a))))
+                 .hexdigest()[:16] for a in rows.cols)
+
+
+@pytest.mark.parametrize("name, seed", list(SLOT_DIGESTS))
+def test_every_sampled_row_is_pinned(name, seed):
+    # pins the draws and walks of every block scheme: bytes and `below`
+    # digits, D > 256, and the cut columns, options and sides
+    sys = sft_new(STREAM_MATRICES[name])
+    pairs, quads = SLOT_DIGESTS[name, seed]
+    assert slot_digests(sys.sample_pairs(5000, seed)) == pairs
+    assert slot_digests(cli._symbolic_holonomy_quads(sys, 5000, seed)) == quads
+
+
+def test_rows_past_255_columns_are_pinned():
+    # reach 303 each way; levels 1..300 draw their cut columns from 300
+    # options, beyond a byte
+    full2 = full_shift(2)
+    x = "83d2ba4e07c107ba"
+    assert slot_digests(full2.sample_pairs(300, 5, (1, 300))) == (
+        x, "8286a4886b261a0d")
+    assert slot_digests(full2.sample_pairs(300, 5, (290, 300))) == (
+        x, "d0247bbf3304f894")

@@ -12,15 +12,22 @@ common stable set and sequences sharing a past lie on a common unstable
 set.
 """
 import math
-from functools import cached_property, lru_cache, reduce
+from array import array
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import islice
 from math import lcm
-from operator import or_
+from operator import and_, or_
+from sys import byteorder
 from typing import NamedTuple
 
-from ._streams import CHUNK, Rows, below, chunk_rngs
+from ._streams import CHUNK, Lanes, Rows, below, chunk_rngs
 
 INF = math.inf
+# a lane's byte i is row i's state; its int, read little-endian, takes
+# sums and masks in which no byte passes 255
+_int = partial(int.from_bytes, byteorder="little")
+_lane = partial(int.to_bytes, byteorder="little")
+_HIGH, _TWOS = bytes(range(128, 256)), _int(b"\2" * CHUNK)
 
 
 def _minimal_period(word):
@@ -232,35 +239,30 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
 
     @cached_property
     def _walks(self):
-        """The batch walk tables, forward (successors) then backward
-        (predecessors): per side (table, degree, paths, size, k).  Row s
-        of the int8 table holds state s's options, ascending and padded
-        with -1, and degree[s] (int64) counts them.  D is the lcm of the
-        side's degrees, k <= 8 the largest with size = D**k <= 256, and
-        paths[s, b, j] the state j + 1 steps from s when digit j of b
-        (base D, least significant first) picks option digit * deg // D:
-        each option takes D / deg digits, so a uniform block walks k
-        uniform steps.  A block is one randbytes byte, its low bits, when
-        D**k is a power of two, else `below(D**k)`.  D > 256: size 0, k 1
-        and the option table as paths, for a draw below each degree."""
-        import numpy as np
+        """Per side, forward (successors) then backward (predecessors):
+        (degree, option, paths, D, k).  `degree` maps a state to its
+        option count, `option` (a `_table`) to its options, ascending.
+        D is the lcm of the degrees: digit d steps to option d * deg //
+        D, so each option takes D / deg digits.  A block is k <= 8
+        digits, least significant first, k the largest with D**k <= 256:
+        a randbytes byte if D**k is a power of two, else `below(D**k)`.
+        paths[m - 1] maps (s, m digits) to the states they step through,
+        m up to the most with n D**m <= 256 (at least 1).  D > 256: k =
+        0, each step draws `below(degree)`, and paths = [option]."""
         out = []
         for options in (self.successors, self.predecessors):
-            degree = np.array([len(o) for o in options], dtype=np.int64)
-            table = np.full((self.n, degree.max()), -1, dtype=np.int8)
-            for s, opts in enumerate(options):
-                table[s, :len(opts)] = opts
-            base = lcm(*degree.tolist())
+            base = lcm(*map(len, options))
             k = next((k for k in range(8, 0, -1) if base ** k <= 256), 0)
-            # row j: digit j of every block; deg | D, so digit * deg // D
-            # is digit // (D / deg)
-            digits = np.indices((base,) * k).reshape(k, base ** k)[::-1]
-            cur, steps = np.arange(self.n)[:, None], []
-            for digit in digits:
-                cur = table[cur, digit // (base // degree[cur])]
-                steps.append(cur)
-            out.append((table, degree, np.stack(steps, 2), base ** k, k)
-                       if k else (table, degree, table[:, :, None], 0, 1))
+            option = [[(o,) for o in opts] for opts in options]
+            paths = [[[(o[d * len(o) // base],) for d in range(base)]
+                      for o in options] if k else option]
+            while len(paths) < k and self.n * base ** (len(paths) + 1) <= 256:
+                b = base ** len(paths)  # digits c % b, then c // b
+                paths.append([[row[c % b] + paths[0][row[c % b][-1]][c // b]
+                               for c in range(b * base)] for row in paths[-1]])
+            out.append((bytes(map(len, options)).ljust(256, b"\0"),
+                        _table(option), [_table(rows) for rows in paths],
+                        base, k))
         return tuple(out)
 
     def transpose(self):
@@ -284,6 +286,88 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
                     parent[t] = u
                     queue.append(t)
         return None
+
+
+def _is(v):
+    """The byte table of 127 at v, 0 elsewhere: a mask of rows."""
+    return bytes(v) + b"\x7f" + bytes(255 - v)
+
+
+@lru_cache(maxsize=None)
+def _digits(base, i, m):
+    """The byte table of a block's digits i..i+m-1 in base `base`."""
+    return bytes(v // base ** i % base ** m for v in range(256))
+
+
+def _table(rows):
+    """The `_look` table of the state tuples rows[a][b]: per group of
+    256 // w states from g on (w the longest row), the byte tables of
+    a -> (a - g) w, of (a - g) w + b -> rows[a][b][j] for each j, and of
+    a -> 255 if a is in the group."""
+    w, out = max(map(len, rows)), []
+    for g in range(0, len(rows), 256 // w):
+        key, mask = bytearray(256), bytearray(256)
+        values = [bytearray(256) for _ in rows[0][0]]
+        for a, row in enumerate(rows[g:g + 256 // w]):
+            key[g + a], mask[g + a] = a * w, 255
+            for b, states in enumerate(row):
+                for value, state in zip(values, states):
+                    value[a * w + b] = state
+        out.append((key, values, mask))
+    return out
+
+
+def _look(table, a, b):
+    """The lanes rows[a][b][j], one per j (see `_table`), for the lane a
+    and the int b: no key passes 255, so no byte carries; with more
+    groups than one, each group's lanes are masked to its states."""
+    keys = [_lane(_int(a.translate(key)) + b, len(a)) for key, *_ in table]
+    got = [[key.translate(v) for v in values]
+           for key, (_, values, _) in zip(keys, table)]
+    if len(got) == 1:
+        return got[0]
+    masks = [_int(a.translate(mask)) for *_, mask in table]
+    return [_lane(reduce(or_, (_int(lanes[j]) & m for lanes, m in zip(
+        got, masks))), len(a)) for j in range(len(got[0]))]
+
+
+@lru_cache(maxsize=None)
+def _marks(n):
+    """The lanes int of bit 7 in each of n rows."""
+    return _int(b"\x80" * n)
+
+
+def _compact(value, mask, n):
+    """The bytes of the lanes int `value` of n rows at the rows of `mask`,
+    in order: the others get bit 7 and go (bytes with bit 7, in two
+    parts)."""
+    high = value & _marks(n)
+    if high:
+        low, high = (_compact(v, mask, n) for v in (value ^ high, high >> 7))
+        return _lane(_int(low) | _int(high) << 7, len(low))
+    drop = _marks(n) ^ _marks(n) & mask << 1
+    return _lane(value | drop, n).translate(None, _HIGH)
+
+
+def _widen(mask, width):
+    """The mask with each row `width` times, as bytes."""
+    out = bytearray(len(mask) * width)
+    for j in range(width):
+        out[j::width] = mask
+    return out
+
+
+def _place(values, width, rows, kept):
+    """The mask of `rows` over the rows of the mask `kept`, and the lanes
+    over those, `width` bytes a row, holding `values` (width a row of
+    `rows`, in order) at the rows of both, 0 at the others: a bytes
+    format that reads every value, as %c at a kept row and as %.0s
+    (nothing) at the others."""
+    codes = _lane(rows & _TWOS | kept & _TWOS >> 1, CHUNK).translate(
+        None, b"\0")
+    return _int(codes.translate(_is(3), b"\2")), codes.replace(
+        b"\3", b"%c" * width).replace(b"\2", b"%.0s" * width).replace(
+            b"\1", bytes(width)) % tuple(memoryview(values).cast("c"))
 
 
 def _count_vectors(matrix):
@@ -465,31 +549,39 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         per step s, when the pairs are this system's sampled rows (`Rows`
         over [-w, w]) and every |s| < w; else None.  The level is t - 1
         for the first t at which the rows differ at coordinate s + t or
-        s - t.  Rows with no difference within t <= w - |s| are math.inf
-        if equal (equal rows spell equal points), else they take the
-        scalar level.
+        s - t, so it counts the t before: lane sums, in 16-bit lanes.
+        Rows with no difference within t <= w - |s| are math.inf if equal
+        (equal rows spell equal points), else they take the scalar level.
         """
         own = isinstance(pairs, Rows) and pairs.point == self._row_point
         w = pairs.cols[0].shape[1] // 2 if own else 0
         if not max(map(abs, steps)) < w:
             return None
-        import numpy as np
-        xs, ys = pairs.cols
-        differ = xs != ys
-        equal = ~differ.any(axis=1)
-        rows = np.arange(len(pairs))
-        out = []
+        n, (xs, ys) = len(pairs), (a.lanes for a in pairs.cols)
+        ones, wide, out = _int(b"\x01" * n), bytearray(2 * n), []
+        # 1 at each row that differs there: states are below 64
+        differ = [(_int(a) ^ _int(b)) + 63 * ones >> 6 & ones
+                  for a, b in zip(xs, ys)]
+        equal = ones ^ reduce(or_, differ)
         for s in steps:
-            order = [w + s] + [w + s + u for t in range(1, w - abs(s) + 1)
-                               for u in (t, -t)]
-            scan = differ[:, order]
-            first = scan.argmax(axis=1)
-            levels = ((first + 1) // 2 - 1).tolist()
-            for i in np.flatnonzero(~scan[rows, first] & ~equal).tolist():
+            found, unfound, total = 0, [], 0
+            for t in range(w - abs(s) + 1):
+                found |= differ[w + s + t] | differ[w + s - t]
+                unfound.append(ones ^ found)
+                if len(unfound) == 254 or t == w - abs(s):  # bytes hold 255
+                    wide[::2] = _lane(sum(unfound) + equal * (
+                        t == w - abs(s)), n)
+                    total, unfound = total + _int(wide), []
+            counts = array("H", _lane(total, 2 * n))
+            if byteorder == "big":
+                counts.byteswap()
+            # unfound at every t: the scalar level; equal rows one more
+            levels = [*range(-1, w - abs(s)), None, INF]
+            levels = list(map(levels.__getitem__, counts))
+            for i in [i for i, v in enumerate(levels) if v is None
+                      ] if None in levels else ():
                 x, y = pairs[i]
                 levels[i] = agreement_level(x.shift(s), y.shift(s))
-            for i in np.flatnonzero(equal).tolist():
-                levels[i] = INF
             out.append(levels)
         return out
 
@@ -515,18 +607,16 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
 
     def _pair_brackets(self, pairs):
         """`triangle_vertex(x, y)` of every pair, when the pairs are this
-        system's sampled rows; else None.  The rows splice, x's columns
+        system's sampled rows; else None.  The rows splice, x's lanes
         below coordinate 0 and y's from 0 on, into `Rows` of points: its
         ends are x's and y's, so each built point is the scalar vertex."""
         if not (isinstance(pairs, Rows) and pairs.point == self._row_point):
             return None
-        import numpy as np
-        xs, ys = pairs.cols
-        c = xs.shape[1] // 2
-        if (xs[:, c] != ys[:, c]).any():
+        xs, ys = (a.lanes for a in pairs.cols)
+        c = len(xs) // 2
+        if xs[c] != ys[c]:
             raise ValueError("bracket needs agreement at coordinate 0")
-        return Rows((np.concatenate((xs[:, :c], ys[:, c:]), axis=1),),
-                    self._row_point)
+        return Rows((Lanes(xs[:c] + ys[c:]),), self._row_point)
 
     # -- sampling -------------------------------------------------------
 
@@ -606,90 +696,154 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         with no such option are dropped.  Chunk k of the seed draws
         CHUNK candidates: the start states, cut columns, sides and
         options through `below`, and each walk in blocks of `_walks`
-        (`_walk_on`).  The rows kept are read in chunk order: the first
-        rows are the same at every count.  It stalls past 64 count +
-        1024 candidates, and before any when no state has a second
-        successor (side 1) or predecessor (side -1) on a cut's side
-        (side 0: on either)."""
-        import numpy as np
+        (`_draw`).  The walks run on whole byte lanes, a cut's only on
+        the rows kept.  These are read in chunk order: the first rows
+        are the same at every count.  It stalls past 64 count + 1024
+        candidates, and before any when no state has a second successor
+        (side 1) or predecessor (side -1) on a cut's side (side 0: on
+        either)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        fwd, bwd = (degree.max() > 1 for _, degree, *_ in self.matrix._walks)
+        fwd, bwd = (max(degree) > 1 for degree, *_ in self.matrix._walks)
         rigid = not all((fwd or bwd, fwd, bwd)[side] for _, _, side in cuts)
-        budget = 64 * count + 1024
-        parts = [[np.zeros((0, 2 * reach + 1), dtype=np.int8)] * (
-            1 + len(cuts))]
-        have = 0
+        budget, have, every = 64 * count + 1024, 0, _int(b"\x7f" * CHUNK)
+        parts = [[[b""] * (2 * reach + 1)] * (1 + len(cuts))]
         for k, rng in enumerate(chunk_rngs(seed)):
             if have >= count:
                 break
             if rigid or k * CHUNK >= budget:
                 raise ArithmeticError("sampling stalled; matrix too rigid")
-            x = np.empty((CHUNK, 2 * reach + 1), dtype=np.int8)
-            x[:, reach] = below(rng, np.full(CHUNK, self.matrix.n))
-            every, ok = np.arange(CHUNK), np.ones(CHUNK, dtype=bool)
-            for sign in (1, -1):
-                self._walk_on(rng, x, sign, every, np.zeros(CHUNK, dtype=int))
-            rows = [x]
-            for lo, hi, side in cuts:
-                r = lo + below(rng, np.full(CHUNK, hi - lo + 1))
-                sides = np.full(CHUNK, side) if side else (
-                    2 * below(rng, np.full(CHUNK, 2)) - 1)
-                rows.append(x.copy())
-                for sign in (1, -1):
-                    at = np.flatnonzero(sides == sign)
-                    ok[at] &= self._branch(rng, rows[-1], sign, at, r[at])
-            ok[budget - k * CHUNK:] = False  # candidates past the budget
-            parts.append([a[ok] for a in rows])
-            have += int(ok.sum())
-        return Rows((np.concatenate(col)[:count] for col in zip(*parts)),
-                    self._row_point)
+            start, x, rest = bytes(below(rng, [self.matrix.n] * CHUNK)), {}, {}
+            for sign in (1, -1):  # all rows walk out to the cut columns
+                mid = max([hi for _, hi, side in cuts if side != -sign],
+                          default=0)
+                rest[sign] = mid, self._draw(rng, sign, start, every,
+                                             {0: every}, reach)
+                x[sign] = self._walk_on(sign, start, rest[sign][1], mid)
+            # candidates past the budget go
+            ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1
+            branches = [self._branch(rng, x, reach, *cut) for cut in cuts]
+            ok = reduce(and_, (b.pop() for b in branches), ok & every)
+            n, rows = _lane(ok, CHUNK).count(127), [{}]
+            for sign, (mid, drawn) in rest.items():
+                ((_, drawn, width),), half = drawn.values(), [
+                    _compact(v, ok, CHUNK) for v in x[sign]]
+                drawn = _compact(_int(drawn), _int(_widen(_lane(
+                    ok, CHUNK), width)), len(drawn))  # the rows kept
+                cols = self._walk_on(sign, half[-1], {0: (
+                    _int(b"\x7f" * n), drawn, width)}, reach, mid)
+                rows[0][sign] = half + [_lane(v, n) for v in cols[mid + 1:]]
+            for lo, *walks in branches:  # each cut's walks, on the rows kept
+                rows.append({sign: list(h) for sign, h in rows[0].items()})
+                for sign, branch, new, groups in walks:
+                    groups = {t: (*_place(drawn, width, mask, ok), width)
+                              for t, (mask, drawn, width) in groups.items()}
+                    cols, moved = self._walk_on(sign, _place(
+                        new, 1, branch, ok)[1], groups, reach), 0
+                    for c in range(lo, reach + 1):
+                        moved |= groups[c][0] if c in groups else 0
+                        v = _int(rows[-1][sign][c])
+                        rows[-1][sign][c] = _lane(v ^ v & moved | cols[c], n)
+            have += n
+            parts.append([h[-1][:0:-1] + h[1] for h in rows])
+        return Rows((Lanes(b"".join(col)[:count] for col in zip(*slot))
+                     for slot in zip(*parts)), self._row_point)
 
-    def _branch(self, rng, x, sign, rows, r):
-        """Rows `rows` of x take another option than theirs at coordinate
-        sign * r[i] and walk on; returns which of them had one."""
-        table, degree, *_ = self.matrix._walks[sign < 0]
-        half = x[:, x.shape[1] // 2::sign]  # column t: coordinate sign * t
-        prev, old = half[rows, r - 1], half[rows, r]
-        alts = degree[prev] - 1
-        ok = alts > 0
-        rows, r, prev, old = rows[ok], r[ok], prev[ok], old[ok]
-        # options ascend: skip old by stepping past every option below it
-        pick = below(rng, alts[ok])
-        half[rows, r] = table[prev, pick + (table[prev, pick] >= old)]
-        self._walk_on(rng, x, sign, rows, r)
-        return ok
+    def _branch(self, rng, x, reach, lo, hi, side):
+        """The rows of the chunk's lanes x (ints) leave x at coordinate
+        sign * r, r uniform in lo..hi and sign `side` (0: uniform), for
+        another option there: lo, then per side the lane of those
+        options and their rows' blocks by r (`_draw`), then the mask of
+        the rows that had one.  A mask per r picks each row's states."""
+        ok, out = _int(b"\x7f" * CHUNK), [lo]
+        offsets = below(rng, [hi - lo + 1] * CHUNK)
+        sides = bytes(below(rng, [2] * CHUNK)) if not side else bytes(
+            [side > 0]) * CHUNK
+        # the rows cut at column t, by the bytes of t - lo
+        tags = [bytes(offsets)] if hi - lo < 256 else [
+            bytes(o >> j & 255 for o in offsets) for j in (0, 8)]
+        at = {t: reduce(and_, (_int(tag.translate(_is(t - lo >> 8 * j & 255)))
+                               for j, tag in enumerate(tags)))
+              for t in range(lo, hi + 1)}
+        for sign in (1, -1):
+            degree, option, *_ = self.matrix._walks[sign < 0]
+            half, signed = x[sign], _int(sides.translate(_is(sign > 0)))
+            if not signed:
+                continue
+            cut = {t: v & signed for t, v in at.items()}
+            prev, old = (reduce(or_, (half[t + d] & v for t, v in
+                                      cut.items())) for d in (-1, 0))
+            alts = _lane(prev, CHUNK).translate(degree).translate(
+                bytes(2) + bytes(range(1, 255)))  # degree - 1
+            branch = signed & _int(alts.translate(bytes(1) + b"\x7f" * 255))
+            ok ^= ok & (signed ^ branch)  # the rows of this sign without one
+            if not branch:
+                continue
+            before, old, alts = (_compact(v, branch, CHUNK)
+                                 for v in (prev, old, _int(alts)))
+            pick, m = _int(bytes(below(rng, alts))), len(alts)
+            # options ascend: skip old by stepping past every option
+            # below it; first - old + 64 has bit 6 when first >= old
+            (first,) = _look(option, before, pick)
+            skip = _int(first) + _int(b"\x40" * m) - _int(old) >> 6 & _int(
+                b"\x01" * m)
+            (new,) = _look(option, before, pick + skip)
+            out.append((sign, branch, new, self._draw(rng, sign, new, branch, {
+                t: v & branch for t, v in cut.items() if v & branch}, reach)))
+        return out + [ok]
 
-    def _walk_on(self, rng, x, sign, rows, r):
-        """Rows `rows` of x walk from coordinate sign * r[i] out to their
-        end, to a uniform successor (sign 1) or predecessor per step, k
-        steps (one k-byte item of the `_walks` paths) per lookup.  The
-        rows of one start column draw their blocks in one call, row by
-        row."""
-        import numpy as np
-        _, degree, paths, size, k = self.matrix._walks[sign < 0]
-        steps = paths.reshape(-1, k).view(np.dtype((np.void, k)))[:, 0]
-        half = x[:, x.shape[1] // 2::sign]
-        end = half.shape[1]
-        for t in np.flatnonzero(np.bincount(r)).tolist():
-            group, blocks = rows[r == t], -(-(end - 1 - t) // k)
-            if size & (size - 1):
-                digits = below(rng, np.full(len(group) * blocks, size))
-            elif size:
-                digits = np.frombuffer(rng.randbytes(len(group) * blocks),
-                                       np.uint8) & (size - 1)
-            path = np.empty((len(group), blocks), steps.dtype)
-            walked, cur = path.view(np.int8), half[group, t]
-            for b in range(blocks):
-                pick = digits[b::blocks] if size else below(rng, degree[cur])
-                path[:, b] = steps[cur.astype(np.intp) * paths.shape[1] + pick]
-                cur = walked[:, b * k + k - 1]
-            half[group, t + 1:] = walked[:, :end - 1 - t]
+    def _draw(self, rng, sign, start, rows, groups, end):
+        """Per t, ascending, the mask of the rows that walk from column t
+        (coordinate sign * t), the blocks (`_walks`) of each, row by row,
+        drawn in one call, and their count a row; for D > 256, one
+        `below` their degrees per step, as they walk from their states
+        in `start` (one per row of the mask `rows`)."""
+        degree, option, _, base, k = self.matrix._walks[sign < 0]
+        out = {}
+        for t, mask in groups.items():
+            width, n = -(-(end - t) // k) if k else end - t, mask.bit_count() // 7
+            if k:
+                drawn = bytes(below(rng, [base ** k] * (n * width))) if (
+                    base ** k & base ** k - 1) else rng.randbytes(n * width)
+            else:
+                cur, drawn = _compact(_int(start), _int(_compact(
+                    mask, rows, CHUNK)), len(start)), bytearray(n * width)
+                for j in range(width):
+                    drawn[j::width] = bytes(below(rng, cur.translate(degree)))
+                    (cur,) = _look(option, cur, _int(drawn[j::width]))
+            out[t] = mask, drawn, width
+        return out
+
+    def _walk_on(self, sign, start, groups, end, walked=0):
+        """Per column 0..end of one side, the lanes int of the states
+        that the rows of each group (t: (mask, blocks, count), as from
+        `_draw`, over the rows of `start`) reach there, walking from
+        `start` at column t + walked: all rows walk at once, lane j
+        holding each row's state j steps on, with the most digits a
+        `_walks` path takes a lookup."""
+        _, _, paths, base, k = self.matrix._walks[sign < 0]
+        n, k, steps = len(start), k or 1, end - min(groups)
+        blocks = [0] * max(width for *_, width in groups.values())
+        lanes, cols = [start], [0] * (end + 1)
+        for _, drawn, width in groups.values():
+            for b in range(width):
+                blocks[b] |= _int(drawn[b::width])
+        blocks = [_lane(b, n) for b in blocks]
+        while walked + len(lanes) <= steps:
+            j = walked + len(lanes) - 1  # the steps walked
+            m = min(len(paths), k - j % k, steps - j)
+            lanes += _look(paths[m - 1], lanes[-1], _int(
+                blocks[j // k].translate(_digits(base, j % k, m))))
+        lanes = [_int(lane) for lane in lanes]
+        for t, (mask, *_) in groups.items():
+            for j, lane in enumerate(lanes[:end - t + 1 - walked], walked):
+                cols[t + j] |= lane & mask
+        return cols
 
     def _row_point(self, row):
-        """The point a sampled row spells, its middle column coordinate
-        0."""
-        return self.point_through(row.tolist(), -(len(row) // 2))
+        """The point a sampled row (bytes) spells, its middle column
+        coordinate 0."""
+        return self.point_through(row, -(len(row) // 2))
 
 
 def sft_new(rows, lam=2.0):

@@ -480,14 +480,32 @@ def test_console_script_is_installed(subprocess_env):
     assert json.loads(proc.stdout)["passed"] is True
 
 
-def test_shift_runs_leave_numpy_random_unloaded(subprocess_env):
-    # numpy.random costs about 6 MB of resident memory to import
-    code = ("import contextlib, io, sys\n"
-            "from selfsimilar import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    cli.main(['all', '--system', 'golden-mean',"
-            " '--samples', '50'])\n"
-            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+def test_shift_runs_leave_numpy_random_unloaded(subprocess_env, tmp_path):
+    # numpy loads only with the torus: `selfsim all` on every shift system,
+    # in JSON and in CSV, runs without it (and without numpy.random, about
+    # 6 MB of resident memory); on the cat map it loads numpy alone
+    configs = [{"system": name} for name in
+               ("golden-mean", "full-2-shift", "four-symbol")] + [
+        {"system": "sft", "rows": rows}
+        for rows in ([[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+                     [[0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])]
+    paths = [tmp_path / f"shift-{i}.json" for i in range(len(configs))]
+    for path, config in zip(paths, configs):
+        path.write_text(json.dumps(config))
+    paths = list(map(str, paths))
+    code = f"""\
+import contextlib, io, sys
+from selfsimilar import cli
+for path in {paths!r}:
+    for fmt in ("json", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["all", "--config", path, "--samples", "50",
+                      "--format", fmt])
+        assert "numpy" not in sys.modules, (path, fmt)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["all", "--system", "cat-map", "--samples", "50"])
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=subprocess_env)
     assert proc.returncode == 0, proc.stderr
@@ -513,8 +531,8 @@ def test_importing_the_cli_loads_no_argument_parser(subprocess_env):
 
 
 def test_shift_measure_runs_leave_numpy_unloaded(subprocess_env):
-    # numpy is imported by the array kernels only: sampling, the torus and
-    # the toral covers; the exact shift measure path runs without it
+    # numpy loads only with the torus (its sampler, maps and toral covers);
+    # the exact shift measure path, like every shift path, runs without it
     code = """\
 import sys
 from random import Random

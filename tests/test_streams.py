@@ -1,6 +1,7 @@
 """The chunk-keyed draw scheme that every sampler reads: its key and bit
 layout, prefix stability at every count, uniform choices, one draw per
-walk group, and `Rows`, the one sequence every sampler returns."""
+walk group, and `Rows`, the one sequence every sampler returns (its shift
+slots are `Lanes`, read here as arrays)."""
 
 import ast
 import hashlib
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from selfsimilar import _streams, cli, symbolic
-from selfsimilar._streams import CHUNK, Rows, below, uniforms
+from selfsimilar._streams import CHUNK, Lanes, Rows, below, uniforms
 from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.symbolic import (agreement_level, full_shift, golden_mean,
                                   sft_new)
@@ -33,9 +34,18 @@ def test_first_uniforms_of_chunks_zero_and_one_are_pinned():
     assert ((w >> 11) * 2.0**-53).tolist() == [0.9894620038544321]
 
 
+def as_array(slot):
+    """A sampled slot as an (N, width) array: `Lanes` hold it by column."""
+    if not isinstance(slot, Lanes):
+        return slot
+    n, width = slot.shape
+    return np.frombuffer(b"".join(slot.lanes), np.uint8).reshape(width, n).T
+
+
 def rows_of(sample):
     """The arrays of a sampled sequence, or the list of its items."""
-    return getattr(sample, "cols", None) or (np.array(sample),)
+    cols = getattr(sample, "cols", None)
+    return tuple(map(as_array, cols)) if cols else (np.array(sample),)
 
 
 def assert_prefix_stable(draw):
@@ -77,10 +87,10 @@ def test_draws_are_fixed_by_the_seed(golden):
     assert np.array_equal(uniforms(50, 7, 3), uniforms(50, 7, 3))
     assert not np.isin(uniforms(50, 7, 3), uniforms(50, 8, 3)).any()
     assert all(np.array_equal(a, b) for a, b in zip(
-        golden.sample_pairs(50, seed=7).cols,
-        golden.sample_pairs(50, seed=7).cols))
-    assert not np.array_equal(golden.sample_pairs(50, seed=7).cols[0],
-                              golden.sample_pairs(50, seed=8).cols[0])
+        rows_of(golden.sample_pairs(50, seed=7)),
+        rows_of(golden.sample_pairs(50, seed=7))))
+    assert not np.array_equal(rows_of(golden.sample_pairs(50, seed=7))[0],
+                              rows_of(golden.sample_pairs(50, seed=8))[0])
 
 
 @pytest.mark.parametrize("seed", [1.5, "0", b"0", None, True])
@@ -105,25 +115,26 @@ class QueuedWords:
         return np.array(self.rounds.pop(0), "<u4").tobytes()
 
 
-@pytest.mark.parametrize("c", range(1, 8))
+@pytest.mark.parametrize("c", [*range(1, 8), 64, 65, 243, 300])
 def test_below_is_uniform_for_each_option_count(c):
     # the accepted words are [0, limit), limit the largest multiple of c
-    # up to 2**32: every residue is taken by as many words
+    # up to 2**32: every residue is taken by as many words; one count up
+    # to 64 reads the words' bytes as lanes, a larger one word by word
     limit = (1 << 32) // c * c
-    counts = np.full(2, c, dtype=np.int64)
+    counts = [c, c]
     if c == 1:
         rng = QueuedWords()
-        assert below(rng, counts).tolist() == [0, 0] and rng.asked == []
+        assert list(below(rng, counts)) == [0, 0] and rng.asked == []
     elif limit < 1 << 32:
         rng = QueuedWords([limit - 1, limit], [5])
-        assert below(rng, counts).tolist() == [c - 1, 5 % c]
+        assert list(below(rng, counts)) == [c - 1, 5 % c]
         assert rng.asked == [8, 4]
     else:
         rng = QueuedWords([limit - 1, 0])
-        assert below(rng, counts).tolist() == [c - 1, 0]
+        assert list(below(rng, counts)) == [c - 1, 0]
     # a fixed-seed frequency check: every residue within 5 sigma
     n = 70_000
-    freq = np.bincount(below(Random(b"uniformity"), np.full(n, c)),
+    freq = np.bincount(list(below(Random(b"uniformity"), [c] * n)),
                        minlength=c)
     assert len(freq) == c
     assert np.all(np.abs(freq - n / c) <= 5 * np.sqrt(n / c * (1 - 1 / c)))
@@ -144,7 +155,7 @@ def test_walks_draw_once_per_side_and_start_column(golden, monkeypatch):
             return super().randbytes(n)
 
     monkeypatch.setattr(_streams, "Random", Spy)
-    xs, ys = golden.sample_pairs(CHUNK, seed=0).cols
+    xs, ys = rows_of(golden.sample_pairs(CHUNK, seed=0))
     first = next(iter(asked.values()))  # chunk 0's calls, in order
     assert first[:5] == [4 * CHUNK, 2 * CHUNK, 2 * CHUNK, 4 * CHUNK,
                          4 * CHUNK]

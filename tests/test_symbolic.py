@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
-from selfsimilar._streams import Rows, below
+from selfsimilar._streams import Lanes, Rows, below
 from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.measure import (
     Box,
@@ -33,6 +33,7 @@ from selfsimilar.measure import (
 from selfsimilar.symbolic import (
     ShiftSystem,
     TransitionMatrix,
+    _look,
     _parry_data,
     _count_vectors,
     _word_counts,
@@ -254,6 +255,11 @@ def level_pairs(draw):
 W = 7
 
 
+def window_lanes(points, w):
+    """The sampled-row slot of the points' windows [-w, w]."""
+    return Lanes(bytes(p.at(i) for p in points) for i in range(-w, w + 1))
+
+
 @settings(max_examples=300)
 @given(level_pairs(), st.lists(st.integers(-6, 6), min_size=1, max_size=4,
                                unique=True))
@@ -270,8 +276,8 @@ def test_batch_levels_equal_the_scalar_scan(pairs, steps):
     x = shift3.constant(0)
     pairs = pairs + [(x, x.with_value(0, 1)), (x, x.with_value(-W, 1)),
                      (x, x.with_value(W, 1)), (x, x)]
-    rows = Rows((np.array([p[k].window(-W, W) for p in pairs], dtype=np.int8)
-                 for k in (0, 1)), shift3._row_point)
+    rows = Rows((window_lanes([p[k] for p in pairs], W) for k in (0, 1)),
+                shift3._row_point)
     spelled = list(rows)
     batch = shift3._pair_levels(rows, steps)
     assert len(batch) == len(steps)
@@ -305,10 +311,8 @@ def test_batch_levels_past_the_window_and_of_equal_points(full2):
         [math.inf, 40, 1, -1, -1, math.inf],
     ]
     # rows over [-3, 3]: the second differs only at coordinate 3
-    xs = np.zeros((2, 7), dtype=np.int8)
-    ys = xs.copy()
-    ys[1, 6] = 1
-    rows = Rows((xs, ys), full2._row_point)
+    rows = Rows((window_lanes([x, x], 3),
+                 window_lanes([x, x.with_value(3, 1)], 3)), full2._row_point)
     assert full2._pair_levels(rows, (0, 3)) is None
     assert _pair_values(full2, rows, (0, 3), levels=True) == [
         [math.inf, 2], [math.inf, -1]]
@@ -318,11 +322,9 @@ def test_row_levels_past_the_scanned_columns(full2):
     """Rows over [-3, 3] read at step s scan |t| <= 3 - |s| around s: a
     difference only at coordinate 3 is out of reach at step -1, where
     the level comes from the built points."""
-    xs = np.zeros((3, 7), dtype=np.int8)
-    ys = xs.copy()
-    ys[0, 6] = 1
-    ys[1, 0] = 1
-    pairs = Rows((xs, ys), full2._row_point)
+    x = full2.constant(0)
+    pairs = Rows((window_lanes([x] * 3, 3), window_lanes(
+        [x.with_value(3, 1), x.with_value(-3, 1), x], 3)), full2._row_point)
     steps = (0, 1, -1, 2)
     assert full2._pair_levels(pairs, steps) == [
         [agreement_level(x.shift(s), y.shift(s)) for x, y in pairs]
@@ -852,24 +854,24 @@ def test_below_redraws_the_rejected_words():
     # and 7 that is only the top 1 and 4 words, for c = 3 << 30 it is c
     # itself, and c = 1 takes no word
     big = 3 << 30
-    counts = np.array([3, big, 7, big, 1], dtype=np.int64)
+    counts = [3, big, 7, big, 1]
     top = (1 << 32) - 1
     rng = QueuedWords([top, big + 5, 10, top],  # rows 0, 1, 3 rejected
                       [7, top - 1, 4],  # row 1 again
                       [big - 1])
     got = below(rng, counts)
     assert rng.asked == [16, 12, 4] and not rng.rounds
-    assert got.tolist() == [7 % 3, big - 1, 10 % 7, 4, 0]
+    assert list(got) == [7 % 3, big - 1, 10 % 7, 4, 0]
 
 
 def check_sampled_pairs(sys, pairs, count, levels):
     """Rows are walks on the matrix, every built pair sits at a level
     in `levels`, and the batch levels at steps 0 and +-1 are the scalar
     ones of the built points."""
-    edges = np.array(sys.matrix.rows, dtype=bool)
     assert len(pairs) == count
-    for rows in pairs.cols:
-        assert edges[rows[:, :-1], rows[:, 1:]].all()
+    for lanes in pairs.cols:
+        assert all(sys.matrix.rows[a][b] for lane, next_lane in zip(
+            lanes.lanes, lanes.lanes[1:]) for a, b in zip(lane, next_lane))
     built = list(pairs)
     for x, y in built:
         assert sys.admissible(x) and sys.admissible(y)
@@ -934,31 +936,37 @@ def walk_counts(options, s, k, base):
     return out
 
 
+def look_up(table, pairs):
+    """`_look` of a table at every (a, b) of pairs: one tuple a pair."""
+    a, b = (bytes(v) for v in zip(*pairs))
+    return list(zip(*_look(table, a, int.from_bytes(b, "little"))))
+
+
 def check_block_tables(rows):
-    """Each side's `_walks` lists every state's options, ascending and
-    padded with -1, with their count, and its paths hold every k-step
-    walk from s, in row s, as often as its digit blocks say, with D the
-    lcm of the degrees and k the largest with D**k <= 256; a side with
-    D > 256 lists each state's options once, for a draw below its
-    degree."""
+    """Each side's `_walks` counts every state's options and lists them,
+    ascending, in its option table; with D the lcm of the degrees and k
+    the largest with D**k <= 256, its m-digit paths, for m up to the
+    most with n D**m <= 256 (at least 1), hold every m-step walk from s
+    as often as its digits say; a side with D > 256 has k = 0 and its
+    option table as its one path table, for a draw below each degree."""
     matrix = TransitionMatrix(rows)
-    for options, (table, degree, paths, size, k) in zip(
+    for options, (degree, option, paths, base, k) in zip(
             (matrix.successors, matrix.predecessors), matrix._walks):
-        assert degree.tolist() == list(map(len, options))
-        for s, opts in enumerate(options):
-            assert table[s].tolist() == [*opts] + [-1] * (
-                table.shape[1] - len(opts))
-        base = math.lcm(*map(len, options))
+        n = matrix.n
+        assert list(degree[:n]) == list(map(len, options))
+        pairs = [(s, p) for s in range(n) for p in range(len(options[s]))]
+        assert look_up(option, pairs) == [(options[s][p],) for s, p in pairs]
+        assert base == math.lcm(*map(len, options))
         if base > 256:
-            assert (size, k) == (0, 1)
-            for s, opts in enumerate(options):
-                assert paths[s, :len(opts), 0].tolist() == list(opts)
+            assert k == 0 and paths == [option]
             continue
         assert k == max(j for j in range(1, 9) if base ** j <= 256)
-        assert size == base ** k and paths.shape == (matrix.n, size, k)
-        for s in range(matrix.n):
-            assert Counter(map(tuple, paths[s].tolist())) == walk_counts(
-                options, s, k, base)
+        assert len(paths) == max(j for j in range(1, k + 1)
+                                 if j == 1 or n * base ** j <= 256)
+        for m, table in enumerate(paths, 1):
+            for s in range(n):
+                walks = look_up(table, [(s, c) for c in range(base ** m)])
+                assert Counter(walks) == walk_counts(options, s, m, base)
 
 
 # D = 2 (golden-mean), 3 (full-3), 4 (four-symbol), 6 (degrees 2 and 3),

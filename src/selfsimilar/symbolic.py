@@ -23,11 +23,11 @@ from typing import NamedTuple
 from ._streams import CHUNK, Lanes, Rows, below, chunk_rngs
 
 INF = math.inf
-# a lane's byte i is row i's state; its int, read little-endian, takes
-# sums and masks in which no byte passes 255
+# a lane holds a byte a row; its int, read little-endian, takes sums and
+# masks in which no byte passes 255.  A mask holds 127 at its rows.
 _int = partial(int.from_bytes, byteorder="little")
 _lane = partial(int.to_bytes, byteorder="little")
-_HIGH, _TWOS = bytes(range(128, 256)), _int(b"\2" * CHUNK)
+_MARK, _TWOS = _int(b"\x80" * CHUNK), _int(b"\2" * CHUNK)
 
 
 def _minimal_period(word):
@@ -289,7 +289,7 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
 
 
 def _is(v):
-    """The byte table of 127 at v, 0 elsewhere: a mask of rows."""
+    """The byte table of the mask of the value v."""
     return bytes(v) + b"\x7f" + bytes(255 - v)
 
 
@@ -300,16 +300,15 @@ def _digits(base, i, m):
 
 
 def _table(rows):
-    """The `_look` table of the state tuples rows[a][b]: per group of
-    256 // w states from g on (w the longest row), the byte tables of
-    a -> (a - g) w, of (a - g) w + b -> rows[a][b][j] for each j, and of
-    a -> 255 if a is in the group."""
+    """The `_look` table of state tuples rows[a][b]: per group of 256 // w
+    states from g on (w the longest row), the byte tables a -> (a - g) w,
+    (a - g) w + b -> rows[a][b][j] for each j, and the group's mask."""
     w, out = max(map(len, rows)), []
     for g in range(0, len(rows), 256 // w):
         key, mask = bytearray(256), bytearray(256)
         values = [bytearray(256) for _ in rows[0][0]]
         for a, row in enumerate(rows[g:g + 256 // w]):
-            key[g + a], mask[g + a] = a * w, 255
+            key[g + a], mask[g + a] = a * w, 127
             for b, states in enumerate(row):
                 for value, state in zip(values, states):
                     value[a * w + b] = state
@@ -318,56 +317,41 @@ def _table(rows):
 
 
 def _look(table, a, b):
-    """The lanes rows[a][b][j], one per j (see `_table`), for the lane a
-    and the int b: no key passes 255, so no byte carries; with more
+    """The lanes rows[a][b][j], one per j, of the lane a and the lanes int
+    b (see `_table`): no key passes 255, so no byte carries; with more
     groups than one, each group's lanes are masked to its states."""
-    keys = [_lane(_int(a.translate(key)) + b, len(a)) for key, *_ in table]
-    got = [[key.translate(v) for v in values]
-           for key, (_, values, _) in zip(keys, table)]
-    if len(got) == 1:
-        return got[0]
-    masks = [_int(a.translate(mask)) for *_, mask in table]
-    return [_lane(reduce(or_, (_int(lanes[j]) & m for lanes, m in zip(
-        got, masks))), len(a)) for j in range(len(got[0]))]
+    got = []
+    for key, values, mask in table:
+        key = _lane(_int(a.translate(key)) + b, len(a))
+        got.append([key.translate(v) for v in values] if len(table) == 1
+                   else [_int(key.translate(v)) & _int(a.translate(mask))
+                         for v in values])
+    return got[0] if len(table) == 1 else [
+        _lane(reduce(or_, lanes), len(a)) for lanes in zip(*got)]
 
 
-@lru_cache(maxsize=None)
-def _marks(n):
-    """The lanes int of bit 7 in each of n rows."""
-    return _int(b"\x80" * n)
-
-
-def _compact(value, mask, n):
-    """The bytes of the lanes int `value` of n rows at the rows of `mask`,
-    in order: the others get bit 7 and go (bytes with bit 7, in two
-    parts)."""
-    high = value & _marks(n)
+def _compact(value, mask):
+    """The bytes of a chunk's lanes int `value` at the rows of `mask`, in
+    order: the others get bit 7, and go (bytes with bit 7, in two)."""
+    high = value & _MARK
     if high:
-        low, high = (_compact(v, mask, n) for v in (value ^ high, high >> 7))
+        low, high = (_compact(v, mask) for v in (value ^ high, high >> 7))
         return _lane(_int(low) | _int(high) << 7, len(low))
-    drop = _marks(n) ^ _marks(n) & mask << 1
-    return _lane(value | drop, n).translate(None, _HIGH)
+    return _lane(value | _MARK ^ _MARK & mask << 1, CHUNK).translate(
+        None, bytes(range(128, 256)))
 
 
-def _widen(mask, width):
-    """The mask with each row `width` times, as bytes."""
-    out = bytearray(len(mask) * width)
-    for j in range(width):
-        out[j::width] = mask
-    return out
-
-
-def _place(values, width, rows, kept):
-    """The mask of `rows` over the rows of the mask `kept`, and the lanes
-    over those, `width` bytes a row, holding `values` (width a row of
-    `rows`, in order) at the rows of both, 0 at the others: a bytes
-    format that reads every value, as %c at a kept row and as %.0s
-    (nothing) at the others."""
+def _place(lanes, rows, kept):
+    """The mask of `rows` over a chunk's rows of the mask `kept`, and each
+    of `lanes` (a byte a row of `rows`, in order) over those: its bytes
+    at the rows of both, 0 at the others.  A bytes format reads each
+    byte, as %c if kept, as %.0s (nothing) if not."""
     codes = _lane(rows & _TWOS | kept & _TWOS >> 1, CHUNK).translate(
         None, b"\0")
-    return _int(codes.translate(_is(3), b"\2")), codes.replace(
-        b"\3", b"%c" * width).replace(b"\2", b"%.0s" * width).replace(
-            b"\1", bytes(width)) % tuple(memoryview(values).cast("c"))
+    form = codes.replace(b"\3", b"%c").replace(b"\2", b"%.0s").replace(
+        b"\1", b"\0")
+    return _int(codes.translate(_is(3), b"\2")), [
+        form % tuple(memoryview(lane).cast("c")) for lane in lanes]
 
 
 def _count_vectors(matrix):
@@ -558,26 +542,25 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         if not max(map(abs, steps)) < w:
             return None
         n, (xs, ys) = len(pairs), (a.lanes for a in pairs.cols)
-        ones, wide, out = _int(b"\x01" * n), bytearray(2 * n), []
+        ones, wide, out = _int(b"\1" * n), bytearray(2 * n), []
         # 1 at each row that differs there: states are below 64
         differ = [(_int(a) ^ _int(b)) + 63 * ones >> 6 & ones
                   for a, b in zip(xs, ys)]
         equal = ones ^ reduce(or_, differ)
         for s in steps:
-            found, unfound, total = 0, [], 0
-            for t in range(w - abs(s) + 1):
+            found, unfound, total, reach = 0, [], 0, w - abs(s)
+            for t in range(reach + 1):
                 found |= differ[w + s + t] | differ[w + s - t]
                 unfound.append(ones ^ found)
-                if len(unfound) == 254 or t == w - abs(s):  # bytes hold 255
-                    wide[::2] = _lane(sum(unfound) + equal * (
-                        t == w - abs(s)), n)
+                if len(unfound) == 254 or t == reach:  # bytes hold 255
+                    wide[::2] = _lane(sum(unfound) + equal * (t == reach), n)
                     total, unfound = total + _int(wide), []
             counts = array("H", _lane(total, 2 * n))
             if byteorder == "big":
                 counts.byteswap()
             # unfound at every t: the scalar level; equal rows one more
-            levels = [*range(-1, w - abs(s)), None, INF]
-            levels = list(map(levels.__getitem__, counts))
+            levels = list(map([*range(-1, reach), None, INF].__getitem__,
+                              counts))
             for i in [i for i, v in enumerate(levels) if v is None
                       ] if None in levels else ():
                 x, y = pairs[i]
@@ -695,13 +678,13 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         0: either side), for another option there and walks on.  Rows
         with no such option are dropped.  Chunk k of the seed draws
         CHUNK candidates: the start states, cut columns, sides and
-        options through `below`, and each walk in blocks of `_walks`
-        (`_draw`).  The walks run on whole byte lanes, a cut's only on
-        the rows kept.  These are read in chunk order: the first rows
-        are the same at every count.  It stalls past 64 count + 1024
-        candidates, and before any when no state has a second successor
-        (side 1) or predecessor (side -1) on a cut's side (side 0: on
-        either)."""
+        options through `below`, each walk in blocks of `_walks`
+        (`_draw`).  The rows walk on whole lanes; past its cut columns, a
+        walk takes only the rows kept.  These are read in chunk order:
+        the first rows are the same at every count.  It stalls past 64
+        count + 1024 candidates, and before any when no state has a
+        second successor (side 1) or predecessor (side -1) on a cut's
+        side (side 0: on either)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
         fwd, bwd = (max(degree) > 1 for degree, *_ in self.matrix._walks)
@@ -714,32 +697,30 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
             if rigid or k * CHUNK >= budget:
                 raise ArithmeticError("sampling stalled; matrix too rigid")
             start, x, rest = bytes(below(rng, [self.matrix.n] * CHUNK)), {}, {}
-            for sign in (1, -1):  # all rows walk out to the cut columns
+            for sign in (1, -1):  # every row walks out to the cut columns
                 mid = max([hi for _, hi, side in cuts if side != -sign],
                           default=0)
-                rest[sign] = mid, self._draw(rng, sign, start, every,
-                                             {0: every}, reach)
-                x[sign] = self._walk_on(sign, start, rest[sign][1], mid)
+                drawn = self._draw(rng, sign, start, every, {0: every}, reach)
+                x[sign], rest[sign] = self._walk_on(
+                    sign, start, drawn, mid), (mid, drawn[0][1])
             # candidates past the budget go
-            ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1
+            ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1 & every
             branches = [self._branch(rng, x, reach, *cut) for cut in cuts]
-            ok = reduce(and_, (b.pop() for b in branches), ok & every)
+            ok = reduce(and_, (b.pop() for b in branches), ok)
             n, rows = _lane(ok, CHUNK).count(127), [{}]
-            for sign, (mid, drawn) in rest.items():
-                ((_, drawn, width),), half = drawn.values(), [
-                    _compact(v, ok, CHUNK) for v in x[sign]]
-                drawn = _compact(_int(drawn), _int(_widen(_lane(
-                    ok, CHUNK), width)), len(drawn))  # the rows kept
-                cols = self._walk_on(sign, half[-1], {0: (
-                    _int(b"\x7f" * n), drawn, width)}, reach, mid)
+            for sign, (mid, blocks) in rest.items():
+                half = [_compact(v, ok) for v in x[sign]]
+                cols = self._walk_on(sign, half[-1], {0: (_int(
+                    b"\x7f" * n), [_compact(_int(b), ok) for b in blocks])},
+                    reach, mid)  # the rows kept walk on
                 rows[0][sign] = half + [_lane(v, n) for v in cols[mid + 1:]]
             for lo, *walks in branches:  # each cut's walks, on the rows kept
                 rows.append({sign: list(h) for sign, h in rows[0].items()})
                 for sign, branch, new, groups in walks:
-                    groups = {t: (*_place(drawn, width, mask, ok), width)
-                              for t, (mask, drawn, width) in groups.items()}
+                    groups = {t: _place(blocks, mask, ok)
+                              for t, (mask, blocks) in groups.items()}
                     cols, moved = self._walk_on(sign, _place(
-                        new, 1, branch, ok)[1], groups, reach), 0
+                        [new], branch, ok)[1][0], groups, reach), 0
                     for c in range(lo, reach + 1):
                         moved |= groups[c][0] if c in groups else 0
                         v = _int(rows[-1][sign][c])
@@ -750,11 +731,12 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
                      for slot in zip(*parts)), self._row_point)
 
     def _branch(self, rng, x, reach, lo, hi, side):
-        """The rows of the chunk's lanes x (ints) leave x at coordinate
-        sign * r, r uniform in lo..hi and sign `side` (0: uniform), for
-        another option there: lo, then per side the lane of those
-        options and their rows' blocks by r (`_draw`), then the mask of
-        the rows that had one.  A mask per r picks each row's states."""
+        """Per side, the rows of the chunk's lanes (ints) x[side] that
+        leave x at coordinate sign * r, r uniform in lo..hi and sign
+        `side` (0: uniform), for another option there: lo, then per side
+        their mask, their options at r (in order) and `_draw` of them by
+        r, then the mask of the rows that had one.  A mask per r picks
+        each row's states at r - 1 and r."""
         ok, out = _int(b"\x7f" * CHUNK), [lo]
         offsets = below(rng, [hi - lo + 1] * CHUNK)
         sides = bytes(below(rng, [2] * CHUNK)) if not side else bytes(
@@ -767,26 +749,24 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
               for t in range(lo, hi + 1)}
         for sign in (1, -1):
             degree, option, *_ = self.matrix._walks[sign < 0]
-            half, signed = x[sign], _int(sides.translate(_is(sign > 0)))
-            if not signed:
-                continue
-            cut = {t: v & signed for t, v in at.items()}
-            prev, old = (reduce(or_, (half[t + d] & v for t, v in
-                                      cut.items())) for d in (-1, 0))
+            signed = _int(sides.translate(_is(sign > 0)))
+            cut = {t: v & signed for t, v in at.items() if v & signed}
+            prev, old = (reduce(or_, (x[sign][t + d] & v for t, v in
+                                      cut.items()), 0) for d in (-1, 0))
             alts = _lane(prev, CHUNK).translate(degree).translate(
                 bytes(2) + bytes(range(1, 255)))  # degree - 1
             branch = signed & _int(alts.translate(bytes(1) + b"\x7f" * 255))
             ok ^= ok & (signed ^ branch)  # the rows of this sign without one
             if not branch:
                 continue
-            before, old, alts = (_compact(v, branch, CHUNK)
+            before, old, alts = (_compact(v, branch)
                                  for v in (prev, old, _int(alts)))
             pick, m = _int(bytes(below(rng, alts))), len(alts)
             # options ascend: skip old by stepping past every option
             # below it; first - old + 64 has bit 6 when first >= old
             (first,) = _look(option, before, pick)
             skip = _int(first) + _int(b"\x40" * m) - _int(old) >> 6 & _int(
-                b"\x01" * m)
+                b"\1" * m)
             (new,) = _look(option, before, pick + skip)
             out.append((sign, branch, new, self._draw(rng, sign, new, branch, {
                 t: v & branch for t, v in cut.items() if v & branch}, reach)))
@@ -794,48 +774,47 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
 
     def _draw(self, rng, sign, start, rows, groups, end):
         """Per t, ascending, the mask of the rows that walk from column t
-        (coordinate sign * t), the blocks (`_walks`) of each, row by row,
-        drawn in one call, and their count a row; for D > 256, one
-        `below` their degrees per step, as they walk from their states
-        in `start` (one per row of the mask `rows`)."""
+        (coordinate sign * t) and their blocks (`_walks`), a lane each,
+        drawn in one call, row by row; for D > 256, one `below` their
+        degrees per step as they walk from their states in `start` (one
+        per row of the mask `rows`)."""
         degree, option, _, base, k = self.matrix._walks[sign < 0]
         out = {}
         for t, mask in groups.items():
-            width, n = -(-(end - t) // k) if k else end - t, mask.bit_count() // 7
+            width, n = -(-(end - t) // k) if k else end - t, mask.bit_count()
             if k:
-                drawn = bytes(below(rng, [base ** k] * (n * width))) if (
-                    base ** k & base ** k - 1) else rng.randbytes(n * width)
-            else:
-                cur, drawn = _compact(_int(start), _int(_compact(
-                    mask, rows, CHUNK)), len(start)), bytearray(n * width)
-                for j in range(width):
-                    drawn[j::width] = bytes(below(rng, cur.translate(degree)))
-                    (cur,) = _look(option, cur, _int(drawn[j::width]))
-            out[t] = mask, drawn, width
+                drawn = bytes(below(rng, [base ** k] * (n // 7 * width))) if (
+                    base ** k & base ** k - 1) else rng.randbytes(
+                        n // 7 * width)
+                out[t] = mask, [drawn[b::width] for b in range(width)]
+                continue
+            cur, out[t] = _place([start], rows, mask)[1][0], (mask, [])
+            for _ in range(width):  # the rows walk, to draw
+                out[t][1].append(bytes(below(rng, cur.translate(degree))))
+                (cur,) = _look(option, cur, _int(out[t][1][-1]))
         return out
 
     def _walk_on(self, sign, start, groups, end, walked=0):
-        """Per column 0..end of one side, the lanes int of the states
-        that the rows of each group (t: (mask, blocks, count), as from
-        `_draw`, over the rows of `start`) reach there, walking from
-        `start` at column t + walked: all rows walk at once, lane j
-        holding each row's state j steps on, with the most digits a
-        `_walks` path takes a lookup."""
+        """Per column 0..end of one side, the lanes int of the states that
+        the rows of each group (t: (mask, blocks), as from `_draw`, over
+        the rows of `start`) reach there, walking on from `start` at
+        column t + walked: all rows walk at once, lane j holding each
+        row's state j steps on, with the most digits a `_walks` path
+        takes a lookup."""
         _, _, paths, base, k = self.matrix._walks[sign < 0]
         n, k, steps = len(start), k or 1, end - min(groups)
-        blocks = [0] * max(width for *_, width in groups.values())
-        lanes, cols = [start], [0] * (end + 1)
-        for _, drawn, width in groups.values():
-            for b in range(width):
-                blocks[b] |= _int(drawn[b::width])
-        blocks = [_lane(b, n) for b in blocks]
+        blocks = [0] * max(len(lanes) for _, lanes in groups.values())
+        for _, lanes in groups.values():
+            for b, lane in enumerate(lanes):
+                blocks[b] |= _int(lane)
+        blocks, lanes = [_lane(b, n) for b in blocks], [start]
         while walked + len(lanes) <= steps:
             j = walked + len(lanes) - 1  # the steps walked
             m = min(len(paths), k - j % k, steps - j)
             lanes += _look(paths[m - 1], lanes[-1], _int(
                 blocks[j // k].translate(_digits(base, j % k, m))))
-        lanes = [_int(lane) for lane in lanes]
-        for t, (mask, *_) in groups.items():
+        cols, lanes = [0] * (end + 1), [_int(lane) for lane in lanes]
+        for t, (mask, _) in groups.items():
             for j, lane in enumerate(lanes[:end - t + 1 - walked], walked):
                 cols[t + j] |= lane & mask
         return cols

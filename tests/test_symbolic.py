@@ -970,13 +970,15 @@ def check_block_tables(rows):
 
 
 # D = 2 (golden-mean), 3 (full-3), 4 (four-symbol), 6 (degrees 2 and 3),
-# and 280 forward (degrees 5, 7 and 8) with 168 backward
+# 280 forward (degrees 5, 7 and 8) with 168 backward, and full-17, whose
+# walk keys 17 s + d pass 255: its tables split the states into groups
 BLOCK_MATRICES = (
     ((1, 1), (1, 0)),
     ((1, 1, 1),) * 3,
     ((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1)),
     ((1, 1, 0), (1, 1, 1), (1, 0, 1)),
     ((1,) * 5 + (0,) * 3, (1,) * 7 + (0,), *((1,) * 8,) * 6),
+    ((1,) * 17,) * 17,
 )
 
 
@@ -1024,6 +1026,34 @@ def test_pair_brackets_splice_the_scalar_vertices(golden, four):
         golden._pair_brackets(a.zip(b))
     with pytest.raises(ValueError, match="agreement at coordinate 0"):
         golden.triangle_vertex(zero, zero.with_value(0, 1))
+
+
+def test_rows_over_more_than_255_columns_match_the_scalar_references():
+    """Levels 290..300 put the rows over [-303, 303], so the level scan
+    counts past what a byte holds; levels 1..300 draw their cut columns
+    from 300 options, past a byte too."""
+    full2 = full_shift(2)
+    for levels in ((290, 300), (1, 300)):
+        pairs = full2.sample_pairs(40, 2, levels)
+        check_sampled_pairs(full2, pairs, 40, levels)
+        assert list(full2._pair_brackets(pairs)) == [
+            full2.triangle_vertex(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("count", [0, 1, 47])
+def test_a_chunk_cut_by_the_budget_gives_the_first_rows(count):
+    """Up to 47 rows, the budget of 64 count + 1024 candidates ends
+    inside chunk 0; the rows are still the first ones of any count."""
+    sys = sft_new(((0, 1, 0), (0, 0, 1), (1, 1, 0)))
+    pairs = sys.sample_pairs(count, 4)
+    check_sampled_pairs(sys, pairs, count, (1, 8))
+    assert list(pairs) == list(sys.sample_pairs(1000, 4))[:count]
+    quads = cli._symbolic_holonomy_quads(sys, count, 4)
+    assert list(quads) == list(cli._symbolic_holonomy_quads(
+        sys, 1000, 4))[:count]
+    for p, q, pp, qq in quads:
+        assert all(sys.admissible(z) for z in (p, q, pp, qq))
+        assert qq == sys.triangle_vertex(pp, q)
 
 
 def test_samplers_stall_without_a_branching_state():

@@ -7,10 +7,10 @@ capacity = ent/log(lam) identity, dynamical triangles and holonomy
 bounds, and the maximal-entropy measure as a product of stable and
 unstable Hausdorff measures.
 
-Importing the package loads none of its modules: each one (and numpy
-with the torus) loads on first use of one of its names, or of
-`selfsimilar.<module>`.  A refined toral metric loads `core` and
-`torus` only.
+Importing the package loads none of its modules: each one loads on first
+use of one of its names, or of `selfsimilar.<module>`, and numpy loads
+only with the torus.  A refined toral metric loads `core` and `torus`
+only.
 """
 
 __version__ = "0.1.0"

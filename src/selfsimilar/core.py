@@ -20,9 +20,9 @@ A system with brackets may carry `_pair_brackets(pairs)`, the
 bit), which the triangle check reads in one call.  Either batch returns
 None for pairs it does not take (a shift system takes only its own
 sampled rows, within their reach), and the check runs its scalar loop.
-Samplers draw through `_streams`, one chunk-keyed scheme, and return
-its row-backed sequences, `_streams.Rows`: `_unzip` and `_zip` split
-and pair their arrays, and the pair batches read them.
+Samplers draw through `_streams` and return `_streams.Rows`: `_unzip`
+and `_zip` split and pair their slots, numpy arrays on the torus (the
+only numpy user) and byte lanes on a shift, which the batches read.
 
 `_pair_values` is the one orbit reader: the verifier, `holder_check`
 and the triangle, contraction and holonomy checks read every level or
@@ -93,7 +93,7 @@ def _pair_values(sys, pairs, steps, levels=False):
 
 def _unzip(items, k):
     """The k slots of a sequence of k-tuples, one sequence each; sampled
-    points (`_streams.Rows`) hand out their row arrays."""
+    points (`_streams.Rows`) hand out their slots."""
     columns = getattr(items, "columns", None)
     if columns is not None:
         return columns()
@@ -102,7 +102,7 @@ def _unzip(items, k):
 
 def _zip(a, b):
     """The pairs (a[i], b[i]); two `_streams.Rows` of one builder and
-    width pair up their row arrays, without building a point."""
+    width pair up their slots, without building a point."""
     joined = a.zip(b) if hasattr(a, "zip") else None
     return list(zip(a, b)) if joined is None else joined
 

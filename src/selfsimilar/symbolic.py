@@ -240,15 +240,15 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
     @cached_property
     def _walks(self):
         """Per side, forward (successors) then backward (predecessors):
-        (degree, option, paths, D, k).  `degree` maps a state to its
-        option count, `option` (a `_table`) to its options, ascending.
-        D is the lcm of the degrees: digit d steps to option d * deg //
-        D, so each option takes D / deg digits.  A block is k <= 8
-        digits, least significant first, k the largest with D**k <= 256:
-        a randbytes byte if D**k is a power of two, else `below(D**k)`.
-        paths[m - 1] maps (s, m digits) to the states they step through,
-        m up to the most with n D**m <= 256 (at least 1).  D > 256: k =
-        0, each step draws `below(degree)`, and paths = [option]."""
+        (degree, option, paths, D, k).  `degree` is the byte table of each
+        state's option count, `option` the `_table` of its options.  D is
+        the lcm of the degrees, and digit d steps to option d * deg // D,
+        which takes D / deg digits.  A block is k <= 8 digits, least
+        significant first, D**k <= 256: a randbytes byte if D**k is a
+        power of two, else `below(D**k)`.  paths[m - 1] maps (s, m digits)
+        to the states they step through, for m up to the most with
+        n D**m <= 256.  D > 256: k = 0, a step draws `below(degree)`, and
+        paths = [option]."""
         out = []
         for options in (self.successors, self.predecessors):
             base = lcm(*map(len, options))
@@ -679,12 +679,12 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         with no such option are dropped.  Chunk k of the seed draws
         CHUNK candidates: the start states, cut columns, sides and
         options through `below`, each walk in blocks of `_walks`
-        (`_draw`).  The rows walk on whole lanes; past its cut columns, a
-        walk takes only the rows kept.  These are read in chunk order:
-        the first rows are the same at every count.  It stalls past 64
-        count + 1024 candidates, and before any when no state has a
-        second successor (side 1) or predecessor (side -1) on a cut's
-        side (side 0: on either)."""
+        (`_draw`).  Walks run on whole lanes, past the cut columns on the
+        rows kept only.  These are read in chunk order: the first rows
+        are the same at every count.  It stalls past 64 count + 1024
+        candidates, and before any when no state has a second successor
+        (side 1) or predecessor (side -1) on a cut's side (side 0: on
+        either)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
         fwd, bwd = (max(degree) > 1 for degree, *_ in self.matrix._walks)
@@ -706,7 +706,7 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
             # candidates past the budget go
             ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1 & every
             branches = [self._branch(rng, x, reach, *cut) for cut in cuts]
-            ok = reduce(and_, (b.pop() for b in branches), ok)
+            ok = reduce(and_, (branched for *_, branched in branches), ok)
             n, rows = _lane(ok, CHUNK).count(127), [{}]
             for sign, (mid, blocks) in rest.items():
                 half = [_compact(v, ok) for v in x[sign]]
@@ -714,7 +714,7 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
                     b"\x7f" * n), [_compact(_int(b), ok) for b in blocks])},
                     reach, mid)  # the rows kept walk on
                 rows[0][sign] = half + [_lane(v, n) for v in cols[mid + 1:]]
-            for lo, *walks in branches:  # each cut's walks, on the rows kept
+            for lo, walks, _ in branches:  # each cut's walks, on rows kept
                 rows.append({sign: list(h) for sign, h in rows[0].items()})
                 for sign, branch, new, groups in walks:
                     groups = {t: _place(blocks, mask, ok)
@@ -731,13 +731,13 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
                      for slot in zip(*parts)), self._row_point)
 
     def _branch(self, rng, x, reach, lo, hi, side):
-        """Per side, the rows of the chunk's lanes (ints) x[side] that
-        leave x at coordinate sign * r, r uniform in lo..hi and sign
-        `side` (0: uniform), for another option there: lo, then per side
-        their mask, their options at r (in order) and `_draw` of them by
-        r, then the mask of the rows that had one.  A mask per r picks
-        each row's states at r - 1 and r."""
-        ok, out = _int(b"\x7f" * CHUNK), [lo]
+        """The rows that leave the chunk's lanes x[sign] (ints, column t
+        at coordinate sign * t) at column r, uniform in lo..hi, for
+        another option there, sign `side` (0: uniform): lo, per sign
+        (sign, their mask, those options in order, `_draw` of them by r),
+        and the mask of the rows that had one.  A mask per r picks the
+        rows' states at r - 1 and r."""
+        ok, out = _int(b"\x7f" * CHUNK), []
         offsets = below(rng, [hi - lo + 1] * CHUNK)
         sides = bytes(below(rng, [2] * CHUNK)) if not side else bytes(
             [side > 0]) * CHUNK
@@ -770,7 +770,7 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
             (new,) = _look(option, before, pick + skip)
             out.append((sign, branch, new, self._draw(rng, sign, new, branch, {
                 t: v & branch for t, v in cut.items() if v & branch}, reach)))
-        return out + [ok]
+        return lo, out, ok
 
     def _draw(self, rng, sign, start, rows, groups, end):
         """Per t, ascending, the mask of the rows that walk from column t

@@ -4,15 +4,12 @@ Items come in chunks of CHUNK, and chunk k of a seed draws from its own
 `Random`, seeded with the bytes f"{seed}:{k}" (CPython seeds bytes
 through SHA-512, alike in every version).  So item i depends only on
 the seed and i // CHUNK: the first N items are the same at every count
->= N.  `uniforms` draws floats and `below` exact integer choices.
-Only `uniforms` loads numpy, for the torus: the shift samplers run on
-byte lanes.  Every sampler returns its items as `Rows`.
+>= N.  `uniforms` draws floats, and `_lanes.below` exact integer
+choices.  Only `uniforms` loads numpy, for the torus: the shift samplers
+run on byte lanes.  Every sampler returns its items as `Rows`.
 """
 import itertools
-import re
-import struct
 from collections.abc import Sequence
-from functools import lru_cache
 from random import Random
 
 CHUNK = 4096
@@ -37,67 +34,11 @@ def uniforms(count, seed, width):
     return ((words >> 11) * 2.0**-53).reshape(count, width)
 
 
-def below(rng, counts):
-    """One uniform draw from range(c) per count c >= 1, as a sequence of
-    ints: a little-endian 32-bit randbytes word, redrawn while at or
-    above the largest multiple of c up to 2**32, modulo c; c = 1 takes
-    no word.  One count c <= 64 sums the residues (v << 8 j) % c of the
-    words' bytes v in lanes, as no four pass 255."""
-    n, c = len(counts), counts[0] if counts else 1
-    if c <= 64 and counts.count(c) == n:
-        if c == 1:
-            return bytes(n)
-        at, words, shares = range(n), rng.randbytes(4 * n), _shares(c)
-        out = bytearray(sum(
-            int.from_bytes(words[j::4].translate(share), "little")
-            for j, share in enumerate(shares) if any(share)).to_bytes(
-                n, "little").translate(shares[0]))
-        # a word to redraw has top byte 255; none, if c divides 2**32
-        maybe = [m.start() for m in re.finditer(b"\xff", words[3::4])
-                 if 2**32 % c]
-    else:
-        out, at = [0] * n, [i for i, c in enumerate(counts) if c > 1]
-        words, maybe = rng.randbytes(4 * len(at)) if at else b"", range(
-            len(at))
-        for i, u in zip(at, struct.unpack(f"<{len(at)}I", words)):
-            out[i] = u % counts[i]
-    redo = [at[j] for j in maybe if int.from_bytes(
-        words[4 * j:4 * j + 4], "little") >= 2**32 - 2**32 % counts[at[j]]]
-    for i, v in zip(redo, below(rng, [counts[i] for i in redo])):
-        out[i] = v
-    return out
-
-
-@lru_cache(maxsize=None)
-def _shares(c):
-    """Per byte j of a word, the byte table v -> (v << 8 j) % c."""
-    return tuple(bytes((v << 8 * j) % c for v in range(256))
-                 for j in range(4))
-
-
-class Lanes:
-    """(N, width) bytes by column, as the shift samplers walk them: lane
-    c holds each row's byte at column c.  len, [i] (row i, as bytes),
-    [slice] and `shape` read as on an (N, width) array."""
-
-    def __init__(self, lanes):
-        self.lanes = tuple(lanes)
-        self.shape = len(self.lanes[0]), len(self.lanes)
-
-    def __len__(self):
-        return self.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Lanes(lane[i] for lane in self.lanes)
-        return bytes(lane[i] for lane in self.lanes)
-
-
 class Rows(Sequence):
     """Read-only sequence of sampled points, or of tuples of them.
 
-    `cols` holds one (N, width) array (the torus) or `Lanes` (a shift)
-    per tuple slot, and item i is the tuple of `point(a[i])` over them
+    `cols` holds one (N, width) array (the torus) or `_lanes.Lanes` (a
+    shift) per tuple slot, and item i is the tuple of `point(a[i])` over them
     (one slot: the point itself), so a point is built only on access;
     the pair batches read the slots.
     """

@@ -12,22 +12,13 @@ common stable set and sequences sharing a past lie on a common unstable
 set.
 """
 import math
-from array import array
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import lcm
-from operator import and_, or_
-from sys import byteorder
+from operator import or_
 from typing import NamedTuple
 
-from ._streams import CHUNK, Lanes, Rows, below, chunk_rngs
-
 INF = math.inf
-# a lane holds a byte a row; its int, read little-endian, takes sums and
-# masks in which no byte passes 255.  A mask holds 127 at its rows.
-_int = partial(int.from_bytes, byteorder="little")
-_lane = partial(int.to_bytes, byteorder="little")
-_MARK, _TWOS = _int(b"\x80" * CHUNK), _int(b"\2" * CHUNK)
 
 
 def _minimal_period(word):
@@ -239,31 +230,10 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
 
     @cached_property
     def _walks(self):
-        """Per side, forward (successors) then backward (predecessors):
-        (degree, option, paths, D, k).  `degree` is the byte table of each
-        state's option count, `option` the `_table` of its options.  D is
-        the lcm of the degrees, and digit d steps to option d * deg // D,
-        which takes D / deg digits.  A block is k <= 8 digits, least
-        significant first, D**k <= 256: a randbytes byte if D**k is a
-        power of two, else `below(D**k)`.  paths[m - 1] maps (s, m digits)
-        to the states they step through, for m up to the most with
-        n D**m <= 256.  D > 256: k = 0, a step draws `below(degree)`, and
-        paths = [option]."""
-        out = []
-        for options in (self.successors, self.predecessors):
-            base = lcm(*map(len, options))
-            k = next((k for k in range(8, 0, -1) if base ** k <= 256), 0)
-            option = [[(o,) for o in opts] for opts in options]
-            paths = [[[(o[d * len(o) // base],) for d in range(base)]
-                      for o in options] if k else option]
-            while len(paths) < k and self.n * base ** (len(paths) + 1) <= 256:
-                b = base ** len(paths)  # digits c % b, then c // b
-                paths.append([[row[c % b] + paths[0][row[c % b][-1]][c // b]
-                               for c in range(b * base)] for row in paths[-1]])
-            out.append((bytes(map(len, options)).ljust(256, b"\0"),
-                        _table(option), [_table(rows) for rows in paths],
-                        base, k))
-        return tuple(out)
+        """The walk tables of the shift samplers (`_lanes.walk_tables`),
+        built on the first sample."""
+        from ._lanes import walk_tables
+        return walk_tables(self)
 
     def transpose(self):
         return TransitionMatrix(tuple(zip(*self.rows)))
@@ -286,72 +256,6 @@ class TransitionMatrix(NamedTuple("TransitionMatrix", [("rows", tuple)])):
                     parent[t] = u
                     queue.append(t)
         return None
-
-
-def _is(v):
-    """The byte table of the mask of the value v."""
-    return bytes(v) + b"\x7f" + bytes(255 - v)
-
-
-@lru_cache(maxsize=None)
-def _digits(base, i, m):
-    """The byte table of a block's digits i..i+m-1 in base `base`."""
-    return bytes(v // base ** i % base ** m for v in range(256))
-
-
-def _table(rows):
-    """The `_look` table of state tuples rows[a][b]: per group of 256 // w
-    states from g on (w the longest row), the byte tables a -> (a - g) w,
-    (a - g) w + b -> rows[a][b][j] for each j, and the group's mask."""
-    w, out = max(map(len, rows)), []
-    for g in range(0, len(rows), 256 // w):
-        key, mask = bytearray(256), bytearray(256)
-        values = [bytearray(256) for _ in rows[0][0]]
-        for a, row in enumerate(rows[g:g + 256 // w]):
-            key[g + a], mask[g + a] = a * w, 127
-            for b, states in enumerate(row):
-                for value, state in zip(values, states):
-                    value[a * w + b] = state
-        out.append((key, values, mask))
-    return out
-
-
-def _look(table, a, b):
-    """The lanes rows[a][b][j], one per j, of the lane a and the lanes int
-    b (see `_table`): no key passes 255, so no byte carries; with more
-    groups than one, each group's lanes are masked to its states."""
-    got = []
-    for key, values, mask in table:
-        key = _lane(_int(a.translate(key)) + b, len(a))
-        got.append([key.translate(v) for v in values] if len(table) == 1
-                   else [_int(key.translate(v)) & _int(a.translate(mask))
-                         for v in values])
-    return got[0] if len(table) == 1 else [
-        _lane(reduce(or_, lanes), len(a)) for lanes in zip(*got)]
-
-
-def _compact(value, mask):
-    """The bytes of a chunk's lanes int `value` at the rows of `mask`, in
-    order: the others get bit 7, and go (bytes with bit 7, in two)."""
-    high = value & _MARK
-    if high:
-        low, high = (_compact(v, mask) for v in (value ^ high, high >> 7))
-        return _lane(_int(low) | _int(high) << 7, len(low))
-    return _lane(value | _MARK ^ _MARK & mask << 1, CHUNK).translate(
-        None, bytes(range(128, 256)))
-
-
-def _place(lanes, rows, kept):
-    """The mask of `rows` over a chunk's rows of the mask `kept`, and each
-    of `lanes` (a byte a row of `rows`, in order) over those: its bytes
-    at the rows of both, 0 at the others.  A bytes format reads each
-    byte, as %c if kept, as %.0s (nothing) if not."""
-    codes = _lane(rows & _TWOS | kept & _TWOS >> 1, CHUNK).translate(
-        None, b"\0")
-    form = codes.replace(b"\3", b"%c").replace(b"\2", b"%.0s").replace(
-        b"\1", b"\0")
-    return _int(codes.translate(_is(3), b"\2")), [
-        form % tuple(memoryview(lane).cast("c")) for lane in lanes]
 
 
 def _count_vectors(matrix):
@@ -531,42 +435,10 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
     def _pair_levels(self, pairs, steps):
         """The pair batch: level(f^s x, f^s y) for every pair, one list
         per step s, when the pairs are this system's sampled rows (`Rows`
-        over [-w, w]) and every |s| < w; else None.  The level is t - 1
-        for the first t at which the rows differ at coordinate s + t or
-        s - t, so it counts the t before: lane sums, in 16-bit lanes.
-        Rows with no difference within t <= w - |s| are math.inf if equal
-        (equal rows spell equal points), else they take the scalar level.
-        """
-        own = isinstance(pairs, Rows) and pairs.point == self._row_point
-        w = pairs.cols[0].shape[1] // 2 if own else 0
-        if not max(map(abs, steps)) < w:
-            return None
-        n, (xs, ys) = len(pairs), (a.lanes for a in pairs.cols)
-        ones, wide, out = _int(b"\1" * n), bytearray(2 * n), []
-        # 1 at each row that differs there: states are below 64
-        differ = [(_int(a) ^ _int(b)) + 63 * ones >> 6 & ones
-                  for a, b in zip(xs, ys)]
-        equal = ones ^ reduce(or_, differ)
-        for s in steps:
-            found, unfound, total, reach = 0, [], 0, w - abs(s)
-            for t in range(reach + 1):
-                found |= differ[w + s + t] | differ[w + s - t]
-                unfound.append(ones ^ found)
-                if len(unfound) == 254 or t == reach:  # bytes hold 255
-                    wide[::2] = _lane(sum(unfound) + equal * (t == reach), n)
-                    total, unfound = total + _int(wide), []
-            counts = array("H", _lane(total, 2 * n))
-            if byteorder == "big":
-                counts.byteswap()
-            # unfound at every t: the scalar level; equal rows one more
-            levels = list(map([*range(-1, reach), None, INF].__getitem__,
-                              counts))
-            for i in [i for i, v in enumerate(levels) if v is None
-                      ] if None in levels else ():
-                x, y = pairs[i]
-                levels[i] = agreement_level(x.shift(s), y.shift(s))
-            out.append(levels)
-        return out
+        over [-w, w]) and every |s| < w; else None (`_lanes.pair_levels`,
+        which sums the scan over whole byte lanes)."""
+        from ._lanes import pair_levels
+        return pair_levels(self, pairs, steps)
 
     # -- product structure ---------------------------------------------
 
@@ -590,16 +462,9 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
 
     def _pair_brackets(self, pairs):
         """`triangle_vertex(x, y)` of every pair, when the pairs are this
-        system's sampled rows; else None.  The rows splice, x's lanes
-        below coordinate 0 and y's from 0 on, into `Rows` of points: its
-        ends are x's and y's, so each built point is the scalar vertex."""
-        if not (isinstance(pairs, Rows) and pairs.point == self._row_point):
-            return None
-        xs, ys = (a.lanes for a in pairs.cols)
-        c = len(xs) // 2
-        if xs[c] != ys[c]:
-            raise ValueError("bracket needs agreement at coordinate 0")
-        return Rows((Lanes(xs[:c] + ys[c:]),), self._row_point)
+        system's sampled rows; else None (`_lanes.pair_brackets`)."""
+        from ._lanes import pair_brackets
+        return pair_brackets(self, pairs)
 
     # -- sampling -------------------------------------------------------
 
@@ -678,146 +543,14 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         0: either side), for another option there and walks on.  Rows
         with no such option are dropped.  Chunk k of the seed draws
         CHUNK candidates: the start states, cut columns, sides and
-        options through `below`, each walk in blocks of `_walks`
-        (`_draw`).  Walks run on whole lanes, past the cut columns on the
-        rows kept only.  These are read in chunk order: the first rows
-        are the same at every count.  It stalls past 64 count + 1024
-        candidates, and before any when no state has a second successor
-        (side 1) or predecessor (side -1) on a cut's side (side 0: on
-        either)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        fwd, bwd = (max(degree) > 1 for degree, *_ in self.matrix._walks)
-        rigid = not all((fwd or bwd, fwd, bwd)[side] for _, _, side in cuts)
-        budget, have, every = 64 * count + 1024, 0, _int(b"\x7f" * CHUNK)
-        parts = [[[b""] * (2 * reach + 1)] * (1 + len(cuts))]
-        for k, rng in enumerate(chunk_rngs(seed)):
-            if have >= count:
-                break
-            if rigid or k * CHUNK >= budget:
-                raise ArithmeticError("sampling stalled; matrix too rigid")
-            start, x, rest = bytes(below(rng, [self.matrix.n] * CHUNK)), {}, {}
-            for sign in (1, -1):  # every row walks out to the cut columns
-                mid = max([hi for _, hi, side in cuts if side != -sign],
-                          default=0)
-                drawn = self._draw(rng, sign, start, every, {0: every}, reach)
-                x[sign], rest[sign] = self._walk_on(
-                    sign, start, drawn, mid), (mid, drawn[0][1])
-            # candidates past the budget go
-            ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1 & every
-            branches = [self._branch(rng, x, reach, *cut) for cut in cuts]
-            ok = reduce(and_, (branched for *_, branched in branches), ok)
-            n, rows = _lane(ok, CHUNK).count(127), [{}]
-            for sign, (mid, blocks) in rest.items():
-                half = [_compact(v, ok) for v in x[sign]]
-                cols = self._walk_on(sign, half[-1], {0: (_int(
-                    b"\x7f" * n), [_compact(_int(b), ok) for b in blocks])},
-                    reach, mid)  # the rows kept walk on
-                rows[0][sign] = half + [_lane(v, n) for v in cols[mid + 1:]]
-            for lo, walks, _ in branches:  # each cut's walks, on rows kept
-                rows.append({sign: list(h) for sign, h in rows[0].items()})
-                for sign, branch, new, groups in walks:
-                    groups = {t: _place(blocks, mask, ok)
-                              for t, (mask, blocks) in groups.items()}
-                    cols, moved = self._walk_on(sign, _place(
-                        [new], branch, ok)[1][0], groups, reach), 0
-                    for c in range(lo, reach + 1):
-                        moved |= groups[c][0] if c in groups else 0
-                        v = _int(rows[-1][sign][c])
-                        rows[-1][sign][c] = _lane(v ^ v & moved | cols[c], n)
-            have += n
-            parts.append([h[-1][:0:-1] + h[1] for h in rows])
-        return Rows((Lanes(b"".join(col)[:count] for col in zip(*slot))
-                     for slot in zip(*parts)), self._row_point)
-
-    def _branch(self, rng, x, reach, lo, hi, side):
-        """The rows that leave the chunk's lanes x[sign] (ints, column t
-        at coordinate sign * t) at column r, uniform in lo..hi, for
-        another option there, sign `side` (0: uniform): lo, per sign
-        (sign, their mask, those options in order, `_draw` of them by r),
-        and the mask of the rows that had one.  A mask per r picks the
-        rows' states at r - 1 and r."""
-        ok, out = _int(b"\x7f" * CHUNK), []
-        offsets = below(rng, [hi - lo + 1] * CHUNK)
-        sides = bytes(below(rng, [2] * CHUNK)) if not side else bytes(
-            [side > 0]) * CHUNK
-        # the rows cut at column t, by the bytes of t - lo
-        tags = [bytes(offsets)] if hi - lo < 256 else [
-            bytes(o >> j & 255 for o in offsets) for j in (0, 8)]
-        at = {t: reduce(and_, (_int(tag.translate(_is(t - lo >> 8 * j & 255)))
-                               for j, tag in enumerate(tags)))
-              for t in range(lo, hi + 1)}
-        for sign in (1, -1):
-            degree, option, *_ = self.matrix._walks[sign < 0]
-            signed = _int(sides.translate(_is(sign > 0)))
-            cut = {t: v & signed for t, v in at.items() if v & signed}
-            prev, old = (reduce(or_, (x[sign][t + d] & v for t, v in
-                                      cut.items()), 0) for d in (-1, 0))
-            alts = _lane(prev, CHUNK).translate(degree).translate(
-                bytes(2) + bytes(range(1, 255)))  # degree - 1
-            branch = signed & _int(alts.translate(bytes(1) + b"\x7f" * 255))
-            ok ^= ok & (signed ^ branch)  # the rows of this sign without one
-            if not branch:
-                continue
-            before, old, alts = (_compact(v, branch)
-                                 for v in (prev, old, _int(alts)))
-            pick, m = _int(bytes(below(rng, alts))), len(alts)
-            # options ascend: skip old by stepping past every option
-            # below it; first - old + 64 has bit 6 when first >= old
-            (first,) = _look(option, before, pick)
-            skip = _int(first) + _int(b"\x40" * m) - _int(old) >> 6 & _int(
-                b"\1" * m)
-            (new,) = _look(option, before, pick + skip)
-            out.append((sign, branch, new, self._draw(rng, sign, new, branch, {
-                t: v & branch for t, v in cut.items() if v & branch}, reach)))
-        return lo, out, ok
-
-    def _draw(self, rng, sign, start, rows, groups, end):
-        """Per t, ascending, the mask of the rows that walk from column t
-        (coordinate sign * t) and their blocks (`_walks`), a lane each,
-        drawn in one call, row by row; for D > 256, one `below` their
-        degrees per step as they walk from their states in `start` (one
-        per row of the mask `rows`)."""
-        degree, option, _, base, k = self.matrix._walks[sign < 0]
-        out = {}
-        for t, mask in groups.items():
-            width, n = -(-(end - t) // k) if k else end - t, mask.bit_count()
-            if k:
-                drawn = bytes(below(rng, [base ** k] * (n // 7 * width))) if (
-                    base ** k & base ** k - 1) else rng.randbytes(
-                        n // 7 * width)
-                out[t] = mask, [drawn[b::width] for b in range(width)]
-                continue
-            cur, out[t] = _place([start], rows, mask)[1][0], (mask, [])
-            for _ in range(width):  # the rows walk, to draw
-                out[t][1].append(bytes(below(rng, cur.translate(degree))))
-                (cur,) = _look(option, cur, _int(out[t][1][-1]))
-        return out
-
-    def _walk_on(self, sign, start, groups, end, walked=0):
-        """Per column 0..end of one side, the lanes int of the states that
-        the rows of each group (t: (mask, blocks), as from `_draw`, over
-        the rows of `start`) reach there, walking on from `start` at
-        column t + walked: all rows walk at once, lane j holding each
-        row's state j steps on, with the most digits a `_walks` path
-        takes a lookup."""
-        _, _, paths, base, k = self.matrix._walks[sign < 0]
-        n, k, steps = len(start), k or 1, end - min(groups)
-        blocks = [0] * max(len(lanes) for _, lanes in groups.values())
-        for _, lanes in groups.values():
-            for b, lane in enumerate(lanes):
-                blocks[b] |= _int(lane)
-        blocks, lanes = [_lane(b, n) for b in blocks], [start]
-        while walked + len(lanes) <= steps:
-            j = walked + len(lanes) - 1  # the steps walked
-            m = min(len(paths), k - j % k, steps - j)
-            lanes += _look(paths[m - 1], lanes[-1], _int(
-                blocks[j // k].translate(_digits(base, j % k, m))))
-        cols, lanes = [0] * (end + 1), [_int(lane) for lane in lanes]
-        for t, (mask, _) in groups.items():
-            for j, lane in enumerate(lanes[:end - t + 1 - walked], walked):
-                cols[t + j] |= lane & mask
-        return cols
+        options through `_lanes.below`, and each walk in blocks of
+        `_walks`, on whole byte lanes (`_lanes.sample`).  The rows kept
+        are read in chunk order: the first rows are the same at every
+        count.  It stalls past 64 count + 1024 candidates, and before any
+        when no state has a second successor (side 1) or predecessor
+        (side -1) on a cut's side (side 0: on either)."""
+        from ._lanes import sample
+        return sample(self, count, seed, reach, cuts)
 
     def _row_point(self, row):
         """The point a sampled row (bytes) spells, its middle column

@@ -551,6 +551,7 @@ xs = [g.random_point(rng, window=16) for _ in range(20)]
 assert homogeneity_check(g, xs).c_observed > 1
 assert "numpy" not in sys.modules, "numpy loaded"
 assert "selfsimilar.core" not in sys.modules, "core loaded"
+assert "selfsimilar._lanes" not in sys.modules, "lane kernels loaded"
 assert selfsimilar.cat_map().space_kind == "toral"
 assert selfsimilar.torus.ToralSystem is selfsimilar.ToralSystem
 namespace = {}

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from selfsimilar import _streams, cli, symbolic
-from selfsimilar._streams import CHUNK, Lanes, Rows, below, uniforms
+from selfsimilar._lanes import Lanes, below
+from selfsimilar._streams import CHUNK, Rows, uniforms
 from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.symbolic import (agreement_level, full_shift, golden_mean,
                                   sft_new)

@@ -20,7 +20,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
-from selfsimilar._streams import Lanes, Rows, below
+from selfsimilar._lanes import Lanes, _look, below
+from selfsimilar._streams import Rows
 from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.measure import (
     Box,
@@ -33,7 +34,6 @@ from selfsimilar.measure import (
 from selfsimilar.symbolic import (
     ShiftSystem,
     TransitionMatrix,
-    _look,
     _parry_data,
     _count_vectors,
     _word_counts,

@@ -276,12 +276,12 @@ def sample(system, count, seed, reach, cuts):
 
 
 def _branch(walks, rng, x, reach, lo, hi, side):
-    """The rows that leave the chunk's lanes x[sign] (ints, column t at
-    coordinate sign * t) at column r, uniform in lo..hi, for another
-    option there, sign `side` (0: uniform): lo, per sign (sign, their
-    mask, those options in order, `_draw` of them by r), and the mask
-    of the rows that had one.  A mask per r picks the rows' states at
-    r - 1 and r."""
+    """Each row leaves the chunk's lanes x[sign] (ints; column t at
+    coordinate sign * t), sign `side` (0: uniform), at a column r
+    uniform in lo..hi, for another option there.  Returns lo, per sign
+    with such rows (sign, their mask, those options in order, and their
+    blocks by r, from `_draw`), and the mask of the rows that had one.
+    A mask per r picks each row's states at r - 1 and r."""
     ok, out = _int(b"\x7f" * CHUNK), []
     offsets = below(rng, [hi - lo + 1] * CHUNK)
     sides = bytes(below(rng, [2] * CHUNK)) if not side else bytes(

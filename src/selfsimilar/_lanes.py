@@ -43,8 +43,7 @@ def below(rng, counts):
                  if 2**32 % c]
     else:
         out, at = [0] * n, [i for i, c in enumerate(counts) if c > 1]
-        words, maybe = rng.randbytes(4 * len(at)) if at else b"", range(
-            len(at))
+        words, maybe = rng.randbytes(4 * len(at)), range(len(at))
         for i, u in zip(at, struct.unpack(f"<{len(at)}I", words)):
             out[i] = u % counts[i]
     redo = [at[j] for j in maybe

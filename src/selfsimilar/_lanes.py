@@ -9,11 +9,9 @@ so building a shift system, and its exact path, never compiles it.
 """
 import re
 import struct
-from array import array
 from functools import lru_cache, partial, reduce
 from math import lcm
 from operator import and_, or_
-from sys import byteorder
 
 from ._streams import CHUNK, Rows, chunk_rngs
 from .symbolic import INF, agreement_level
@@ -27,28 +25,27 @@ def below(rng, counts):
     """One uniform draw from range(c) per count c >= 1, as a sequence of
     ints: a little-endian 32-bit randbytes word, redrawn while at or
     above the largest multiple of c up to 2**32, modulo c; c = 1 takes
-    no word.  One count c <= 64 sums the residues (v << 8 j) % c of the
-    words' bytes v in lanes, as no four pass 255."""
+    no word.  The words to redraw are drawn again in one call, in order.
+    One count c <= 64 for every row sums the residues (v << 8 j) % c of
+    the words' bytes v in lanes, as no four pass 255."""
     n, c = len(counts), counts[0] if counts else 1
     if c <= 64 and counts.count(c) == n:
-        if c == 1:
-            return bytes(n)
-        at, words, shares = range(n), rng.randbytes(4 * n), _shares(c)
-        out = bytearray(sum(
-            _int(words[j::4].translate(share))
-            for j, share in enumerate(shares) if any(share)).to_bytes(
-                n, "little").translate(shares[0]))
-        # a word to redraw has top byte 255; none, if c divides 2**32
-        maybe = [m.start() for m in re.finditer(b"\xff", words[3::4])
-                 if 2**32 % c]
+        words = rng.randbytes(4 * n) if c > 1 else b""
+        shares = _shares(c)
+        out = bytearray(_lane(sum(_int(words[j::4].translate(share))
+                                  for j, share in enumerate(shares)),
+                              n).translate(shares[0]))
+        # a word to redraw has top byte 255
+        at = [m.start() for m in re.finditer(b"\xff", words[3::4])]
+        words = [_int(words[4 * i:4 * i + 4]) for i in at]
     else:
         out, at = [0] * n, [i for i, c in enumerate(counts) if c > 1]
-        words, maybe = rng.randbytes(4 * len(at)), range(len(at))
-        for i, u in zip(at, struct.unpack(f"<{len(at)}I", words)):
+        words = struct.unpack(f"<{len(at)}I", rng.randbytes(4 * len(at)))
+        for i, u in zip(at, words):
             out[i] = u % counts[i]
-    redo = [at[j] for j in maybe
-            if _int(words[4 * j:4 * j + 4]) >= 2**32 - 2**32 % counts[at[j]]]
-    for i, v in zip(redo, below(rng, [counts[i] for i in redo])):
+    redo = [i for i, u in zip(at, words) if u >= 2**32 - 2**32 % counts[i]]
+    for i, v in zip(redo, below(rng, [counts[i] for i in redo]) if redo
+                    else ()):
         out[i] = v
     return out
 
@@ -121,12 +118,8 @@ def _look(table, a, b):
 
 
 def _compact(value, mask):
-    """The bytes of a chunk's lanes int `value` at the rows of `mask`, in
-    order: the others get bit 7, and go (bytes with bit 7, in two)."""
-    high = value & _MARK
-    if high:
-        low, high = (_compact(v, mask) for v in (value ^ high, high >> 7))
-        return _lane(_int(low) | _int(high) << 7, len(low))
+    """The bytes (each below 128) of a chunk's lanes int `value` at the
+    rows of `mask`, in order: the others get bit 7, and go."""
     return _lane(value | _MARK ^ _MARK & mask << 1, CHUNK).translate(
         None, bytes(range(128, 256)))
 
@@ -196,9 +189,7 @@ def pair_levels(system, pairs, steps):
             if len(unfound) == 254 or t == reach:  # bytes hold 255
                 wide[::2] = _lane(sum(unfound) + equal * (t == reach), n)
                 total, unfound = total + _int(wide), []
-        counts = array("H", _lane(total, 2 * n))
-        if byteorder == "big":
-            counts.byteswap()
+        counts = struct.unpack(f"<{n}H", _lane(total, 2 * n))
         # unfound at every t: the scalar level; equal rows one more
         levels = list(map([*range(-1, reach), None, INF].__getitem__,
                           counts))
@@ -225,8 +216,8 @@ def pair_brackets(system, pairs):
 
 def sample(system, count, seed, reach, cuts):
     """`ShiftSystem._sample`, as `Lanes`: per chunk, every row walks out
-    to its side's cut columns, each cut branches (`_branch`), and only
-    the rows kept walk on."""
+    to both ends, each cut branches (`_branch`), and each cut's walks
+    are laid onto the rows kept."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     walks = system.matrix._walks
@@ -239,24 +230,16 @@ def sample(system, count, seed, reach, cuts):
             break
         if rigid or k * CHUNK >= budget:
             raise ArithmeticError("sampling stalled; matrix too rigid")
-        start, x, rest = bytes(below(rng, [system.matrix.n] * CHUNK)), {}, {}
-        for sign in (1, -1):  # every row walks out to the cut columns
-            mid = max([hi for _, hi, side in cuts if side != -sign],
-                      default=0)
-            drawn = _draw(walks, rng, sign, start, every, {0: every}, reach)
-            x[sign], rest[sign] = _walk_on(walks, sign, start, drawn,
-                                           mid), (mid, drawn[0][1])
+        start = bytes(below(rng, [system.matrix.n] * CHUNK))
+        x = {sign: _walk_on(walks, sign, start, _draw(
+            walks, rng, sign, start, every, {0: every}, reach), reach)
+             for sign in (1, -1)}
         # candidates past the budget go
         ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1 & every
         branches = [_branch(walks, rng, x, reach, *cut) for cut in cuts]
         ok = reduce(and_, (branched for *_, branched in branches), ok)
-        n, rows = _lane(ok, CHUNK).count(127), [{}]
-        for sign, (mid, blocks) in rest.items():
-            half = [_compact(v, ok) for v in x[sign]]
-            cols = _walk_on(walks, sign, half[-1], {0: (_int(
-                b"\x7f" * n), [_compact(_int(b), ok) for b in blocks])},
-                reach, mid)  # the rows kept walk on
-            rows[0][sign] = half + [_lane(v, n) for v in cols[mid + 1:]]
+        n = _lane(ok, CHUNK).count(127)
+        rows = [{sign: [_compact(v, ok) for v in x[sign]] for sign in x}]
         for lo, cut_walks, _ in branches:  # each cut's, on the rows kept
             rows.append({sign: list(h) for sign, h in rows[0].items()})
             for sign, branch, new, groups in cut_walks:
@@ -339,13 +322,12 @@ def _draw(walks, rng, sign, start, rows, groups, end):
     return out
 
 
-def _walk_on(walks, sign, start, groups, end, walked=0):
+def _walk_on(walks, sign, start, groups, end):
     """Per column 0..end of one side, the lanes int of the states that
     the rows of each group (t: (mask, blocks), as from `_draw`, over the
-    rows of `start`) reach there, walking on from `start` at column
-    t + walked: all rows walk at once, lane j holding each row's state
-    j steps on, with the most digits a `walk_tables` path takes a
-    lookup."""
+    rows of `start`) reach there, walking on from `start` at column t:
+    all rows walk at once, lane j holding each row's state j steps on,
+    with the most digits a `walk_tables` path takes a lookup."""
     _, _, paths, base, k = walks[sign < 0]
     n, k, steps = len(start), k or 1, end - min(groups)
     blocks = [0] * max(len(lanes) for _, lanes in groups.values())
@@ -353,13 +335,13 @@ def _walk_on(walks, sign, start, groups, end, walked=0):
         for b, lane in enumerate(lanes):
             blocks[b] |= _int(lane)
     blocks, lanes = [_lane(b, n) for b in blocks], [start]
-    while walked + len(lanes) <= steps:
-        j = walked + len(lanes) - 1  # the steps walked
+    while len(lanes) <= steps:
+        j = len(lanes) - 1  # the steps walked
         m = min(len(paths), k - j % k, steps - j)
         lanes += _look(paths[m - 1], lanes[-1], _int(
             blocks[j // k].translate(_digits(base, j % k, m))))
     cols, lanes = [0] * (end + 1), [_int(lane) for lane in lanes]
     for t, (mask, _) in groups.items():
-        for j, lane in enumerate(lanes[:end - t + 1 - walked], walked):
+        for j, lane in enumerate(lanes[:end - t + 1]):
             cols[t + j] |= lane & mask
     return cols

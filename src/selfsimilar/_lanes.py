@@ -33,8 +33,8 @@ def below(rng, counts):
         words = rng.randbytes(4 * n) if c > 1 else b""
         shares = _shares(c)
         out = bytearray(_lane(sum(_int(words[j::4].translate(share))
-                                  for j, share in enumerate(shares)),
-                              n).translate(shares[0]))
+                                  for j, share in enumerate(shares)
+                                  if any(share)), n).translate(shares[0]))
         # a word to redraw has top byte 255
         at = [m.start() for m in re.finditer(b"\xff", words[3::4])]
         words = [_int(words[4 * i:4 * i + 4]) for i in at]

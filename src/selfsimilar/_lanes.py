@@ -4,21 +4,27 @@ A lane holds a byte a row: one column of a chunk's candidate rows, or of
 a sampled slot (`Lanes`).  `bytes.translate` maps every row of a lane
 through a 256-byte table at once; the lane's int, read little-endian,
 takes sums and masks in which no byte passes 255.  A mask holds 127 at
-its rows.  `symbolic` imports this module on its first draw or batch,
-so building a shift system, and its exact path, never compiles it.
+its rows.  The sampler yields its rows a chunk or so at a time, and
+the pair batch its levels as lanes, which `core._count` tallies.
+`symbolic` imports this module on its first draw or batch, so building
+a shift system, and its exact path, never compiles it.
 """
 import re
 import struct
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import compress
 from math import lcm
 from operator import and_, or_
 
 from ._streams import CHUNK, Rows, chunk_rngs
-from .symbolic import INF, agreement_level
+from .symbolic import agreement_level
 
 _int = partial(int.from_bytes, byteorder="little")
 _lane = partial(int.to_bytes, byteorder="little")
-_MARK, _TWOS = _int(b"\x80" * CHUNK), _int(b"\2" * CHUNK)
+_MARK, _ONES = _int(b"\x80" * CHUNK), _int(b"\1" * CHUNK)
+_HIGH, _LOW, _TOP = bytes(range(128, 256)), bytes(range(128)) * 2, bytes(
+    128) + b"\1" * 128
+_LESS = bytes(2) + bytes(range(1, 255))  # v -> v - 1, 0 -> 0
 
 
 def below(rng, counts):
@@ -74,6 +80,11 @@ class Lanes:
             return Lanes(lane[i] for lane in self.lanes)
         return bytes(lane[i] for lane in self.lanes)
 
+    @cached_property
+    def ints(self):
+        """Each lane's int, read once for every pair set of the slot."""
+        return [_int(lane) for lane in self.lanes]
+
 
 def _is(v):
     """The byte table of the mask of the value v."""
@@ -117,24 +128,42 @@ def _look(table, a, b):
         _lane(reduce(or_, lanes), len(a)) for lanes in zip(*got)]
 
 
-def _compact(value, mask):
-    """The bytes (each below 128) of a chunk's lanes int `value` at the
-    rows of `mask`, in order: the others get bit 7, and go."""
-    return _lane(value | _MARK ^ _MARK & mask << 1, CHUNK).translate(
-        None, bytes(range(128, 256)))
+def _compact(values, mask):
+    """The bytes (each below 128) of each of a chunk's lanes ints
+    `values` at the rows of `mask`, in order: the others get bit 7, and
+    go."""
+    drop = _MARK ^ _MARK & mask << 1
+    return [_lane(v | drop, CHUNK).translate(None, _HIGH) for v in values]
 
 
-def _place(lanes, rows, kept):
-    """The mask of `rows` over a chunk's rows of the mask `kept`, and each
-    of `lanes` (a byte a row of `rows`, in order) over those: its bytes
-    at the rows of both, 0 at the others.  A bytes format reads each
-    byte, as %c if kept, as %.0s (nothing) if not."""
-    codes = _lane(rows & _TWOS | kept & _TWOS >> 1, CHUNK).translate(
-        None, b"\0")
-    form = codes.replace(b"\3", b"%c").replace(b"\2", b"%.0s").replace(
-        b"\1", b"\0")
-    return _int(codes.translate(_is(3), b"\2")), [
-        form % tuple(memoryview(lane).cast("c")) for lane in lanes]
+def _place(groups, kept):
+    """Per group (rows, lanes), of disjoint masks rows: the mask of rows
+    over a chunk's rows of the mask `kept`, and each of lanes (a byte a
+    row of rows, in order) over those, its bytes at the rows of both, 0
+    at the others.  One lane tags each cut's rows and the kept ones (2 i
+    + 2 in group i, plus 1 if kept): a translate of it picks group i's
+    kept bytes, and a bytes format reads them (%c) into place."""
+    out = []
+    for g in range(0, len(groups), 127):  # a byte tags 127 groups
+        tags = _lane(sum((rows & _ONES) * (2 * i + 2) for i, (rows, _) in
+                         enumerate(groups[g:g + 127])) + (kept & _ONES),
+                     CHUNK).translate(None, b"\0")
+        ours = tags.translate(None, bytes(range(2, 256, 2)))
+        for i, (_, lanes) in enumerate(groups[g:g + 127]):
+            picks, mask = tags.translate(*_picks(i)), ours.translate(_is(
+                2 * i + 3))
+            form, drop = mask.replace(b"\x7f", b"%c"), b"\0" in picks
+            out.append((_int(mask), [form % tuple(memoryview(bytes(
+                compress(lane, picks)) if drop else lane).cast("c"))
+                for lane in lanes]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _picks(i):
+    """The translate of `_place`'s tags to group i's rows, 1 if kept."""
+    return _is(2 * i + 3).replace(b"\x7f", b"\1"), bytes(
+        v for v in range(256) if v >> 1 != i + 1)
 
 
 def walk_tables(matrix):
@@ -166,38 +195,36 @@ def walk_tables(matrix):
 
 
 def pair_levels(system, pairs, steps):
-    """`ShiftSystem._pair_levels`: the level t - 1 of a pair at step s,
-    for the first t at which its rows differ at coordinate s + t or
-    s - t, counts the t before: lane sums, in 16-bit lanes.  Rows with
-    no difference within t <= w - |s| are math.inf if equal (equal rows
-    spell equal points), else they take the scalar level."""
+    """`ShiftSystem._pair_levels`: per step s, the lane of each pair's
+    level at s plus 1 (255: math.inf, equal rows, which spell equal
+    points).  The level t - 1, for the first t at which the rows differ
+    at coordinate s + t or s - t, counts the t before: a lane sum, in
+    which no byte passes 255 as rows reach at most 127 columns each way.
+    Rows with no difference within t <= w - |s| take the scalar level,
+    which is below 2 w."""
     own = isinstance(pairs, Rows) and pairs.point == system._row_point
     w = pairs.cols[0].shape[1] // 2 if own else 0
-    if not max(map(abs, steps)) < w:
+    if not max(map(abs, steps)) < w < 128:
         return None
-    n, (xs, ys) = len(pairs), (a.lanes for a in pairs.cols)
-    ones, wide, out = _int(b"\1" * n), bytearray(2 * n), []
+    n, (xs, ys) = len(pairs), (a.ints for a in pairs.cols)
+    ones, out = _int(b"\1" * n), []
     # 1 at each row that differs there: states are below 64
-    differ = [(_int(a) ^ _int(b)) + 63 * ones >> 6 & ones
-              for a, b in zip(xs, ys)]
+    low = 63 * ones
+    differ = [(a ^ b) + low >> 6 & ones for a, b in zip(xs, ys)]
     equal = ones ^ reduce(or_, differ)
     for s in steps:
-        found, unfound, total, reach = 0, [], 0, w - abs(s)
+        found, total, reach = 0, 0, w - abs(s)
         for t in range(reach + 1):
             found |= differ[w + s + t] | differ[w + s - t]
-            unfound.append(ones ^ found)
-            if len(unfound) == 254 or t == reach:  # bytes hold 255
-                wide[::2] = _lane(sum(unfound) + equal * (t == reach), n)
-                total, unfound = total + _int(wide), []
-        counts = struct.unpack(f"<{n}H", _lane(total, 2 * n))
-        # unfound at every t: the scalar level; equal rows one more
-        levels = list(map([*range(-1, reach), None, INF].__getitem__,
-                          counts))
-        for i in [i for i, v in enumerate(levels) if v is None
-                  ] if None in levels else ():
-            x, y = pairs[i]
-            levels[i] = agreement_level(x.shift(s), y.shift(s))
-        out.append(levels)
+            total += found
+        # the t at which no difference was found, equal rows to 255
+        lane = _lane((reach + 1) * ones - total + equal * (254 - reach), n)
+        if reach + 1 in lane:  # unfound at every t: the scalar level
+            lane = bytearray(lane)
+            for i in [i for i, c in enumerate(lane) if c == reach + 1]:
+                x, y = pairs[i]
+                lane[i] = agreement_level(x.shift(s), y.shift(s)) + 1
+        out.append(lane)
     return out
 
 
@@ -215,46 +242,72 @@ def pair_brackets(system, pairs):
 
 
 def sample(system, count, seed, reach, cuts):
-    """`ShiftSystem._sample`, as `Lanes`: per chunk, every row walks out
-    to both ends, each cut branches (`_branch`), and each cut's walks
-    are laid onto the rows kept."""
+    """`ShiftSystem._sample`, as `Rows` of `Lanes` of CHUNK rows or more
+    at a time, the last one maybe fewer: per chunk, every row walks out
+    past its side's cut columns, each cut branches (`_branch`), the rows
+    kept walk out to both ends, and each cut's walks are laid onto them."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     walks = system.matrix._walks
     fwd, bwd = (max(degree) > 1 for degree, *_ in walks)
     rigid = not all((fwd or bwd, fwd, bwd)[side] for _, _, side in cuts)
     budget, have, every = 64 * count + 1024, 0, _int(b"\x7f" * CHUNK)
-    parts = [[[b""] * (2 * reach + 1)] * (1 + len(cuts))]
+    # per side, the last cut column its rows may leave at
+    ends = {sign: max((hi for _, hi, side in cuts if side in (0, sign)),
+                      default=0) for sign in (1, -1)}
+    parts = [Rows([Lanes([b""] * (2 * reach + 1))] * (1 + len(cuts)),
+                  system._row_point)]
     for k, rng in enumerate(chunk_rngs(seed)):
         if have >= count:
             break
         if rigid or k * CHUNK >= budget:
             raise ArithmeticError("sampling stalled; matrix too rigid")
         start = bytes(below(rng, [system.matrix.n] * CHUNK))
-        x = {sign: _walk_on(walks, sign, start, _draw(
-            walks, rng, sign, start, every, {0: every}, reach), reach)
-             for sign in (1, -1)}
+        drawn = {sign: _draw(walks, rng, sign, start, every, {0: every},
+                             reach)[0][1] for sign in (1, -1)}
+        # every row walks to its side's last cut column
+        x = {sign: _walk_on(walks, sign, start, {0: (None, blocks)},
+                            ends[sign]) for sign, blocks in drawn.items()}
         # candidates past the budget go
         ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1 & every
         branches = [_branch(walks, rng, x, reach, *cut) for cut in cuts]
         ok = reduce(and_, (branched for *_, branched in branches), ok)
         n = _lane(ok, CHUNK).count(127)
-        rows = [{sign: [_compact(v, ok) for v in x[sign]] for sign in x}]
+        rows, (kept,) = [{}], _compact([_int(start)], ok)
+        for sign, blocks in drawn.items():  # the rows kept walk out again
+            # a block's bytes in two halves below 128
+            halves = _compact([_int(block.translate(half)) for block in
+                               blocks for half in (_LOW, _TOP)], ok)
+            blocks = [_lane(_int(a) | _int(b) << 7, n)
+                      for a, b in zip(halves[::2], halves[1::2])]
+            rows[0][sign] = [_lane(v, n) for v in _walk_on(
+                walks, sign, kept, {0: (None, blocks)}, reach)]
         for lo, cut_walks, _ in branches:  # each cut's, on the rows kept
             rows.append({sign: list(h) for sign, h in rows[0].items()})
             for sign, branch, new, groups in cut_walks:
-                groups = {t: _place(blocks, mask, ok)
-                          for t, (mask, blocks) in groups.items()}
+                groups = dict(zip(groups, _place(list(groups.values()), ok)))
                 cols, moved = _walk_on(walks, sign, _place(
-                    [new], branch, ok)[1][0], groups, reach), 0
+                    [(branch, [new])], ok)[0][1][0], groups, reach), 0
                 for c in range(lo, reach + 1):
                     moved |= groups[c][0] if c in groups else 0
                     v = _int(rows[-1][sign][c])
                     rows[-1][sign][c] = _lane(v ^ v & moved | cols[c], n)
+        parts.append(Rows((Lanes(col[:count - have] for col in
+                                 h[-1][:0:-1] + h[1]) for h in rows),
+                          system._row_point))
         have += n
-        parts.append([h[-1][:0:-1] + h[1] for h in rows])
-    return Rows((Lanes(b"".join(col)[:count] for col in zip(*slot))
-                 for slot in zip(*parts)), system._row_point)
+        if sum(map(len, parts)) >= CHUNK:
+            yield join(parts)
+            del parts[1:]
+    yield join(parts)
+
+
+def join(parts):
+    """The `Rows` of some parts of a sampler's rows, in one."""
+    parts = list(parts)
+    return Rows((Lanes(map(b"".join, zip(*(a.lanes for a in slot))))
+                 for slot in zip(*(part.cols for part in parts))),
+                parts[0].point)
 
 
 def _branch(walks, rng, x, reach, lo, hi, side):
@@ -277,17 +330,18 @@ def _branch(walks, rng, x, reach, lo, hi, side):
     for sign in (1, -1):
         degree, option, *_ = walks[sign < 0]
         signed = _int(sides.translate(_is(sign > 0)))
+        if not signed:
+            continue
         cut = {t: v & signed for t, v in at.items() if v & signed}
         prev, old = (reduce(or_, (x[sign][t + d] & v for t, v in
                                   cut.items()), 0) for d in (-1, 0))
-        alts = _lane(prev, CHUNK).translate(degree).translate(
-            bytes(2) + bytes(range(1, 255)))  # degree - 1
+        alts = _lane(prev, CHUNK).translate(degree).translate(_LESS)
         branch = signed & _int(alts.translate(bytes(1) + b"\x7f" * 255))
         ok ^= ok & (signed ^ branch)  # the rows of this sign without one
         if not branch:
             continue
-        before, old, alts = (_compact(v, branch)
-                             for v in (prev, old, _int(alts)))
+        before, old = _compact((prev, old), branch)
+        alts = before.translate(degree).translate(_LESS)
         pick, m = _int(bytes(below(rng, alts))), len(alts)
         # options ascend: skip old by stepping past every option below
         # it; first - old + 64 has bit 6 when first >= old
@@ -315,7 +369,7 @@ def _draw(walks, rng, sign, start, rows, groups, end):
                 base ** k & base ** k - 1) else rng.randbytes(n // 7 * width)
             out[t] = mask, [drawn[b::width] for b in range(width)]
             continue
-        cur, out[t] = _place([start], rows, mask)[1][0], (mask, [])
+        cur, out[t] = _place([(rows, [start])], mask)[0][1][0], (mask, [])
         for _ in range(width):  # the rows walk, to draw
             out[t][1].append(bytes(below(rng, cur.translate(degree))))
             (cur,) = _look(option, cur, _int(out[t][1][-1]))
@@ -325,9 +379,10 @@ def _draw(walks, rng, sign, start, rows, groups, end):
 def _walk_on(walks, sign, start, groups, end):
     """Per column 0..end of one side, the lanes int of the states that
     the rows of each group (t: (mask, blocks), as from `_draw`, over the
-    rows of `start`) reach there, walking on from `start` at column t:
-    all rows walk at once, lane j holding each row's state j steps on,
-    with the most digits a `walk_tables` path takes a lookup."""
+    rows of `start`; a lone group {0: (None, blocks)} holds every row)
+    reach there, walking on from `start` at column t: all rows walk at
+    once, lane j holding each row's state j steps on, with the most
+    digits a `walk_tables` path takes a lookup."""
     _, _, paths, base, k = walks[sign < 0]
     n, k, steps = len(start), k or 1, end - min(groups)
     blocks = [0] * max(len(lanes) for _, lanes in groups.values())
@@ -340,7 +395,10 @@ def _walk_on(walks, sign, start, groups, end):
         m = min(len(paths), k - j % k, steps - j)
         lanes += _look(paths[m - 1], lanes[-1], _int(
             blocks[j // k].translate(_digits(base, j % k, m))))
-    cols, lanes = [0] * (end + 1), [_int(lane) for lane in lanes]
+    lanes = [_int(lane) for lane in lanes]
+    if list(groups) == [0] and groups[0][0] is None:  # every row walks
+        return lanes
+    cols = [0] * (end + 1)
     for t, (mask, _) in groups.items():
         for j, lane in enumerate(lanes[:end - t + 1]):
             cols[t + j] |= lane & mask

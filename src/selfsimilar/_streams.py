@@ -6,7 +6,8 @@ through SHA-512, alike in every version).  So item i depends only on
 the seed and i // CHUNK: the first N items are the same at every count
 >= N.  `uniforms` draws floats, and `_lanes.below` exact integer
 choices.  Only `uniforms` loads numpy, for the torus: the shift samplers
-run on byte lanes.  Every sampler returns its items as `Rows`.
+run on byte lanes.  Every sampler returns its items as `Rows`, the
+shift's `_sample` a part of CHUNK rows or more at a time.
 """
 import itertools
 from collections.abc import Sequence

@@ -330,6 +330,8 @@ def _check_triangles(sys_obj, cfg):
 
 
 def _symbolic_holonomy_quads(sys_obj, count, seed):
+    """The quadruples (p, q, pp, qq) as `Rows`, a sampled part at a
+    time."""
     from .core import _HOLONOMY_DEPTH
     # tails parting at +j put the plaque pair at distance lam**-(j-1), so
     # m = j - 2; straddle the bound's validity threshold lam**(m-1) > 2
@@ -337,13 +339,14 @@ def _symbolic_holonomy_quads(sys_obj, count, seed):
     while sys_obj.lam ** (j_in - 3) <= 2:
         j_in += 1
     j_lo, j_hi = max(2, j_in - 2), j_in + 3
+
+    def quads(rows):  # qq = triangle_vertex(pp, q): one column splice
+        _, q, pp = rows.columns()
+        return rows.zip(sys_obj._pair_brackets(pp.zip(q)))
     # legs parting at -k, 2 <= k <= 5, are at distance lam**-(k-1) <= xi;
     # rows reach far enough for the precondition's steps either way
-    rows = sys_obj._sample(count, seed, j_hi + 2 * _HOLONOMY_DEPTH,
-                           ((j_lo, j_hi, 1), (2, 5, -1)))
-    _, q, pp = rows.columns()
-    # qq = triangle_vertex(pp, q) of every quadruple: one column splice
-    return rows.zip(sys_obj._pair_brackets(pp.zip(q)))
+    return map(quads, sys_obj._sample(count, seed, j_hi + 2 * _HOLONOMY_DEPTH,
+                                      ((j_lo, j_hi, 1), (2, 5, -1))))
 
 
 def _toral_holonomy_quads(sys_obj, count, seed, scale):
@@ -365,29 +368,32 @@ def _toral_holonomy_quads(sys_obj, count, seed, scale):
 
 
 def _check_holonomy(sys_obj, cfg):
-    from .core import _holonomy_columns
+    from collections import Counter
+
+    from .core import _holonomy_reports
     if sys_obj.space_kind == "symbolic":
-        quads = _symbolic_holonomy_quads(sys_obj, cfg.samples, cfg.seed)
+        parts = _symbolic_holonomy_quads(sys_obj, cfg.samples, cfg.seed)
     else:
         scale = cfg.scale if cfg.scale is not None else (
             sys_obj.xi / sys_obj.lam ** 3)
-        quads = _toral_holonomy_quads(sys_obj, cfg.samples, cfg.seed, scale)
-    observed, _, _, in_range, within, pre_ok = _holonomy_columns(sys_obj,
-                                                                  quads)
-    counted = [(o, w) for o, r, w, ok in zip(observed, in_range, within,
-                                             pre_ok) if r and ok]
-    violations = sum(not w for _, w in counted)
-    rejected = pre_ok.count(False)
+        parts = [_toral_holonomy_quads(sys_obj, cfg.samples, cfg.seed, scale)]
+    reports = sum((_holonomy_reports(sys_obj, quads) for quads in parts),
+                  Counter())
+    counted = {r: n for r, n in reports.items()
+               if r.in_range and r.precondition_ok}
+    violations = sum(n for r, n in counted.items() if not r.within_bound)
+    rejected = sum(n for r, n in reports.items() if not r.precondition_ok)
+    total = sum(reports.values())
     return {
-        "quadruples": len(quads),
-        "in_range": len(counted),
+        "quadruples": total,
+        "in_range": sum(counted.values()),
         "rejected": rejected,
         "violations": violations,
-        "max_observed": max((o for o, _ in counted), default=0.0),
+        "max_observed": max((r.observed for r in counted), default=0.0),
         "tolerance": "2/(lam**(m-1) - 2) per quadruple",
         "method": "plaque-holonomy",
         "passed": bool(counted) and violations == 0
-        and rejected <= len(quads) // 2,
+        and rejected <= total // 2,
     }
 
 

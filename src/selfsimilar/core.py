@@ -8,7 +8,8 @@ Symbolic systems additionally expose integer `level` arithmetic, which
 the verifier uses to keep the self-similarity check exact.
 
 A system may also carry private pair batches.  `_pair_levels(pairs,
-steps)` returns one list of integer levels of (f^s x, f^s y) per step s.
+steps)` returns one byte lane per step s: the integer level of
+(f^s x, f^s y) plus 1 for every pair, 255 for an infinite level.
 `_orbit_dists(pairs, lo, hi)` is the one distance hook: it yields
 (j, the array of dist(f^j x, f^j y)) for lo <= j <= hi.  The
 self-similar torus maps the points as arrays and equals its scalar
@@ -24,16 +25,32 @@ Samplers draw through `_streams` and return `_streams.Rows`: `_unzip`
 and `_zip` split and pair their slots, numpy arrays on the torus (the
 only numpy user) and byte lanes on a shift, which the batches read.
 
-`_pair_values` is the one orbit reader: the verifier, `holder_check`
-and the triangle, contraction and holonomy checks read every level or
-distance through it.  It makes one batch call per pair set, or runs the
+`_columns` is the one orbit reader: the verifier and the triangle and
+holonomy checks read every level or distance through it, and
+`holder_check` and the contraction check through `_pair_values`, which
+reads each entry.  It makes one batch call per pair set, or runs the
 scalar `dist` (or `level`) pair by pair where no batch takes them; the
 scalar methods, `RefinedSystem.dist` among them, stay the reference.
-A backward walk on a system without `apply_inv` raises ValueError.  The
-holonomy check reads one column per report field (`_holonomy_columns`).
+A backward walk on a system without `apply_inv` raises ValueError.
+The checks take sampled pairs a part at a time (`_parts`), and a
+sampler's stream is checked part by part, so a check holds one part and
+its tally: `_count` keys each pair by its entries over the columns
+read, and the check evaluates each distinct key once, weighted by its
+count (a shift's part has a few dozen keys; on the torus each key is
+its own).  What depends on order reads the keys in turn: an input
+index, every rejected pair, and the mean deviation, a left-to-right sum
+unless every deviation is 0.0.
 """
 import math
+import struct
+from collections import Counter
+from itertools import repeat
 from typing import NamedTuple
+
+from ._streams import CHUNK, Rows
+
+# a `_pair_levels` byte c is the level c - 1; 255 is an infinite level
+_LEVELS = (*range(-1, 254), math.inf)
 
 
 class VerifyReport(NamedTuple):
@@ -47,29 +64,27 @@ class VerifyReport(NamedTuple):
     exact: bool = False
 
 
-def _pair_values(sys, pairs, steps, levels=False):
-    """dist(f^s x, f^s y) for every pair, one list per step s; with
-    `levels`, the integer level instead (systems with `level` only).
+def _columns(sys, pairs, steps, levels=False):
+    """dist(f^s x, f^s y) for every pair, one column per step s (with
+    `levels`, the integer level; systems with `level` only), and how its
+    entries read: None where they are the values.
 
-    One call to the system's pair batch, `_pair_levels` or else the
-    hook `_orbit_dists` over min(steps)..max(steps); without one, or
-    where `_pair_levels` returns None, the scalar `dist` (or `level`)
-    of each pair's orbit, every iterate computed once.  Distances from
-    levels are lam**-level in Python floats, as the scalar `dist`.
-    Negative steps on a system without `apply_inv` raise ValueError.
+    One call to the system's pair batch, `_pair_levels` (byte lanes,
+    read through `_LEVELS`, and as lam**-level) or else the hook
+    `_orbit_dists` over min(steps)..max(steps); without one, or where
+    `_pair_levels` returns None, the scalar `dist` (or `level`) of each
+    pair's orbit, every iterate computed once.  Negative steps on a
+    system without `apply_inv` raise ValueError.
     """
     batch = getattr(sys, "_pair_levels", None)
     out = None if batch is None else batch(pairs, steps)
-    if out is not None:
-        if levels:
-            return out
-        # one float per distinct level (lam**-inf is 0.0)
-        dist = {lev: sys.lam ** -lev for lev in set().union(*out)}
-        return [[dist[lev] for lev in row] for row in out]
+    if out is not None:  # lam**-inf is 0.0, as from the scalar `dist`
+        return out, _LEVELS.__getitem__ if levels else (
+            lambda c: sys.lam ** -_LEVELS[c])
     batch = None if levels else getattr(sys, "_orbit_dists", None)
     if batch is not None:
         terms = dict(batch(pairs, min(steps), max(steps)))
-        return [terms[s].tolist() for s in steps]
+        return [terms[s].tolist() for s in steps], None
     value = sys.level if levels else sys.dist
     walks = [(sys.apply, range(1, max(steps) + 1))]
     if min(steps) < 0:
@@ -88,7 +103,50 @@ def _pair_values(sys, pairs, steps, levels=False):
         for row, s in zip(out, steps):
             p, q = orbit[s]
             row.append(value(p, q))
-    return out
+    return out, None
+
+
+def _pair_values(sys, pairs, steps, levels=False):
+    """The `_columns` of the pairs, each entry read: one list a step."""
+    columns, read = _columns(sys, pairs, steps, levels)
+    return [c if read is None else list(map(read, c)) for c in columns]
+
+
+def _parts(items):
+    """(offset, part) in turn: sampled `Rows` CHUNK rows at a time, and
+    any other pairs whole."""
+    parts = (items,)
+    if isinstance(items, Rows):
+        parts = (items[i:i + CHUNK] for i in range(0, len(items), CHUNK))
+    offset = 0
+    for part in parts:
+        yield offset, part
+        offset += len(part)
+
+
+def _count(*reads):
+    """The keys of one part's pairs, each the tuple of its entries in the
+    columns of some `_columns` reads in turn (the bytes, where all are
+    byte lanes), and per distinct key its values and count.  Where no
+    read is a byte lane (floats, all but always distinct, or the scalar
+    path's values), each pair keeps a key of its own: its index."""
+    columns = [c for cols, _ in reads for c in cols]
+    readers = [read for cols, read in reads for _ in cols]
+    if not any(readers):
+        rows = zip(*columns)
+        return range(len(columns[0])), dict(enumerate(zip(rows, repeat(1))))
+    if None in readers:
+        keys = list(zip(*columns))
+    else:
+        k, n = len(columns), len(columns[0])
+        rows = bytearray(k * n)
+        for j, column in enumerate(columns):
+            rows[j::k] = column
+        # a Struct of its own: the module's cache would keep one a size
+        keys = struct.Struct(f"{k}s" * n).unpack(rows)
+    return keys, {key: (tuple(v if read is None else read(v)
+                              for v, read in zip(key, readers)), n)
+                  for key, n in Counter(keys).items()}
 
 
 def _unzip(items, k):
@@ -119,41 +177,45 @@ def verify_self_similar(sys, pairs, tol=None):
     Pairs with dist > xi or dist = 0 are reported as rejected rather
     than silently skipped.  Systems with integer level arithmetic are
     verified exactly; float systems report relative deviations.  Either
-    way the values come from one `_pair_values` call.
+    way the values come from one `_columns` read per part, and each
+    distinct tuple of them is checked once.  `worst_pair` is the input
+    index of the first pair at the largest deviation.
     """
     _need_lam(sys)
     tol = sys.tol_default if tol is None else tol
     exact = hasattr(sys, "level")
-    rejected = []
-    devs = []
-    worst = None
-    values = zip(*_pair_values(sys, pairs, (0, 1, -1), exact))
-    for idx, (v, fwd, bwd) in enumerate(values):
-        d = sys.lam ** -v if exact else v  # lam**-inf is 0.0
-        if d == 0.0:
-            rejected.append((idx, "coincident pair"))
-            continue
-        if d > sys.xi:
-            rejected.append((idx, "dist above xi"))
-            continue
-        if exact:
-            img = min(fwd, bwd)
-            dev = 0.0 if img == v - 1 else abs(sys.lam ** (v - 1 - img) - 1.0)
-        else:
-            dev = abs(max(fwd, bwd) / (sys.lam * d) - 1.0)
-        devs.append(dev)
-        if worst is None or dev > devs[worst]:
-            worst = len(devs) - 1
-    max_dev = max(devs) if devs else 0.0
-    mean_dev = sum(devs) / len(devs) if devs else 0.0
+    rejected, checked, total, max_dev, worst = [], 0, 0, 0.0, None
+    for offset, part in _parts(pairs):
+        keys, tally = _count(_columns(sys, part, (0, 1, -1), exact))
+        devs, reasons = {}, {}
+        for key, ((v, fwd, bwd), n) in tally.items():
+            d = sys.lam ** -v if exact else v  # lam**-inf is 0.0
+            if d == 0.0 or d > sys.xi:
+                reasons[key] = "dist above xi" if d else "coincident pair"
+            elif exact:
+                img = min(fwd, bwd)
+                devs[key] = 0.0 if img == v - 1 else abs(
+                    sys.lam ** (v - 1 - img) - 1.0)
+            else:
+                devs[key] = abs(max(fwd, bwd) / (sys.lam * d) - 1.0)
+        checked += sum(tally[key][1] for key in devs)
+        if devs and (worst is None or max(devs.values()) > max_dev):
+            max_dev = max(devs.values())
+            worst = offset + next(i for i, key in enumerate(keys)
+                                  if devs.get(key) == max_dev)
+        if reasons:
+            rejected += [(offset + i, reasons[key])
+                         for i, key in enumerate(keys) if key in reasons]
+        if any(devs.values()):  # the pairs' sum, left to right
+            total = sum((devs[key] for key in keys if key in devs), total)
     return VerifyReport(
-        checked=len(devs),
+        checked=checked,
         rejected=rejected,
         max_rel_deviation=max_dev,
-        mean_rel_deviation=mean_dev,
+        mean_rel_deviation=total / checked if checked else 0.0,
         worst_pair=worst,
         tol=tol,
-        passed=bool(devs) and max_dev <= tol and not rejected,
+        passed=bool(checked) and max_dev <= tol and not rejected,
         exact=exact,
     )
 
@@ -302,49 +364,52 @@ def triangle_ratio(sys, x, y):
     of y; the report compares the hypotenuse dist(x, y) with the longer
     leg.
     """
-    return _triangle_reports(sys, [(x, y)])[0]
+    (report,) = _triangle_reports(sys, [(x, y)])
+    return report
 
 
 def _triangle_reports(sys, pairs):
-    """`triangle_ratio` of every pair, from one `_pair_values` call for
-    the hypotenuses and one for each side of the legs.  The first pair
-    that fails, in input order, raises what `triangle_ratio` would."""
+    """The `triangle_ratio` reports of the pairs, as a Counter: per part,
+    one `_columns` read for the hypotenuses and one for each side of the
+    legs, and one report per distinct key.  The first pair that fails,
+    in input order, raises what `triangle_ratio` would."""
     _need_lam(sys)
     if not getattr(sys, "has_bracket", hasattr(sys, "triangle_vertex")):
         raise ValueError("system has no bracket structure")
-    (hyps,) = _pair_values(sys, pairs, (0,))
-    cut, failure = len(pairs), None
-    for i, c0 in enumerate(hyps):
-        if c0 == 0.0:
-            failure = ValueError(
-                "coincident points give a degenerate triangle")
-        elif c0 > sys.xi / (2 * sys.lam):
-            failure = ValueError("pair above the triangle scale xi/(2 lam)")
+    reports = Counter()
+    for _, part in _parts(pairs):
+        hyps, read = _columns(sys, part, (0,))
+        c0s = {c: c if read is None else read(c) for c in set(hyps[0])}
+        cut = min((hyps[0].index(c) for c, c0 in c0s.items()
+                   if c0 == 0.0 or c0 > sys.xi / (2 * sys.lam)),
+                  default=len(part))
+        failure = None if cut == len(part) else ValueError(
+            "coincident points give a degenerate triangle"
+            if c0s[hyps[0][cut]] == 0.0
+            else "pair above the triangle scale xi/(2 lam)")
+        batch = getattr(sys, "_pair_brackets", None)
+        # c0 <= xi/(2 lam) < xi: inside the domain
+        vertices = None if batch is None else batch(part[:cut])
+        if vertices is None:
+            vertices = []
+            for x, y in part[:cut]:
+                try:
+                    vertices.append(sys.triangle_vertex(x, y))
+                except Exception as e:  # raised after the earlier pairs' legs
+                    failure = e
+                    break
+        xs, ys = _unzip(part[:cut], 2)
+        _, tally = _count(([c[:len(vertices)] for c in hyps], read),
+                          _columns(sys, _zip(xs, vertices), (0,)),
+                          _columns(sys, _zip(vertices, ys), (0,)))
+        for (c0, a, b), n in tally.values():
+            m = max(a, b)
+            if m == 0.0:
+                raise ValueError("degenerate triangle: both legs vanish")
+            report = TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m)
+            reports[report] = reports.get(report, 0) + n
         if failure is not None:
-            cut = i
-            break
-    batch = getattr(sys, "_pair_brackets", None)
-    # c0 <= xi/(2 lam) < xi: inside the domain
-    vertices = None if batch is None else batch(pairs[:cut])
-    if vertices is None:
-        vertices = []
-        for x, y in pairs[:cut]:
-            try:
-                vertices.append(sys.triangle_vertex(x, y))
-            except Exception as e:  # raised after the earlier pairs' legs
-                failure = e
-                break
-    xs, ys = _unzip(pairs[:cut], 2)
-    (legs_a,) = _pair_values(sys, _zip(xs, vertices), (0,))
-    (legs_b,) = _pair_values(sys, _zip(vertices, ys), (0,))
-    reports = []
-    for c0, a, b in zip(hyps, legs_a, legs_b):
-        m = max(a, b)
-        if m == 0.0:
-            raise ValueError("degenerate triangle: both legs vanish")
-        reports.append(TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m))
-    if failure is not None:
-        raise failure
+            raise failure
     return reports
 
 
@@ -413,43 +478,46 @@ def holonomy_deviation(sys, p, q, pp, qq):
     2/(lam**(m-1) - 2) whenever lam**(m-1) > 2; smaller m is reported as
     out of range.
     """
-    columns = _holonomy_columns(sys, [(p, q, pp, qq)])
-    return HolonomyReport(*(column[0] for column in columns))
+    (report,) = _holonomy_reports(sys, [(p, q, pp, qq)])
+    return report
 
 
-def _holonomy_columns(sys, quads):
-    """The `HolonomyReport` fields, a list each over the quadruples, from
-    one `_pair_values` call for the plaque pairs (p, q) followed
-    backward, the projected pairs (pp, qq), and each side's legs followed
-    forward.  Any coincident plaque pair raises."""
+def _holonomy_reports(sys, quads):
+    """The `HolonomyReport`s of the quadruples, as a Counter: per part,
+    one `_columns` read each for the plaque pairs (p, q) followed
+    backward, the projected pairs (pp, qq), and each side's legs
+    followed forward, and one report per distinct key.  Any coincident
+    plaque pair raises."""
     _need_lam(sys)
-    depth = range(_HOLONOMY_DEPTH + 1)
-    p, q, pp, qq = _unzip(quads, 4)
-    plaques, *back = _pair_values(sys, _zip(p, q), tuple(-j for j in depth))
-    (images,) = _pair_values(sys, _zip(pp, qq), (0,))
-    legs_p = _pair_values(sys, _zip(p, pp), tuple(depth))
-    legs_q = _pair_values(sys, _zip(q, qq), tuple(depth))
-    if 0.0 in plaques or 0.0 in images:
-        raise ValueError("coincident plaque pair")
-    lam, xi = sys.lam, sys.xi
-    ms = []
-    for big in map(max, plaques, images):
-        m = math.floor(math.log(xi / big) / math.log(lam))
-        while xi / lam ** (m + 1) >= big:
-            m += 1
-        while xi / lam ** m < big:
-            m -= 1
-        ms.append(m)
-    observed = [abs(d_img / d - 1.0) for d, d_img in zip(plaques, images)]
-    in_range = [lam ** (m - 1) > 2.0 for m in ms]
-    bound = [2.0 / (lam ** (m - 1) - 2.0) if ok else None
-             for m, ok in zip(ms, in_range)]
-    within = [o <= b if ok else None
-              for o, b, ok in zip(observed, bound, in_range)]
-    # the largest distance of each quadruple's orbit: its plaque pair at
-    # steps -1.., and each leg at 0..
-    pre_ok = [v <= xi for v in map(max, *back, *legs_p, *legs_q)]
-    return observed, bound, ms, in_range, within, pre_ok
+    depth, lam, xi = range(_HOLONOMY_DEPTH + 1), sys.lam, sys.xi
+    reports = Counter()
+    for _, part in _parts(quads):
+        p, q, pp, qq = _unzip(part, 4)
+        _, tally = _count(
+            _columns(sys, _zip(p, q), tuple(-j for j in depth)),
+            _columns(sys, _zip(pp, qq), (0,)),
+            _columns(sys, _zip(p, pp), tuple(depth)),
+            _columns(sys, _zip(q, qq), tuple(depth)))
+        for (d, *orbit), n in tally.values():
+            d_img = orbit.pop(_HOLONOMY_DEPTH)
+            if d == 0.0 or d_img == 0.0:
+                raise ValueError("coincident plaque pair")
+            big = max(d, d_img)
+            m = math.floor(math.log(xi / big) / math.log(lam))
+            while xi / lam ** (m + 1) >= big:
+                m += 1
+            while xi / lam ** m < big:
+                m -= 1
+            observed = abs(d_img / d - 1.0)
+            in_range = lam ** (m - 1) > 2.0
+            bound = 2.0 / (lam ** (m - 1) - 2.0) if in_range else None
+            # the largest distance of the quadruple's orbit: its plaque
+            # pair at steps -1.., and each leg at 0..
+            report = HolonomyReport(observed, bound, m, in_range,
+                                    observed <= bound if in_range else None,
+                                    max(orbit) <= xi)
+            reports[report] = reports.get(report, 0) + n
+    return reports
 
 
 class TriangleCurve(NamedTuple):

@@ -433,10 +433,11 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         return self.lam ** (-lev)
 
     def _pair_levels(self, pairs, steps):
-        """The pair batch: level(f^s x, f^s y) for every pair, one list
-        per step s, when the pairs are this system's sampled rows (`Rows`
-        over [-w, w]) and every |s| < w; else None (`_lanes.pair_levels`,
-        which sums the scan over whole byte lanes)."""
+        """The pair batch: level(f^s x, f^s y) + 1 for every pair, one
+        byte lane per step s (255: math.inf), when the pairs are this
+        system's sampled rows (`Rows` over [-w, w], w < 128) and every
+        |s| < w; else None (`_lanes.pair_levels`, which sums the scan
+        over whole byte lanes)."""
         from ._lanes import pair_levels
         return pair_levels(self, pairs, steps)
 
@@ -532,8 +533,9 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
             raise ValueError("levels below 1 leave the self-similar regime")
         if lo > hi:
             raise ValueError("levels must be a range (lo, hi) with lo <= hi")
+        from ._lanes import join
         # the level scan at steps +-1 reads out to coordinate +-(hi + 3)
-        return self._sample(count, seed, hi + 3, ((lo + 1, hi + 1, 0),))
+        return join(self._sample(count, seed, hi + 3, ((lo + 1, hi + 1, 0),)))
 
     def _sample(self, count, seed, reach, cuts):
         """`count` seeded rows (walk, copy, ...) over [-reach, reach]:
@@ -548,7 +550,8 @@ class ShiftSystem(NamedTuple("ShiftSystem", [("matrix", TransitionMatrix),
         are read in chunk order: the first rows are the same at every
         count.  It stalls past 64 count + 1024 candidates, and before any
         when no state has a second successor (side 1) or predecessor
-        (side -1) on a cut's side (side 0: on either)."""
+        (side -1) on a cut's side (side 0: on either).  The rows come as
+        `_lanes.sample` yields them, a part at a time."""
         from ._lanes import sample
         return sample(self, count, seed, reach, cuts)
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -478,6 +479,25 @@ def test_console_script_is_installed(subprocess_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_shift_holonomy_memory_does_not_grow_with_the_samples(golden):
+    """The holonomy check on a shift folds its quadruples a chunk at a
+    time, so its traced peak at 200,000 samples is within 1.2 times the
+    peak at 20,000."""
+    def peak(samples):
+        config = parse_config(json.dumps({
+            "system": "golden-mean", "command": "holonomy",
+            "samples": samples}))
+        tracemalloc.start()
+        try:
+            assert cli._check_holonomy(golden, config)["passed"]
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # the modules load and the tables fill
+    assert peak(200_000) <= 1.2 * peak(20_000)
 
 
 def test_shift_runs_leave_numpy_random_unloaded(subprocess_env, tmp_path):

@@ -9,21 +9,25 @@ sqrt(0.3 * arc), pinning the Holder data.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
+from selfsimilar._lanes import Lanes, join
+from selfsimilar._streams import Rows
 from selfsimilar.core import (
     HolderReport,
     HolonomyReport,
     TriangleReport,
     VerifyReport,
-    _holonomy_columns,
+    _holonomy_reports,
     _pair_values,
     _triangle_reports,
     holder_check,
@@ -34,6 +38,7 @@ from selfsimilar.core import (
     triangle_ratio,
     verify_self_similar,
 )
+from selfsimilar.symbolic import TransitionMatrix, sft_new
 from selfsimilar.torus import CircleDoubling, cat_map, toral_new
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -447,8 +452,10 @@ def test_checks_on_a_base_without_lam_ask_for_a_refinement(euclid,
 
 
 def loop_verify(sys, pairs, tol):
-    """The per-pair verifier of the float path, as a reference."""
+    """The per-pair verifier, as a reference: in levels on a system with
+    `level`, else in floats.  The worst pair is an input index."""
     rejected, devs, worst = [], [], None
+    exact = hasattr(sys, "level")
     for idx, (p, q) in enumerate(pairs):
         d = sys.dist(p, q)
         if d == 0.0:
@@ -457,17 +464,42 @@ def loop_verify(sys, pairs, tol):
         if d > sys.xi:
             rejected.append((idx, "dist above xi"))
             continue
-        grown = max(sys.dist(sys.apply(p), sys.apply(q)),
-                    sys.dist(sys.apply_inv(p), sys.apply_inv(q)))
-        devs.append(abs(grown / (sys.lam * d) - 1.0))
-        if worst is None or devs[-1] > devs[worst]:
-            worst = len(devs) - 1
+        if exact:
+            v = sys.level(p, q)
+            img = min(sys.level(sys.apply(p), sys.apply(q)),
+                      sys.level(sys.apply_inv(p), sys.apply_inv(q)))
+            devs.append(0.0 if img == v - 1 else abs(
+                sys.lam ** (v - 1 - img) - 1.0))
+        else:
+            grown = max(sys.dist(sys.apply(p), sys.apply(q)),
+                        sys.dist(sys.apply_inv(p), sys.apply_inv(q)))
+            devs.append(abs(grown / (sys.lam * d) - 1.0))
+        if worst is None or devs[-1] > max(devs[:-1]):
+            worst = idx
     max_dev = max(devs) if devs else 0.0
     return VerifyReport(
         checked=len(devs), rejected=rejected, max_rel_deviation=max_dev,
         mean_rel_deviation=sum(devs) / len(devs) if devs else 0.0,
         worst_pair=worst, tol=tol,
-        passed=bool(devs) and max_dev <= tol and not rejected)
+        passed=bool(devs) and max_dev <= tol and not rejected, exact=exact)
+
+
+def test_the_worst_pair_is_an_input_index(full2, cat):
+    """A rejected pair ahead of the worst one counts in its index, as in
+    the rejected pairs' own."""
+    x = full2.constant(0)
+    pairs = [(x, x)] + list(full2.sample_pairs(5, seed=4))
+    rep = verify_self_similar(full2, pairs)
+    assert rep.rejected == [(0, "coincident pair")]
+    assert rep.worst_pair == 1
+    assert rep == loop_verify(full2, pairs, 0.0)
+    # float deviations, each its own, summed left to right
+    pairs = list(cat.sample_pairs(40, 0.01, seed=3))
+    pairs[5:5] = [(pairs[9][0],) * 2, (pairs[0][0], pairs[20][0])]
+    rep = verify_self_similar(cat, pairs)
+    assert rep == loop_verify(cat, pairs, cat.tol_default)
+    assert [i for i, _ in rep.rejected] == [5, 6]
+    assert rep.worst_pair not in (None, 5, 6) and rep.mean_rel_deviation > 0
 
 
 def loop_holder(base_dist, refined_dist, samples, k, lam):
@@ -925,7 +957,7 @@ def triangle_inputs(full2, golden, cat):
 def test_triangle_batch_is_the_pair_loop(full2, golden, cat):
     for sys, pairs in triangle_inputs(full2, golden, cat):
         want = [scalar_triangle(sys, x, y) for x, y in pairs]
-        assert _triangle_reports(sys, pairs) == want
+        assert _triangle_reports(sys, pairs) == Counter(want)
         assert [triangle_ratio(sys, x, y) for x, y in pairs] == want
         buckets = {1.0: pairs[:70], 0.5: pairs[70:]}
         worst = [max(abs(r.ratio - 1.0) for r in want[:70]),
@@ -962,15 +994,9 @@ def threshold_quads(line):
     return quads
 
 
-def holonomy_reports(sys, quads):
-    """The `HolonomyReport` of every quadruple, from one column read."""
-    return [HolonomyReport(*row)
-            for row in zip(*_holonomy_columns(sys, quads))]
-
-
 def test_holonomy_scale_threshold_belongs_to_the_lower_m():
     line = LineDilation()
-    reps = holonomy_reports(line, threshold_quads(line))
+    reps = [holonomy_deviation(line, *quad) for quad in threshold_quads(line)]
     assert [r.m for r in reps[:9]] == [-2] * 6 + [-3] * 3
     assert [r.m for r in reps[9 * 30:9 * 31]] == [28] * 6 + [27] * 3
 
@@ -984,12 +1010,13 @@ def holonomy_inputs(full2, golden, cat):
     bad = [(x, q, pp, full2.triangle_vertex(pp, q)),
            (x, x.with_value(-3, 1), x, x.with_value(-3, 1))]
     return [(line, threshold_quads(line)),
-            (golden, cli._symbolic_holonomy_quads(golden, 150, 2)),
-            (full2, list(cli._symbolic_holonomy_quads(full2, 150, 3)) + bad),
+            (golden, join(cli._symbolic_holonomy_quads(golden, 150, 2))),
+            (full2,
+             list(join(cli._symbolic_holonomy_quads(full2, 150, 3))) + bad),
             (cat, cli._toral_holonomy_quads(cat, 150, 4,
                                             cat.xi / cat.lam ** 3)),
             (RiggedWarp(full2),
-             list(cli._symbolic_holonomy_quads(full2, 150, 5)) + bad)]
+             list(join(cli._symbolic_holonomy_quads(full2, 150, 5))) + bad)]
 
 
 def test_holonomy_columns_are_the_quadruple_reports(cat):
@@ -1003,13 +1030,12 @@ def test_holonomy_columns_are_the_quadruple_reports(cat):
                                 for _ in range(4)) for _ in range(30)]
         reps = [holonomy_deviation(sys, *quad) for quad in quads]
         assert reps == [scalar_holonomy(sys, *quad) for quad in quads]
-        assert list(zip(*_holonomy_columns(sys, quads))) == [
-            tuple(r) for r in reps]
+        assert _holonomy_reports(sys, quads) == Counter(reps)
         assert {r.precondition_ok for r in reps} == {True, False}
         assert {r.in_range for r in reps} == {True, False}
         p, q, pp, qq = quads[7]
         quads[200] = (p, p, pp, qq)
-        for run in (lambda: _holonomy_columns(sys, quads),
+        for run in (lambda: _holonomy_reports(sys, quads),
                     lambda: holonomy_deviation(sys, p, p, pp, qq)):
             assert first_error(run) == (ValueError, "coincident plaque pair")
 
@@ -1017,7 +1043,7 @@ def test_holonomy_columns_are_the_quadruple_reports(cat):
 def test_holonomy_batch_is_the_pair_loop(full2, golden, cat):
     for sys, quads in holonomy_inputs(full2, golden, cat):
         want = [scalar_holonomy(sys, *quad) for quad in quads]
-        assert holonomy_reports(sys, quads) == want
+        assert _holonomy_reports(sys, quads) == Counter(want)
         assert [holonomy_deviation(sys, *quad) for quad in quads] == want
     assert [r.precondition_ok for r in want[-2:]] == [False, False]
 
@@ -1060,11 +1086,68 @@ def test_the_first_bad_pair_raises_as_in_the_pair_loop(full2, golden, cat):
         "coincident points give a degenerate triangle",
     ]
 
-    quads = list(cli._symbolic_holonomy_quads(golden, 20, 1))
+    quads = list(join(cli._symbolic_holonomy_quads(golden, 20, 1)))
     p, q, pp, qq = quads[4]
     quads[4] = (p, p, pp, qq)
     quads[9] = (p, q, pp, pp)
     want = first_error(lambda: [scalar_holonomy(golden, *qd) for qd in quads])
-    assert first_error(lambda: _holonomy_columns(golden, quads)) == want
+    assert first_error(lambda: _holonomy_reports(golden, quads)) == want
     assert want == (ValueError, "coincident plaque pair")
 
+
+@st.composite
+def primitive_shifts(draw):
+    """A shift on a random primitive 0/1 matrix of 2 to 6 states."""
+    n = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    assume(all(map(any, rows)) and all(map(any, zip(*rows))))
+    assume(TransitionMatrix(rows).primitive)
+    return sft_new(rows)
+
+
+def row_pairs(pairs):
+    """The (x row, y row) bytes of each of a shift's sampled pairs."""
+    xs, ys = pairs.cols
+    return [(xs[i], ys[i]) for i in range(len(pairs))]
+
+
+def rows_of(sys, rows):
+    """The `Rows` of pairs of sampled rows (bytes over [-w, w])."""
+    return Rows((Lanes(map(bytes, zip(*slot))) for slot in zip(*rows)),
+                sys._row_point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(primitive_shifts(), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_folded_checks_are_the_pair_loops(sys, seed, at):
+    """Each check on a shift's sampled rows, folded over the distinct
+    level tuples of its parts, against the per-pair scalar loop over the
+    points the rows spell: verify with a coincident pair and one above
+    xi put among the rows at `at`, triangles with a coincident pair there
+    and with pairs above the triangle scale, and holonomy, where a
+    quadruple is out of range about one time in three."""
+    rows = row_pairs(sys.sample_pairs(40, seed))
+    first, w = rows[0][0], len(rows[0][0]) // 2
+    # a coincident pair, then one whose rows differ at coordinate 0
+    bad = [(first, first)] + [(first, x) for x, _ in rows
+                              if x[w] != first[w]][:1]
+    pairs = rows_of(sys, rows[:at] + bad + rows[at:])
+    rep = verify_self_similar(sys, pairs)
+    assert rep == loop_verify(sys, list(pairs), 0.0)
+    assert rep.rejected[0] == (at, "coincident pair")
+    lo = cli._triangle_levels(sys)
+    near = sys.sample_pairs(40, seed, (lo, lo + 6))
+    rows = row_pairs(near)
+    rows = rows_of(sys, rows[:at] + [(rows[0][0],) * 2] + rows[at:])
+    for pairs in (near, rows, sys.sample_pairs(40, seed, (1, lo + 6))):
+        assert outcome(lambda: _triangle_reports(sys, pairs)) == outcome(
+            lambda: Counter(scalar_triangle(sys, *p) for p in pairs))
+    assert outcome(lambda: _triangle_reports(sys, rows)) == (
+        ValueError, "coincident points give a degenerate triangle")
+    parts = list(cli._symbolic_holonomy_quads(sys, 40, seed))
+    quads = join(parts)
+    want = Counter(scalar_holonomy(sys, *quad) for quad in quads)
+    assert _holonomy_reports(sys, quads) == want
+    assert sum(map(partial(_holonomy_reports, sys), parts), Counter()) == want
+    assert {r.in_range for r in want} == {True, False}

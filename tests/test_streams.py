@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from selfsimilar import _streams, cli, symbolic
-from selfsimilar._lanes import Lanes, below
+from selfsimilar._lanes import Lanes, below, join
 from selfsimilar._streams import CHUNK, Rows, uniforms
 from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.symbolic import (agreement_level, full_shift, golden_mean,
@@ -64,8 +64,8 @@ def test_the_first_items_are_the_same_at_every_count(name, golden, cat,
                                                      euclid, doubling):
     draw = {
         "shift pairs": lambda n: golden.sample_pairs(n, seed=4),
-        "shift quadruples": lambda n: cli._symbolic_holonomy_quads(golden,
-                                                                    n, 4),
+        "shift quadruples": lambda n: join(cli._symbolic_holonomy_quads(
+            golden, n, 4)),
         "toral points": lambda n: cat.sample_points(n, seed=4),
         "euclidean pairs": lambda n: euclid.sample_pairs(n, 1e-3, seed=4),
         "doubling points": lambda n: doubling.sample_points(n, seed=4),
@@ -262,13 +262,13 @@ def test_a_stall_that_is_not_rigid_draws_the_whole_budget(monkeypatch):
         drawing.clear()
         with pytest.raises(ArithmeticError,
                            match="^sampling stalled; matrix too rigid$"):
-            cli._symbolic_holonomy_quads(shift, count, 0)
+            join(cli._symbolic_holonomy_quads(shift, count, 0))
         assert len(drawing) == -(-(64 * count + 1024) // CHUNK)
 
 
 def test_slices_and_columns_keep_the_builder(golden, cat):
     for rows in (golden.sample_pairs(8, seed=1), cat.sample_pairs(8, 1e-3),
-                 cli._symbolic_holonomy_quads(golden, 8, 1)):
+                 join(cli._symbolic_holonomy_quads(golden, 8, 1))):
         assert isinstance(rows, Rows)
         assert rows[2:5].point == rows.point
         assert list(rows[2:5]) == list(rows)[2:5]
@@ -304,7 +304,7 @@ def test_another_systems_rows_take_the_scalar_levels(golden, monkeypatch):
     pairs, steps = golden.sample_pairs(40, seed=3), (0, 1, -1)
     scalar = [[agreement_level(x.shift(s), y.shift(s)) for x, y in pairs]
               for s in steps]
-    assert golden._pair_levels(pairs, steps) == scalar
+    assert _pair_values(golden, pairs, steps, levels=True) == scalar
     assert len(calls) < len(pairs)  # the row path reads the arrays
     other = golden_mean()
     assert other._pair_levels(pairs, steps) is None
@@ -433,7 +433,8 @@ def test_every_sampled_row_is_pinned(name, seed):
     sys = sft_new(STREAM_MATRICES[name])
     pairs, quads = SLOT_DIGESTS[name, seed]
     assert slot_digests(sys.sample_pairs(5000, seed)) == pairs
-    assert slot_digests(cli._symbolic_holonomy_quads(sys, 5000, seed)) == quads
+    assert slot_digests(join(cli._symbolic_holonomy_quads(
+        sys, 5000, seed))) == quads
 
 
 def test_rows_past_255_columns_are_pinned():

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsimilar import cli
-from selfsimilar._lanes import Lanes, _look, below
+from selfsimilar._lanes import Lanes, _look, below, join
 from selfsimilar._streams import Rows
 from selfsimilar.core import _pair_values, _triangle_reports
 from selfsimilar.measure import (
@@ -279,8 +279,8 @@ def test_batch_levels_equal_the_scalar_scan(pairs, steps):
     rows = Rows((window_lanes([p[k] for p in pairs], W) for k in (0, 1)),
                 shift3._row_point)
     spelled = list(rows)
-    batch = shift3._pair_levels(rows, steps)
-    assert len(batch) == len(steps)
+    assert len(shift3._pair_levels(rows, steps)) == len(steps)
+    batch = _pair_values(shift3, rows, steps, levels=True)
     kinds = set()
     for levels, s in zip(batch, steps):
         assert levels == [agreement_level(a.shift(s), b.shift(s))
@@ -326,10 +326,11 @@ def test_row_levels_past_the_scanned_columns(full2):
     pairs = Rows((window_lanes([x] * 3, 3), window_lanes(
         [x.with_value(3, 1), x.with_value(-3, 1), x], 3)), full2._row_point)
     steps = (0, 1, -1, 2)
-    assert full2._pair_levels(pairs, steps) == [
+    assert full2._pair_levels(pairs, steps) is not None
+    assert _pair_values(full2, pairs, steps, levels=True) == [
         [agreement_level(x.shift(s), y.shift(s)) for x, y in pairs]
         for s in steps]
-    assert full2._pair_levels(pairs, (-1,)) == [[3, 1, math.inf]]
+    assert full2._pair_levels(pairs, (-1,)) == [bytes([4, 2, 255])]
 
 
 def test_disagreement_at_zero_caps_the_distance(full2):
@@ -877,7 +878,7 @@ def check_sampled_pairs(sys, pairs, count, levels):
         assert sys.admissible(x) and sys.admissible(y)
         assert levels[0] <= agreement_level(x, y) <= levels[1]
     steps = (0, 1, -1)
-    for got, s in zip(sys._pair_levels(pairs, steps), steps):
+    for got, s in zip(_pair_values(sys, pairs, steps, levels=True), steps):
         assert got == [agreement_level(x.shift(s), y.shift(s))
                        for x, y in built]
 
@@ -915,9 +916,9 @@ def test_tail_redraws_give_admissible_pairs_and_quadruples(rows):
         # only 0 branches forward, and a past that reaches it is all 0,
         # which has no other predecessor: no quadruple exists
         with pytest.raises(ArithmeticError, match="stalled"):
-            cli._symbolic_holonomy_quads(sys, 40, 1)
+            join(cli._symbolic_holonomy_quads(sys, 40, 1))
         return
-    quads = cli._symbolic_holonomy_quads(sys, 40, 1)
+    quads = join(cli._symbolic_holonomy_quads(sys, 40, 1))
     assert len(quads) == 40
     for p, q, pp, qq in quads:
         assert all(sys.admissible(z) for z in (p, q, pp, qq))
@@ -987,7 +988,7 @@ def test_block_tables_walk_each_path_as_often_as_its_digits(rows):
     check_block_tables(rows)
     sys = sft_new(rows)
     check_sampled_pairs(sys, sys.sample_pairs(60, 5, (1, 8)), 60, (1, 8))
-    for p, q, pp, qq in cli._symbolic_holonomy_quads(sys, 40, 5):
+    for p, q, pp, qq in join(cli._symbolic_holonomy_quads(sys, 40, 5)):
         assert all(sys.admissible(z) for z in (p, q, pp, qq))
         assert qq == sys.triangle_vertex(pp, q)
 
@@ -1029,12 +1030,14 @@ def test_pair_brackets_splice_the_scalar_vertices(golden, four):
 
 
 def test_rows_over_more_than_255_columns_match_the_scalar_references():
-    """Levels 290..300 put the rows over [-303, 303], so the level scan
-    counts past what a byte holds; levels 1..300 draw their cut columns
-    from 300 options, past a byte too."""
+    """Levels 290..300 put the rows over [-303, 303], past the 255
+    columns whose levels a byte lane holds, so the levels are the scalar
+    ones; levels 1..300 draw their cut columns from 300 options, past a
+    byte too."""
     full2 = full_shift(2)
     for levels in ((290, 300), (1, 300)):
         pairs = full2.sample_pairs(40, 2, levels)
+        assert full2._pair_levels(pairs, (0,)) is None
         check_sampled_pairs(full2, pairs, 40, levels)
         assert list(full2._pair_brackets(pairs)) == [
             full2.triangle_vertex(x, y) for x, y in pairs]
@@ -1048,9 +1051,9 @@ def test_a_chunk_cut_by_the_budget_gives_the_first_rows(count):
     pairs = sys.sample_pairs(count, 4)
     check_sampled_pairs(sys, pairs, count, (1, 8))
     assert list(pairs) == list(sys.sample_pairs(1000, 4))[:count]
-    quads = cli._symbolic_holonomy_quads(sys, count, 4)
-    assert list(quads) == list(cli._symbolic_holonomy_quads(
-        sys, 1000, 4))[:count]
+    quads = join(cli._symbolic_holonomy_quads(sys, count, 4))
+    assert list(quads) == list(join(cli._symbolic_holonomy_quads(
+        sys, 1000, 4)))[:count]
     for p, q, pp, qq in quads:
         assert all(sys.admissible(z) for z in (p, q, pp, qq))
         assert qq == sys.triangle_vertex(pp, q)
@@ -1061,7 +1064,7 @@ def test_samplers_stall_without_a_branching_state():
     with pytest.raises(ArithmeticError, match="stalled"):
         swap.sample_pairs(50)
     with pytest.raises(ArithmeticError, match="stalled"):
-        cli._symbolic_holonomy_quads(swap, 50, 0)
+        join(cli._symbolic_holonomy_quads(swap, 50, 0))
     assert len(swap.sample_pairs(0)) == 0
 
 

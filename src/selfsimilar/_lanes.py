@@ -4,8 +4,9 @@ A lane holds a byte a row: one column of a chunk's candidate rows, or of
 a sampled slot (`Lanes`).  `bytes.translate` maps every row of a lane
 through a 256-byte table at once; the lane's int, read little-endian,
 takes sums and masks in which no byte passes 255.  A mask holds 127 at
-its rows.  The sampler yields its rows a chunk or so at a time, and
-the pair batch its levels as lanes, which `core._count` tallies.
+its rows.  The sampler walks each candidate to both ends once and
+yields its rows for `core._parts`, and the pair batch its levels as
+lanes, which `core._count` tallies.
 `symbolic` imports this module on its first draw or batch, so building
 a shift system, and its exact path, never compiles it.
 """
@@ -22,8 +23,7 @@ from .symbolic import agreement_level
 _int = partial(int.from_bytes, byteorder="little")
 _lane = partial(int.to_bytes, byteorder="little")
 _MARK, _ONES = _int(b"\x80" * CHUNK), _int(b"\1" * CHUNK)
-_HIGH, _LOW, _TOP = bytes(range(128, 256)), bytes(range(128)) * 2, bytes(
-    128) + b"\1" * 128
+_HIGH = bytes(range(128, 256))
 _LESS = bytes(2) + bytes(range(1, 255))  # v -> v - 1, 0 -> 0
 
 
@@ -244,17 +244,14 @@ def pair_brackets(system, pairs):
 def sample(system, count, seed, reach, cuts):
     """`ShiftSystem._sample`, as `Rows` of `Lanes` of CHUNK rows or more
     at a time, the last one maybe fewer: per chunk, every row walks out
-    past its side's cut columns, each cut branches (`_branch`), the rows
-    kept walk out to both ends, and each cut's walks are laid onto them."""
+    to both ends once, each cut branches (`_branch`), and each cut's
+    walks are laid onto the rows kept."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     walks = system.matrix._walks
     fwd, bwd = (max(degree) > 1 for degree, *_ in walks)
     rigid = not all((fwd or bwd, fwd, bwd)[side] for _, _, side in cuts)
     budget, have, every = 64 * count + 1024, 0, _int(b"\x7f" * CHUNK)
-    # per side, the last cut column its rows may leave at
-    ends = {sign: max((hi for _, hi, side in cuts if side in (0, sign)),
-                      default=0) for sign in (1, -1)}
     parts = [Rows([Lanes([b""] * (2 * reach + 1))] * (1 + len(cuts)),
                   system._row_point)]
     for k, rng in enumerate(chunk_rngs(seed)):
@@ -263,25 +260,15 @@ def sample(system, count, seed, reach, cuts):
         if rigid or k * CHUNK >= budget:
             raise ArithmeticError("sampling stalled; matrix too rigid")
         start = bytes(below(rng, [system.matrix.n] * CHUNK))
-        drawn = {sign: _draw(walks, rng, sign, start, every, {0: every},
-                             reach)[0][1] for sign in (1, -1)}
-        # every row walks to its side's last cut column
-        x = {sign: _walk_on(walks, sign, start, {0: (None, blocks)},
-                            ends[sign]) for sign, blocks in drawn.items()}
+        x = {sign: _walk_on(walks, sign, start, _draw(
+            walks, rng, sign, start, every, {0: every}, reach), reach)
+             for sign in (1, -1)}
         # candidates past the budget go
         ok = (1 << 8 * min(CHUNK, budget - k * CHUNK)) - 1 & every
         branches = [_branch(walks, rng, x, reach, *cut) for cut in cuts]
         ok = reduce(and_, (branched for *_, branched in branches), ok)
         n = _lane(ok, CHUNK).count(127)
-        rows, (kept,) = [{}], _compact([_int(start)], ok)
-        for sign, blocks in drawn.items():  # the rows kept walk out again
-            # a block's bytes in two halves below 128
-            halves = _compact([_int(block.translate(half)) for block in
-                               blocks for half in (_LOW, _TOP)], ok)
-            blocks = [_lane(_int(a) | _int(b) << 7, n)
-                      for a, b in zip(halves[::2], halves[1::2])]
-            rows[0][sign] = [_lane(v, n) for v in _walk_on(
-                walks, sign, kept, {0: (None, blocks)}, reach)]
+        rows = [{sign: _compact(x[sign], ok) for sign in x}]
         for lo, cut_walks, _ in branches:  # each cut's, on the rows kept
             rows.append({sign: list(h) for sign, h in rows[0].items()})
             for sign, branch, new, groups in cut_walks:
@@ -379,10 +366,9 @@ def _draw(walks, rng, sign, start, rows, groups, end):
 def _walk_on(walks, sign, start, groups, end):
     """Per column 0..end of one side, the lanes int of the states that
     the rows of each group (t: (mask, blocks), as from `_draw`, over the
-    rows of `start`; a lone group {0: (None, blocks)} holds every row)
-    reach there, walking on from `start` at column t: all rows walk at
-    once, lane j holding each row's state j steps on, with the most
-    digits a `walk_tables` path takes a lookup."""
+    rows of `start`) reach there, walking on from `start` at column t:
+    all rows walk at once, lane j holding each row's state j steps on,
+    with the most digits a `walk_tables` path takes a lookup."""
     _, _, paths, base, k = walks[sign < 0]
     n, k, steps = len(start), k or 1, end - min(groups)
     blocks = [0] * max(len(lanes) for _, lanes in groups.values())
@@ -395,10 +381,7 @@ def _walk_on(walks, sign, start, groups, end):
         m = min(len(paths), k - j % k, steps - j)
         lanes += _look(paths[m - 1], lanes[-1], _int(
             blocks[j // k].translate(_digits(base, j % k, m))))
-    lanes = [_int(lane) for lane in lanes]
-    if list(groups) == [0] and groups[0][0] is None:  # every row walks
-        return lanes
-    cols = [0] * (end + 1)
+    cols, lanes = [0] * (end + 1), [_int(lane) for lane in lanes]
     for t, (mask, _) in groups.items():
         for j, lane in enumerate(lanes[:end - t + 1]):
             cols[t + j] |= lane & mask

@@ -330,8 +330,8 @@ def _check_triangles(sys_obj, cfg):
 
 
 def _symbolic_holonomy_quads(sys_obj, count, seed):
-    """The quadruples (p, q, pp, qq) as `Rows`, a sampled part at a
-    time."""
+    """The quadruples (p, q, pp, qq) as the sampler's stream of `Rows`,
+    which `core._parts` cuts into the check's parts."""
     from .core import _HOLONOMY_DEPTH
     # tails parting at +j put the plaque pair at distance lam**-(j-1), so
     # m = j - 2; straddle the bound's validity threshold lam**(m-1) > 2
@@ -368,17 +368,14 @@ def _toral_holonomy_quads(sys_obj, count, seed, scale):
 
 
 def _check_holonomy(sys_obj, cfg):
-    from collections import Counter
-
     from .core import _holonomy_reports
     if sys_obj.space_kind == "symbolic":
-        parts = _symbolic_holonomy_quads(sys_obj, cfg.samples, cfg.seed)
+        quads = _symbolic_holonomy_quads(sys_obj, cfg.samples, cfg.seed)
     else:
         scale = cfg.scale if cfg.scale is not None else (
             sys_obj.xi / sys_obj.lam ** 3)
-        parts = [_toral_holonomy_quads(sys_obj, cfg.samples, cfg.seed, scale)]
-    reports = sum((_holonomy_reports(sys_obj, quads) for quads in parts),
-                  Counter())
+        quads = _toral_holonomy_quads(sys_obj, cfg.samples, cfg.seed, scale)
+    reports = _holonomy_reports(sys_obj, quads)
     counted = {r: n for r, n in reports.items()
                if r.in_range and r.precondition_ok}
     violations = sum(n for r, n in counted.items() if not r.within_bound)

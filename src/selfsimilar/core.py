@@ -32,18 +32,19 @@ reads each entry.  It makes one batch call per pair set, or runs the
 scalar `dist` (or `level`) pair by pair where no batch takes them; the
 scalar methods, `RefinedSystem.dist` among them, stay the reference.
 A backward walk on a system without `apply_inv` raises ValueError.
-The checks take sampled pairs a part at a time (`_parts`), and a
-sampler's stream is checked part by part, so a check holds one part and
-its tally: `_count` keys each pair by its entries over the columns
-read, and the check evaluates each distinct key once, weighted by its
-count (a shift's part has a few dozen keys; on the torus each key is
-its own).  What depends on order reads the keys in turn: an input
-index, every rejected pair, and the mean deviation, a left-to-right sum
-unless every deviation is 0.0.
+The checks take their pairs from `_parts`, the one owner of the part
+stream: sampled `Rows`, or a sampler's stream of them, CHUNK rows at a
+time, so a check holds one part and its tally: `_count` keys each pair
+by its entries over the columns read, and the check evaluates each
+distinct key once, weighted by its count (a shift's part has a few
+dozen keys; on the torus each key is its own).  What depends on order
+reads the keys in turn: an input index, every rejected pair, and the
+mean deviation, a left-to-right sum unless every deviation is 0.0.
 """
 import math
 import struct
 from collections import Counter
+from collections.abc import Iterator
 from itertools import repeat
 from typing import NamedTuple
 
@@ -113,39 +114,39 @@ def _pair_values(sys, pairs, steps, levels=False):
 
 
 def _parts(items):
-    """(offset, part) in turn: sampled `Rows` CHUNK rows at a time, and
-    any other pairs whole."""
-    parts = (items,)
-    if isinstance(items, Rows):
-        parts = (items[i:i + CHUNK] for i in range(0, len(items), CHUNK))
+    """(offset, part) in turn: sampled `Rows`, or each `Rows` of a
+    sampler's stream (an iterator of them), CHUNK rows at a time, the
+    offsets running across the stream; any other pairs whole."""
+    if not isinstance(items, (Rows, Iterator)):
+        yield 0, items
+        return
     offset = 0
-    for part in parts:
-        yield offset, part
-        offset += len(part)
+    for rows in [items] if isinstance(items, Rows) else items:
+        if not isinstance(rows, Rows):
+            raise TypeError("a sampler's stream holds `Rows` of pairs")
+        for i in range(0, len(rows), CHUNK):
+            yield offset + i, rows[i:i + CHUNK]
+        offset += len(rows)
 
 
 def _count(*reads):
-    """The keys of one part's pairs, each the tuple of its entries in the
-    columns of some `_columns` reads in turn (the bytes, where all are
-    byte lanes), and per distinct key its values and count.  Where no
-    read is a byte lane (floats, all but always distinct, or the scalar
-    path's values), each pair keeps a key of its own: its index."""
+    """The keys of one part's pairs, each the bytes of its entries in the
+    byte lanes of some `_columns` reads in turn (one call's reads are all
+    byte lanes or none), and per distinct key its values and count.
+    Where none is (floats, all but always distinct, or the scalar path's
+    values), each pair keeps a key of its own: its index."""
     columns = [c for cols, _ in reads for c in cols]
     readers = [read for cols, read in reads for _ in cols]
     if not any(readers):
         rows = zip(*columns)
         return range(len(columns[0])), dict(enumerate(zip(rows, repeat(1))))
-    if None in readers:
-        keys = list(zip(*columns))
-    else:
-        k, n = len(columns), len(columns[0])
-        rows = bytearray(k * n)
-        for j, column in enumerate(columns):
-            rows[j::k] = column
-        # a Struct of its own: the module's cache would keep one a size
-        keys = struct.Struct(f"{k}s" * n).unpack(rows)
-    return keys, {key: (tuple(v if read is None else read(v)
-                              for v, read in zip(key, readers)), n)
+    k, n = len(columns), len(columns[0])
+    rows = bytearray(k * n)
+    for j, column in enumerate(columns):
+        rows[j::k] = column
+    # a Struct of its own: the module's cache would keep one a size
+    keys = struct.Struct(f"{k}s" * n).unpack(rows)
+    return keys, {key: (tuple(read(v) for read, v in zip(readers, key)), n)
                   for key, n in Counter(keys).items()}
 
 
@@ -177,9 +178,9 @@ def verify_self_similar(sys, pairs, tol=None):
     Pairs with dist > xi or dist = 0 are reported as rejected rather
     than silently skipped.  Systems with integer level arithmetic are
     verified exactly; float systems report relative deviations.  Either
-    way the values come from one `_columns` read per part, and each
-    distinct tuple of them is checked once.  `worst_pair` is the input
-    index of the first pair at the largest deviation.
+    way the values come from one `_columns` read per `_parts` part, and
+    each distinct tuple of them is checked once.  `worst_pair` is the
+    input index of the first pair at the largest deviation.
     """
     _need_lam(sys)
     tol = sys.tol_default if tol is None else tol
@@ -483,11 +484,11 @@ def holonomy_deviation(sys, p, q, pp, qq):
 
 
 def _holonomy_reports(sys, quads):
-    """The `HolonomyReport`s of the quadruples, as a Counter: per part,
-    one `_columns` read each for the plaque pairs (p, q) followed
-    backward, the projected pairs (pp, qq), and each side's legs
-    followed forward, and one report per distinct key.  Any coincident
-    plaque pair raises."""
+    """The `HolonomyReport`s of the quadruples (or of a sampler's stream
+    of them), as a Counter: per part, one `_columns` read each for the
+    plaque pairs (p, q) followed backward, the projected pairs (pp, qq),
+    and each side's legs followed forward, and one report per distinct
+    key.  Any coincident plaque pair raises."""
     _need_lam(sys)
     depth, lam, xi = range(_HOLONOMY_DEPTH + 1), sys.lam, sys.xi
     reports = Counter()

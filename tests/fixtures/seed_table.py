@@ -1,10 +1,10 @@
 """Prints which checks of `selfsim all --samples 2000` fail at seeds 0-39.
 
 Each line names a system, a check, and the seeds at which the check
-fails ("-" for none), for golden-mean, sft-3, sft-4, full-2 and
-cat-map, the configs of `test_golden_reports.CASES`.  A change that
-moves a sampled field compares this table before and after.  Run from
-anywhere:
+fails ("-" for none), for golden-mean, sft-3, sft-4, full-2,
+four-symbol and cat-map, the configs of `test_golden_reports.CASES`.
+A change that moves a sampled field compares this table before and
+after.  Run from anywhere:
 
     python tests/fixtures/seed_table.py
 """
@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 SYSTEMS = ("golden-mean", "sft-3-state", "sft-4-state", "full-2-shift",
-           "cat-map")
+           "four-symbol", "cat-map")
 SEEDS = range(40)
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from selfsimilar import cli
 from selfsimilar._lanes import Lanes, join
-from selfsimilar._streams import Rows
+from selfsimilar._streams import CHUNK, Rows
 from selfsimilar.core import (
     HolderReport,
     HolonomyReport,
@@ -1151,3 +1151,26 @@ def test_folded_checks_are_the_pair_loops(sys, seed, at):
     assert _holonomy_reports(sys, quads) == want
     assert sum(map(partial(_holonomy_reports, sys), parts), Counter()) == want
     assert {r.in_range for r in want} == {True, False}
+
+
+def test_a_checks_stream_reads_as_its_joined_rows(golden, cat):
+    """A check takes a sampler's stream of `Rows` whole: `_parts` cuts
+    each into CHUNK-row parts, the offsets running across the stream,
+    so the reports are those of the joined rows."""
+    quads = partial(cli._symbolic_holonomy_quads, golden, 9000, 0)
+    assert len(list(quads())) > 1
+    assert _holonomy_reports(golden, quads()) == _holonomy_reports(
+        golden, join(quads()))
+    # levels 0..2: the pairs at level 0 (dist 1 > xi) are rejected
+    pairs = partial(golden._sample, 9000, 0, 6, ((1, 3, 0),))
+    want = verify_self_similar(golden, join(pairs()))
+    assert len(list(pairs())) > 1
+    assert {i // CHUNK for i, _ in want.rejected} == {0, 1, 2}
+    assert verify_self_similar(golden, pairs()) == want
+    # the worst pair of a toral sample, in the stream's second part
+    rows = cat.sample_pairs(9000, 0.01, seed=0)
+    want = verify_self_similar(cat, rows)
+    cut = want.worst_pair // 2 + 1
+    assert verify_self_similar(cat, iter([rows[:cut], rows[cut:]])) == want
+    with pytest.raises(TypeError, match="stream holds `Rows`"):
+        verify_self_similar(cat, iter(list(rows)))

@@ -306,7 +306,7 @@ def _triangle_levels(sys_obj):
 
 
 def _check_triangles(sys_obj, cfg):
-    from .core import _triangle_reports
+    from .core import triangle_curve
     if sys_obj.space_kind == "symbolic":
         lo = _triangle_levels(sys_obj)
         pairs = sys_obj.sample_pairs(cfg.samples, seed=cfg.seed,
@@ -317,9 +317,7 @@ def _check_triangles(sys_obj, cfg):
         if scale > sys_obj.xi / (2 * sys_obj.lam):
             raise ValueError("triangle scale must be <= xi/(2 lam)")
         pairs = sys_obj.sample_pairs(cfg.samples, scale, seed=cfg.seed)
-    worst = 0.0
-    for rep in _triangle_reports(sys_obj, pairs):
-        worst = max(worst, abs(rep.ratio - 1.0))
+    (worst,) = triangle_curve(sys_obj, {0: pairs}).max_deviation
     return {
         "pairs": len(pairs),
         "max_ratio_deviation": worst,
@@ -368,28 +366,40 @@ def _toral_holonomy_quads(sys_obj, count, seed, scale):
 
 
 def _check_holonomy(sys_obj, cfg):
-    from .core import _holonomy_reports
+    from .core import _holonomy_parts
     if sys_obj.space_kind == "symbolic":
         quads = _symbolic_holonomy_quads(sys_obj, cfg.samples, cfg.seed)
     else:
         scale = cfg.scale if cfg.scale is not None else (
             sys_obj.xi / sys_obj.lam ** 3)
         quads = _toral_holonomy_quads(sys_obj, cfg.samples, cfg.seed, scale)
-    reports = _holonomy_reports(sys_obj, quads)
-    counted = {r: n for r, n in reports.items()
-               if r.in_range and r.precondition_ok}
-    violations = sum(n for r, n in counted.items() if not r.within_bound)
-    rejected = sum(n for r, n in reports.items() if not r.precondition_ok)
-    total = sum(reports.values())
+    total = in_range = rejected = violations = 0
+    top = 0.0
+    for part in _holonomy_parts(sys_obj, quads):
+        if isinstance(part, tuple):  # toral arrays, one entry a quadruple
+            counted = part.in_range & part.precondition_ok
+            total += len(counted)
+            in_range += int(counted.sum())
+            rejected += int((~part.precondition_ok).sum())
+            violations += int((counted & ~part.within_bound).sum())
+            top = max(top, part.observed[counted].max(initial=0.0).item())
+            continue
+        counted = {r: n for r, n in part.items()  # a Counter of reports
+                   if r.in_range and r.precondition_ok}
+        total += part.total()
+        in_range += sum(counted.values())
+        rejected += sum(n for r, n in part.items() if not r.precondition_ok)
+        violations += sum(n for r, n in counted.items() if not r.within_bound)
+        top = max([top] + [r.observed for r in counted])
     return {
         "quadruples": total,
-        "in_range": sum(counted.values()),
+        "in_range": in_range,
         "rejected": rejected,
         "violations": violations,
-        "max_observed": max((r.observed for r in counted), default=0.0),
+        "max_observed": top,
         "tolerance": "2/(lam**(m-1) - 2) per quadruple",
         "method": "plaque-holonomy",
-        "passed": bool(counted) and violations == 0
+        "passed": bool(in_range) and violations == 0
         and rejected <= total // 2,
     }
 

@@ -34,12 +34,12 @@ scalar methods, `RefinedSystem.dist` among them, stay the reference.
 A backward walk on a system without `apply_inv` raises ValueError.
 The checks take their pairs from `_parts`, the one owner of the part
 stream: sampled `Rows`, or a sampler's stream of them, CHUNK rows at a
-time, so a check holds one part and its tally: `_count` keys each pair
-by its entries over the columns read, and the check evaluates each
-distinct key once, weighted by its count (a shift's part has a few
-dozen keys; on the torus each key is its own).  What depends on order
-reads the keys in turn: an input index, every rejected pair, and the
-mean deviation, a left-to-right sum unless every deviation is 0.0.
+time, so a check holds one part at a time.  It folds the hook's float
+arrays with numpy's elementwise arithmetic, which rounds as the scalar
+code does; on other reads `_count` keys each pair by its entries, and
+the check evaluates each distinct key once, weighted by its count.
+What depends on order reads the pairs in turn: an input index, every
+rejected pair, and the mean deviation, a left-to-right sum.
 """
 import math
 import struct
@@ -68,7 +68,7 @@ class VerifyReport(NamedTuple):
 def _columns(sys, pairs, steps, levels=False):
     """dist(f^s x, f^s y) for every pair, one column per step s (with
     `levels`, the integer level; systems with `level` only), and how its
-    entries read: None where they are the values.
+    entries read: None for the values, `float` for the hook's arrays.
 
     One call to the system's pair batch, `_pair_levels` (byte lanes,
     read through `_LEVELS`, and as lam**-level) or else the hook
@@ -85,7 +85,7 @@ def _columns(sys, pairs, steps, levels=False):
     batch = None if levels else getattr(sys, "_orbit_dists", None)
     if batch is not None:
         terms = dict(batch(pairs, min(steps), max(steps)))
-        return [terms[s].tolist() for s in steps], None
+        return [terms[s] for s in steps], float
     value = sys.level if levels else sys.dist
     walks = [(sys.apply, range(1, max(steps) + 1))]
     if min(steps) < 0:
@@ -133,8 +133,8 @@ def _count(*reads):
     """The keys of one part's pairs, each the bytes of its entries in the
     byte lanes of some `_columns` reads in turn (one call's reads are all
     byte lanes or none), and per distinct key its values and count.
-    Where none is (floats, all but always distinct, or the scalar path's
-    values), each pair keeps a key of its own: its index."""
+    Where none is (the scalar path's values, all but always distinct),
+    each pair keeps a key of its own: its index."""
     columns = [c for cols, _ in reads for c in cols]
     readers = [read for cols, read in reads for _ in cols]
     if not any(readers):
@@ -178,16 +178,32 @@ def verify_self_similar(sys, pairs, tol=None):
     Pairs with dist > xi or dist = 0 are reported as rejected rather
     than silently skipped.  Systems with integer level arithmetic are
     verified exactly; float systems report relative deviations.  Either
-    way the values come from one `_columns` read per `_parts` part, and
-    each distinct tuple of them is checked once.  `worst_pair` is the
-    input index of the first pair at the largest deviation.
+    way the values come from one `_columns` read per `_parts` part, as
+    arrays or as distinct tuples, each checked once.  `worst_pair` is
+    the input index of the first pair at the largest deviation.
     """
     _need_lam(sys)
     tol = sys.tol_default if tol is None else tol
     exact = hasattr(sys, "level")
     rejected, checked, total, max_dev, worst = [], 0, 0, 0.0, None
     for offset, part in _parts(pairs):
-        keys, tally = _count(_columns(sys, part, (0, 1, -1), exact))
+        cols, read = _columns(sys, part, (0, 1, -1), exact)
+        if read is float:  # the hook's arrays
+            import numpy as np
+            d, fwd, bwd = cols
+            out = (d == 0.0) | (d > sys.xi)
+            rejected += [(offset + i, "dist above xi" if d[i] else
+                          "coincident pair")
+                         for i in np.flatnonzero(out).tolist()]
+            ok = np.flatnonzero(~out)
+            dev = abs(np.maximum(fwd, bwd)[ok] / (sys.lam * d[ok]) - 1.0)
+            checked += len(ok)
+            if len(ok) and (worst is None or dev.max() > max_dev):
+                i = dev.argmax()  # the first index at the maximum
+                max_dev, worst = dev[i].item(), offset + ok[i].item()
+            total = sum(dev.tolist(), total)  # left to right
+            continue
+        keys, tally = _count((cols, read))
         devs, reasons = {}, {}
         for key, ((v, fwd, bwd), n) in tally.items():
             d = sys.lam ** -v if exact else v  # lam**-inf is 0.0
@@ -369,24 +385,28 @@ def triangle_ratio(sys, x, y):
     return report
 
 
-def _triangle_reports(sys, pairs):
-    """The `triangle_ratio` reports of the pairs, as a Counter: per part,
-    one `_columns` read for the hypotenuses and one for each side of the
-    legs, and one report per distinct key.  The first pair that fails,
-    in input order, raises what `triangle_ratio` would."""
+def _triangle_parts(sys, pairs):
+    """The triangles of the pairs, a part at a time: one `_columns` read
+    for the hypotenuses and one for each side of the legs, giving a
+    `TriangleReport` of arrays (on the hook's) or a Counter of reports.
+    The first pair that fails raises what `triangle_ratio` would."""
     _need_lam(sys)
     if not getattr(sys, "has_bracket", hasattr(sys, "triangle_vertex")):
         raise ValueError("system has no bracket structure")
-    reports = Counter()
+    scale = sys.xi / (2 * sys.lam)
     for _, part in _parts(pairs):
         hyps, read = _columns(sys, part, (0,))
-        c0s = {c: c if read is None else read(c) for c in set(hyps[0])}
-        cut = min((hyps[0].index(c) for c, c0 in c0s.items()
-                   if c0 == 0.0 or c0 > sys.xi / (2 * sys.lam)),
-                  default=len(part))
+        if read is float:
+            import numpy as np
+            bad = np.flatnonzero((hyps[0] == 0.0) | (hyps[0] > scale))
+            cut = bad[0].item() if len(bad) else len(part)
+        else:
+            c0s = {c: c if read is None else read(c) for c in set(hyps[0])}
+            cut = min((hyps[0].index(c) for c, c0 in c0s.items()
+                       if c0 == 0.0 or c0 > scale), default=len(part))
         failure = None if cut == len(part) else ValueError(
             "coincident points give a degenerate triangle"
-            if c0s[hyps[0][cut]] == 0.0
+            if (read or float)(hyps[0][cut]) == 0.0
             else "pair above the triangle scale xi/(2 lam)")
         batch = getattr(sys, "_pair_brackets", None)
         # c0 <= xi/(2 lam) < xi: inside the domain
@@ -400,17 +420,33 @@ def _triangle_reports(sys, pairs):
                     failure = e
                     break
         xs, ys = _unzip(part[:cut], 2)
-        _, tally = _count(([c[:len(vertices)] for c in hyps], read),
-                          _columns(sys, _zip(xs, vertices), (0,)),
-                          _columns(sys, _zip(vertices, ys), (0,)))
-        for (c0, a, b), n in tally.values():
-            m = max(a, b)
-            if m == 0.0:
+        reads = (([c[:len(vertices)] for c in hyps], read),
+                 _columns(sys, _zip(xs, vertices), (0,)),
+                 _columns(sys, _zip(vertices, ys), (0,)))
+        if read is float:
+            (c0,), (a,), (b,) = (cols for cols, _ in reads)
+            m = np.maximum(a, b)
+            if not m.all():
                 raise ValueError("degenerate triangle: both legs vanish")
-            report = TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m)
-            reports[report] = reports.get(report, 0) + n
+            yield TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m)
+        else:
+            reports = Counter()
+            for (c0, a, b), n in _count(*reads)[1].values():
+                m = max(a, b)
+                if m == 0.0:
+                    raise ValueError("degenerate triangle: both legs vanish")
+                reports[TriangleReport(a=a, b=b, c0=c0, ratio=c0 / m)] += n
+            yield reports
         if failure is not None:
             raise failure
+
+
+def _triangle_reports(sys, pairs):
+    """The `triangle_ratio` reports of the pairs, as a Counter."""
+    reports = Counter()
+    for part in _triangle_parts(sys, pairs):
+        reports.update(part if isinstance(part, Counter) else map(
+            TriangleReport, *(c.tolist() for c in part)))
     return reports
 
 
@@ -483,41 +519,73 @@ def holonomy_deviation(sys, p, q, pp, qq):
     return report
 
 
-def _holonomy_reports(sys, quads):
-    """The `HolonomyReport`s of the quadruples (or of a sampler's stream
-    of them), as a Counter: per part, one `_columns` read each for the
-    plaque pairs (p, q) followed backward, the projected pairs (pp, qq),
-    and each side's legs followed forward, and one report per distinct
-    key.  Any coincident plaque pair raises."""
+def _holonomy_parts(sys, quads):
+    """The holonomy reports of the quadruples (or of a sampler's stream
+    of them), a part at a time: one `_columns` read each for the plaque
+    pairs (p, q) followed backward, the projected pairs (pp, qq), and
+    each side's legs followed forward, giving a Counter of reports or,
+    on the hook's arrays, a `HolonomyReport` of arrays (nan `bound` and
+    False `within_bound` out of range).  Coincident plaques raise."""
     _need_lam(sys)
     depth, lam, xi = range(_HOLONOMY_DEPTH + 1), sys.lam, sys.xi
-    reports = Counter()
+
+    def scale_m(big):  # the m with xi/lam**(m+1) < big <= xi/lam**m
+        m = math.floor(math.log(xi / big) / math.log(lam))
+        while xi / lam ** (m + 1) >= big:
+            m += 1
+        while xi / lam ** m < big:
+            m -= 1
+        return m
     for _, part in _parts(quads):
         p, q, pp, qq = _unzip(part, 4)
-        _, tally = _count(
-            _columns(sys, _zip(p, q), tuple(-j for j in depth)),
-            _columns(sys, _zip(pp, qq), (0,)),
-            _columns(sys, _zip(p, pp), tuple(depth)),
-            _columns(sys, _zip(q, qq), tuple(depth)))
-        for (d, *orbit), n in tally.values():
+        reads = (_columns(sys, _zip(p, q), tuple(-j for j in depth)),
+                 _columns(sys, _zip(pp, qq), (0,)),
+                 _columns(sys, _zip(p, pp), tuple(depth)),
+                 _columns(sys, _zip(q, qq), tuple(depth)))
+        if reads[0][1] is float:
+            import numpy as np
+            d, *orbit = (c for cols, _ in reads for c in cols)
+            d_img = orbit.pop(_HOLONOMY_DEPTH)
+            if not (d.all() and d_img.all()):
+                raise ValueError("coincident plaque pair")
+            big = np.maximum(d, d_img)
+            lo = scale_m(big.max(initial=xi).item())
+            hi = scale_m(big.min(initial=xi).item()) + 1
+            # m: the largest k with xi/lam**k >= big, in Python powers
+            powers = np.array([lam ** k for k in range(lo - 1, hi + 1)])
+            m = hi - np.searchsorted(xi / powers[:0:-1], big)
+            step = powers[m - lo]  # lam**(m - 1)
+            observed, in_range = np.abs(d_img / d - 1.0), step > 2.0
+            bound = np.full(len(d), np.nan)
+            bound[in_range] = 2.0 / (step[in_range] - 2.0)
+            yield HolonomyReport(observed, bound, m, in_range,
+                                 observed <= bound,
+                                 np.maximum.reduce(orbit) <= xi)
+            continue
+        reports = Counter()
+        for (d, *orbit), n in _count(*reads)[1].values():
             d_img = orbit.pop(_HOLONOMY_DEPTH)
             if d == 0.0 or d_img == 0.0:
                 raise ValueError("coincident plaque pair")
-            big = max(d, d_img)
-            m = math.floor(math.log(xi / big) / math.log(lam))
-            while xi / lam ** (m + 1) >= big:
-                m += 1
-            while xi / lam ** m < big:
-                m -= 1
+            m = scale_m(max(d, d_img))
             observed = abs(d_img / d - 1.0)
             in_range = lam ** (m - 1) > 2.0
             bound = 2.0 / (lam ** (m - 1) - 2.0) if in_range else None
             # the largest distance of the quadruple's orbit: its plaque
             # pair at steps -1.., and each leg at 0..
-            report = HolonomyReport(observed, bound, m, in_range,
-                                    observed <= bound if in_range else None,
-                                    max(orbit) <= xi)
-            reports[report] = reports.get(report, 0) + n
+            reports[HolonomyReport(observed, bound, m, in_range,
+                                   observed <= bound if in_range else None,
+                                   max(orbit) <= xi)] += n
+        yield reports
+
+
+def _holonomy_reports(sys, quads):
+    """The `HolonomyReport`s of the quadruples, as a Counter."""
+    reports = Counter()
+    for part in _holonomy_parts(sys, quads):
+        reports.update(part if isinstance(part, Counter) else (
+            HolonomyReport(o, b if r else None, m, r, w if r else None, ok)
+            for o, b, m, r, w, ok in zip(*(c.tolist() for c in part))))
     return reports
 
 
@@ -533,7 +601,9 @@ def triangle_curve(sys, pair_buckets):
     in that bucket; buckets are processed in decreasing scale order.
     """
     scales = sorted(pair_buckets, reverse=True)
-    devs = [max((abs(rep.ratio - 1.0)
-                 for rep in _triangle_reports(sys, pair_buckets[s])),
+    devs = [max((max([abs(r.ratio - 1.0) for r in part], default=0.0)
+                 if isinstance(part, Counter) else
+                 abs(part.ratio - 1.0).max(initial=0.0).item()
+                 for part in _triangle_parts(sys, pair_buckets[s])),
                 default=0.0) for s in scales]
     return TriangleCurve(scales=list(scales), max_deviation=devs)

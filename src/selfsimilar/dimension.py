@@ -9,7 +9,7 @@ translation-invariant and the grid is regular, so the d_k ball around
 every grid point holds the same index offsets: one stencil per radius,
 from `ToralSystem.offset_norm`, serves the whole grid.  The cover and
 the packing are one raster-order greedy, `_greedy`, with the stencil
-for the cover and its negative for the packing; it runs row by row.
+for the cover and its negative for the packing, on int row bitmasks.
 
 Entropy follows the two-sided convention: covers refine under
 max_{|k| <= n} dist(f^k x, f^k y), which doubles the standard
@@ -106,25 +106,30 @@ def _greedy(n, ta, tb):
     """Points picked on the n x n grid, in raster order, when picking
     an unmarked point p marks every point p + (ta, tb) mod n.
 
-    Row by row: `find` jumps to each free column of the row's bytearray,
-    marking the same-row offsets ahead of each pick, then one fancy-index
-    assignment marks every other row for all of the row's picks.
+    A row's marks are one int, bit j for column j.  Its free bits are
+    picked lowest first, each pick marking its own row's offsets ahead
+    of it; each later row that the stencil reaches then takes the picks
+    shifted by each column offset of its stencil row, mod n.
     """
-    import numpy as np
-    marked = np.zeros((n, n), dtype=bool)
-    same = sorted(set((tb[ta % n == 0] % n).tolist()) - {0})
-    count = 0
+    cols = {}
+    for a, b in zip(ta.tolist(), tb.tolist()):
+        cols.setdefault(a % n, set()).add(b % n)
+    ahead = sum(1 << b for b in cols.pop(0, set()) | {0})
+    rows, marked, full, count = sorted(cols.items()), [0] * n, (1 << n) - 1, 0
     for i in range(n):
-        row, picks, j = bytearray(marked[i]), [], -1
-        while (j := row.find(0, j + 1)) >= 0:
-            picks.append(j)
-            for b in same:
-                if j + b >= n:
-                    break
-                row[j + b] = 1
-        if picks:
-            marked[(i + ta) % n, (np.array(picks)[:, None] + tb) % n] = True
-        count += len(picks)
+        free, picks = full & ~marked[i], 0
+        while free:
+            low = free & -free
+            picks |= low
+            free &= ~(low * ahead)
+        count += picks.bit_count()
+        for a, bs in rows:
+            if not picks or i + a >= n:  # no mark, or a row scanned
+                break
+            z = 0
+            for b in bs:
+                z |= picks << b
+            marked[i + a] |= z | z >> n  # b < n: below bit 2n - 1
     return count
 
 

@@ -23,8 +23,8 @@ subadditivity puts every other translate 3 times farther (`_search`).
 The samplers read item i from row i of `_streams.uniforms` and return
 `_streams.Rows` of `_point`, one (N, 2) array per tuple slot, read by
 the hooks as they are.  Whatever numpy's vectorised loops could round
-differently from the scalar code (cos, sin, powers) goes through the
-libm function elementwise.
+differently from the scalar code (cos, sin, powers but x ** 1.0) goes
+through the libm function elementwise.
 """
 import math
 from functools import reduce
@@ -45,6 +45,12 @@ def _each(f, a, *args):
     (with any further iterables as further arguments), as an array.
     For the libm functions whose numpy loops can differ in the last bit."""
     return np.fromiter(map(f, a.tolist(), *args), float, a.size)
+
+
+def _pow(a, e):
+    """`_each` of builtin `pow` to the power e, but a itself where e is
+    1.0 (x ** 1.0 is x): the cat map's e_u is exactly 1.0."""
+    return a if e == 1.0 else _each(pow, a, repeat(e))
 
 
 def _point(row):
@@ -285,9 +291,8 @@ class ToralSystem:
         pa, pb = a ** self.e_s, b ** self.e_u
         on_s, on_t = pb <= pa * (1 + 1e-12), pa <= pb * (1 + 1e-12)
         norms = np.zeros(len(a))
-        norms[on_s] = _each(pow, a[on_s], repeat(self.e_s))
-        norms[on_t] = np.maximum(norms[on_t],
-                                 _each(pow, b[on_t], repeat(self.e_u)))
+        norms[on_s] = _pow(a[on_s], self.e_s)
+        norms[on_t] = np.maximum(norms[on_t], _pow(b[on_t], self.e_u))
         for i in ties:
             norms[i] = self._nearest(_at(x, i), _at(y, i))[0]
         return norms, bt, ties
@@ -411,8 +416,8 @@ class ToralSystem:
         # a zero cos or sin leaves its side unbounded (root / 0 = inf)
         with np.errstate(divide="ignore"):
             c = np.minimum(
-                _each(pow, targets, repeat(1.0 / self.e_s)) / np.abs(cs),
-                _each(pow, targets, repeat(1.0 / self.e_u)) / np.abs(sn))
+                _pow(targets, 1.0 / self.e_s) / np.abs(cs),
+                _pow(targets, 1.0 / self.e_u) / np.abs(sn))
         vs, vu = self.v_stable, self.v_unstable
         y0 = np.remainder(x0 + c * (cs * vs[0] + sn * vu[0]), 1.0)
         y1 = np.remainder(x1 + c * (cs * vs[1] + sn * vu[1]), 1.0)

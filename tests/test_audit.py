@@ -17,11 +17,12 @@ The toral keys of ROADMAP item 5 are meant to be measured but read the
 closed form today: they are strict xfails, which flip when item 5
 replaces them with measured values.
 """
+import contextlib
 import json
 
 import pytest
 
-from selfsimilar import cli, symbolic
+from selfsimilar import cli, dimension, symbolic
 
 SYSTEMS = {"golden-mean": {"system": "golden-mean"},
            "sft-4-state": {"system": "sft", "rows": [
@@ -91,12 +92,11 @@ ITEM_5 = {"entropy.ent", "entropy.ent_plus", "entropy.ent_minus",
           "measure.scaling_ratio", "measure.image_u_length"}
 
 
-def _reports(name, scale):
-    """{check.key: value} of `all`'s checks on the built-in `name`, its
-    target's source scaled by `scale` after the build."""
-    config = cli.parse_config(json.dumps({**SYSTEMS[name], "command": "all",
-                                          "samples": 300, "seed": 3}))
-    sys_obj = cli.build_system(config)
+@contextlib.contextmanager
+def _perturbed(sys_obj, scale):
+    """For the block, the source of the target of `sys_obj` scaled by
+    `scale`: a shift's rho from `symbolic._parry_data`, the torus's
+    `eig_unstable`."""
     parry = symbolic._parry_data
 
     def scaled(matrix):
@@ -110,12 +110,22 @@ def _reports(name, scale):
             patch.setattr(sys_obj, "eig_unstable",
                           sys_obj.eig_unstable * scale)
         try:
-            return {f"{check}.{key}": value
-                    for check in cli._applicable(config, sys_obj)
-                    for key, value in cli._CHECKS[check](sys_obj,
-                                                         config).items()}
+            yield
         finally:
             cli._fundamental.cache_clear()
+
+
+def _reports(name, scale):
+    """{check.key: value} of `all`'s checks on the built-in `name`, its
+    target's source scaled by `scale` after the build."""
+    config = cli.parse_config(json.dumps({**SYSTEMS[name], "command": "all",
+                                          "samples": 300, "seed": 3}))
+    sys_obj = cli.build_system(config)
+    with _perturbed(sys_obj, scale):
+        return {f"{check}.{key}": value
+                for check in cli._applicable(config, sys_obj)
+                for key, value in cli._CHECKS[check](sys_obj,
+                                                     config).items()}
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +170,30 @@ def test_the_perturbation_reaches_the_target(runs, name):
 def test_toral_key_does_not_read_its_target(runs, key):
     as_is, perturbed = runs["cat-map"]
     assert as_is[key] == perturbed[key]
+
+
+def _local_entropy(name, scale):
+    """The library-only `local_unstable_entropy` of the built-in `name`
+    at one point, its target's source scaled by `scale` after the build:
+    at the first state's shortest cycle on a shift, at (0.1, 0.2) on the
+    torus."""
+    sys_obj = cli.build_system(cli.parse_config(json.dumps(
+        {**SYSTEMS[name], "command": "all"})))
+    x = (sys_obj.point(sys_obj.matrix.cycle_word(0))
+         if sys_obj.space_kind == "symbolic" else (0.1, 0.2))
+    with _perturbed(sys_obj, scale):
+        return dimension.local_unstable_entropy(sys_obj, x)
+
+
+def test_local_unstable_entropy_is_measured_on_a_shift():
+    """On a shift it reads the forward word counts, `_count_vectors`."""
+    assert _local_entropy("golden-mean", 1.0) == _local_entropy(
+        "golden-mean", 1 + 1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the torus reads "
+                   "local unstable entropy from ceil(mu**n), its closed "
+                   "form")
+def test_toral_local_unstable_entropy_does_not_read_its_target():
+    assert _local_entropy("cat-map", 1.0) == _local_entropy(
+        "cat-map", 1 + 1e-3)

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -1174,3 +1175,123 @@ def test_a_checks_stream_reads_as_its_joined_rows(golden, cat):
     assert verify_self_similar(cat, iter([rows[:cut], rows[cut:]])) == want
     with pytest.raises(TypeError, match="stream holds `Rows`"):
         verify_self_similar(cat, iter(list(rows)))
+
+
+# hyperbolic 2x2 matrices with determinant +-1 and entries in -3..3:
+# trace above 2 in size at determinant 1, nonzero at -1
+HYPERBOLIC = [((a, b), (c, d)) for a, b, c, d in product(range(-3, 4),
+                                                       repeat=4)
+              if abs(a * d - b * c) == 1
+              and abs(a + d) > (2 if a * d - b * c == 1 else 0)]
+
+
+def far_pairs(sys, rng, count):
+    """Pairs of independent uniform points: nearly all above xi."""
+    return [tuple((rng.random(), rng.random()) for _ in range(2))
+            for _ in range(count)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(HYPERBOLIC), st.integers(0, 2**32 - 1),
+       st.integers(0, 30))
+def test_toral_array_checks_are_the_pair_loops(matrix, seed, at):
+    """On the torus each check folds the hook's arrays; it gives what
+    the per-pair loops over the scalar `dist` and `bracket` give: verify
+    with a coincident pair and a pair above xi put in at `at`, triangles
+    with a coincident pair and a pair above xi/(2 lam), and holonomy in
+    and out of range, with quadruples failing the precondition."""
+    sys, rng = toral_new(matrix), Random(seed)
+    pairs = list(sys.sample_pairs(30, 0.01, seed=seed))
+    pairs[at:at] = [(pairs[0][0],) * 2] + far_pairs(sys, rng, 2)
+    rep = verify_self_similar(sys, pairs)
+    assert rep == loop_verify(sys, pairs, sys.tol_default)
+    assert rep.rejected[0] == (at, "coincident pair")
+    near = sys.sample_pairs(30, sys.xi / (4 * sys.lam), seed=seed)
+    (wide,) = sys.sample_pairs(1, sys.xi * 0.9, seed=seed)
+    for bad in ([], [(near[0][0],) * 2], [wide], [wide, (near[1][1],) * 2]):
+        pairs = list(near[:at]) + bad + list(near[at:])
+        assert outcome(lambda: _triangle_reports(sys, pairs)) == outcome(
+            lambda: Counter(scalar_triangle(sys, *p) for p in pairs))
+    quads = [quad for k in (1, 3, 6) for quad in cli._toral_holonomy_quads(
+        sys, 15, seed, sys.xi / sys.lam ** k)]
+    quads[at:at] = [tuple((rng.random(), rng.random()) for _ in range(4))
+                    for _ in range(3)]
+    want = Counter(scalar_holonomy(sys, *quad) for quad in quads)
+    assert _holonomy_reports(sys, quads) == want
+    assert {r.in_range for r in want} == {True, False}
+
+
+class HookedLine(LineDilation):
+    """`LineDilation` with an orbit hook: the same IEEE steps on arrays,
+    so the checks fold its distances as arrays."""
+
+    def _orbit_dists(self, pairs, lo, hi):
+        x, y = np.array(pairs, dtype=float).reshape(-1, 2).T
+        if lo <= 0 <= hi:
+            yield 0, abs(y - x)
+        for move, js in ((self.apply, range(1, hi + 1)),
+                         (self.apply_inv, range(-1, lo - 1, -1))):
+            u, v = x, y
+            for j in js:
+                u, v = move(u), move(v)
+                if lo <= j <= hi:
+                    yield j, abs(v - u)
+
+
+class StretchedLine(HookedLine):
+    """A hooked line that stretches by 1.7 but is checked at lam 1.6, so
+    each pair's deviation is about 1/16, its last bits its own: a sum of
+    them rounds differently in another order."""
+
+    lam = 1.6
+
+    def apply(self, x):
+        return 1.7 * x
+
+    def apply_inv(self, x):
+        return x / 1.7
+
+
+def test_array_holonomy_scale_is_the_scalar_one():
+    """The array path's m, read from a table of xi/lam**k, is the m of
+    the scalar loops on every threshold and on the floats beside it, and
+    verify folds the same plaque pairs as the pair loop does, its mean
+    deviation a left-to-right sum."""
+    line, hooked = LineDilation(), HookedLine()
+    quads = threshold_quads(line)
+    want = [holonomy_deviation(line, *quad) for quad in quads]
+    assert _holonomy_reports(hooked, quads) == Counter(want)
+    assert {r.in_range for r in want} == {True, False}
+    pairs = [(p, q) for p, q, _, _ in quads] + [(1.0, 1.0)]
+    assert verify_self_similar(hooked, pairs, 1e-9) == verify_self_similar(
+        line, pairs, 1e-9)
+    stretched = StretchedLine()
+    rep = verify_self_similar(stretched, pairs, 0.1)
+    assert rep == loop_verify(stretched, pairs, 0.1)
+    assert 0.06 < rep.mean_rel_deviation < 0.07
+
+
+def test_toral_checks_fold_a_stream_past_one_chunk(cat):
+    """A stream of more than CHUNK toral rows: the offsets of rejected
+    pairs and of the worst pair run across its parts, and a failing
+    triangle in the second part raises after the first part's."""
+    rows = cat.sample_pairs(CHUNK + 300, 0.01, seed=2)
+    far = far_pairs(cat, Random(3), 2)
+    pairs = list(rows[:3000]) + far + list(rows[3000:])
+    stream = iter([cat.sample_pairs(1, 0.01, seed=2)[:0], rows[:3000],
+                   Rows((np.array([p for p, _ in far]),
+                         np.array([q for _, q in far])), rows.point),
+                   rows[3000:]])
+    want = loop_verify(cat, pairs, cat.tol_default)
+    assert verify_self_similar(cat, stream) == want
+    assert [i for i, _ in want.rejected] == [3000, 3001]
+    near = cat.sample_pairs(CHUNK + 10, cat.xi / (4 * cat.lam), seed=4)
+    pairs = list(near[:CHUNK + 5]) + [(near[0][0],) * 2] + list(near[-5:])
+    want = outcome(lambda: Counter(scalar_triangle(cat, *p) for p in pairs))
+    assert want == (ValueError, "coincident points give a degenerate triangle")
+    assert outcome(lambda: _triangle_reports(cat, pairs)) == want
+    assert _triangle_reports(cat, near) == Counter(
+        scalar_triangle(cat, *p) for p in near)
+    quads = cli._toral_holonomy_quads(cat, CHUNK + 10, 5, cat.xi / cat.lam)
+    assert _holonomy_reports(cat, quads) == Counter(
+        scalar_holonomy(cat, *quad) for quad in quads)

@@ -168,6 +168,21 @@ def test_greedy_kernel_on_wrapping_stencils():
         assert _greedy(n, -sa, -sb) == loop_packing(n, sa, sb)
 
 
+def test_greedy_kernel_on_stencil_rows_with_gaps():
+    # each stencil row holds several runs of columns, some wrapping past
+    # the grid's edge, at and off the origin's row; and a 1 x 1 grid
+    rows = [(-2, (-3, -1, 0, 4, 5)), (0, (-4, -2, 0, 1, 2, 6)),
+            (1, (-5, -4, -1, 3)), (3, (0, 2, 4, 6, 8))]
+    sa, sb = (np.array(v) for v in zip(*[(a, b) for a, bs in rows
+                                        for b in bs]))
+    for n in (1, 2, 3, 5, 7, 9, 12, 16):
+        assert _greedy(n, sa, sb) == loop_cover(n, sa, sb)
+        assert _greedy(n, -sa, -sb) == loop_packing(n, sa, sb)
+    one = np.array([0])
+    assert _greedy(1, one, one) == loop_cover(1, one, one) == 1
+    assert _greedy(1, one[:0], one[:0]) == loop_cover(1, one[:0], one[:0])
+
+
 # ------------------------------------------------------------------- capacity
 
 

@@ -547,6 +547,31 @@ def test_perron_data_for_the_standard_examples(full2, golden, four):
         spectral_radius(four.matrix)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the power "
+                   "iteration stops at 1e-12, so its Perron vector "
+                   "brackets rho only to about 1e-12")
+def test_the_perron_vector_brackets_rho_to_four_ulps():
+    """Collatz-Wielandt: min_i (Av)_i / v_i <= rho <= max_i (Av)_i / v_i
+    for any positive v, evaluated exactly in Fractions on the float v of
+    `spectral_radius`, on every primitive matrix of up to three states.
+    The float rho lies in the bracket, which is at most 4 ulps of rho
+    wide."""
+    wide = {}
+    for rows in every_matrix():
+        matrix = TransitionMatrix(rows)
+        if not matrix.primitive:
+            continue
+        rho, vec = spectral_radius(matrix)
+        v = [Fraction(x) for x in vec]
+        ratios = [sum(v[j] for j in matrix.successors[i]) / v[i]
+                  for i in range(matrix.n)]
+        lo, hi = min(ratios), max(ratios)
+        if not (lo <= Fraction(rho) <= hi
+                and hi - lo <= 4 * Fraction(math.ulp(rho))):
+            wide[rows] = float(hi - lo)
+    assert wide == {}
+
+
 # ------------------------------------------------------------ Parry measure
 
 

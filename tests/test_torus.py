@@ -24,6 +24,7 @@ from selfsimilar.torus import (
     EuclideanTorus,
     ToralSystem,
     _coords,
+    _pow,
     cat_map,
     euclidean_base,
     toral_new,
@@ -48,6 +49,17 @@ def test_cat_map_eigendata(cat):
     assert vs[0] * vu[0] + vs[1] * vu[1] == pytest.approx(0.0, abs=1e-14)
     assert vu == pytest.approx((0.8506508083520399, 0.5257311121191336))
     assert cat.inverse == ((1, -1), (-1, 2))
+
+
+def test_the_cat_maps_unstable_exponent_is_exactly_one(cat):
+    """`_pow` hands its array back at exponent 1.0, as x ** 1.0 is x: the
+    default cat map's unstable side and the 1/e_u root of its sampler
+    take that path; any other exponent is builtin pow elementwise."""
+    assert cat.e_u == 1.0 == 1.0 / cat.e_u
+    a = np.array([0.0, 5e-324, 0.3, 2.5, 1e308])
+    assert _pow(a, cat.e_u) is a
+    assert [x ** 1.0 for x in a.tolist()] == a.tolist()
+    assert _pow(a, cat.e_s).tolist() == [x ** cat.e_s for x in a.tolist()]
 
 
 def test_determinant_minus_one_automorphism():

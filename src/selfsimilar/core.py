@@ -18,9 +18,10 @@ self-similar torus maps the points as arrays and equals its scalar
 norm.  A system with the hook is invertible.
 A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for
-bit), which the triangle check reads in one call.  Either batch returns
-None for pairs it does not take (a shift system takes only its own
-sampled rows, within their reach), and the check runs its scalar loop.
+bit; a refinement: its base's), which the triangle check reads in one
+call.  Either batch returns None for pairs it does not take (a shift
+system takes only its own sampled rows, within their reach), and the
+check runs its scalar loop.
 Samplers draw through `_streams` and return `_streams.Rows`: `_unzip`
 and `_zip` split and pair their slots, numpy arrays on the torus (the
 only numpy user) and byte lanes on a shift, which the batches read.
@@ -253,7 +254,8 @@ class RefinedSystem:
     nearby mapped points.  Against the exact rational orbit of the same
     float points it is within 4e-16 relative at pair scales 2e-2, 1e-3
     and 1e-5, where the scalar `dist` is off by up to 4e-14, 9e-13 and
-    8e-11.  Other bases use the scalar `dist` pair by pair.
+    8e-11.  Other bases use the scalar `dist` pair by pair.  The bracket
+    batch `_pair_brackets` is the base's, or None where it has none.
     """
 
     def __init__(self, base, lam, tol):
@@ -277,6 +279,7 @@ class RefinedSystem:
         self.space_kind = "wrapped-base-metric"
         if getattr(base, "_orbit_dists", None) is None:
             self._orbit_dists = None  # no hook: `dist` pair by pair
+        self._pair_brackets = getattr(base, "_pair_brackets", None)
 
     def apply(self, x):
         return self.base.apply(x)

@@ -79,10 +79,9 @@ def _toral_grid(sys, density):
     beta_s, beta_u = sys._su_widths
 
     def density_of(h):
-        return max((beta_s * h / 2) ** sys.e_s, (beta_u * h / 2) ** sys.e_u)
+        return (max(beta_s, beta_u) * h / 2) ** sys.e
 
-    h = 2 * min(density ** (1 / sys.e_s) / beta_s,
-                density ** (1 / sys.e_u) / beta_u)
+    h = 2 * density ** (1 / sys.e) / max(beta_s, beta_u)
     n = max(2, math.ceil(1.0 / h))
     while density_of(1.0 / n) > density:
         n += 1
@@ -246,9 +245,9 @@ def _symbolic_entropy(sys, ns):
     from .symbolic import _word_counts
     # xi = 1/lam, so a d_n-ball of diameter < xi pins window n + 2
     # A and its transpose count the same words: backward reads forward
-    words = _word_counts(sys.matrix, 2 * ns[-1] + 5)
-    two = [(n, math.log(words[2 * n + 5])) for n in ns]
-    fwd = [(n, math.log(words[n + 5])) for n in ns]
+    logs = list(map(math.log, _word_counts(sys.matrix, 2 * ns[-1] + 5)))
+    two = [(n, logs[2 * n + 5]) for n in ns]
+    fwd = [(n, logs[n + 5]) for n in ns]
     return _entropy_report(two, fwd, fwd, "exact-symbolic")
 
 
@@ -270,14 +269,13 @@ def _toral_entropy(sys, ns):
         upper = math.ceil(w_s / (2 * h_s)) * math.ceil(w_u / (2 * h_u))
         return 0.5 * (math.log(lower) + math.log(max(upper, 1)))
 
-    base_s = sys.xi ** (1 / sys.e_s)
-    base_u = sys.xi ** (1 / sys.e_u)
+    base = sys.xi ** (1 / sys.e)
     two, fwd, bwd = [], [], []
     for n in ns:
-        shrink = mu ** -n
-        two.append((n, mean_log_count(base_s * shrink, base_u * shrink)))
-        fwd.append((n, mean_log_count(base_s, base_u * shrink)))
-        bwd.append((n, mean_log_count(base_s * shrink, base_u)))
+        small = base * mu ** -n
+        two.append((n, mean_log_count(small, small)))
+        fwd.append((n, mean_log_count(base, small)))
+        bwd.append((n, mean_log_count(small, base)))
     return _entropy_report(two, fwd, bwd, "su-box-bounds")
 
 
@@ -359,12 +357,14 @@ def _local_entropies(sys, xs, n_max):
     ns = range(3, n_max + 1)
     if sys.space_kind == "symbolic":
         from .symbolic import _count_vectors
-        vecs = list(islice(_count_vectors(sys.matrix), 1, n_max + 1))
-        states, fits = [x.at(0) for x in xs], {}
-        for s in set(states):
-            rows = [(n, math.log(vecs[n - 1][s])) for n in ns]
-            fits[s] = LocalEntropy(_slope_over_n(rows), rows,
-                                   "forward-word-counts")
+        states = [x.at(0) for x in xs]
+        rows = {s: [] for s in states}
+        # entry s of vector n counts the words of length n + 1 from s
+        for n, v in zip(ns, islice(_count_vectors(sys.matrix), ns[0], None)):
+            for s, row in rows.items():
+                row.append((n, math.log(v[s])))
+        fits = {s: LocalEntropy(_slope_over_n(row), row, "forward-word-counts")
+                for s, row in rows.items()}
         return [fits[s] for s in states]
     mu = _unstable_mu(sys, "local unstable entropy")
     # arc of u-length L stretches to L * mu**n, cut into unit-L pieces

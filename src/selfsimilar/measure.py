@@ -385,14 +385,14 @@ def parry_compare(sys, depth):
 def toral_measure_summary(sys):
     """Closed-form intrinsic-measure facts for a toral system.
 
-    The unstable exponent satisfies d * e_u = 1, so the Hausdorff
+    The metric's exponent satisfies d * e = 1, so the Hausdorff
     measure of an unstable plaque is exactly its eigencoordinate
     length and the intrinsic measure is normalized Lebesgue area; no
     numeric estimator is needed or shipped.
     """
     d = intrinsic_exponent(sys)
     mu = abs(sys.eig_unstable)
-    length = 2 * sys.xi ** (1 / sys.e_u)
+    length = 2 * sys.xi ** (1 / sys.e)
     return {
         "d": d,
         "plaque_u_length": length,
@@ -400,5 +400,5 @@ def toral_measure_summary(sys):
         "scaling_ratio": mu,
         "scaling_expected": sys.lam ** d,
         "scaling_gap": abs(mu - sys.lam ** d),
-        "exponent_product": d * sys.e_u,
+        "exponent_product": d * sys.e,
     }

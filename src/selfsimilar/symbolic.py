@@ -272,16 +272,17 @@ def _count_vectors(matrix):
 
 
 def _word_counts(matrix, max_length):
-    """Exact word counts for lengths 0..max_length, from one walk."""
-    walk = islice(_count_vectors(matrix), max_length)
-    return [1] + [sum(v) for v in walk]
+    """Yield the exact word counts for lengths 0..max_length, from one
+    walk that holds one count vector."""
+    yield 1
+    yield from map(sum, islice(_count_vectors(matrix), max_length))
 
 
 def count_words(matrix, length):
     """Number of admissible words of the given length (exact integer)."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    return _word_counts(matrix, length)[length]
+    return next(islice(_word_counts(matrix, length), length, None))
 
 
 def iter_words(matrix, length):

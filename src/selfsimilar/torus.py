@@ -1,8 +1,9 @@
 """Hyperbolic 2x2 toral automorphisms with an exact-scaling max metric.
 
 The metric measures the stable and unstable eigencoordinates of the
-offset between two points, raises them to exponents chosen so one step
-of the map scales both by exactly lam, takes the max, and minimizes
+offset between two points, takes the larger, raises it to the one
+exponent e = log lam / log |mu_u| (|det A| = 1 gives |mu_s| = 1/|mu_u|,
+so one step of the map scales both sides by exactly lam), and minimizes
 over the nine nearest lattice translates.  Everything is double
 precision; the one-step identity then holds to roundoff (about 1e-15)
 because the eigencoordinates transform exactly by the eigenvalues.
@@ -49,7 +50,7 @@ def _each(f, a, *args):
 
 def _pow(a, e):
     """`_each` of builtin `pow` to the power e, but a itself where e is
-    1.0 (x ** 1.0 is x): the cat map's e_u is exactly 1.0."""
+    1.0 (x ** 1.0 is x): the exponent of every default lam."""
     return a if e == 1.0 else _each(pow, a, repeat(e))
 
 
@@ -132,7 +133,7 @@ class ToralSystem:
         (mu_s, v_s), (mu_u, v_u) = _eigen_2x2(rows)
         self.eig_stable, self.eig_unstable = mu_s, mu_u
         self.v_stable, self.v_unstable = v_s, v_u
-        lam_sup = min(1.0 / abs(mu_s), abs(mu_u))
+        lam_sup = abs(mu_u)
         if lam is None:
             lam = lam_sup
         if not 1.0 < lam <= lam_sup * (1 + 1e-12):
@@ -140,8 +141,9 @@ class ToralSystem:
                 f"lam must lie in (1, {lam_sup:.12g}] for this matrix"
             )
         self.lam = float(lam)
-        self.e_s = math.log(self.lam) / math.log(1.0 / abs(mu_s))
-        self.e_u = math.log(self.lam) / math.log(abs(mu_u))
+        # |det| = 1 makes |mu_s| = 1/|mu_u|: one exponent scales both
+        # sides by lam, read from the root without cancellation
+        self.e = math.log(self.lam) / math.log(abs(mu_u))
         # inverse of the eigenbasis matrix, for the su coordinate change
         det_v = v_s[0] * v_u[1] - v_s[1] * v_u[0]
         self._B = (
@@ -156,9 +158,8 @@ class ToralSystem:
         # roundoff (the sum and wrap of y = x + off, then y - x), so s or
         # u up to w * 2**-52, which moves |s|**e by e * w * 2**-52 / |s|
         # relative; the binding coordinate has |s| >= (scale/2)**(1/e)
-        self._min_scale = 2 * max(
-            (e * w * 2.0**-52 / _SAMPLE_RTOL) ** e
-            for e, w in zip((self.e_s, self.e_u), self._su_widths))
+        self._min_scale = 2 * (self.e * max(self._su_widths) * 2.0**-52
+                               / _SAMPLE_RTOL) ** self.e
         if not xi > 0:
             raise ValueError(f"xi={xi} must be a positive number")
         # nine lattice translates are enough only well below the shortest
@@ -186,7 +187,7 @@ class ToralSystem:
         return (B[0][0] * dx + B[0][1] * dy, B[1][0] * dx + B[1][1] * dy)
 
     def _rho(self, s, u):
-        return max(abs(s) ** self.e_s, abs(u) ** self.e_u)
+        return max(abs(s), abs(u)) ** self.e
 
     # -- dynamics --------------------------------------------------------
 
@@ -221,7 +222,7 @@ class ToralSystem:
 
     def _su_norm(self, u, v):
         s, t = self._su(u, v)
-        return s, t, np.maximum(np.abs(s) ** self.e_s, np.abs(t) ** self.e_u)
+        return s, t, np.maximum(np.abs(s), np.abs(t)) ** self.e
 
     def _translates(self, u, v):
         """`_su_norm` of the nine nearest translates, in `_NINE` order."""
@@ -237,8 +238,8 @@ class ToralSystem:
         norm is subadditive and every other translate v + w has norm >=
         injectivity - norm(v) >= 3 norm(v): the scan picks the centre,
         far from a 1e-12 tie.  The factor 3 covers e <= 1 + 2.1e-12 (the
-        constructor's bound) and any few-ulp gap between numpy's power
-        and the scalar one."""
+        constructor's bound on lam) and any few-ulp gap between numpy's
+        power, which picks here, and the scalar one."""
         s, t, best = self._su_norm(u, v)
         second = np.full_like(best, np.inf)
         far = best > self.injectivity / 4
@@ -285,14 +286,7 @@ class ToralSystem:
         best, second, bs, bt = self._search(dx - np.round(dx),
                                             dy - np.round(dy))
         ties = np.flatnonzero(second <= best * (1 + 1e-12)).tolist()
-        # builtin pow is the scalar `**`: numpy's, within a few ulps of
-        # it, picks the side of the max, and a row within 1e-12 takes both
-        a, b = np.abs(bs), np.abs(bt)
-        pa, pb = a ** self.e_s, b ** self.e_u
-        on_s, on_t = pb <= pa * (1 + 1e-12), pa <= pb * (1 + 1e-12)
-        norms = np.zeros(len(a))
-        norms[on_s] = _pow(a[on_s], self.e_s)
-        norms[on_t] = np.maximum(norms[on_t], _pow(b[on_t], self.e_u))
+        norms = _pow(np.maximum(np.abs(bs), np.abs(bt)), self.e)
         for i in ties:
             norms[i] = self._nearest(_at(x, i), _at(y, i))[0]
         return norms, bt, ties
@@ -336,12 +330,10 @@ class ToralSystem:
         The ball is an su box: the stable side binds at step -k and the
         unstable side at step +k, each shrinking by mu**-k.
         """
-        shrink = abs(self.eig_unstable) ** (-k)
-        ext_s = radius ** (1 / self.e_s) * shrink
-        ext_u = radius ** (1 / self.e_u) * shrink
+        ext = radius ** (1 / self.e) * abs(self.eig_unstable) ** (-k)
         vs, vu = self.v_stable, self.v_unstable
-        return (ext_s * abs(vs[0]) + ext_u * abs(vu[0]),
-                ext_s * abs(vs[1]) + ext_u * abs(vu[1]))
+        return (ext * abs(vs[0]) + ext * abs(vu[0]),
+                ext * abs(vs[1]) + ext * abs(vu[1]))
 
     # -- product structure -------------------------------------------------
 
@@ -413,11 +405,8 @@ class ToralSystem:
         theta = 2 * math.pi * (np.arange(count) + jitter) / count
         targets = scale * (0.5 + 0.5 * frac)
         cs, sn = _each(math.cos, theta), _each(math.sin, theta)
-        # a zero cos or sin leaves its side unbounded (root / 0 = inf)
-        with np.errstate(divide="ignore"):
-            c = np.minimum(
-                _pow(targets, 1.0 / self.e_s) / np.abs(cs),
-                _pow(targets, 1.0 / self.e_u) / np.abs(sn))
+        # the binding side is the larger of |cos| and |sin|
+        c = _pow(targets, 1.0 / self.e) / np.maximum(np.abs(cs), np.abs(sn))
         vs, vu = self.v_stable, self.v_unstable
         y0 = np.remainder(x0 + c * (cs * vs[0] + sn * vu[0]), 1.0)
         y1 = np.remainder(x1 + c * (cs * vs[1] + sn * vu[1]), 1.0)
@@ -470,8 +459,8 @@ class EuclideanTorus:
 
     Not self-similar; adapted below its xi for any lam up to
     sqrt((mu^2 + mu^-2)/2), so it serves as the base of a genuinely
-    nontrivial sup-refinement.  The triangle vertex delegates to the
-    eigenline geometry, which does not depend on the metric.  The
+    nontrivial sup-refinement.  The triangle vertex and its batch are the
+    eigenline geometry's, which do not depend on the metric.  The
     offsets of a pair's orbit come from the geometry's `_offset_orbit`,
     and the orbit hook `_orbit_dists` takes np.hypot of each.
     """
@@ -485,6 +474,7 @@ class EuclideanTorus:
         if not 0 < xi < math.inf:
             raise ValueError(f"xi={xi} must be a positive finite number")
         self.geometry = base
+        self._pair_brackets = base._pair_brackets
         self.xi = xi
         self.diameter = math.sqrt(2) / 2
         mu = abs(base.eig_unstable)

@@ -5,7 +5,7 @@ Each system is built with `cli.build_system`, and every check that
 it is, and once with the source of the target scaled by 1 + 1e-3 after
 the build (a shift: the rho that `symbolic._parry_data` returns; the
 torus: `ToralSystem.eig_unstable`, where the metric reads only the
-precomputed `e_s` and `e_u`).  `CLASSES` sorts every report key into
+precomputed exponent `e`).  `CLASSES` sorts every report key into
 
 - measured: it reads no target, so it must not move (labels, counts and
   tolerances read nothing and are measured too);
@@ -86,7 +86,8 @@ CLASSES = {
 # 5): the entropies, the capacity right-hand side that reads `ent`, the
 # image plaque's length, and the gaps that read them
 ITEM_5 = {"entropy.ent", "entropy.ent_plus", "entropy.ent_minus",
-          "entropy.standard", "capacity.ent_over_log_lam",
+          "entropy.standard", "entropy.gap_two_sided",
+          "capacity.ent_over_log_lam",
           "capacity.rel_gap", "fundamental.ent",
           "fundamental.ent_over_log_lam", "fundamental.rel_gap",
           "measure.scaling_ratio", "measure.image_u_length"}

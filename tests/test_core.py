@@ -966,6 +966,26 @@ def test_triangle_batch_is_the_pair_loop(full2, golden, cat):
         assert triangle_curve(sys, buckets).max_deviation == worst
 
 
+def test_refinement_brackets_are_the_base_geometrys(euclid, refined_euclid,
+                                                   monkeypatch):
+    """A refinement's bracket batch is its base's, and the Euclidean
+    torus's is its geometry's: vertex for vertex the scalar
+    `triangle_vertex`, and the triangle check on it equals the check on
+    the per-pair loop.  Over a base with no batch it is None."""
+    pairs = euclid.sample_pairs(300, 1e-4, seed=6)
+    want = [refined_euclid.triangle_vertex(x, y) for x, y in pairs]
+    assert list(refined_euclid._pair_brackets(pairs)) == want
+    assert list(euclid._pair_brackets(list(pairs))) == want
+    buckets = {1e-4: pairs, 1e-5: euclid.sample_pairs(2000, 1e-5, seed=7)}
+    batched = ([_triangle_reports(refined_euclid, p) for p in buckets.values()],
+               triangle_curve(refined_euclid, buckets))
+    monkeypatch.setattr(refined_euclid, "_pair_brackets", None)
+    assert batched == (
+        [_triangle_reports(refined_euclid, p) for p in buckets.values()],
+        triangle_curve(refined_euclid, buckets))
+    assert refine_metric(CircleDoubling(), 2.0, 1e-6)._pair_brackets is None
+
+
 class LineDilation:
     """x -> lam x on the line with the distance |x - y|: every plaque
     distance is a chosen float, so one can sit on a scale threshold."""

@@ -10,6 +10,7 @@ the four-symbol table is reducible, which costs a few percent.
 
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -273,6 +274,24 @@ def test_entropy_rows_are_logs_of_exact_counts(golden, four):
             assert r["two_sided"] == math.log(plain_count(rows, 2 * n + 5))
             assert r["forward"] == math.log(plain_count(rows, n + 5))
             assert r["backward"] == math.log(plain_count(rows_t, n + 5))
+
+
+def test_entropy_memory_grows_as_its_report(golden):
+    """The walk logs each count as it reaches it and holds one count
+    vector, so the traced peak grows as the report does, one row per n:
+    per unit of n_max, the peak at 20,000 is within 2 times the peak at
+    2,000.  Every exact count kept (the count of length k has about
+    0.69 k bits) grew it as n_max**2, to 1.7 and 84 MB."""
+    def peak(n_max):
+        tracemalloc.start()
+        try:
+            entropy(golden, n_max=n_max)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # the modules load
+    assert peak(20_000) / 20_000 <= 2 * peak(2_000) / 2_000
 
 
 def test_entropy_validation(full2, euclid, refined_euclid, doubling):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsimilar import cli
+from selfsimilar import cli, torus
 from selfsimilar._streams import uniforms
 from selfsimilar.core import _pair_values, _unzip, _zip, verify_self_similar
 from selfsimilar.torus import (
@@ -40,8 +40,7 @@ def test_cat_map_eigendata(cat):
     assert cat.eig_unstable == pytest.approx(PHI**2, rel=1e-14)
     assert cat.eig_stable == pytest.approx(PHI**-2, rel=1e-14)
     assert cat.lam == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
-    assert cat.e_s == pytest.approx(1.0, rel=1e-12)
-    assert cat.e_u == pytest.approx(1.0, rel=1e-12)
+    assert cat.e == 1.0
     # unit, orthogonal, positively oriented eigenvectors
     vs, vu = cat.v_stable, cat.v_unstable
     assert math.hypot(*vs) == pytest.approx(1.0, rel=1e-14)
@@ -53,28 +52,43 @@ def test_cat_map_eigendata(cat):
 
 def test_the_cat_maps_unstable_exponent_is_exactly_one(cat):
     """`_pow` hands its array back at exponent 1.0, as x ** 1.0 is x: the
-    default cat map's unstable side and the 1/e_u root of its sampler
-    take that path; any other exponent is builtin pow elementwise."""
-    assert cat.e_u == 1.0 == 1.0 / cat.e_u
+    default cat map's norms and the 1/e root of its sampler take that
+    path; any other exponent, as at lam = 1.8, is builtin pow
+    elementwise."""
+    assert cat.e == 1.0 == 1.0 / cat.e
     a = np.array([0.0, 5e-324, 0.3, 2.5, 1e308])
-    assert _pow(a, cat.e_u) is a
+    assert _pow(a, cat.e) is a
     assert [x ** 1.0 for x in a.tolist()] == a.tolist()
-    assert _pow(a, cat.e_s).tolist() == [x ** cat.e_s for x in a.tolist()]
+    a = a[:-1]  # 1e308 ** (1/e) overflows
+    for e in (cat_map(lam=1.8).e, 1.0 / cat_map(lam=1.8).e):
+        assert e != 1.0
+        got = _pow(a, e)
+        assert got is not a
+        assert got.tolist() == [x ** e for x in a.tolist()]
 
 
 def test_determinant_minus_one_automorphism():
     fib = ToralSystem(((1, 1), (1, 0)), xi=0.05)
     assert fib.lam == pytest.approx(PHI, rel=1e-14)
     assert fib.eig_stable == pytest.approx(-1.0 / PHI, rel=1e-14)
-    assert fib.e_s == pytest.approx(1.0, rel=1e-12)
-    assert fib.e_u == pytest.approx(1.0, rel=1e-12)
+    assert fib.e == 1.0
 
 
 def test_lam_below_the_cap_rescales_the_exponents():
     sys = cat_map(lam=1.8)
     assert sys.lam == 1.8
-    assert sys.e_u == pytest.approx(math.log(1.8) / math.log(PHI**2), rel=1e-12)
-    assert sys.e_s == pytest.approx(sys.e_u, rel=1e-12)
+    assert sys.e == pytest.approx(math.log(1.8) / math.log(PHI**2), rel=1e-15)
+    # one step scales the stable side by the same lam: |mu_s|**-e
+    assert abs(sys.eig_stable) ** -sys.e == pytest.approx(1.8, rel=1e-14)
+
+
+def test_every_default_lam_has_exponent_one():
+    """The default lam is |mu_u|, read from the larger root, so the
+    exponent of every matrix at its default lam is exactly 1.0."""
+    for m in MATRICES:
+        sys = toral_new(m)
+        assert sys.lam == abs(sys.eig_unstable)
+        assert sys.e == 1.0
 
 
 def test_construction_rejects_bad_input():
@@ -276,7 +290,7 @@ def two_search_form(sys, x, y):
     both."""
     def norm(dx, dy):
         s, u = sys._su(dx, dy)
-        return max(abs(s) ** sys.e_s, abs(u) ** sys.e_u)
+        return max(abs(s), abs(u)) ** sys.e
 
     dx, dy = y[0] - x[0], y[1] - x[1]
     rx, ry = dx - round(dx), dy - round(dy)
@@ -325,7 +339,7 @@ def nine_translate_scan(sys, u, v):
     for wx, wy in NINE:
         s = B[0][0] * (u + wx) + B[0][1] * (v + wy)
         t = B[1][0] * (u + wx) + B[1][1] * (v + wy)
-        r = np.maximum(np.abs(s) ** sys.e_s, np.abs(t) ** sys.e_u)
+        r = np.maximum(np.abs(s), np.abs(t)) ** sys.e
         closer = r < best
         second = np.where(closer, best, np.minimum(second, r))
         best, bt = np.where(closer, r, best), np.where(closer, t, bt)
@@ -459,6 +473,53 @@ def test_pair_batch_is_the_scalar_path_on_2200_pairs(cat):
     assert list(cat._pair_brackets(pairs)) == [cat.bracket(*p) for p in pairs]
 
 
+# a lam below each matrix's cap, so that the exponent is not 1.0 and
+# every norm is builtin pow elementwise
+NON_UNIT = ((((2, 1), (1, 1)), 1.8), (((3, 1), (2, 1)), 2.0))
+# offsets on the half lattice tie two translates; 2**-45 off, nearly
+TIES = [((0.25, 0.3), (0.75, 0.3)), ((0.25, 0.3), (0.75 + 2**-45, 0.3)),
+        ((0.125, 0.25), (0.625, 0.75)), ((0.5, 0.125), (0.5, 0.625))]
+
+
+@pytest.mark.parametrize("matrix, lam", NON_UNIT)
+def test_norms_at_a_non_unit_exponent_are_the_scalar_dist(matrix, lam):
+    sys = toral_new(matrix, lam)
+    assert sys.e != 1.0
+    rng = Random(41)
+    pairs = [pair for scale, seed in ((sys._min_scale, 1), (1e-2, 2),
+                                      (sys.xi * 0.999, 3))
+             for pair in sys.sample_pairs(300, scale, seed=seed)]
+    pairs += [((rng.random(), rng.random()), (rng.random(), rng.random()))
+              for _ in range(300)]
+    pairs[100:100] = TIES
+    x, y = _coords(pairs)
+    norms, t, ties = sys._nearest_norms(x, y)
+    assert norms.tolist() == [sys.dist(*pair) for pair in pairs]
+    assert set(range(100, 100 + len(TIES))) <= set(ties)
+    assert _pair_values(sys, pairs, BATCH_STEPS) == _pair_values(
+        ScalarOnly(sys), pairs, BATCH_STEPS)
+    assert list(sys.sample_pairs(300, 1e-3, seed=5)) == loop_sample_pairs(
+        sys, 300, 1e-3, 5)
+
+
+def test_cat_map_all_takes_no_elementwise_power(monkeypatch, capsys):
+    """The default cat map's exponent is exactly 1.0: its norms and its
+    sampler's root never go through builtin pow elementwise."""
+    calls = []
+    each = torus._each
+
+    def spy(f, a, *args):
+        calls.append(f)
+        return each(f, a, *args)
+
+    monkeypatch.setattr(torus, "_each", spy)
+    argv = ["all", "--system", "cat-map", "--samples", "2000", "--seed", "0"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert math.cos in calls  # the spy sees the sampler
+    assert pow not in calls
+
+
 def test_near_ties_take_the_scalar_search(cat, monkeypatch):
     # the offsets 1/2 and 1/2 + 2**-45 along x: the translates on either
     # side of the seam have equal norms, and norms 6e-14 apart
@@ -494,8 +555,8 @@ def boundary_system(index):
 def offset_at(sys, r, theta):
     """The offset whose su coordinates point along theta at norm r."""
     cs, sn = math.cos(theta), math.sin(theta)
-    c = min(r ** (1 / sys.e_s) / abs(cs) if cs else math.inf,
-            r ** (1 / sys.e_u) / abs(sn) if sn else math.inf)
+    c = min(r ** (1 / sys.e) / abs(cs) if cs else math.inf,
+            r ** (1 / sys.e) / abs(sn) if sn else math.inf)
     vs, vu = sys.v_stable, sys.v_unstable
     return c * cs * vs[0] + c * sn * vu[0], c * cs * vs[1] + c * sn * vu[1]
 
@@ -503,7 +564,7 @@ def offset_at(sys, r, theta):
 def centre_norm(sys, u, v):
     """The norm of offset arrays u, v themselves, by numpy's power."""
     s, t = sys._su(u, v)
-    return np.maximum(np.abs(s) ** sys.e_s, np.abs(t) ** sys.e_u)
+    return np.maximum(np.abs(s), np.abs(t)) ** sys.e
 
 
 HALF_LATTICE = [(i / 2, j / 2) for i, j in NINE if i or j]
@@ -609,7 +670,7 @@ def test_certified_rows_skip_the_nine_translate_scan(cat, monkeypatch,
 @pytest.mark.parametrize("index", range(len(MATRICES)))
 def test_the_certificate_holds_at_the_largest_accepted_lam(index):
     sys = toral_new(MATRICES[index], lam=automorphism(index).lam * (1 + 1e-12))
-    assert max(sys.e_s, sys.e_u) <= 1 + 1e-9
+    assert sys.e <= 1 + 1e-9
     u, v = np.random.default_rng(index).uniform(-0.5, 0.5, (2, 20000))
     best, bt, second = nine_translate_scan(sys, u, v)
     centre = centre_norm(sys, u, v)
@@ -679,8 +740,9 @@ def loop_sample_pairs(sys, count, scale, seed):
         theta = 2 * math.pi * (k + jitter) / count
         target = scale * (0.5 + 0.5 * frac)
         cs, sn = math.cos(theta), math.sin(theta)
-        c_s = (target ** (1.0 / sys.e_s) / abs(cs)) if cs else math.inf
-        c_u = (target ** (1.0 / sys.e_u) / abs(sn)) if sn else math.inf
+        # the smaller radius of the stable and the unstable side
+        c_s = (target ** (1.0 / sys.e) / abs(cs)) if cs else math.inf
+        c_u = (target ** (1.0 / sys.e) / abs(sn)) if sn else math.inf
         c = min(c_s, c_u)
         off = (c * (cs * vs[0] + sn * vu[0]), c * (cs * vs[1] + sn * vu[1]))
         out.append(((x0, x1), ((x0 + off[0]) % 1.0, (x1 + off[1]) % 1.0)))

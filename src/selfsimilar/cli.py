@@ -350,15 +350,17 @@ def _symbolic_holonomy_quads(sys_obj, count, seed):
 def _toral_holonomy_quads(sys_obj, count, seed, scale):
     """Quadruples (p, q, pp, qq) as toral rows, from row i of
     `uniforms(count, seed, 6)`: p, u_t, sign_t, u_s, sign_s.  q = p + t v_u
-    and pp = p + s v_s (wrapped), qq = triangle_vertex(pp, q), with
-    t = scale * (0.25 + 0.75 * u_t), negated if sign_t < 0.5, and s the
-    same with xi / 4 for scale."""
+    and pp = p + s v_s (wrapped), qq = triangle_vertex(pp, q).  The leg
+    p q has metric length l = scale * (0.25 + 0.75 * u_t), so |t| is
+    l**(1/e), negated if sign_t < 0.5; s is the same with xi / 4 for
+    scale."""
     from ._streams import Rows, uniforms
-    from .torus import _point
+    from .torus import _point, _pow
     draws = uniforms(count, seed, 6)
     p, u_t, sign_t, u_s, sign_s = draws[:, :2], *draws[:, 2:].T
-    t = scale * (0.25 + 0.75 * u_t) * (2.0 * (sign_t >= 0.5) - 1.0)
-    s = sys_obj.xi / 4 * (0.25 + 0.75 * u_s) * (2.0 * (sign_s >= 0.5) - 1.0)
+    t, s = (_pow(top * (0.25 + 0.75 * u), 1.0 / sys_obj.e)
+            * (2.0 * (sign >= 0.5) - 1.0) for top, u, sign in
+            ((scale, u_t, sign_t), (sys_obj.xi / 4, u_s, sign_s)))
     q = (p + t[:, None] * sys_obj.v_unstable) % 1.0
     pp = (p + s[:, None] * sys_obj.v_stable) % 1.0
     (qq,) = sys_obj._pair_brackets(Rows((pp, q), _point)).cols
@@ -493,7 +495,7 @@ def run(config):
     t0 = time.perf_counter()
     if config.command == "all":
         # `all` runs checks of all three; loaded before the system is
-        # built, they lower a cat-map run's peak RSS by about 0.3 MB
+        # built, they lower a cat-map run's peak RSS by about 0.6 MB
         from importlib import import_module
         for name in ("core", "dimension", "measure"):
             import_module(f".{name}", __package__)

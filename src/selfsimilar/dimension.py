@@ -73,6 +73,10 @@ class CovCount(NamedTuple):
         return self.lower if self.exact else math.sqrt(self.lower * self.upper)
 
 
+# bound on the row masks of one `_greedy` run, n * n / 8 bytes
+_GRID_BYTES = 2**26
+
+
 def _toral_grid(sys, density):
     """Side n of the regular n x n grid whose metric density is at most
     `density`, and that density."""
@@ -140,6 +144,10 @@ def _toral_cov_bounds(sys, eps, k=0):
     # grid density eps/4 in the d_k metric, i.e. eps/(4 lam**k) in d
     growth = sys.lam ** k
     n, delta = _toral_grid(sys, eps / (4 * growth))
+    if n * n > 8 * _GRID_BYTES:  # n rows of n bits
+        raise ValueError(f"eps={eps:.6g} needs a {n} x {n} cover grid, whose "
+                         f"row masks take {n * n >> 23} MiB, above the "
+                         f"{_GRID_BYTES >> 20} MiB bound")
 
     # with S the stencil: the cover opens a ball at each uncovered p,
     # covering p + S; the packing keeps p unless a kept q has p + S
@@ -189,9 +197,11 @@ def capacity(sys):
     of `default_scales`: 11 scales on a shift, 8 on the torus.
 
     The two largest scales are excluded as transient; the residual of
-    the surviving fit is reported, not hidden.
+    the surviving fit is reported, not hidden.  The counts run smallest
+    scale first, so a toral grid past `_GRID_BYTES` fails before any
+    greedy runs.
     """
-    entries = [cov_eps(sys, e) for e in default_scales(sys)]
+    entries = [cov_eps(sys, e) for e in default_scales(sys)[::-1]][::-1]
     kept = entries[2:]
     counts = [c.value for c in kept]
     if len(set(counts)) == 1:

@@ -23,9 +23,11 @@ centre translate of each row with norm at most injectivity/4, where
 subadditivity puts every other translate 3 times farther (`_search`).
 The samplers read item i from row i of `_streams.uniforms` and return
 `_streams.Rows` of `_point`, one (N, 2) array per tuple slot, read by
-the hooks as they are.  Whatever numpy's vectorised loops could round
-differently from the scalar code (cos, sin, powers but x ** 1.0) goes
-through the libm function elementwise.
+the hooks as they are.  One rounding rule: whatever numpy's vectorised
+loops could round differently from the scalar code (cos, sin, powers but
+x ** 1.0) goes through the libm function elementwise (`_each`, `_pow`),
+so the array norms are the scalar floats and the array search picks the
+scalar search's translate on every row, exact ties included.
 """
 import math
 from functools import reduce
@@ -42,10 +44,12 @@ _SAMPLE_RTOL = 1e-9
 
 
 def _each(f, a, *args):
-    """f applied to every element of the 1-d array a as a Python float
-    (with any further iterables as further arguments), as an array.
-    For the libm functions whose numpy loops can differ in the last bit."""
-    return np.fromiter(map(f, a.tolist(), *args), float, a.size)
+    """f applied to every element of the array a as a Python float (with
+    any further iterables as further arguments, in a's flat order), as an
+    array of a's shape.  For the libm functions whose numpy loops can
+    differ in the last bit."""
+    return np.fromiter(map(f, a.ravel().tolist(), *args), float,
+                       a.size).reshape(a.shape)
 
 
 def _pow(a, e):
@@ -66,11 +70,6 @@ def _coords(pairs):
         return tuple(a.T for a in pairs.cols)
     return tuple(np.array(pairs, dtype=float).reshape(-1, 2, 2)
                  .transpose(1, 2, 0))
-
-
-def _at(point, i):
-    """Row i of a point in the form of `_coords`, as Python floats."""
-    return point[0][i].item(), point[1][i].item()
 
 
 def _eigen_2x2(m):
@@ -222,36 +221,32 @@ class ToralSystem:
 
     def _su_norm(self, u, v):
         s, t = self._su(u, v)
-        return s, t, np.maximum(np.abs(s), np.abs(t)) ** self.e
+        return s, t, _pow(np.maximum(np.abs(s), np.abs(t)), self.e)
 
     def _translates(self, u, v):
         """`_su_norm` of the nine nearest translates, in `_NINE` order."""
         return (self._su_norm(u + wx, v + wy) for wx, wy in _NINE)
 
     def _search(self, u, v):
-        """(norm, second, s, t) of offset arrays u, v at their nearest
-        lattice representatives, as the strict-< scan over the nine
-        translates finds them: the smallest norm, the smallest other one
-        (inf where the centre is certified), and the su coordinates of
-        the first smallest.  Only rows with centre norm > injectivity/4
-        are scanned: for e <= 1, |a + b|**e <= |a|**e + |b|**e, so the
-        norm is subadditive and every other translate v + w has norm >=
-        injectivity - norm(v) >= 3 norm(v): the scan picks the centre,
-        far from a 1e-12 tie.  The factor 3 covers e <= 1 + 2.1e-12 (the
-        constructor's bound on lam) and any few-ulp gap between numpy's
-        power, which picks here, and the scalar one."""
+        """(norm, s, t) of offset arrays u, v at their nearest lattice
+        representatives, as the scalar strict-< scan over the nine
+        translates finds them: the smallest norm and the su coordinates
+        of the first translate that attains it.  Only rows with centre
+        norm > injectivity/4 are scanned: for e <= 1, |a + b|**e <=
+        |a|**e + |b|**e, so the norm is subadditive and every other
+        translate v + w has norm >= injectivity - norm(v) >= 3 norm(v):
+        the scan picks the centre.  The factor 3 covers e <= 1 + 2.1e-12
+        (the constructor's bound on lam)."""
         s, t, best = self._su_norm(u, v)
-        second = np.full_like(best, np.inf)
         far = best > self.injectivity / 4
         if far.any():
-            r1 = r2 = s1 = t1 = np.inf
+            r1 = s1 = t1 = np.inf
             for ws, wt, r in self._translates(u[far], v[far]):
                 closer = r < r1
-                r2 = np.where(closer, r1, np.minimum(r2, r))
                 r1, s1, t1 = (np.where(closer, new, old) for new, old in
                               ((r, r1), (ws, s1), (wt, t1)))
-            best[far], second[far], s[far], t[far] = r1, r2, s1, t1
-        return best, second, s, t
+            best[far], s[far], t[far] = r1, s1, t1
+        return best, s, t
 
     def _orbit_dists(self, pairs, lo, hi):
         """The orbit hook: yield (j, dist(f^j x, f^j y) for every pair)
@@ -259,12 +254,8 @@ class ToralSystem:
         iterates.
 
         The points are mapped as arrays by `apply` and `apply_inv`
-        (np.remainder is Python's float %), and one array search picks
-        each pair's translate.  Its norm is then taken with builtin
-        `pow`, the scalar `**`, because numpy's vectorised power can
-        differ from it in the last bit.  A pair whose two best translates
-        lie within 1e-12 relative of each other, where that bit could
-        change the pick, goes through the scalar `_nearest`.
+        (np.remainder is Python's float %), and one array search of
+        `_nearest_norms` picks each pair's translate and its norm.
         """
         x, y = _coords(pairs)
         if lo <= 0 <= hi:
@@ -278,18 +269,12 @@ class ToralSystem:
                     yield j, self._nearest_norms(u, v)[0]
 
     def _nearest_norms(self, x, y):
-        """(norms, t, ties) for the points x, y (as `_coords` gives them)
-        of every row, by `_search` (the centre up to injectivity/4): each
-        row's `dist`, the unstable coordinate of the picked translate, and
-        the rows within 1e-12 of a tie, whose norms come from `_nearest`."""
+        """(norms, t) for the points x, y (as `_coords` gives them) of
+        every row, by `_search`: each row's `dist` and the unstable
+        coordinate of the translate that attains it."""
         dx, dy = y[0] - x[0], y[1] - x[1]
-        best, second, bs, bt = self._search(dx - np.round(dx),
-                                            dy - np.round(dy))
-        ties = np.flatnonzero(second <= best * (1 + 1e-12)).tolist()
-        norms = _pow(np.maximum(np.abs(bs), np.abs(bt)), self.e)
-        for i in ties:
-            norms[i] = self._nearest(_at(x, i), _at(y, i))[0]
-        return norms, bt, ties
+        norms, _, t = self._search(dx - np.round(dx), dy - np.round(dy))
+        return norms, t
 
     def _offset_orbit(self, du, dv, reach):
         """Yield (j, u, v): the offset arrays f^j y - f^j x, each at its
@@ -352,19 +337,16 @@ class ToralSystem:
         The unstable coordinate t of each pair's picked translate comes
         from the array search of `_nearest_norms`, and the point is
         x + t * v_unstable wrapped by np.remainder, the IEEE operations
-        of the scalar `bracket`.  A pair at a near-tie of two translates
-        goes through the scalar `bracket`; a pair outside the domain
-        raises its error.
+        of the scalar `bracket`.  A pair outside the domain raises its
+        error.
         """
         x, y = _coords(pairs)
-        norms, t, ties = self._nearest_norms(x, y)
+        norms, t = self._nearest_norms(x, y)
         if np.any(norms >= self.xi):
             raise ValueError("pair outside the bracket domain")
         vu = self.v_unstable
         out = np.column_stack((np.remainder(x[0] + t * vu[0], 1.0),
                                np.remainder(x[1] + t * vu[1], 1.0)))
-        for i in ties:
-            out[i] = self.bracket(_at(x, i), _at(y, i))
         return Rows((out,), _point)
 
     def triangle_vertex(self, x, y):

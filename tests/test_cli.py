@@ -471,6 +471,27 @@ def test_lambda_flag_rescales_capacity(capsys):
     assert res["passed"]
 
 
+@pytest.mark.parametrize("lam", [2.0, 1.5])
+def test_toral_holonomy_legs_have_their_metric_lengths(lam, capsys):
+    """Below the cat map's cap the metric exponent e is below 1, so a leg
+    of metric length l runs l**(1/e) along its eigenline: each leg has
+    the length the check assumes, and every quadruple is in range."""
+    sys_obj = build_system(parse_config(cfg_text(
+        command="holonomy", system="cat-map", lam=lam)))
+    assert sys_obj.e < 1.0
+    scale = sys_obj.xi / lam**3
+    p, q, pp, _ = cli._toral_holonomy_quads(sys_obj, 500, 0, scale).cols
+    for ends, top in (((p, q), scale), ((p, pp), sys_obj.xi / 4)):
+        d = [sys_obj.dist(*pair) for pair in zip(*(a.tolist() for a in ends))]
+        assert 0.25 * top * (1 - 1e-9) <= min(d) and max(d) <= top * (1 + 1e-9)
+    code = cli.main(["holonomy", "--system", "cat-map", "--lambda", str(lam),
+                     "--samples", "2000", "--seed", "0"])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)["results"]["holonomy"]
+    assert res["in_range"] == res["quadruples"] == 2000
+    assert res["violations"] == 0
+
+
 def test_console_script_is_installed(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "selfsimilar.cli", "verify",

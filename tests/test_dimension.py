@@ -16,6 +16,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from selfsimilar import dimension
 from selfsimilar.dimension import (
     _greedy,
     _stencil,
@@ -30,7 +31,7 @@ from selfsimilar.dimension import (
     local_unstable_entropy,
 )
 from selfsimilar.symbolic import count_words, exact_cov, full_shift, sft_new
-from selfsimilar.torus import toral_new
+from selfsimilar.torus import cat_map, toral_new
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LOG2 = math.log(2.0)
@@ -182,6 +183,23 @@ def test_greedy_kernel_on_stencil_rows_with_gaps():
     one = np.array([0])
     assert _greedy(1, one, one) == loop_cover(1, one, one) == 1
     assert _greedy(1, one[:0], one[:0]) == loop_cover(1, one[:0], one[:0])
+
+
+def test_a_cover_grid_past_the_memory_bound_fails_before_the_greedy(
+        monkeypatch):
+    # at lam = 1.5 the smallest default scale needs a grid of side
+    # 453,698, about 24 GiB of row masks: the count refuses before any
+    # stencil or greedy runs, and so does every capacity fit through it
+    def ran(*args):
+        raise AssertionError("a cover ran")
+
+    monkeypatch.setattr(dimension, "_stencil", ran)
+    monkeypatch.setattr(dimension, "_greedy", ran)
+    sys = cat_map(1.5)
+    with pytest.raises(ValueError, match="453698 x 453698 cover grid"):
+        cov_eps(sys, 0.16 * 2**-3.5)
+    with pytest.raises(ValueError, match="above the 64 MiB bound"):
+        capacity(sys)
 
 
 # ------------------------------------------------------------------- capacity

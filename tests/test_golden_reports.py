@@ -14,7 +14,9 @@ redraw samples it, and both sft cases run the sampled checks.
 The cat-map-2000 and golden-mean-2000 cases set their own samples and
 seed: they are `selfsim all --system NAME --samples 2000 --seed 0`,
 the inputs of the torus-cover and shift-sampled benchmark workloads;
-cat-map-2000-104729 is torus-cover's second seed.
+cat-map-2000-104729 is torus-cover's second seed.  cat-map-lam2 is the
+cat map at lam = 2, below its cap, so its metric exponent is not 1.0
+and every toral norm takes builtin pow elementwise.
 
 A change that moves any reported number, however little, fails here;
 if it is meant to, regenerate the files with the command above and say
@@ -45,6 +47,7 @@ CASES = {
                             "seed": 104729},
     "golden-mean-2000": {"system": "golden-mean", "samples": 2000,
                          "seed": 0},
+    "cat-map-lam2": {"system": "cat-map", "lam": 2.0},
 }
 
 

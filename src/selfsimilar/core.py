@@ -11,10 +11,10 @@ A system may also carry private pair batches.  `_pair_levels(pairs,
 steps)` returns one byte lane per step s: the integer level of
 (f^s x, f^s y) plus 1 for every pair, 255 for an infinite level.
 `_orbit_dists(pairs, lo, hi)` is the one distance hook: it yields
-(j, the array of dist(f^j x, f^j y)) for lo <= j <= hi.  The
-self-similar torus maps the points as arrays and equals its scalar
-`dist` bit for bit; the Euclidean torus reads its offset orbit; a
-`RefinedSystem` streams its base's hook, without knowing the base's
+(j, the array of dist(f^j x, f^j y)) for lo <= j <= hi.  Both toral
+metrics walk the offset y - x <- A (y - x) mod Z^2 and map no point,
+the self-similar one equal to its scalar `dist` bit for bit at step 0;
+a `RefinedSystem` streams its base's hook, without knowing the base's
 norm.  A system with the hook is invertible.
 A system with brackets may carry `_pair_brackets(pairs)`, the
 `triangle_vertex(x, y)` of every pair (the torus: its `bracket`, bit for

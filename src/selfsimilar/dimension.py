@@ -188,7 +188,7 @@ class CapacityFit(NamedTuple):
 
 def default_scales(sys):
     if sys.space_kind == "symbolic":
-        return [2.0 ** -j for j in range(4, 15)]
+        return [sys.lam ** -j for j in range(4, 15)]
     return [0.16 * 2.0 ** (-j / 2) for j in range(8)]
 
 

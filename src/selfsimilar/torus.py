@@ -10,24 +10,27 @@ because the eigencoordinates transform exactly by the eigenvalues.
 
 Both metrics here depend on the offset y - x only, and f^j y - f^j x =
 A^j (y - x) mod Z^2: a scalar distance is one nine-translate search
-(`_nearest`), and every d_k norm and Euclidean array of distances reads
-one offset recurrence (`ToralSystem._offset_orbit`).  Each metric has
-one orbit hook, `_orbit_dists(pairs, lo, hi)`, which core reads: it
-yields the array of dist(f^j x, f^j y) for lo <= j <= hi.  The
-Euclidean hook reads the offset recurrence.  The self-similar hook
-instead runs the nine-translate search on arrays of points mapped as
-`apply` maps them, so that it equals the scalar `dist` bit for bit;
-`ToralSystem._pair_brackets` reads the unstable coordinate of the same
-picked translate and equals `bracket`.  The array searches take the
-centre translate of each row with norm at most injectivity/4, where
-subadditivity puts every other translate 3 times farther (`_search`).
-The samplers read item i from row i of `_streams.uniforms` and return
-`_streams.Rows` of `_point`, one (N, 2) array per tuple slot, read by
-the hooks as they are.  One rounding rule: whatever numpy's vectorised
-loops could round differently from the scalar code (cos, sin, powers but
-x ** 1.0) goes through the libm function elementwise (`_each`, `_pow`),
-so the array norms are the scalar floats and the array search picks the
-scalar search's translate on every row, exact ties included.
+(`_nearest`), and every array of distances maps no point but reads one
+offset recurrence, `ToralSystem._offset_orbit`: the d_k norms, the
+construction sweep, and each metric's orbit hook `_orbit_dists(pairs,
+lo, hi)`, which core reads, yielding dist(f^j x, f^j y) for lo <= j <=
+hi.  The self-similar hook starts the recurrence from each pair's offset
+at its nearest lattice representative, as `dist` does: step 0 is `dist`
+bit for bit, step j the scalar `dist((0, 0), o)` of the recurrence's
+j-th offset o, and the identity deviates by the metric's roundoff, not
+by that of mapping points.  `ToralSystem._pair_brackets` reads the unstable
+coordinate of the translate picked at step 0 and equals `bracket`.  The
+array searches take the centre translate of each row with norm at most
+injectivity/4, where subadditivity puts every other translate 3 times
+farther (`_search`).  The samplers read item i from row i of
+`_streams.uniforms` and return `_streams.Rows` of `_point`, one (N, 2)
+array per tuple slot, read by the hooks as they are.  One rounding rule:
+whatever numpy's vectorised loops could round differently from the
+scalar code (cos, sin, powers but x ** 1.0) goes through the libm
+function elementwise (`_each`, `_pow`), so the array norms are the
+scalar floats and the array search picks the scalar search's translate
+on every row, exact ties included; an offset takes only +, -, * and
+round, which numpy rounds as Python does.
 """
 import math
 from functools import reduce
@@ -250,23 +253,14 @@ class ToralSystem:
 
     def _orbit_dists(self, pairs, lo, hi):
         """The orbit hook: yield (j, dist(f^j x, f^j y) for every pair)
-        for lo <= j <= hi, equal bit for bit to the scalar `dist` of the
-        iterates.
-
-        The points are mapped as arrays by `apply` and `apply_inv`
-        (np.remainder is Python's float %), and one array search of
-        `_nearest_norms` picks each pair's translate and its norm.
-        """
+        for lo <= j <= hi, the `_search` norm of each `_offset_orbit`
+        offset from the pair's offset y - x at its nearest lattice
+        representative, as `dist` takes it; no point is mapped."""
         x, y = _coords(pairs)
-        if lo <= 0 <= hi:
-            yield 0, self._nearest_norms(x, y)[0]
-        for move, js in ((self.apply, range(1, hi + 1)),
-                         (self.apply_inv, range(-1, lo - 1, -1))):
-            u, v = x, y
-            for j in js:
-                u, v = move(u), move(v)
-                if lo <= j <= hi:
-                    yield j, self._nearest_norms(u, v)[0]
+        d = y - x
+        for j, u, v in self._offset_orbit(*(d - np.round(d)), max(-lo, hi)):
+            if lo <= j <= hi:
+                yield j, self._search(u, v)[0]
 
     def _nearest_norms(self, x, y):
         """(norms, t) for the points x, y (as `_coords` gives them) of
@@ -367,13 +361,6 @@ class ToralSystem:
         x0, x1); the strata depend on `count`, the draws do not.  A
         scale below the roundoff floor of that check raises ValueError.
         """
-        x0, x1, y0, y1, _ = self._sample_coords(count, scale, seed)
-        return Rows((np.column_stack((x0, x1)), np.column_stack((y0, y1))),
-                    _point)
-
-    def _sample_coords(self, count, scale, seed):
-        """The coordinate arrays x0, x1, y0, y1 of `sample_pairs`, and
-        the array of their distances, `offset_norm(y0 - x0, y1 - x1)`."""
         if not scale < self.xi:
             raise ValueError("scale must be below xi")
         if scale <= 0:
@@ -395,30 +382,28 @@ class ToralSystem:
         d = self.offset_norm(y0 - x0, y1 - x1)
         if np.any(np.abs(d - targets) > _SAMPLE_RTOL * targets):
             raise ArithmeticError("sampled pair missed its target distance")
-        return x0, x1, y0, y1, d
+        return Rows((np.column_stack((x0, x1)), np.column_stack((y0, y1))),
+                    _point)
 
     # -- construction-time check ------------------------------------------
 
     def _validate(self):
         """Identity sweep at dist <= xi; fails loudly if xi is too greedy.
 
-        Checks 2 x 5000 sampled pairs, near xi and at xi/8.  The d_1
-        norm is max(d, d o f, d o f^-1), which equals lam * d exactly
-        when one step scales the pair by lam, so the sweep is one ratio
-        over the pair offsets: d is the sampler's own target check, and
-        only the steps +-1 are searched here.  Returns the worst
-        deviation.
+        Checks 2 x 5000 pairs of `sample_pairs`, near xi and at xi/8.
+        The d_1 norm is max(d, d o f, d o f^-1), which equals lam * d
+        exactly when one step scales the pair by lam, so the sweep is one
+        ratio of two `offset_norm` calls over each scale's offsets,
+        offset_norm(dx, dy, 1) / (lam * offset_norm(dx, dy)).  Returns
+        the worst deviation.
         """
         worst = 0.0
         for scale, seed in ((self.xi * 0.999, 1), (self.xi / 8, 2)):
-            x0, x1, y0, y1, d = self._sample_coords(5000, scale, seed)
-            dx, dy = y0 - x0, y1 - x1
-            orbit = self._offset_orbit(dx - np.round(dx), dy - np.round(dy),
-                                       1)
-            next(orbit)  # step 0, whose norm is d
-            d1 = reduce(np.maximum, (self._search(u, v)[0]
-                                     for _, u, v in orbit), d)
-            worst = max(worst, float(np.abs(d1 / (self.lam * d) - 1.0).max()))
+            x, y = _coords(self.sample_pairs(5000, scale, seed))
+            dx, dy = y - x
+            ratio = self.offset_norm(dx, dy, 1) / (
+                self.lam * self.offset_norm(dx, dy))
+            worst = max(worst, float(np.abs(ratio - 1.0).max()))
         if worst > 1e-9:
             raise ArithmeticError(
                 f"xi={self.xi} fails the one-step identity (dev {worst:.3g}); "

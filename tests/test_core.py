@@ -42,6 +42,8 @@ from selfsimilar.core import (
 from selfsimilar.symbolic import TransitionMatrix, sft_new
 from selfsimilar.torus import CircleDoubling, cat_map, toral_new
 
+from scalar_orbit import scalar_steps
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -348,18 +350,6 @@ def hook(sys, pairs, steps):
     return [terms[s] for s in steps]
 
 
-def scalar_steps(sys, dist, x, y, steps):
-    """dist(f^s x, f^s y) by the scalar maps, for s in steps."""
-    out = []
-    for s in steps:
-        p, q = x, y
-        for _ in range(abs(s)):
-            step = sys.apply if s > 0 else sys.apply_inv
-            p, q = step(p), step(q)
-        out.append(dist(p, q))
-    return out
-
-
 def test_property_tests_leave_out_the_explain_phase():
     # the conftest profile reaches every @settings below, which names
     # other fields only
@@ -383,7 +373,7 @@ def test_refined_batch_follows_the_exact_orbit(refined_euclid, pairs):
 def test_refined_batch_agrees_with_the_scalar_metric(refined_euclid, pairs):
     batch = hook(refined_euclid, pairs, STEPS)
     for i, (x, y) in enumerate(pairs):
-        want = scalar_steps(refined_euclid, refined_euclid.dist, x, y, STEPS)
+        want = scalar_steps(refined_euclid, x, y, STEPS)
         for got, w in zip((b[i] for b in batch), want):
             assert got == pytest.approx(w, rel=1e-9)
 
@@ -394,7 +384,7 @@ def test_euclidean_batch_follows_the_exact_orbit(euclid, pairs):
     batch = hook(euclid, pairs, STEPS)
     for i, (x, y) in enumerate(pairs):
         terms = exact_terms(euclid.geometry, x, y, 1)
-        scalar = scalar_steps(euclid, euclid.dist, x, y, STEPS)
+        scalar = scalar_steps(euclid, x, y, STEPS)
         for got, s, w in zip((b[i] for b in batch), STEPS, scalar):
             assert got == pytest.approx(terms[s], rel=1e-14)
             assert got == pytest.approx(w, rel=1e-9)
@@ -472,8 +462,7 @@ def loop_verify(sys, pairs, tol):
             devs.append(0.0 if img == v - 1 else abs(
                 sys.lam ** (v - 1 - img) - 1.0))
         else:
-            grown = max(sys.dist(sys.apply(p), sys.apply(q)),
-                        sys.dist(sys.apply_inv(p), sys.apply_inv(q)))
+            grown = max(scalar_steps(sys, p, q, (1, -1)))
             devs.append(abs(grown / (sys.lam * d) - 1.0))
         if worst is None or devs[-1] > max(devs[:-1]):
             worst = idx
@@ -574,7 +563,7 @@ def test_refined_batch_reads_the_base_norm(cat, euclid, refined_euclid):
         pairs = euclid.sample_pairs(150, scale, seed=seed)
         batch = hook(refined, pairs, STEPS)
         for i, (x, y) in enumerate(pairs):
-            want = scalar_steps(refined, refined.dist, x, y, STEPS)
+            want = scalar_steps(refined, x, y, STEPS)
             for got, w in zip((b[i] for b in batch), want):
                 assert got == pytest.approx(w, rel=1e-12)
     # a Euclidean batch would be larger: the orbit's offsets are off-axis
@@ -598,12 +587,12 @@ def test_the_orbit_hook_reads_its_step_range(cat, euclid, refined_euclid):
                 == list(range(lo, hi + 1))
             got = zip(*_pair_values(sys, pairs, steps))
             for row, (x, y) in zip(got, pairs):
-                want = scalar_steps(sys, sys.dist, x, y, steps)
+                want = scalar_steps(sys, x, y, steps)
                 assert list(row) == pytest.approx(want, rel=rel, abs=0.0)
     # a refinement of a refinement streams its base's hook too
     twice, few = refine_metric(refined_euclid, 1.8, 1e-3), pairs[:4]
     for row, (x, y) in zip(zip(*_pair_values(twice, few, STEPS)), few):
-        want = scalar_steps(twice, twice.dist, x, y, STEPS)
+        want = scalar_steps(twice, x, y, STEPS)
         assert list(row) == pytest.approx(want, rel=1e-9)
 
 
@@ -616,18 +605,16 @@ def loop_contraction(sys, x, y, side, n_max):
     if d0 > sys.xi:
         return [], math.inf, False, 0
     if side == "stable":
-        step = sys.apply
+        sign = 1
     elif side == "unstable":
-        step = getattr(sys, "apply_inv", None)
+        sign = -1 if hasattr(sys, "apply_inv") else None
     else:
         raise ValueError("side must be 'stable' or 'unstable'")
     ratios, first_bad = [], None
-    p, q = x, y
     for n in range(1, n_max + 1):
-        if step is None:
+        if sign is None:
             raise ValueError("backward window needs an invertible system")
-        p, q = step(p), step(q)
-        d = sys.dist(p, q)
+        (d,) = scalar_steps(sys, x, y, (sign * n,))
         if d > sys.xi:
             first_bad = n
             break
@@ -910,22 +897,10 @@ def scalar_holonomy(sys, p, q, pp, qq):
     d, d_img = sys.dist(p, q), sys.dist(pp, qq)
     if d == 0.0 or d_img == 0.0:
         raise ValueError("coincident plaque pair")
-    pre_ok = True
-    a, b = p, q
-    for _ in range(5):
-        a, b = sys.apply_inv(a), sys.apply_inv(b)
-        if sys.dist(a, b) > sys.xi:
-            pre_ok = False
-            break
+    pre_ok = max(scalar_steps(sys, p, q, range(-1, -6, -1))) <= sys.xi
     for leg in ((p, pp), (q, qq)):
-        if sys.dist(*leg) > sys.xi:
+        if max(scalar_steps(sys, *leg, range(6))) > sys.xi:
             pre_ok = False
-        a, b = leg
-        for _ in range(5):
-            a, b = sys.apply(a), sys.apply(b)
-            if sys.dist(a, b) > sys.xi:
-                pre_ok = False
-                break
     big = max(d, d_img)
     m = int(math.floor(math.log(sys.xi / big) / math.log(sys.lam)))
     while sys.xi / sys.lam ** (m + 1) >= big:

@@ -225,6 +225,27 @@ def test_capacity_is_lam_invariant():
     assert fit.slope * math.log(4.0) == pytest.approx(2.0 * LOG2, rel=1e-9)
 
 
+SHIFTS = {"golden-mean": ((1, 1), (1, 0)), "full-2": ((1, 1), (1, 1)),
+          "four-symbol": ((1,) * 4, (1,) * 4, (0, 0, 1, 1), (0, 0, 1, 1)),
+          "sft-3": ((0, 1, 0), (0, 0, 1), (1, 1, 0))}
+
+
+@pytest.mark.parametrize("lam", (1.01, 1.5, 3.0, 8.0, 64.0, 1e6))
+@pytest.mark.parametrize("name", SHIFTS)
+def test_shift_scales_follow_lam(name, lam):
+    """A shift's scales are lam**-j, j = 4..14, the cylinder levels 4..14
+    at every lam: the covers count the same words, so capacity * log lam
+    and the fundamental identity's gap are those at lam 2."""
+    sys, ref = sft_new(SHIFTS[name], lam), sft_new(SHIFTS[name])
+    assert default_scales(sys) == [lam ** -j for j in range(4, 15)]
+    fit, want = capacity(sys), capacity(ref)
+    assert fit.counts == want.counts
+    assert fit.slope * math.log(lam) == pytest.approx(want.slope * LOG2,
+                                                      rel=1e-15)
+    assert check_fundamental(sys).rel_gap == pytest.approx(
+        check_fundamental(ref).rel_gap, rel=1e-9, abs=1e-14)
+
+
 def test_default_scales(full2, cat):
     assert default_scales(full2) == [2.0**-j for j in range(4, 15)]
     toral = default_scales(cat)

@@ -16,7 +16,8 @@ seed: they are `selfsim all --system NAME --samples 2000 --seed 0`,
 the inputs of the torus-cover and shift-sampled benchmark workloads;
 cat-map-2000-104729 is torus-cover's second seed.  cat-map-lam2 is the
 cat map at lam = 2, below its cap, so its metric exponent is not 1.0
-and every toral norm takes builtin pow elementwise.
+and every toral norm takes builtin pow elementwise.  golden-mean-lam3 is
+a shift at a lam other than 2, whose capacity scales are lam**-j.
 
 A change that moves any reported number, however little, fails here;
 if it is meant to, regenerate the files with the command above and say
@@ -48,6 +49,7 @@ CASES = {
     "golden-mean-2000": {"system": "golden-mean", "samples": 2000,
                          "seed": 0},
     "cat-map-lam2": {"system": "cat-map", "lam": 2.0},
+    "golden-mean-lam3": {"system": "golden-mean", "lam": 3.0},
 }
 
 

@@ -9,6 +9,7 @@ anchor every expected value here.
 import copy
 import math
 import re
+from fractions import Fraction
 from functools import lru_cache, reduce
 from random import Random
 
@@ -29,6 +30,8 @@ from selfsimilar.torus import (
     euclidean_base,
     toral_new,
 )
+
+from scalar_orbit import offset, offset_step
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -364,19 +367,24 @@ def test_offset_norm_at_step_zero_is_bit_stable(cat):
         assert np.array_equal(cat.offset_norm(dx, dy), array_form(cat, dx, dy))
 
 
-def test_identity_sweep_reads_step_zero_from_the_sampler(cat):
-    # the sweep as two offset_norm calls over each scale's offsets
+def test_identity_sweep_is_two_offset_norm_calls(cat):
+    # the sweep as the ratio of two offset_norm calls over the offsets of
+    # each scale's sampled pairs
+    worsts = []
     for sys in (cat, cat_map(lam=1.6), toral_new(((3, 1), (2, 1)))):
         worst = 0.0
         for scale, seed in ((sys.xi * 0.999, 1), (sys.xi / 8, 2)):
-            x0, x1, y0, y1, d = sys._sample_coords(5000, scale, seed)
-            dx, dy = y0 - x0, y1 - x1
-            assert np.array_equal(d, sys.offset_norm(dx, dy))
+            x, y = _coords(sys.sample_pairs(5000, scale, seed))
+            dx, dy = y - x
             ratio = sys.offset_norm(dx, dy, 1) / (
                 sys.lam * sys.offset_norm(dx, dy, 0))
             worst = max(worst, float(np.abs(ratio - 1.0).max()))
         assert 0.0 < worst <= 1e-9
         assert sys._validate() == worst
+        worsts.append(worst)
+    # the sweep's pinned floats, read from the offsets only
+    assert worsts == [3.3306690738754696e-16, 2.220446049250313e-16,
+                      4.440892098500626e-16]
 
 
 def test_offset_orbit_is_the_matrix_power(cat):
@@ -417,20 +425,26 @@ def automorphism(index):
 
 
 class ScalarOnly:
-    """A toral system without its pair batch: `_pair_values` walks each
-    pair with the scalar maps and the scalar `dist`."""
+    """A toral system without its pair batch, read on offset pairs
+    ((0, 0), o): `_pair_values` walks each with the scalar maps, here the
+    offset recurrence of `scalar_orbit.offset_step`, and the scalar `dist`."""
 
     def __init__(self, sys):
         self.sys = sys
 
-    def apply(self, x):
-        return self.sys.apply(x)
+    def apply(self, o):
+        return offset_step(self.sys.matrix, o)
 
-    def apply_inv(self, x):
-        return self.sys.apply_inv(x)
+    def apply_inv(self, o):
+        return offset_step(self.sys.inverse, o)
 
     def dist(self, x, y):
         return self.sys.dist(x, y)
+
+    def values(self, pairs, steps):
+        """`_pair_values` of each pair's offset pair ((0, 0), y - x)."""
+        return _pair_values(self, [((0.0, 0.0), offset(x, y))
+                                   for x, y in pairs], steps)
 
 
 @st.composite
@@ -460,7 +474,8 @@ def toral_pair_sets(draw):
 def test_pair_batch_is_the_scalar_path(case):
     sys, pairs = case
     got = _pair_values(sys, pairs, BATCH_STEPS)
-    assert got == _pair_values(ScalarOnly(sys), pairs, BATCH_STEPS)
+    assert got == ScalarOnly(sys).values(pairs, BATCH_STEPS)
+    assert got[BATCH_STEPS.index(0)] == [sys.dist(x, y) for x, y in pairs]
     assert all(type(v) is float for row in got for v in row)
 
 
@@ -470,8 +485,39 @@ def test_pair_batch_is_the_scalar_path_on_2200_pairs(cat):
              for pair in cat.sample_pairs(1100, scale, seed=seed)]
     steps = (0, 2, -1)
     got = _pair_values(cat, pairs, steps)
-    assert got == _pair_values(ScalarOnly(cat), pairs, steps)
+    assert got == ScalarOnly(cat).values(pairs, steps)
     assert list(cat._pair_brackets(pairs)) == [cat.bracket(*p) for p in pairs]
+
+
+def exact_dists(sys, x, y, reach):
+    """dist at steps |j| <= reach from the exact orbit of the float
+    points: offsets A**j (y - x) mod Z**2 in rationals, each coordinate
+    rounded once to a float before `dist` of it from the origin."""
+    def wrap(v):
+        return v - round(v)
+
+    delta = [wrap(Fraction(b) - Fraction(a)) for a, b in zip(x, y)]
+    out = {}
+    for sign, ((a, b), (c, d)) in ((1, sys.matrix), (-1, sys.inverse)):
+        u, v = delta
+        for j in range(reach + 1):
+            out[sign * j] = sys.dist((0.0, 0.0), (float(u), float(v)))
+            u, v = wrap(a * u + b * v), wrap(c * u + d * v)
+    return out
+
+
+@pytest.mark.parametrize("index", (0, 2))
+def test_the_hook_follows_the_exact_orbit(index):
+    """The hook's orbit is the pair's offset orbit to the metric's
+    roundoff, at every scale: mapping the points would lose the offset's
+    low bits, about 1e-16 / scale relative."""
+    sys = automorphism(index)
+    for scale in (1e-2, 1e-4, 1e-6):
+        pairs = sys.sample_pairs(300, scale, seed=5)
+        got = dict(sys._orbit_dists(pairs, -5, 5))
+        for i, (x, y) in enumerate(pairs):
+            for j, want in exact_dists(sys, x, y, 5).items():
+                assert got[j][i] == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 # a lam below each matrix's cap, so that the exponent is not 1.0 and
@@ -500,8 +546,8 @@ def test_norms_at_a_non_unit_exponent_are_the_scalar_dist(matrix, lam):
     assert t.tolist() == [sys._su(*sys._nearest(*pair)[1])[1]
                           for pair in pairs]
     assert sys.offset_norm(y[0] - x[0], y[1] - x[1]).tolist() == want
-    assert _pair_values(sys, pairs, BATCH_STEPS) == _pair_values(
-        ScalarOnly(sys), pairs, BATCH_STEPS)
+    assert _pair_values(sys, pairs, BATCH_STEPS) == ScalarOnly(sys).values(
+        pairs, BATCH_STEPS)
     # the ties lie far outside any real xi: a copy with a huge xi
     # brackets every pair
     wide = copy.copy(sys)
@@ -622,30 +668,30 @@ def test_certified_centre_is_the_nine_translate_scan(case):
 
 def test_certified_rows_skip_the_nine_translate_scan(cat, monkeypatch,
                                                      capsys):
-    searched, scanned, other, inside = [], [], [], []
-    nearest_norms = ToralSystem._nearest_norms
-    translates = ToralSystem._translates
+    calls = []  # [rows, rows scanned] of each `_search`, in turn
+    search, translates = ToralSystem._search, ToralSystem._translates
 
-    def spy_nearest_norms(self, x, y):
-        searched.append(x[0].size)
-        inside.append(True)
-        try:
-            return nearest_norms(self, x, y)
-        finally:
-            inside.pop()
+    def spy_search(self, u, v):
+        calls.append([u.size, 0])
+        return search(self, u, v)
 
     def spy_translates(self, u, v):
-        (scanned if inside else other).append(u.size)
+        calls[-1][1] += u.size
         return translates(self, u, v)
 
-    monkeypatch.setattr(ToralSystem, "_nearest_norms", spy_nearest_norms)
+    monkeypatch.setattr(ToralSystem, "_search", spy_search)
     monkeypatch.setattr(ToralSystem, "_translates", spy_translates)
     argv = ["all", "--system", "cat-map", "--samples", "2000", "--seed", "0"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # every pair the run searches lies below injectivity/4
-    assert sum(searched) == 54000
-    assert sum(scanned) == 0
+    # the sampler's, the sweep's and the covers' rows, and the hook's
+    # 50,000 and the brackets' 4,000
+    assert sum(n for n, _ in calls) == 110992
+    # only the diameter grid and the cover stencils reach past
+    # injectivity/4: every pair the run samples, checks or brackets lies
+    # below it
+    assert [n for n, scanned in calls if scanned] == [256, 289, 289, 289,
+                                                      81, 289]
     # far random pairs: exactly the rows past injectivity/4 are scanned
     rng = Random(37)
     pairs = [((rng.random(), rng.random()), (rng.random(), rng.random()))
@@ -655,12 +701,11 @@ def test_certified_rows_skip_the_nine_translate_scan(cat, monkeypatch,
     centre = centre_norm(cat, dx - np.round(dx), dy - np.round(dy))
     far = int((centre > cat.injectivity / 4).sum())
     assert 0 < far < 500
-    scanned.clear()
-    other.clear()
+    calls.clear()
     cat._nearest_norms(x, y)
     cat.offset_norm(dx, dy)
-    assert scanned == [far]
-    assert other == [far]
+    list(cat._orbit_dists(pairs, 0, 0))
+    assert calls == [[500, far]] * 3
 
 
 @pytest.mark.parametrize("index", range(len(MATRICES)))
